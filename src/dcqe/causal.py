@@ -19,9 +19,6 @@ PROPENSITY_CLIP = (1e-6, 1.0 - 1e-6)
 SCORE_SOURCES = ("true", "centralized", "individual", "dcqe")
 ESTIMANDS = ("ATE", "ATT")
 
-# Row-block size for the vectorised nearest-neighbor scan, bounding memory.
-_MATCH_BLOCK = 512
-
 
 @dataclass(frozen=True, eq=False)
 class PropensityScores:
@@ -51,8 +48,9 @@ def estimate_propensity(features, treatments, source: str = "dcqe") -> Propensit
 class MatchingResult:
     """Nearest-neighbor match (with replacement) for every subject.
 
-    ``pairs[i]`` is the opposite-group subject closest to ``i`` in propensity
-    score, ties resolved by the smallest index. Matches may repeat.
+    ``pairs[i]`` is the opposite-group subject ``j`` with the smallest
+    computed ``|e_i - e_j|``; among subjects whose computed gap is minimal,
+    float rounding included, the smallest index wins. Matches may repeat.
     """
 
     pairs: np.ndarray
@@ -83,17 +81,39 @@ def _treatment_groups(treatments, length: int) -> tuple[np.ndarray, np.ndarray, 
 
 
 def _nearest(queries: np.ndarray, candidates: np.ndarray) -> np.ndarray:
-    """Index of the closest candidate for every query; first index wins ties."""
-    out = np.empty(queries.shape[0], dtype=np.intp)
-    for start in range(0, queries.shape[0], _MATCH_BLOCK):
-        stop = start + _MATCH_BLOCK
-        gaps = np.abs(queries[start:stop, None] - candidates[None, :])
-        out[start:stop] = np.argmin(gaps, axis=1)
+    """Index of the candidate with the smallest computed ``|q - c|`` per query.
+
+    Among equal computed gaps the smallest index wins. The computed gap is
+    monotone on each side of a query, so only the nearest distinct value
+    below and above can win; a farther value can equal its gap only through
+    rounding, and those queries fall back to a direct scan.
+    """
+    order = np.argsort(candidates, kind="stable")
+    ordered = candidates[order]
+    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    values, first = ordered[starts], order[starts]  # smallest index per value
+    last = values.shape[0] - 1
+    pos = np.searchsorted(values, queries)
+    lo, hi = np.maximum(pos - 1, 0), np.minimum(pos, last)
+    gap_lo = np.abs(queries - values[lo])
+    gap_hi = np.abs(queries - values[hi])
+    take_lo = (gap_lo < gap_hi) | ((gap_lo == gap_hi) & (first[lo] < first[hi]))
+    out = np.where(take_lo, first[lo], first[hi])
+    gap = np.minimum(gap_lo, gap_hi)
+    rounded = (lo > 0) & (np.abs(queries - values[np.maximum(lo - 1, 0)]) == gap)
+    rounded |= (hi < last) & (np.abs(queries - values[np.minimum(hi + 1, last)]) == gap)
+    for i in np.flatnonzero(rounded):
+        out[i] = np.argmin(np.abs(queries[i] - candidates))
     return out
 
 
 def match_pairs(scores, treatments) -> MatchingResult:
-    """Match every subject to its nearest opposite-group subject, with replacement."""
+    """Match every subject to its nearest opposite-group subject, with replacement.
+
+    The winner is the smallest index among opposite-group subjects whose
+    computed ``|e_i - e_j|`` is minimal, float rounding included. Costs
+    O(n log n) time and O(n) memory.
+    """
     values = _score_values(scores)
     _, treated, control = _treatment_groups(treatments, values.shape[0])
     pairs = np.empty(values.shape[0], dtype=np.intp)
@@ -117,6 +137,9 @@ def estimate_psm(matching: MatchingResult, outcomes, estimand: str) -> EffectEst
     ATT averages ``y_i - y_pair(i)`` over treated subjects. ATE additionally
     averages ``y_pair(i) - y_i`` over controls and divides by the full subject
     count, so multiply-matched subjects count once per occurrence.
+
+    The bootstrap SE of this estimator, which matches with replacement, is
+    known to be unreliable (Abadie & Imbens 2008, Econometrica).
     """
     if estimand not in ESTIMANDS:
         raise InvalidDataError(f"unknown estimand {estimand!r}")

@@ -133,6 +133,8 @@ class ScenarioResult:
     bootstrap: BootstrapDistribution
     estimate_mean: float
     estimate_se: float
+    """Sample SD of the bootstrap estimates. For PSM (matching with replacement)
+    the bootstrap SE is known to be unreliable (Abadie & Imbens 2008)."""
     gap: float | None
     inconsistency_true: MetricSummary | None
     inconsistency_ca: MetricSummary

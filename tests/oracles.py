@@ -4,7 +4,8 @@ These deliberately avoid the code paths under test: eigenvalues and singular
 values come from Jacobi rotations instead of LAPACK drivers, the logistic
 reference is plain gradient ascent, treatment-effect formulas are evaluated
 with explicit loops (exact rational arithmetic where it matters), and the
-matcher is a double loop with explicit tie handling.
+matcher is a double loop with explicit tie handling, plus a blocked all-pairs
+scan fast enough to check the package's matcher at large n.
 """
 
 from __future__ import annotations
@@ -113,6 +114,32 @@ def brute_force_pairs(scores, treatments) -> np.ndarray:
                 best, best_gap = j, gap
         pairs[i] = best
     return np.array(pairs)
+
+
+# Row-block size for the vectorised nearest-neighbor scan, bounding memory.
+_MATCH_BLOCK = 512
+
+
+def _blocked_nearest(queries: np.ndarray, candidates: np.ndarray) -> np.ndarray:
+    """Index of the closest candidate for every query; first index wins ties."""
+    out = np.empty(queries.shape[0], dtype=np.intp)
+    for start in range(0, queries.shape[0], _MATCH_BLOCK):
+        stop = start + _MATCH_BLOCK
+        gaps = np.abs(queries[start:stop, None] - candidates[None, :])
+        out[start:stop] = np.argmin(gaps, axis=1)
+    return out
+
+
+def blocked_nearest_pairs(scores, treatments) -> np.ndarray:
+    """Vectorised twin of ``brute_force_pairs``: every treated x control gap, blockwise."""
+    values = np.asarray(scores, dtype=float)
+    z = np.asarray(treatments).astype(np.int64)
+    treated = np.flatnonzero(z == 1)
+    control = np.flatnonzero(z == 0)
+    pairs = np.empty(values.shape[0], dtype=np.intp)
+    pairs[treated] = control[_blocked_nearest(values[treated], values[control])]
+    pairs[control] = treated[_blocked_nearest(values[control], values[treated])]
+    return pairs
 
 
 def psm_formula(pairs, treatments, outcomes, estimand: str) -> float:

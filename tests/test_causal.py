@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from dcqe.causal import (
+    PROPENSITY_CLIP,
     PropensityScores,
     estimate_ipw,
     estimate_propensity,
@@ -110,6 +111,46 @@ class TestMatching:
         for slope, shift in ((0.3, 0.1), (1.7, -0.4), (3.14159, 2.71828)):
             mapped = match_pairs(slope * scores + shift, z)
             np.testing.assert_array_equal(mapped.pairs, reference.pairs)
+
+    def test_large_instance_equals_blocked_scan(self):
+        rng = np.random.default_rng(2)
+        scores = rng.random(20_000)
+        z = (rng.random(20_000) < 0.4).astype(int)
+        result = match_pairs(scores, z)
+        np.testing.assert_array_equal(result.pairs, oracles.blocked_nearest_pairs(scores, z))
+
+    def test_mass_ties_at_clip_bounds_equal_blocked_scan(self):
+        rng = np.random.default_rng(3)
+        scores = rng.random(5_000)
+        scores[rng.random(5_000) < 0.4] = PROPENSITY_CLIP[0]
+        scores[rng.random(5_000) < 0.4] = PROPENSITY_CLIP[1]
+        z = (rng.random(5_000) < 0.5).astype(int)
+        result = match_pairs(scores, z)
+        np.testing.assert_array_equal(result.pairs, oracles.blocked_nearest_pairs(scores, z))
+
+    def test_rounding_collapse_picks_smallest_index(self):
+        # 0.9 - c rounds to 0.9 for all three controls, so all gaps tie and
+        # the first control wins although 3e-20 is the nearest value.
+        scores = np.array([0.9, 2e-20, 1e-20, 3e-20])
+        z = np.array([1, 0, 0, 0])
+        result = match_pairs(scores, z)
+        assert result.pairs[0] == 1
+        np.testing.assert_array_equal(result.pairs, oracles.blocked_nearest_pairs(scores, z))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 10_000))
+    def test_mixed_magnitudes_match_blocked_scan_property(self, seed):
+        # Treated subjects draw from tiny and large scores, controls from the
+        # tiny ones only. The tiny scores share one magnitude from 1e-20 to
+        # 1e-6; below about 1e-17 their computed gaps to a large score round
+        # to the same value, which sends those queries down the fallback path.
+        rng = np.random.default_rng(seed)
+        tiny = 10.0 ** float(rng.integers(-20, -5)) * rng.integers(1, 10, size=4)
+        pool = np.concatenate([tiny, rng.uniform(0.3, 1.0, size=4)])
+        _, z = random_instance(rng, max_n=200)
+        scores = np.where(z == 1, rng.choice(pool, z.shape[0]), rng.choice(tiny, z.shape[0]))
+        result = match_pairs(scores, z)
+        np.testing.assert_array_equal(result.pairs, oracles.blocked_nearest_pairs(scores, z))
 
     def test_needs_both_groups(self):
         with pytest.raises(DegenerateLabelsError):
