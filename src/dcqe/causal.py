@@ -170,19 +170,16 @@ def ipw_weights(scores, treatments, estimand: str) -> np.ndarray:
 
 
 def estimate_ipw(scores, treatments, outcomes, estimand: str) -> EffectEstimate:
-    """Self-normalized inverse-probability-weighted difference of outcome means."""
-    if estimand not in ESTIMANDS:
-        raise InvalidDataError(f"unknown estimand {estimand!r}")
-    e = _score_values(scores)
-    z, _, _ = _treatment_groups(treatments, e.shape[0])
-    y = ensure_vector(outcomes, "outcomes", length=e.shape[0])
-    zf = z.astype(float)
-    if estimand == "ATE":
-        wt = zf / e
-        wc = (1.0 - zf) / (1.0 - e)
-    else:
-        wt = zf
-        wc = (1.0 - zf) * e / (1.0 - e)
+    """Self-normalized inverse-probability-weighted difference of outcome means.
+
+    The weights are those of ``ipw_weights``; each group's weighted mean sums
+    over all subjects, with zero weight on the other group.
+    """
+    weights = ipw_weights(scores, treatments, estimand)
+    treated = np.asarray(treatments).astype(np.int64) == 1
+    y = ensure_vector(outcomes, "outcomes", length=weights.shape[0])
+    wt = np.where(treated, weights, 0.0)
+    wc = np.where(treated, 0.0, weights)
     value = float((wt @ y) / wt.sum() - (wc @ y) / wc.sum())
     return EffectEstimate(estimand=estimand, method="IPW", value=value)
 

@@ -180,7 +180,13 @@ def _shared_basis(groups: dict[int, dict[int, IntermediateRepresentation]],
     # beyond that (or beyond numerical rank) shrink silently and the effective
     # width is reported by the returned matrices.
     rank = min(collaborative_dim, combined.shape[1])
-    return svd_truncated(combined, rank).u
+    basis = svd_truncated(combined, rank).u
+    if basis.shape[1] == 0:
+        raise CollaborationError(
+            "the combined anchor image has numerical rank 0, so there is no shared basis; "
+            "constant party columns are a likely cause"
+        )
+    return basis
 
 
 def shared_anchor_basis(intermediates: Sequence[IntermediateRepresentation],

@@ -71,12 +71,9 @@ def ensure_binary_labels(labels, name: str = "labels", length: int | None = None
 def sigmoid(eta) -> np.ndarray:
     """Numerically stable logistic function 1 / (1 + exp(-eta))."""
     eta = np.asarray(eta, dtype=float)
-    out = np.empty_like(eta)
-    pos = eta >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-eta[pos]))
-    ex = np.exp(eta[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    # exp(-|eta|) never overflows: 1 / (1 + ex) for eta >= 0, ex / (1 + ex) below.
+    ex = np.exp(-np.abs(eta))
+    return np.where(eta >= 0, 1.0, ex) / (1.0 + ex)
 
 
 def _orient_columns(primary: np.ndarray, partner: np.ndarray | None = None) -> None:
@@ -264,11 +261,12 @@ class LogisticModel:
             raise InvalidDataError("logistic parameters must be finite")
 
 
-def _penalized_loglik(design: np.ndarray, labels: np.ndarray, theta: np.ndarray,
-                      penalty: np.ndarray) -> float:
+def _linear_and_loglik(design: np.ndarray, labels: np.ndarray, theta: np.ndarray,
+                       penalty: np.ndarray) -> tuple[np.ndarray, float]:
+    """The linear predictor ``design @ theta`` and the penalized log-likelihood."""
     eta = design @ theta
     ll = float(np.sum(labels * eta - np.logaddexp(0.0, eta)))
-    return ll - 0.5 * float(penalty @ (theta * theta))
+    return eta, ll - 0.5 * float(penalty @ (theta * theta))
 
 
 def logistic_fit(features: Matrix, labels) -> LogisticModel:
@@ -280,6 +278,10 @@ def logistic_fit(features: Matrix, labels) -> LogisticModel:
     Convergence is declared when the largest parameter change drops below
     ``LOGISTIC_TOL``; after ``LOGISTIC_MAX_ITER`` iterations the best iterate
     is returned with ``converged`` set to False.
+
+    Each evaluated candidate costs one matrix-vector product and one
+    ``logaddexp``; the accepted candidate's linear predictor is reused for
+    the next Newton step, whose probabilities cost one ``exp``.
     """
     x = ensure_matrix(features, "features")
     y = ensure_binary_labels(labels, "labels", length=x.shape[0]).astype(float)
@@ -289,11 +291,12 @@ def logistic_fit(features: Matrix, labels) -> LogisticModel:
     penalty[0] = 0.0
 
     theta = np.zeros(m + 1)
-    trace = [_penalized_loglik(design, y, theta, penalty)]
+    eta, value = _linear_and_loglik(design, y, theta, penalty)
+    trace = [value]
     converged = False
     iterations = 0
     for iterations in range(1, LOGISTIC_MAX_ITER + 1):
-        prob = sigmoid(design @ theta)
+        prob = sigmoid(eta)
         weight = prob * (1.0 - prob)
         grad = design.T @ (y - prob) - penalty * theta
         hess = (design * weight[:, None]).T @ design
@@ -305,11 +308,11 @@ def logistic_fit(features: Matrix, labels) -> LogisticModel:
 
         step = 1.0
         candidate = theta + delta
-        value = _penalized_loglik(design, y, candidate, penalty)
+        eta, value = _linear_and_loglik(design, y, candidate, penalty)
         while value < trace[-1] - 1e-12 and step > 1e-12:
             step *= 0.5
             candidate = theta + step * delta
-            value = _penalized_loglik(design, y, candidate, penalty)
+            eta, value = _linear_and_loglik(design, y, candidate, penalty)
 
         change = float(np.max(np.abs(candidate - theta)))
         theta = candidate

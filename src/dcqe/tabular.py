@@ -4,6 +4,11 @@ Files are comma-separated UTF-8 with a required header row, decimal-point
 reals, and no quoting of numerics. Validation is strict: every cell must
 parse, treatments must be exactly "0" or "1", and errors carry the row and
 column they were found at (rows counted from 1, excluding the header).
+
+Cells are parsed a column at a time, but errors are reported as a
+row-by-row reader would report them: a ragged row before any cell is
+parsed, and of several bad cells the first in file order (row by row, then
+left to right over the columns a loader reads).
 """
 
 from __future__ import annotations
@@ -28,7 +33,8 @@ class TabularSchema:
     id_column: str | None = None
 
 
-def _read_rows(path) -> tuple[list[str], list[list[str]]]:
+def _read_columns(path) -> tuple[list[str], list[list[str]], int]:
+    """Stripped header, stripped cells column by column, and the data row count."""
     path = Path(path)
     if not path.is_file():
         raise IngestionError(f"input file not found: {path}")
@@ -45,8 +51,9 @@ def _read_rows(path) -> tuple[list[str], list[list[str]]]:
                 raise IngestionError(
                     f"{path}: row {number} has {len(row)} cells, header has {len(header)}"
                 )
-            rows.append([cell.strip() for cell in row])
-    return header, rows
+            rows.append(row)
+    columns = [list(map(str.strip, column)) for column in zip(*rows)]
+    return header, columns or [[] for _ in header], len(rows)
 
 
 def _column_index(header: list[str], name: str, path) -> int:
@@ -81,37 +88,61 @@ def _parse_treatment(cell: str, row: int, column: str, path) -> int:
     )
 
 
+def _real_column(cells: list[str]) -> np.ndarray:
+    values = np.fromiter(map(float, cells), float, count=len(cells))
+    if not np.isfinite(values).all():
+        raise ValueError("non-finite value")
+    return values
+
+
+def _treatment_column(cells: list[str]) -> np.ndarray:
+    if not set(cells) <= {"0", "1"}:
+        raise ValueError("treatment other than \"0\" or \"1\"")
+    return np.fromiter(map(int, cells), np.int64, count=len(cells))
+
+
+# Column kinds: the whole-column parser and the per-cell parser that names a bad cell.
+_REAL = (_real_column, _parse_real)
+_TREATMENT = (_treatment_column, _parse_treatment)
+
+
+def _parse_columns(path, header: list[str], columns: list[list[str]],
+                   fields: list[tuple[int, tuple]]) -> list[np.ndarray]:
+    """Parse each (column index, kind) field into an array, in ``fields`` order."""
+    try:
+        return [parse_column(columns[idx]) for idx, (parse_column, _) in fields]
+    except ValueError:
+        # Rescan row by row so the error names the first bad cell in file order.
+        cells_by_row = zip(*(columns[idx] for idx, _ in fields))
+        for number, cells in enumerate(cells_by_row, start=1):
+            for (idx, (_, parse_cell)), cell in zip(fields, cells):
+                parse_cell(cell, number, header[idx], path)
+        raise
+
+
 def ingest_csv(path, schema: TabularSchema) -> tuple[Dataset, list[str] | None]:
     """Read a dataset CSV against a schema; returns the dataset and the ids."""
-    header, rows = _read_rows(path)
-    if len(rows) < 2:
-        raise IngestionError(f"{path}: need at least 2 data rows, found {len(rows)}")
+    header, columns, count = _read_columns(path)
+    if count < 2:
+        raise IngestionError(f"{path}: need at least 2 data rows, found {count}")
     cov_idx = [_column_index(header, name, path) for name in schema.covariates]
     z_idx = _column_index(header, schema.treatment, path)
     y_idx = _column_index(header, schema.outcome, path)
     id_idx = _column_index(header, schema.id_column, path) if schema.id_column else None
 
-    covariates = np.empty((len(rows), len(cov_idx)))
-    treatments = np.empty(len(rows), dtype=np.int64)
-    outcomes = np.empty(len(rows))
-    ids = [] if id_idx is not None else None
-    for number, row in enumerate(rows, start=1):
-        for j, idx in enumerate(cov_idx):
-            covariates[number - 1, j] = _parse_real(row[idx], number, header[idx], path)
-        treatments[number - 1] = _parse_treatment(row[z_idx], number, schema.treatment, path)
-        outcomes[number - 1] = _parse_real(row[y_idx], number, schema.outcome, path)
-        if ids is not None:
-            ids.append(row[id_idx])
+    fields = [(idx, _REAL) for idx in cov_idx] + [(z_idx, _TREATMENT), (y_idx, _REAL)]
+    *covariates, treatments, outcomes = _parse_columns(path, header, columns, fields)
     try:
-        dataset = Dataset(covariates, treatments, outcomes)
+        matrix = np.column_stack(covariates) if covariates else np.empty((count, 0))
+        dataset = Dataset(matrix, treatments, outcomes)
     except Exception as exc:
         raise IngestionError(f"{path}: {exc}") from exc
-    return dataset, ids
+    return dataset, columns[id_idx] if id_idx is not None else None
 
 
 def _check_id_alignment(reference: list[str] | None, ids: list[str] | None,
                         reference_path, path) -> None:
-    if reference is None or ids is None:
+    if reference is None or ids is None or reference == ids:
         return
     if len(reference) != len(ids):
         raise IngestionError(
@@ -126,19 +157,13 @@ def _check_id_alignment(reference: list[str] | None, ids: list[str] | None,
 
 def _read_label_table(path, id_column: str | None):
     """Read a row block's treatment/outcome CSV plus optional ids."""
-    header, rows = _read_rows(path)
+    header, columns, _ = _read_columns(path)
     z_idx = _column_index(header, "treatment", path)
     y_idx = _column_index(header, "outcome", path)
     id_idx = header.index(id_column) if id_column and id_column in header else None
-    treatments = np.empty(len(rows), dtype=np.int64)
-    outcomes = np.empty(len(rows))
-    ids = [] if id_idx is not None else None
-    for number, row in enumerate(rows, start=1):
-        treatments[number - 1] = _parse_treatment(row[z_idx], number, "treatment", path)
-        outcomes[number - 1] = _parse_real(row[y_idx], number, "outcome", path)
-        if ids is not None:
-            ids.append(row[id_idx])
-    return treatments, outcomes, ids
+    treatments, outcomes = _parse_columns(
+        path, header, columns, [(z_idx, _TREATMENT), (y_idx, _REAL)])
+    return treatments, outcomes, columns[id_idx] if id_idx is not None else None
 
 
 def load_party_files(party_paths: dict[tuple[int, int], str],
@@ -175,18 +200,14 @@ def load_party_files(party_paths: dict[tuple[int, int], str],
         row_parts = []
         for l in col_ids:
             path = party_paths[(k, l)]
-            header, rows = _read_rows(path)
+            header, columns, _ = _read_columns(path)
             id_idx = header.index(id_column) if id_column and id_column in header else None
             cov_cols = [i for i in range(len(header)) if i != id_idx]
             if not cov_cols:
                 raise IngestionError(f"{path}: no covariate columns found")
-            data = np.empty((len(rows), len(cov_cols)))
-            ids = [] if id_idx is not None else None
-            for number, row in enumerate(rows, start=1):
-                for j, idx in enumerate(cov_cols):
-                    data[number - 1, j] = _parse_real(row[idx], number, header[idx], path)
-                if ids is not None:
-                    ids.append(row[id_idx])
+            data = np.column_stack(
+                _parse_columns(path, header, columns, [(i, _REAL) for i in cov_cols]))
+            ids = columns[id_idx] if id_idx is not None else None
             if data.shape[0] != z_col.shape[0]:
                 raise IngestionError(
                     f"{path}: has {data.shape[0]} rows, {block_paths[k]} has {z_col.shape[0]}"

@@ -6,13 +6,32 @@ reference is plain gradient ascent, treatment-effect formulas are evaluated
 with explicit loops (exact rational arithmetic where it matters), and the
 matcher is a double loop with explicit tie handling, plus a blocked all-pairs
 scan fast enough to check the package's matcher at large n.
+
+Some references are earlier versions of package code, kept verbatim so that
+a rewrite for speed can be required to give bit-identical results: the
+masked-branch IRLS fit (``masked_sigmoid``, ``reference_logistic_fit``) and
+the cell-by-cell CSV loaders (``cellwise_ingest_csv``,
+``cellwise_load_party_files``).
 """
 
 from __future__ import annotations
 
+import csv
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
+
+from dcqe.datamodel import Dataset, PartitionSpec
+from dcqe.errors import IngestionError
+from dcqe.numerics import (
+    LOGISTIC_MAX_ITER,
+    LOGISTIC_RIDGE,
+    LOGISTIC_TOL,
+    LogisticModel,
+    ensure_binary_labels,
+    ensure_matrix,
+)
 
 
 def jacobi_eigenvalues(matrix, sweeps: int = 100, tol: float = 1e-13) -> np.ndarray:
@@ -213,3 +232,261 @@ def smd_formula(covariates, treatments, weights=None) -> list[float]:
         pooled = (stats[1][1] + stats[0][1]) / 2.0
         out.append((stats[1][0] - stats[0][0]) / pooled ** 0.5)
     return out
+
+
+# -- IRLS with the masked two-branch sigmoid, one matvec per use --------------
+
+def masked_sigmoid(eta) -> np.ndarray:
+    """Numerically stable logistic function 1 / (1 + exp(-eta))."""
+    eta = np.asarray(eta, dtype=float)
+    out = np.empty_like(eta)
+    pos = eta >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-eta[pos]))
+    ex = np.exp(eta[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def _penalized_loglik(design: np.ndarray, labels: np.ndarray, theta: np.ndarray,
+                      penalty: np.ndarray) -> float:
+    eta = design @ theta
+    ll = float(np.sum(labels * eta - np.logaddexp(0.0, eta)))
+    return ll - 0.5 * float(penalty @ (theta * theta))
+
+
+def reference_logistic_fit(features, labels) -> LogisticModel:
+    """Ridge-penalized logistic regression by Newton steps with step halving."""
+    x = ensure_matrix(features, "features")
+    y = ensure_binary_labels(labels, "labels", length=x.shape[0]).astype(float)
+    n, m = x.shape
+    design = np.hstack([np.ones((n, 1)), x])
+    penalty = np.full(m + 1, LOGISTIC_RIDGE)
+    penalty[0] = 0.0
+
+    theta = np.zeros(m + 1)
+    trace = [_penalized_loglik(design, y, theta, penalty)]
+    converged = False
+    iterations = 0
+    for iterations in range(1, LOGISTIC_MAX_ITER + 1):
+        prob = masked_sigmoid(design @ theta)
+        weight = prob * (1.0 - prob)
+        grad = design.T @ (y - prob) - penalty * theta
+        hess = (design * weight[:, None]).T @ design
+        hess[np.diag_indices_from(hess)] += penalty
+        try:
+            delta = np.linalg.solve(hess, grad)
+        except np.linalg.LinAlgError:
+            delta = np.linalg.lstsq(hess, grad, rcond=None)[0]
+
+        step = 1.0
+        candidate = theta + delta
+        value = _penalized_loglik(design, y, candidate, penalty)
+        while value < trace[-1] - 1e-12 and step > 1e-12:
+            step *= 0.5
+            candidate = theta + step * delta
+            value = _penalized_loglik(design, y, candidate, penalty)
+
+        change = float(np.max(np.abs(candidate - theta)))
+        theta = candidate
+        trace.append(value)
+        if change < LOGISTIC_TOL:
+            converged = True
+            break
+
+    return LogisticModel(
+        intercept=float(theta[0]),
+        coefficients=theta[1:].copy(),
+        converged=converged,
+        n_iter=iterations,
+        loglik_trace=np.asarray(trace),
+    )
+
+
+# -- CSV loaders that parse and check one cell at a time, row by row ---------
+
+def _read_rows(path) -> tuple[list[str], list[list[str]]]:
+    path = Path(path)
+    if not path.is_file():
+        raise IngestionError(f"input file not found: {path}")
+    with path.open(newline="", encoding="utf-8") as handle:
+        reader = csv.reader(handle)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise IngestionError(f"{path}: file is empty, a header row is required") from None
+        header = [name.strip() for name in header]
+        rows = []
+        for number, row in enumerate(reader, start=1):
+            if len(row) != len(header):
+                raise IngestionError(
+                    f"{path}: row {number} has {len(row)} cells, header has {len(header)}"
+                )
+            rows.append([cell.strip() for cell in row])
+    return header, rows
+
+
+def _column_index(header: list[str], name: str, path) -> int:
+    try:
+        return header.index(name)
+    except ValueError:
+        raise IngestionError(f"{path}: missing column {name!r}") from None
+
+
+def _parse_real(cell: str, row: int, column: str, path) -> float:
+    try:
+        value = float(cell)
+    except ValueError:
+        raise IngestionError(
+            f"{path}: row {row}, column {column!r}: cannot parse {cell!r} as a real number"
+        ) from None
+    if not np.isfinite(value):
+        raise IngestionError(
+            f"{path}: row {row}, column {column!r}: value {cell!r} is not finite"
+        )
+    return value
+
+
+def _parse_treatment(cell: str, row: int, column: str, path) -> int:
+    if cell == "0":
+        return 0
+    if cell == "1":
+        return 1
+    raise IngestionError(
+        f"{path}: row {row}, column {column!r}: treatment must be exactly \"0\" or \"1\", "
+        f"got {cell!r}"
+    )
+
+
+def cellwise_ingest_csv(path, schema) -> tuple[Dataset, list[str] | None]:
+    """Read a dataset CSV against a schema; returns the dataset and the ids."""
+    header, rows = _read_rows(path)
+    if len(rows) < 2:
+        raise IngestionError(f"{path}: need at least 2 data rows, found {len(rows)}")
+    cov_idx = [_column_index(header, name, path) for name in schema.covariates]
+    z_idx = _column_index(header, schema.treatment, path)
+    y_idx = _column_index(header, schema.outcome, path)
+    id_idx = _column_index(header, schema.id_column, path) if schema.id_column else None
+
+    covariates = np.empty((len(rows), len(cov_idx)))
+    treatments = np.empty(len(rows), dtype=np.int64)
+    outcomes = np.empty(len(rows))
+    ids = [] if id_idx is not None else None
+    for number, row in enumerate(rows, start=1):
+        for j, idx in enumerate(cov_idx):
+            covariates[number - 1, j] = _parse_real(row[idx], number, header[idx], path)
+        treatments[number - 1] = _parse_treatment(row[z_idx], number, schema.treatment, path)
+        outcomes[number - 1] = _parse_real(row[y_idx], number, schema.outcome, path)
+        if ids is not None:
+            ids.append(row[id_idx])
+    try:
+        dataset = Dataset(covariates, treatments, outcomes)
+    except Exception as exc:
+        raise IngestionError(f"{path}: {exc}") from exc
+    return dataset, ids
+
+
+def _check_id_alignment(reference: list[str] | None, ids: list[str] | None,
+                        reference_path, path) -> None:
+    if reference is None or ids is None:
+        return
+    if len(reference) != len(ids):
+        raise IngestionError(
+            f"{path}: has {len(ids)} rows, {reference_path} has {len(reference)}"
+        )
+    for row, (a, b) in enumerate(zip(reference, ids), start=1):
+        if a != b:
+            raise IngestionError(
+                f"{path}: row {row}: id {b!r} does not match {a!r} in {reference_path}"
+            )
+
+
+def _read_label_table(path, id_column: str | None):
+    """Read a row block's treatment/outcome CSV plus optional ids."""
+    header, rows = _read_rows(path)
+    z_idx = _column_index(header, "treatment", path)
+    y_idx = _column_index(header, "outcome", path)
+    id_idx = header.index(id_column) if id_column and id_column in header else None
+    treatments = np.empty(len(rows), dtype=np.int64)
+    outcomes = np.empty(len(rows))
+    ids = [] if id_idx is not None else None
+    for number, row in enumerate(rows, start=1):
+        treatments[number - 1] = _parse_treatment(row[z_idx], number, "treatment", path)
+        outcomes[number - 1] = _parse_real(row[y_idx], number, "outcome", path)
+        if ids is not None:
+            ids.append(row[id_idx])
+    return treatments, outcomes, ids
+
+
+def cellwise_load_party_files(party_paths: dict[tuple[int, int], str],
+                              block_paths: dict[int, str],
+                              id_column: str | None = None) -> tuple[Dataset, PartitionSpec]:
+    """Assemble a dataset from per-party covariate files and per-row-block label files."""
+    if not party_paths or not block_paths:
+        raise IngestionError("run mode needs at least one party file and one block file")
+    row_ids = sorted({k for k, _ in party_paths})
+    col_ids = sorted({l for _, l in party_paths})
+    if row_ids != list(range(len(row_ids))) or col_ids != list(range(len(col_ids))):
+        raise IngestionError("party files must cover contiguous block indices starting at 0")
+    missing = [(k, l) for k in row_ids for l in col_ids if (k, l) not in party_paths]
+    if missing:
+        raise IngestionError(f"missing party file for block {missing[0]}")
+    if sorted(block_paths) != row_ids:
+        raise IngestionError(
+            f"block files cover row blocks {sorted(block_paths)}, parties cover {row_ids}"
+        )
+
+    col_widths: dict[int, int] = {}
+    row_sizes: dict[int, int] = {}
+    block_rows = []
+    treatments_parts, outcomes_parts = [], []
+    for k in row_ids:
+        z_col, y_col, label_ids = _read_label_table(block_paths[k], id_column)
+        reference_ids, reference_path = label_ids, block_paths[k]
+        row_parts = []
+        for l in col_ids:
+            path = party_paths[(k, l)]
+            header, rows = _read_rows(path)
+            id_idx = header.index(id_column) if id_column and id_column in header else None
+            cov_cols = [i for i in range(len(header)) if i != id_idx]
+            if not cov_cols:
+                raise IngestionError(f"{path}: no covariate columns found")
+            data = np.empty((len(rows), len(cov_cols)))
+            ids = [] if id_idx is not None else None
+            for number, row in enumerate(rows, start=1):
+                for j, idx in enumerate(cov_cols):
+                    data[number - 1, j] = _parse_real(row[idx], number, header[idx], path)
+                if ids is not None:
+                    ids.append(row[id_idx])
+            if data.shape[0] != z_col.shape[0]:
+                raise IngestionError(
+                    f"{path}: has {data.shape[0]} rows, {block_paths[k]} has {z_col.shape[0]}"
+                )
+            if reference_ids is None and ids is not None:
+                reference_ids, reference_path = ids, path
+            else:
+                _check_id_alignment(reference_ids, ids, reference_path, path)
+            width = col_widths.setdefault(l, data.shape[1])
+            if width != data.shape[1]:
+                raise IngestionError(
+                    f"{path}: column block {l} has {data.shape[1]} covariates here "
+                    f"but {width} in another row block"
+                )
+            row_parts.append(data)
+        row_sizes[k] = z_col.shape[0]
+        block_rows.append(np.hstack(row_parts))
+        treatments_parts.append(z_col)
+        outcomes_parts.append(y_col)
+
+    spec = PartitionSpec(
+        tuple(row_sizes[k] for k in row_ids),
+        tuple(col_widths[l] for l in col_ids),
+    )
+    try:
+        dataset = Dataset(
+            np.vstack(block_rows),
+            np.concatenate(treatments_parts),
+            np.concatenate(outcomes_parts),
+        )
+    except Exception as exc:
+        raise IngestionError(str(exc)) from exc
+    return dataset, spec

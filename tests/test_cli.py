@@ -408,3 +408,21 @@ class TestRunCommand:
         payload = json.loads((tmp_path / "out" / "results.json").read_text())
         assert payload["results"][0]["analysis"] == "dcqe"
         assert payload["results"][0]["subjects"] == 8
+
+    def test_constant_party_columns_exit_runtime_with_reason(self, tmp_path, capsys):
+        party = write_rows(tmp_path / "party.csv", [f"{i},1,2,3,4" for i in range(50)],
+                           header="id,a,b,c,d")
+        rng = np.random.default_rng(0)
+        block = write_rows(tmp_path / "block.csv",
+                           [f"{i},{i % 2},{rng.normal()!r}" for i in range(50)],
+                           header="id,treatment,outcome")
+        config = write_config(tmp_path / "run.conf", "\n".join([
+            f"run.party.0.0 = {party}", f"run.block.0 = {block}", "run.id_column = id",
+            "reduction.intermediate_dim = 2", "reduction.collaborative_dim = 2",
+            "bootstrap.replicates = 3",
+        ]) + "\n")
+        code = main(["run", "--config", str(config), "--out", str(tmp_path / "out")])
+        assert code == EXIT_RUNTIME
+        err = capsys.readouterr().err
+        assert "anchor image has numerical rank 0" in err
+        assert "constant party columns" in err

@@ -213,6 +213,19 @@ class TestFitIntegration:
         with pytest.raises(CollaborationError):
             fit_integration(reps + [reps[0]], 4)
 
+    def test_rank_zero_anchor_image_named(self):
+        # A party whose columns are all constant draws a constant anchor
+        # block, which standardizes to zero: the anchor image has rank 0.
+        rng = np.random.default_rng(4)
+        z = np.array([0, 1] * 25)
+        view = PartyView(0, 0, np.tile([1.0, 2.0, 3.0, 4.0], (50, 1)), z, rng.normal(size=50))
+        bounds = np.column_stack([view.covariates.min(0), view.covariates.max(0)])
+        anchor = generate_anchor(bounds, 50, seed=1)
+        rep = make_intermediate(view, anchor.block(0), 2)
+        for call in (fit_integration, shared_anchor_basis):
+            with pytest.raises(CollaborationError, match="numerical rank 0.*constant party columns"):
+                call([rep], 2)
+
 
 def assemble_benchmark(scope_kind, collaborative_dim, seed=3, anchor_seed=77):
     views, reps, _ = benchmark_pipeline(seed=seed, anchor_seed=anchor_seed,

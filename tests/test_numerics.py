@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 import oracles
@@ -14,6 +14,7 @@ from dcqe.numerics import (
     pca_fit,
     pca_transform,
     pseudoinverse,
+    sigmoid,
     standardize_apply,
     standardize_fit,
     svd_truncated,
@@ -304,6 +305,63 @@ class TestLogistic:
         model = LogisticModel(intercept=0.0, coefficients=np.zeros(2))
         with pytest.raises(DimensionError):
             logistic_predict(model, np.ones((3, 3)))
+
+
+def oracle_logistic_problem(n, m, seed, slope, tail):
+    """Features with optional heavy tails and labels from a logistic model.
+
+    Large slopes push the fit towards separation, where Newton steps
+    overshoot and step halving and the iteration limit come into play.
+    """
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(n, m))
+    if tail:
+        x[:, 0] = rng.standard_t(2.0, size=n)
+    x *= rng.uniform(0.01, 100.0, size=m)
+    logits = slope * (x / x.std(axis=0)) @ rng.normal(size=m) + rng.normal()
+    y = (rng.random(n) < oracles.masked_sigmoid(logits)).astype(int)
+    return x, y
+
+
+class TestIrlsMatchesMaskedOracle:
+    """The fused IRLS loop gives the masked-sigmoid fit bit for bit."""
+
+    def test_sigmoid_bitwise_at_extremes_and_nan(self):
+        tiny = np.finfo(float).tiny
+        special = np.array([
+            0.0, -0.0, 1e-300, -1e-300, 5e-324, -5e-324, tiny, -tiny, 1e-17, -1e-17,
+            0.5, -0.5, 36.7, -36.7, 37.5, -37.5, 700.0, -700.0, 709.8, -709.8,
+            745.2, -745.2, 1e308, -1e308, np.inf, -np.inf, np.nan, -np.nan,
+        ])
+        rng = np.random.default_rng(8)
+        magnitudes = 10.0 ** rng.uniform(-320, 3, size=200_000)
+        values = np.concatenate([special, magnitudes * rng.choice([-1.0, 1.0], size=200_000)])
+        new, old = sigmoid(values), oracles.masked_sigmoid(values)
+        assert new.dtype == old.dtype == np.float64
+        # NaN maps to NaN (its sign bit may differ); every other value bit for bit.
+        nan = np.isnan(old)
+        assert np.array_equal(np.isnan(new), nan) and nan.sum() == 2
+        assert np.array_equal(new[~nan].view(np.int64), old[~nan].view(np.int64))
+
+    # At n >= 8000 the log-likelihood's last bit exceeds the 1e-12 margin of
+    # the step-halving test, so a last-ulp change there flips halving steps.
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(20, 400) | st.integers(8000, 32_000), st.integers(1, 6),
+           st.integers(0, 2**32 - 1), st.sampled_from([0.1, 0.3, 1.0, 4.0, 30.0]),
+           st.booleans())
+    @example(n=27_853, m=4, seed=8, slope=0.1, tail=False)  # rounding-triggered halving
+    @example(n=16_000, m=4, seed=0, slope=1.0, tail=False)
+    @example(n=25, m=6, seed=5, slope=4.0, tail=True)  # separated: three halving steps
+    @example(n=60, m=5, seed=40, slope=4.0, tail=True)  # hits LOGISTIC_MAX_ITER
+    def test_fit_bitwise_equal(self, n, m, seed, slope, tail):
+        x, y = oracle_logistic_problem(n, m, seed, slope, tail)
+        assume(0 < y.sum() < n)
+        new, old = logistic_fit(x, y), oracles.reference_logistic_fit(x, y)
+        assert new.intercept == old.intercept
+        assert np.array_equal(new.coefficients, old.coefficients)
+        assert new.n_iter == old.n_iter
+        assert new.converged == old.converged
+        assert np.array_equal(new.loglik_trace, old.loglik_trace)
 
 
 class TestDeterminism:
