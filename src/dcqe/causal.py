@@ -175,7 +175,11 @@ def estimate_ipw(scores, treatments, outcomes, estimand: str) -> EffectEstimate:
     The weights are those of ``ipw_weights``; each group's weighted mean sums
     over all subjects, with zero weight on the other group.
     """
-    weights = ipw_weights(scores, treatments, estimand)
+    return _ipw_estimate(ipw_weights(scores, treatments, estimand), treatments, outcomes, estimand)
+
+
+def _ipw_estimate(weights, treatments, outcomes, estimand: str) -> EffectEstimate:
+    """``estimate_ipw`` from weights already computed by ``ipw_weights``."""
     treated = np.asarray(treatments).astype(np.int64) == 1
     y = ensure_vector(outcomes, "outcomes", length=weights.shape[0])
     wt = np.where(treated, weights, 0.0)

@@ -13,12 +13,14 @@ covariates, which only the evaluation harness can see.
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
 
-from .causal import ESTIMANDS, estimate_ipw, estimate_propensity, estimate_psm, ipw_weights, \
-    match_pairs, matched_sample
+from .causal import ESTIMANDS, _ipw_estimate, estimate_propensity, estimate_psm, \
+    ipw_weights, match_pairs, matched_sample
 from .collaboration import assemble_collaborative, fit_integration, generate_anchor, \
     make_intermediate
 from .datamodel import CollaborationScope, Dataset, PartitionSpec, partition, \
@@ -27,6 +29,11 @@ from .errors import ConfigError, DcqeError
 from .metrics import BalanceReport, BootstrapDistribution, gap, inconsistency, smd
 from .numerics import ensure_vector, sigmoid
 from .tabular import TabularSchema, ingest_csv
+
+# The package functions and classes this module calls by name, as bound at
+# import; ``_worker_count`` compares them with the bindings of the moment.
+_PIPELINE = {name: value for name, value in globals().items()
+             if callable(value) and getattr(value, "__module__", "").startswith(f"{__package__}.")}
 
 ANALYSIS_MODES = ("dcqe", "centralized", "individual")
 ESTIMATORS = ("PSM", "IPW")
@@ -204,6 +211,68 @@ def _validate_scenario(config: ScenarioConfig, spec: PartitionSpec, subject_coun
         )
 
 
+# The run function a forked bootstrap worker inherited from its parent.
+_worker_run = None
+
+
+def _adopt_run(run) -> None:
+    global _worker_run
+    _worker_run = run
+
+
+def _run_range(start: int, stop: int) -> list:
+    return [_worker_run(i) for i in range(start, stop)]
+
+
+def _available_cpus() -> int:
+    """CPUs this process may run on: its affinity mask, or every CPU where there is none."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity mask on this platform
+        return os.cpu_count() or 1
+
+
+def _worker_count(count: int) -> int:
+    """Worker processes ``_run_all`` forks for ``count`` runs; below two it forks none.
+
+    One per CPU in the affinity mask, at most ``count``. The runs stay in
+    this process where processes cannot be forked, while other threads run
+    (a lock one of them holds would stay held in the forked copy), and while
+    a caller has rebound a package function that a run calls by name (a
+    tracer, a profiler or a mock: what it records would stay in a worker).
+    """
+    workers = min(_available_cpus(), count)
+    if workers < 2 or threading.active_count() > 1 \
+            or any(globals().get(name) is not fn for name, fn in _PIPELINE.items()):
+        return 1
+    import multiprocessing
+    return workers if "fork" in multiprocessing.get_all_start_methods() else 1
+
+
+def _run_all(run, count: int) -> list:
+    """``[run(i) for i in range(count)]``, split over ``_worker_count(count)`` forked processes.
+
+    Each worker runs one contiguous range of indices. Workers are forked
+    after set-up, so they inherit ``run`` and its data, and only the results
+    are sent back, in index order. A worker that dies raises ``DcqeError``.
+    """
+    workers = _worker_count(count)
+    if workers < 2:
+        return [run(i) for i in range(count)]
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+    bounds = [count * k // workers for k in range(workers + 1)]
+    try:
+        with ProcessPoolExecutor(workers, multiprocessing.get_context("fork"),
+                                 _adopt_run, (run,)) as pool:
+            ranges = [pool.submit(_run_range, start, stop)
+                      for start, stop in zip(bounds, bounds[1:])]
+            return [result for done in ranges for result in done.result()]
+    except BrokenProcessPool as exc:
+        raise DcqeError(f"a bootstrap worker process died: {exc}") from exc
+
+
 def run_scenario(data: Dataset, config: ScenarioConfig,
                  true_scores: np.ndarray | None = None) -> ScenarioResult:
     """Evaluate one scenario with the full-pipeline bootstrap.
@@ -212,6 +281,17 @@ def run_scenario(data: Dataset, config: ScenarioConfig,
     the no-resample point run uses ``(master_seed, 0)``. Resamples that lose a
     treatment group are redrawn. With ``resample`` disabled every replicate
     equals the point run, so the bootstrap mean equals the point estimate.
+
+    The point run and the replicates run in forked worker processes, one per
+    CPU in the process's affinity mask (``os.sched_getaffinity``), each on a
+    contiguous range of runs. For a fixed BLAS thread count, results do not
+    depend on the worker count. The runs are made in order in this process
+    when it is pinned to one CPU (``taskset -c 0``), runs other threads, or
+    has a package function that a run calls rebound (a tracer or a mock).
+    Each worker runs its own BLAS, so set ``OPENBLAS_NUM_THREADS=1`` (or the
+    variable of your BLAS) to keep workers from oversubscribing the CPUs;
+    pinning also lowers OpenBLAS's default thread count, which follows the
+    visible CPUs. A worker that dies raises ``DcqeError``.
     """
     spec = config.partition
     spec.validate_for(data)
@@ -238,10 +318,10 @@ def run_scenario(data: Dataset, config: ScenarioConfig,
         anchor_bounds = np.column_stack([scope_columns.min(axis=0), scope_columns.max(axis=0)])
         anchor_size = config.anchor_size if config.anchor_size is not None else data.subject_count
 
-    def run_once(seed_index: int, resample: bool) -> _Replicate:
+    def run_once(seed_index: int) -> _Replicate:
         rng = np.random.default_rng(np.random.SeedSequence((config.master_seed, seed_index)))
         anchor_seed = int(rng.integers(0, 2**63))
-        if resample:
+        if seed_index > 0:  # a bootstrap replicate; run 0 is the point run
             # Redraw when a group vanishes; a single-subject group is also
             # rejected because group variances (balance) are undefined there.
             for _ in range(_MAX_REDRAWS):
@@ -289,8 +369,9 @@ def run_scenario(data: Dataset, config: ScenarioConfig,
                 ]),
             )
         else:
-            estimate = estimate_ipw(scores, z, y, config.estimand).value
-            balance = smd(ground_truth, z, weights=ipw_weights(scores, z, config.estimand))
+            weights = ipw_weights(scores, z, config.estimand)
+            estimate = _ipw_estimate(weights, z, y, config.estimand).value
+            balance = smd(ground_truth, z, weights=weights)
 
         # Centralized reference: the same subjects with every covariate. When
         # the scenario itself already is that analysis, its scores are reused,
@@ -305,11 +386,9 @@ def run_scenario(data: Dataset, config: ScenarioConfig,
             inc_true = inconsistency(scores.values, true_sub[idx])
         return _Replicate(estimate, inc_true, inc_ca, balance, effective_dim)
 
-    point = run_once(0, resample=False)
-    if config.resample:
-        replicates = [run_once(1 + b, resample=True) for b in range(config.bootstrap_replicates)]
-    else:
-        replicates = [point] * config.bootstrap_replicates
+    runs = _run_all(run_once, 1 + config.bootstrap_replicates if config.resample else 1)
+    point = runs[0]
+    replicates = runs[1:] if config.resample else [point] * config.bootstrap_replicates
 
     estimates = np.array([r.estimate for r in replicates])
     estimator_label = f"DC-QE({config.estimator})" if is_dcqe else config.estimator

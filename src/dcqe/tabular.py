@@ -41,17 +41,18 @@ def _read_columns(path) -> tuple[list[str], list[list[str]], int]:
     with path.open(newline="", encoding="utf-8") as handle:
         reader = csv.reader(handle)
         try:
-            header = next(reader)
+            header = [name.strip() for name in next(reader)]
+            rows = []
+            for number, row in enumerate(reader, start=1):
+                if len(row) != len(header):
+                    raise IngestionError(
+                        f"{path}: row {number} has {len(row)} cells, header has {len(header)}"
+                    )
+                rows.append(row)
         except StopIteration:
             raise IngestionError(f"{path}: file is empty, a header row is required") from None
-        header = [name.strip() for name in header]
-        rows = []
-        for number, row in enumerate(reader, start=1):
-            if len(row) != len(header):
-                raise IngestionError(
-                    f"{path}: row {number} has {len(row)} cells, header has {len(header)}"
-                )
-            rows.append(row)
+        except csv.Error as exc:  # e.g. a cell longer than csv.field_size_limit()
+            raise IngestionError(f"{path}: line {reader.line_num}: {exc}") from exc
     columns = [list(map(str.strip, column)) for column in zip(*rows)]
     return header, columns or [[] for _ in header], len(rows)
 

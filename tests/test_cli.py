@@ -1,8 +1,14 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+import dcqe
 
 from dcqe.cli import (
     EXIT_CONFIG,
@@ -18,6 +24,7 @@ from dcqe.cli import (
     validate_config,
 )
 from dcqe.errors import ConfigError, IngestionError
+from dcqe.experiments import _available_cpus
 from dcqe.tabular import TabularSchema, ingest_csv, load_party_files
 
 
@@ -426,3 +433,47 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert "anchor image has numerical rank 0" in err
         assert "constant party columns" in err
+
+    def test_over_long_cell_exits_ingestion_naming_the_file(self, tmp_path, capsys):
+        rng = np.random.default_rng(0)
+        rows = [f"{i},{rng.normal()!r},{rng.normal()!r}" for i in range(50)]
+        rows[7] = "7," + "1" * 140_000 + ",0.5"
+        party = write_rows(tmp_path / "party.csv", rows, header="id,a,b")
+        block = write_rows(tmp_path / "block.csv",
+                           [f"{i},{i % 2},{rng.normal()!r}" for i in range(50)],
+                           header="id,treatment,outcome")
+        config = write_config(tmp_path / "run.conf", "\n".join([
+            f"run.party.0.0 = {party}", f"run.block.0 = {block}", "run.id_column = id",
+            "reduction.intermediate_dim = 1", "reduction.collaborative_dim = 1",
+            "bootstrap.replicates = 2",
+        ]) + "\n")
+        code = main(["run", "--config", str(config), "--out", str(tmp_path / "out")])
+        assert code == EXIT_INGESTION
+        err = capsys.readouterr().err
+        assert str(party) in err
+        assert "field larger than field limit" in err
+
+    @pytest.mark.skipif(_available_cpus() < 2 or not hasattr(os, "fork"),
+                        reason="bootstrap workers need 2 CPUs and fork")
+    def test_dead_bootstrap_worker_exits_runtime_without_traceback(self, tmp_path):
+        config = write_config(tmp_path / "c.conf",
+                              "data.subjects = 60\nbootstrap.replicates = 3\n")
+        # The worker's entry point dies; only workers call it.
+        script = "\n".join([
+            "import os, sys",
+            "from dcqe import cli, experiments",
+            "def dying(start, stop):",
+            "    os._exit(1)",
+            "experiments._run_range = dying",
+            "sys.exit(cli.main(sys.argv[1:]))",
+        ])
+        src = Path(dcqe.__file__).resolve().parent.parent
+        done = subprocess.run(
+            [sys.executable, "-c", script, "simulate", "--config", str(config),
+             "--out", str(tmp_path / "out")],
+            capture_output=True, text=True, timeout=120,
+            env=dict(os.environ, PYTHONPATH=str(src)),
+        )
+        assert done.returncode == EXIT_RUNTIME
+        assert "a bootstrap worker process died" in done.stderr
+        assert "Traceback" not in done.stderr

@@ -1,11 +1,21 @@
 import csv
+import multiprocessing
+import os
+import signal
+import subprocess
+import sys
+import threading
+from concurrent.futures import ProcessPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from dcqe import experiments
+from dcqe.causal import estimate_ipw, estimate_propensity
 from dcqe.collaboration import generate_anchor, make_intermediate
 from dcqe.datamodel import CollaborationScope, PartitionSpec, partition
-from dcqe.errors import ConfigError
+from dcqe.errors import ConfigError, DcqeError, DimensionError
 from dcqe.experiments import (
     ArtificialDataConfig,
     ScenarioConfig,
@@ -86,6 +96,14 @@ class TestRunScenario:
         assert result.inconsistency_true.mean == result.inconsistency_true.point
         assert result.masmd.se == 0.0
 
+    def test_point_run_uses_every_subject_once(self):
+        data, scores = generate_artificial(ArtificialDataConfig(subjects=80, seed=2))
+        config = small_scenario(analysis="centralized", intermediate_dim=None,
+                                collaborative_dim=None, bootstrap_replicates=3)
+        fitted = estimate_propensity(data.covariates, data.treatments, source="centralized")
+        expected = estimate_ipw(fitted, data.treatments, data.outcomes, "ATE").value
+        assert run_scenario(data, config, scores).point_estimate == expected
+
     def test_deterministic_given_master_seed(self):
         data, scores = generate_artificial(ArtificialDataConfig(subjects=80, seed=5))
         config = small_scenario(estimator="PSM", bootstrap_replicates=8)
@@ -157,6 +175,174 @@ class TestRunScenario:
         data, _ = generate_artificial(ArtificialDataConfig(subjects=80, seed=8))
         with pytest.raises(ConfigError):
             run_scenario(data, small_scenario(collaborative_dim=90))
+
+
+CPUS = experiments._available_cpus()
+CAN_FORK = "fork" in multiprocessing.get_all_start_methods()
+needs_workers = pytest.mark.skipif(CPUS < 2 or not CAN_FORK,
+                                   reason="parallel replicates need 2 CPUs and fork")
+needs_pinning = pytest.mark.skipif(not CAN_FORK or not hasattr(os, "sched_setaffinity"),
+                                   reason="a pinned child needs fork and sched_setaffinity")
+
+
+def _pinned_call(fn, *args):
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+    return fn(*args)
+
+
+def in_pinned_child(fn, *args):
+    """``fn(*args)`` in a forked child process pinned to one CPU."""
+    with ProcessPoolExecutor(1, multiprocessing.get_context("fork")) as pool:
+        return pool.submit(_pinned_call, fn, *args).result(timeout=300)
+
+
+def result_numbers(result):
+    """Every number of a ScenarioResult, as bytes, for bit-for-bit comparison."""
+    summaries = [result.inconsistency_ca, result.masmd]
+    if result.inconsistency_true is not None:
+        summaries.append(result.inconsistency_true)
+    values = [result.point_estimate, result.estimate_mean, result.estimate_se,
+              np.nan if result.gap is None else result.gap, result.balance.masmd,
+              result.subject_count, result.collaborative_dim or 0]
+    values += [x for s in summaries for x in (s.point, s.mean, s.se)]
+    return (np.array(values, dtype=float).tobytes(), result.bootstrap.estimates.tobytes(),
+            result.balance.smd_per_covariate.tobytes())
+
+
+def _failing_run(index):
+    # Every run but the first fails, so more than one worker raises.
+    if index >= 1:
+        raise DimensionError(f"run {index} failed")
+    return index
+
+
+class _Alarm(Exception):
+    pass
+
+
+def _raise_alarm(signum, frame):
+    raise _Alarm
+
+
+class TestParallelReplicates:
+    @needs_workers
+    @needs_pinning
+    @pytest.mark.parametrize("estimator", ["PSM", "IPW"])
+    @pytest.mark.parametrize("analysis", ["dcqe", "centralized", "individual"])
+    def test_parallel_equals_serial_bit_for_bit(self, estimator, analysis):
+        data, scores = generate_artificial(ArtificialDataConfig(subjects=80, seed=4))
+        scope = (CollaborationScope.single_party(0, 0) if analysis == "individual"
+                 else small_scenario().scope)
+        dims = dict(intermediate_dim=None, collaborative_dim=None) if analysis != "dcqe" else {}
+        # B = 1 is two runs; 2 * CPUS + 1 gives every worker more than one.
+        for replicates, resample in [(1, True), (2 * CPUS + 1, True), (3, False)]:
+            config = small_scenario(estimator=estimator, analysis=analysis, scope=scope,
+                                    bootstrap_replicates=replicates, resample=resample,
+                                    **dims)
+            serial = in_pinned_child(run_scenario, data, config, scores)
+            runs = 1 + replicates if resample else 1
+            # The unpinned call below really forks: no other thread, nothing rebound.
+            assert threading.active_count() == 1
+            assert experiments._worker_count(runs) == min(CPUS, runs)
+            parallel = run_scenario(data, config, scores)
+            assert result_numbers(parallel) == result_numbers(serial), (replicates, resample)
+            assert threading.active_count() == 1  # the pool's threads are joined
+
+    @needs_workers
+    def test_runs_are_made_in_workers_one_range_each_in_index_order(self):
+        count = 2 * CPUS + 1
+        runs = experiments._run_all(lambda i: (i, os.getpid()), count)
+        assert [i for i, _ in runs] == list(range(count))
+        # Any idle worker may take a range, but a range stays in one worker.
+        bounds = [count * k // CPUS for k in range(CPUS + 1)]
+        for start, stop in zip(bounds, bounds[1:]):
+            assert len({pid for _, pid in runs[start:stop]}) == 1
+        assert os.getpid() not in {pid for _, pid in runs}
+
+    @needs_workers
+    def test_dead_worker_raises_instead_of_hanging(self):
+        parent = os.getpid()
+
+        def dying(index):
+            if os.getpid() != parent:
+                os._exit(1)
+            return index
+
+        previous = signal.signal(signal.SIGALRM, _raise_alarm)
+        signal.alarm(120)
+        try:
+            with pytest.raises(DcqeError, match="bootstrap worker process died") as caught:
+                experiments._run_all(dying, 4)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert type(caught.value) is DcqeError
+        assert type(caught.value.__cause__).__name__ == "BrokenProcessPool"
+
+    def test_no_fork_while_another_thread_runs(self):
+        parent = os.getpid()
+        release = threading.Event()
+        other = threading.Thread(target=release.wait, args=(60,))
+        other.start()
+        try:
+            assert experiments._worker_count(4) == 1
+            runs = experiments._run_all(lambda i: os.getpid(), 4)
+        finally:
+            release.set()
+            other.join(60)
+        assert not other.is_alive()
+        assert runs == [parent] * 4
+
+    @needs_workers
+    def test_replicate_error_keeps_type_and_message(self):
+        count = 2 * CPUS + 1
+        assert experiments._worker_count(count) == CPUS
+        errors = []
+        for run in (lambda: [_failing_run(i) for i in range(count)],
+                    lambda: experiments._run_all(_failing_run, count)):
+            with pytest.raises(DimensionError) as caught:
+                run()
+            errors.append((type(caught.value), str(caught.value)))
+        assert errors[0] == errors[1] == (DimensionError, "run 1 failed")
+
+    def test_rebound_pipeline_function_keeps_runs_in_this_process(self, monkeypatch):
+        # A tracer or a mock that records calls must see every run.
+        data, scores = generate_artificial(ArtificialDataConfig(subjects=80, seed=4))
+        config = small_scenario(bootstrap_replicates=2 * CPUS + 1)
+        unpatched = run_scenario(data, config, scores)
+        original, pids = experiments.estimate_propensity, []
+
+        def recording(*args, **kwargs):
+            pids.append(os.getpid())
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, "estimate_propensity", recording)
+        assert experiments._worker_count(config.bootstrap_replicates + 1) == 1
+        patched = run_scenario(data, config, scores)
+        # Each run fits the collaborative scores and the centralized reference.
+        assert pids == [os.getpid()] * 2 * (config.bootstrap_replicates + 1)
+        assert result_numbers(patched) == result_numbers(unpatched)
+
+    def test_ipw_weights_computed_once_per_run(self, monkeypatch):
+        data, _ = generate_artificial(ArtificialDataConfig(subjects=80, seed=4))
+        original, calls = experiments.ipw_weights, []
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(experiments, "ipw_weights", counting)
+        run_scenario(data, small_scenario(bootstrap_replicates=3))
+        assert len(calls) == 4
+
+    def test_import_leaves_process_pool_modules_unloaded(self):
+        code = ("import sys, dcqe; print(sorted(m for m in sys.modules "
+                "if m.split('.')[0] in ('multiprocessing', 'concurrent')))")
+        src = Path(experiments.__file__).resolve().parent.parent
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPATH=str(src)), check=True,
+                              timeout=120)
+        assert done.stdout.strip() == "[]"
 
 
 class TestBootstrapRate:

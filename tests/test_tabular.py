@@ -214,3 +214,16 @@ class TestLoadPartyFilesMatchesCellwise:
         for load in (load_party_files, oracles.cellwise_load_party_files):
             with pytest.raises(IngestionError, match=message):
                 load({(0, 0): str(party)}, {0: str(block)}, "id")
+
+    def test_cell_over_the_csv_field_limit_names_the_file(self, tmp_path):
+        block = write(tmp_path, "labels.csv", "id,treatment,outcome",
+                      [f"{i},{i % 2},1.0" for i in range(50)])
+        lines = [f"{i},1,2" for i in range(50)]
+        lines[7] = "7," + "1" * 140_000 + ",2"
+        party = write(tmp_path, "party.csv", "id,u,v", lines)
+        with pytest.raises(IngestionError, match=f"{party}: line 9: field larger than"):
+            load_party_files({(0, 0): str(party)}, {0: str(block)}, "id")
+        header = write(tmp_path, "header.csv", "treatment," + "x" * 140_000, ["0,1"])
+        with pytest.raises(IngestionError, match=f"{header}: line 1: field larger than"):
+            ingest_csv(header, TabularSchema(covariates=(), treatment="treatment",
+                                             outcome="y"))
