@@ -21,7 +21,7 @@ import sys
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
-from .datamodel import CollaborationScope, PartitionSpec
+from .datamodel import CollaborationScope, PartitionSpec, scoped_partition
 from .errors import ConfigError, DcqeError, IngestionError
 from .experiments import ScenarioConfig, ScenarioResult, ArtificialDataConfig, \
     generate_artificial, run_experiment_one, run_experiment_two, run_scenario
@@ -188,8 +188,8 @@ def _fill_defaults(config: RunConfig) -> RunConfig:
     config = replace(config, **updates) if updates else config
     if config.collaborative_dim is None and config.analysis == "dcqe":
         try:
-            scope = _build_scope(config)
-            cols = sum(config.col_blocks[l] for l in scope.col_indices)
+            spec = PartitionSpec(config.row_blocks, config.col_blocks)
+            cols = scoped_partition(spec, _build_scope(config, spec)).covariate_count
             config = replace(config, collaborative_dim=cols)
         except DcqeError:
             pass  # left for validate_config to report
@@ -198,83 +198,53 @@ def _fill_defaults(config: RunConfig) -> RunConfig:
     return config
 
 
-def _build_scope(config: RunConfig) -> CollaborationScope:
-    spec = PartitionSpec(config.row_blocks, config.col_blocks)
-    if config.scope_kind == "custom":
-        if not config.scope_rows or not config.scope_cols:
-            raise ConfigError("scope.kind = custom needs scope.rows and scope.cols")
-        scope = CollaborationScope.custom(config.scope_rows, config.scope_cols)
-    else:
-        scope = CollaborationScope.build(config.scope_kind, spec)
-    scope.validate_for(spec)
-    return scope
+def _build_scope(config: RunConfig, spec: PartitionSpec) -> CollaborationScope:
+    if config.scope_kind != "custom":
+        return CollaborationScope.build(config.scope_kind, spec)
+    if not config.scope_rows or not config.scope_cols:
+        raise ConfigError("scope.kind = custom needs scope.rows and scope.cols")
+    return CollaborationScope.custom(config.scope_rows, config.scope_cols)
 
 
 def validate_config(config: RunConfig) -> RunConfig:
-    """Reject configs that would violate pipeline preconditions downstream."""
+    """Reject configs that would violate pipeline preconditions downstream.
+
+    The scenario and data rules belong to ``ScenarioConfig`` and
+    ``ArtificialDataConfig`` and are checked by building them; this function
+    checks only the keys the library never sees. In run mode the partition
+    comes from the party files, so the scenario rules wait for ``execute``.
+    """
     if config.suite not in SUITES:
         raise ConfigError(f"suite: must be one of {SUITES}, got {config.suite!r}")
     if config.command == "evaluate" and config.suite == "scenario":
         config = replace(config, suite="experiment-two")
-    if config.seed < 0:
-        raise ConfigError("seed: must be non-negative")
-    if config.replicates < 1:
-        raise ConfigError("bootstrap.replicates: must be at least 1")
     unknown = [f for f in config.formats if f not in FORMATS]
     if unknown:
         raise ConfigError(f"output.formats: unknown format {unknown[0]!r}")
     if not config.formats:
         raise ConfigError("output.formats: needs at least one format")
-    if config.suite != "scenario":
-        return config
-
-    if config.command == "run":
-        if not config.party_files or not config.block_files:
+    if config.command != "simulate" or config.suite != "scenario":
+        if config.command == "run" and config.suite == "scenario" \
+                and (not config.party_files or not config.block_files):
             raise ConfigError("run command needs run.party.<k>.<l> and run.block.<k> keys")
+        # These modes build their scenarios later; the replicate count and the
+        # seed they take from the config are checked now on a one-party stand-in.
+        one = PartitionSpec((1,), (1,))
+        ScenarioConfig(one, CollaborationScope.build("whole", one), analysis="centralized",
+                       bootstrap_replicates=config.replicates, master_seed=config.seed)
         return config
 
-    if config.estimator not in ("PSM", "IPW"):
-        raise ConfigError(f"estimation.estimator: must be PSM or IPW, got {config.estimator!r}")
-    if config.estimand not in ("ATE", "ATT"):
-        raise ConfigError(f"estimation.estimand: must be ATE or ATT, got {config.estimand!r}")
-    if config.analysis not in ("dcqe", "centralized", "individual"):
-        raise ConfigError(f"analysis: must be dcqe, centralized or individual, got {config.analysis!r}")
-    if config.subjects < 2:
-        raise ConfigError("data.subjects: must be at least 2")
-    if config.covariates < 1:
-        raise ConfigError("data.covariates: must be at least 1")
-    if config.covariates > 1 and not -1.0 / (config.covariates - 1) < config.correlation < 1.0:
-        raise ConfigError("data.correlation: outside the positive-definite range")
-    if config.noise_sd <= 0:
-        raise ConfigError("data.noise_sd: must be positive")
-    if sum(config.row_blocks) != config.subjects:
-        raise ConfigError(
-            f"partition.row_blocks: sum {sum(config.row_blocks)} != data.subjects {config.subjects}"
-        )
-    if sum(config.col_blocks) != config.covariates:
-        raise ConfigError(
-            f"partition.col_blocks: sum {sum(config.col_blocks)} != data.covariates "
-            f"{config.covariates}"
-        )
+    _artificial_from_config(config)
+    for axis, blocks, key, total in (("row", config.row_blocks, "subjects", config.subjects),
+                                     ("col", config.col_blocks, "covariates", config.covariates)):
+        if sum(blocks) != total:
+            raise ConfigError(f"partition.{axis}_blocks: sum {sum(blocks)} != data.{key} {total}")
     try:
-        scope = _build_scope(config)
+        _scenario_from_config(config)
+    except ConfigError:
+        raise
     except DcqeError as exc:
         raise ConfigError(f"scope: {exc}") from exc
-    if config.analysis == "dcqe":
-        smallest = min(config.col_blocks[l] for l in scope.col_indices)
-        if not 1 <= config.intermediate_dim < smallest:
-            raise ConfigError(
-                "reduction must be strict: reduction.intermediate_dim must be below the "
-                f"smallest scope column block ({smallest}), got {config.intermediate_dim}"
-            )
-        if config.anchor_subjects is not None and config.anchor_subjects < 1:
-            raise ConfigError("anchor.subjects: must be positive")
-        anchor = config.anchor_subjects or config.subjects
-        if config.collaborative_dim is None or not 1 <= config.collaborative_dim <= anchor:
-            raise ConfigError(
-                f"reduction.collaborative_dim: must be in [1, {anchor}], "
-                f"got {config.collaborative_dim}"
-            )
     return config
 
 
@@ -307,10 +277,11 @@ def format_config(config: RunConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _scenario_from_config(config: RunConfig, spec: PartitionSpec) -> ScenarioConfig:
+def _scenario_from_config(config: RunConfig) -> ScenarioConfig:
+    spec = PartitionSpec(config.row_blocks, config.col_blocks)
     return ScenarioConfig(
         partition=spec,
-        scope=_build_scope(config),
+        scope=_build_scope(config, spec),
         analysis=config.analysis,
         estimator=config.estimator,
         estimand=config.estimand,
@@ -324,6 +295,16 @@ def _scenario_from_config(config: RunConfig, spec: PartitionSpec) -> ScenarioCon
     )
 
 
+def _artificial_from_config(config: RunConfig) -> ArtificialDataConfig:
+    return ArtificialDataConfig(
+        subjects=config.subjects,
+        covariate_count=config.covariates,
+        correlation=config.correlation,
+        noise_sd=config.noise_sd,
+        seed=config.seed,
+    )
+
+
 def execute(config: RunConfig) -> list[ScenarioResult]:
     """Run the configured command and return the result table."""
     if config.command == "simulate":
@@ -331,17 +312,8 @@ def execute(config: RunConfig) -> list[ScenarioResult]:
             return run_experiment_one(config.seed, config.replicates, config.subjects)
         if config.suite == "experiment-two":
             raise ConfigError("suite experiment-two requires the evaluate command with --data")
-        data, true_scores = generate_artificial(
-            ArtificialDataConfig(
-                subjects=config.subjects,
-                covariate_count=config.covariates,
-                correlation=config.correlation,
-                noise_sd=config.noise_sd,
-                seed=config.seed,
-            )
-        )
-        spec = PartitionSpec(config.row_blocks, config.col_blocks)
-        return [run_scenario(data, _scenario_from_config(config, spec), true_scores)]
+        data, true_scores = generate_artificial(_artificial_from_config(config))
+        return [run_scenario(data, _scenario_from_config(config), true_scores)]
     if config.command == "evaluate":
         if not config.data_path:
             raise ConfigError("evaluate command needs a data path (--data or evaluate.data)")
@@ -352,26 +324,16 @@ def execute(config: RunConfig) -> list[ScenarioResult]:
             dict(config.block_files),
             config.id_column,
         )
-        run_cfg = config
-        if not 1 <= config.intermediate_dim < min(spec.col_blocks):
-            raise ConfigError(
-                "reduction must be strict: reduction.intermediate_dim must be below the "
-                f"smallest column block ({min(spec.col_blocks)})"
-            )
-        if run_cfg.collaborative_dim is None:
-            run_cfg = replace(run_cfg, collaborative_dim=spec.covariate_count)
-        if run_cfg.anchor_subjects is None:
-            run_cfg = replace(run_cfg, anchor_subjects=data.subject_count)
         run_cfg = replace(
-            run_cfg,
-            subjects=data.subject_count,
-            covariates=spec.covariate_count,
+            config,
             row_blocks=spec.row_blocks,
             col_blocks=spec.col_blocks,
             analysis="dcqe",
             scope_kind="whole",
+            collaborative_dim=spec.covariate_count if config.collaborative_dim is None
+            else config.collaborative_dim,
         )
-        return [run_scenario(data, _scenario_from_config(run_cfg, spec))]
+        return [run_scenario(data, _scenario_from_config(run_cfg))]
     raise ConfigError(f"unknown command {config.command!r}")
 
 
@@ -545,7 +507,7 @@ def main(argv: list[str] | None = None) -> int:
     except IngestionError as exc:
         print(f"ingestion error: {exc}", file=sys.stderr)
         return EXIT_INGESTION
-    except (DcqeError, OSError) as exc:
+    except (DcqeError, OSError, ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 

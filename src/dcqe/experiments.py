@@ -54,13 +54,27 @@ def derive_seed(*parts: int) -> int:
 
 @dataclass(frozen=True)
 class ArtificialDataConfig:
-    """Settings for the synthetic benchmark generator."""
+    """Settings for the synthetic benchmark generator; invalid ones raise ``ConfigError``."""
 
     subjects: int = 1000
     covariate_count: int = 6
     correlation: float = 0.5
     noise_sd: float = 0.1
     seed: int = 0
+
+    def __post_init__(self):
+        n, m = self.subjects, self.covariate_count
+        if n < 2:
+            raise ConfigError(f"artificial data needs at least two subjects, got {n}")
+        if m < 1:
+            raise ConfigError(f"artificial data needs at least one covariate, got {m}")
+        if m > 1 and not -1.0 / (m - 1) < self.correlation < 1.0:
+            raise ConfigError(
+                f"correlation must lie in (-1/{m - 1}, 1) for a positive-definite covariance, "
+                f"got {self.correlation!r}"
+            )
+        if not 0 < self.noise_sd < np.inf:
+            raise ConfigError(f"noise_sd must be positive and finite, got {self.noise_sd!r}")
 
 
 def generate_artificial(config: ArtificialDataConfig) -> tuple[Dataset, np.ndarray]:
@@ -73,17 +87,6 @@ def generate_artificial(config: ArtificialDataConfig) -> tuple[Dataset, np.ndarr
     exactly 1. Returns the dataset and the true treatment probabilities.
     """
     n, m = config.subjects, config.covariate_count
-    if n < 2:
-        raise ConfigError("artificial data needs at least two subjects")
-    if m < 1:
-        raise ConfigError("artificial data needs at least one covariate")
-    if m > 1 and not -1.0 / (m - 1) < config.correlation < 1.0:
-        raise ConfigError(
-            f"correlation must lie in (-1/{m - 1}, 1) for a positive-definite covariance"
-        )
-    if not config.noise_sd > 0:
-        raise ConfigError("noise_sd must be positive")
-
     cov = np.full((m, m), config.correlation)
     np.fill_diagonal(cov, 1.0)
     try:
@@ -101,7 +104,7 @@ def generate_artificial(config: ArtificialDataConfig) -> tuple[Dataset, np.ndarr
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """Everything needed to evaluate one estimator on one collaboration."""
+    """Everything needed to evaluate one estimator on one collaboration, checked on construction."""
 
     partition: PartitionSpec
     scope: CollaborationScope
@@ -116,6 +119,40 @@ class ScenarioConfig:
     master_seed: int = 0
     benchmark: float | None = None
     collaboration_label: str | None = None
+
+    def __post_init__(self):
+        if self.analysis not in ANALYSIS_MODES:
+            raise ConfigError(f"unknown analysis mode {self.analysis!r}")
+        if self.estimator not in ESTIMATORS:
+            raise ConfigError(f"unknown estimator {self.estimator!r}")
+        if self.estimand not in ESTIMANDS:
+            raise ConfigError(f"unknown estimand {self.estimand!r}")
+        if self.bootstrap_replicates < 1:
+            raise ConfigError(
+                f"bootstrap replicate count must be at least 1, got {self.bootstrap_replicates}")
+        if self.master_seed < 0:
+            raise ConfigError(f"master seed must be non-negative, got {self.master_seed}")
+        self.scope.validate_for(self.partition)
+        if self.analysis != "dcqe":
+            return
+        if self.intermediate_dim is None or self.collaborative_dim is None:
+            raise ConfigError(
+                "collaborative analysis needs intermediate and collaborative dimensions")
+        smallest = min(self.partition.col_blocks[l] for l in self.scope.col_indices)
+        if not 1 <= self.intermediate_dim < smallest:
+            raise ConfigError(
+                "reduction must be strict: intermediate dimension must be in "
+                f"[1, {smallest - 1}] for this scope, got {self.intermediate_dim}"
+            )
+        anchor_size = self.anchor_size if self.anchor_size is not None \
+            else self.partition.subject_count
+        if anchor_size < 1:
+            raise ConfigError(f"anchor size must be positive, got {anchor_size}")
+        if not 1 <= self.collaborative_dim <= anchor_size:
+            raise ConfigError(
+                f"collaborative dimension must be in [1, {anchor_size}], "
+                f"got {self.collaborative_dim}"
+            )
 
 
 @dataclass(frozen=True)
@@ -179,36 +216,6 @@ def _default_label(config: ScenarioConfig) -> str:
     if config.analysis == "individual":
         return "IA"
     return _SCOPE_LABELS[config.scope.kind]
-
-
-def _validate_scenario(config: ScenarioConfig, spec: PartitionSpec, subject_count: int) -> None:
-    if config.analysis not in ANALYSIS_MODES:
-        raise ConfigError(f"unknown analysis mode {config.analysis!r}")
-    if config.estimator not in ESTIMATORS:
-        raise ConfigError(f"unknown estimator {config.estimator!r}")
-    if config.estimand not in ESTIMANDS:
-        raise ConfigError(f"unknown estimand {config.estimand!r}")
-    if config.bootstrap_replicates < 1:
-        raise ConfigError("bootstrap replicate count must be at least 1")
-    if config.master_seed < 0:
-        raise ConfigError("master seed must be non-negative")
-    if config.analysis != "dcqe":
-        return
-    if config.intermediate_dim is None or config.collaborative_dim is None:
-        raise ConfigError("collaborative analysis needs intermediate and collaborative dimensions")
-    smallest = min(spec.col_blocks[l] for l in config.scope.col_indices)
-    if not 1 <= config.intermediate_dim < smallest:
-        raise ConfigError(
-            "reduction must be strict: intermediate dimension must be in "
-            f"[1, {smallest - 1}] for this scope, got {config.intermediate_dim}"
-        )
-    anchor_size = config.anchor_size if config.anchor_size is not None else subject_count
-    if anchor_size < 1:
-        raise ConfigError("anchor size must be positive")
-    if not 1 <= config.collaborative_dim <= anchor_size:
-        raise ConfigError(
-            f"collaborative dimension must be in [1, {anchor_size}], got {config.collaborative_dim}"
-        )
 
 
 # The run function a forked bootstrap worker inherited from its parent.
@@ -295,8 +302,6 @@ def run_scenario(data: Dataset, config: ScenarioConfig,
     """
     spec = config.partition
     spec.validate_for(data)
-    config.scope.validate_for(spec)
-    _validate_scenario(config, spec, data.subject_count)
 
     rows = scope_row_indices(spec, config.scope)
     cols = scope_col_indices(spec, config.scope)
@@ -423,6 +428,34 @@ def run_scenario(data: Dataset, config: ScenarioConfig,
     )
 
 
+def _run_suite(data: Dataset, spec: PartitionSpec, layout, seed: int, seed_tag: int,
+               intermediate_dim: int, true_scores: np.ndarray | None = None,
+               **shared) -> list[ScenarioResult]:
+    """Every estimator on every ``(label, analysis, scope, collaborative_dim)`` row of ``layout``.
+
+    Scenario ``i`` of the estimator-major order gets the master seed
+    ``derive_seed(seed, seed_tag, i)`` and anchors of one row per subject;
+    ``shared`` holds the ``ScenarioConfig`` fields every scenario shares.
+    """
+    results = []
+    for estimator in ESTIMATORS:
+        for label, analysis, scope, collab_dim in layout:
+            config = ScenarioConfig(
+                partition=spec,
+                scope=scope,
+                analysis=analysis,
+                estimator=estimator,
+                intermediate_dim=intermediate_dim if analysis == "dcqe" else None,
+                collaborative_dim=collab_dim,
+                anchor_size=data.subject_count,
+                master_seed=derive_seed(seed, seed_tag, len(results)),
+                collaboration_label=label,
+                **shared,
+            )
+            results.append(run_scenario(data, config, true_scores))
+    return results
+
+
 def run_experiment_one(seed: int, bootstrap_replicates: int = 1000,
                        subject_count: int = 1000) -> list[ScenarioResult]:
     """Synthetic benchmark: both estimators across collaboration scopes.
@@ -444,27 +477,8 @@ def run_experiment_one(seed: int, bootstrap_replicates: int = 1000,
         ("W-clb", "dcqe", CollaborationScope.build("whole", spec), 6),
         ("CA", "centralized", CollaborationScope.build("whole", spec), None),
     ]
-    results = []
-    index = 0
-    for estimator in ESTIMATORS:
-        for label, analysis, scope, collab_dim in layout:
-            config = ScenarioConfig(
-                partition=spec,
-                scope=scope,
-                analysis=analysis,
-                estimator=estimator,
-                estimand="ATE",
-                intermediate_dim=2 if analysis == "dcqe" else None,
-                collaborative_dim=collab_dim,
-                anchor_size=subject_count,
-                bootstrap_replicates=bootstrap_replicates,
-                master_seed=derive_seed(seed, _SEED_TAG_SYNTHETIC_ROWS, index),
-                benchmark=1.0,
-                collaboration_label=label,
-            )
-            results.append(run_scenario(data, config, true_scores))
-            index += 1
-    return results
+    return _run_suite(data, spec, layout, seed, _SEED_TAG_SYNTHETIC_ROWS, 2, true_scores,
+                      estimand="ATE", bootstrap_replicates=bootstrap_replicates, benchmark=1.0)
 
 
 # Column layout of the job-training benchmark file. The partition puts the
@@ -523,24 +537,5 @@ def run_experiment_two(data_path, seed: int,
         ("W-clb", "dcqe", CollaborationScope.build("whole", spec), 8),
         ("CA", "centralized", CollaborationScope.build("whole", spec), None),
     ]
-    results = []
-    index = 0
-    for estimator in ESTIMATORS:
-        for label, analysis, scope, collab_dim in layout:
-            config = ScenarioConfig(
-                partition=spec,
-                scope=scope,
-                analysis=analysis,
-                estimator=estimator,
-                estimand="ATT",
-                intermediate_dim=3 if analysis == "dcqe" else None,
-                collaborative_dim=collab_dim,
-                anchor_size=data.subject_count,
-                bootstrap_replicates=bootstrap_replicates,
-                master_seed=derive_seed(seed, _SEED_TAG_BENCHMARK_ROWS, index),
-                benchmark=NSW_BENCHMARK,
-                collaboration_label=label,
-            )
-            results.append(run_scenario(data, config))
-            index += 1
-    return results
+    return _run_suite(data, spec, layout, seed, _SEED_TAG_BENCHMARK_ROWS, 3, estimand="ATT",
+                      bootstrap_replicates=bootstrap_replicates, benchmark=NSW_BENCHMARK)

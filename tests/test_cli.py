@@ -23,8 +23,9 @@ from dcqe.cli import (
     parse_config,
     validate_config,
 )
+from dcqe.datamodel import CollaborationScope, PartitionSpec
 from dcqe.errors import ConfigError, IngestionError
-from dcqe.experiments import _available_cpus
+from dcqe.experiments import ArtificialDataConfig, ScenarioConfig, _available_cpus
 from dcqe.tabular import TabularSchema, ingest_csv, load_party_files
 
 
@@ -360,6 +361,70 @@ class TestMainExitCodes:
         assert (tmp_path / "a" / "results.csv").read_bytes() == \
             (tmp_path / "b" / "results.csv").read_bytes()
 
+    @pytest.mark.parametrize("text, extra, build", [
+        pytest.param("estimation.estimator = XYZ\n", [],
+                     lambda: _library_scenario(estimator="XYZ"), id="estimator"),
+        pytest.param("estimation.estimand = XYZ\n", [],
+                     lambda: _library_scenario(estimand="XYZ"), id="estimand"),
+        pytest.param("analysis = XYZ\n", [],
+                     lambda: _library_scenario(analysis="XYZ"), id="analysis"),
+        pytest.param("bootstrap.replicates = 0\n", [],
+                     lambda: _library_scenario(bootstrap_replicates=0), id="replicates"),
+        pytest.param("", ["--seed", "-1"],
+                     lambda: _library_scenario(master_seed=-1), id="seed"),
+        pytest.param("reduction.intermediate_dim = 3\n", [],
+                     lambda: _library_scenario(intermediate_dim=3), id="intermediate-dim"),
+        pytest.param("reduction.collaborative_dim = 0\n", [],
+                     lambda: _library_scenario(collaborative_dim=0), id="collaborative-dim-0"),
+        pytest.param("anchor.subjects = 40\nreduction.collaborative_dim = 41\n", [],
+                     lambda: _library_scenario(anchor_size=40, collaborative_dim=41),
+                     id="collaborative-dim-above-anchor"),
+        pytest.param("data.correlation = 1.0\n", [],
+                     lambda: ArtificialDataConfig(subjects=60, correlation=1.0), id="correlation"),
+        pytest.param("data.noise_sd = inf\n", [],
+                     lambda: ArtificialDataConfig(subjects=60, noise_sd=float("inf")),
+                     id="noise-inf"),
+        pytest.param("data.noise_sd = nan\n", [],
+                     lambda: ArtificialDataConfig(subjects=60, noise_sd=float("nan")),
+                     id="noise-nan"),
+    ])
+    def test_rejected_with_the_library_message(self, tmp_path, capsys, text, extra, build):
+        # The command line has no rules of its own for these values: it
+        # reports what the library's config objects raise.
+        with pytest.raises(ConfigError) as caught:
+            build()
+        config = write_config(tmp_path / "c.conf", "data.subjects = 60\n" + text)
+        code = main(["simulate", "--config", str(config), "--out", str(tmp_path / "out")] + extra)
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG
+        assert "Traceback" not in err
+        assert err == f"config error: {caught.value}\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_impossible_size_exits_runtime_without_traceback(self, tmp_path):
+        # numpy rejects the shape before it allocates anything.
+        config = write_config(tmp_path / "c.conf",
+                              "data.subjects = 100000000000000000000\nbootstrap.replicates = 2\n")
+        src = Path(dcqe.__file__).resolve().parent.parent
+        done = subprocess.run(
+            [sys.executable, "-m", "dcqe", "simulate", "--config", str(config),
+             "--out", str(tmp_path / "out")],
+            capture_output=True, text=True, timeout=120,
+            env=dict(os.environ, PYTHONPATH=str(src)),
+        )
+        assert done.returncode == EXIT_RUNTIME
+        assert done.stderr.startswith("error: ")
+        assert "Traceback" not in done.stderr
+
+
+def _library_scenario(**overrides):
+    """The ScenarioConfig the command line builds for 60 synthetic subjects."""
+    spec = PartitionSpec((30, 30), (3, 3))
+    settings = dict(partition=spec, scope=CollaborationScope.build("whole", spec),
+                    intermediate_dim=2, collaborative_dim=6, anchor_size=60)
+    settings.update(overrides)
+    return ScenarioConfig(**settings)
+
 
 class TestSuiteRuns:
     def test_experiment_one_suite_emits_ten_row_table(self, tmp_path):
@@ -433,6 +498,19 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert "anchor image has numerical rank 0" in err
         assert "constant party columns" in err
+
+    def test_non_strict_reduction_of_ingested_parties_is_a_config_error(self, tmp_path, capsys):
+        # The parties hold two columns each, so a width of 2 is no reduction;
+        # the rule needs the ingested partition and is checked after reading.
+        files, blocks = write_party_grid(tmp_path)
+        lines = ["bootstrap.replicates = 2", "reduction.intermediate_dim = 2",
+                 "run.id_column = id"]
+        lines += [f"run.party.{k}.{l} = {p}" for (k, l), p in files.items()]
+        lines += [f"run.block.{k} = {p}" for k, p in blocks.items()]
+        config = write_config(tmp_path / "run.conf", "\n".join(lines) + "\n")
+        code = main(["run", "--config", str(config), "--out", str(tmp_path / "out")])
+        assert code == EXIT_CONFIG
+        assert "config error: reduction must be strict" in capsys.readouterr().err
 
     def test_over_long_cell_exits_ingestion_naming_the_file(self, tmp_path, capsys):
         rng = np.random.default_rng(0)

@@ -15,10 +15,11 @@ from dcqe import experiments
 from dcqe.causal import estimate_ipw, estimate_propensity
 from dcqe.collaboration import generate_anchor, make_intermediate
 from dcqe.datamodel import CollaborationScope, PartitionSpec, partition
-from dcqe.errors import ConfigError, DcqeError, DimensionError
+from dcqe.errors import ConfigError, DcqeError, DimensionError, ScopeError
 from dcqe.experiments import (
     ArtificialDataConfig,
     ScenarioConfig,
+    derive_seed,
     generate_artificial,
     run_experiment_one,
     run_experiment_two,
@@ -64,6 +65,15 @@ class TestGenerateArtificial:
             generate_artificial(ArtificialDataConfig(noise_sd=0.0))
         with pytest.raises(ConfigError):
             generate_artificial(ArtificialDataConfig(subjects=1))
+
+    @pytest.mark.parametrize("settings", [
+        dict(subjects=1), dict(covariate_count=0), dict(correlation=1.0),
+        dict(correlation=float("nan")), dict(noise_sd=0.0), dict(noise_sd=float("inf")),
+        dict(noise_sd=float("nan")),
+    ])
+    def test_invalid_settings_rejected_at_construction(self, settings):
+        with pytest.raises(ConfigError, match=f"got {next(iter(settings.values()))!r}"):
+            ArtificialDataConfig(**settings)
 
 
 def small_scenario(**overrides):
@@ -170,6 +180,17 @@ class TestRunScenario:
         data, _ = generate_artificial(ArtificialDataConfig(subjects=80, seed=8))
         with pytest.raises(ConfigError, match="reduction must be strict"):
             run_scenario(data, small_scenario(intermediate_dim=3))
+
+    def test_rules_checked_at_construction(self):
+        # No data is needed: every rule depends on the partition and the scope.
+        with pytest.raises(ConfigError, match="intermediate dimension .* got 3"):
+            small_scenario(intermediate_dim=3)
+        with pytest.raises(ConfigError, match=r"\[1, 80\], got 81"):
+            small_scenario(anchor_size=None, collaborative_dim=81)
+        with pytest.raises(ScopeError, match="column block 2 out of range"):
+            small_scenario(scope=CollaborationScope.custom((0,), (2,)))
+        small_scenario(analysis="centralized", intermediate_dim=None, collaborative_dim=None,
+                       scope=CollaborationScope.single_party(1, 1))
 
     def test_collaborative_dim_bounded_by_anchor(self):
         data, _ = generate_artificial(ArtificialDataConfig(subjects=80, seed=8))
@@ -477,3 +498,14 @@ class TestExperimentTwo:
         individual = [r for r in results if r.collaboration == "L-IA"][0]
         assert individual.subject_count == 300
         assert all(np.isfinite(r.estimate_mean) for r in results)
+
+    def test_seed_stream_and_dimensions(self, tmp_path):
+        fixture = write_benchmark_fixture(tmp_path / "benchmark.csv")
+        results = run_experiment_two(fixture, seed=0, bootstrap_replicates=2)
+        assert len(results) == 14
+        for i, result in enumerate(results):
+            assert result.config.master_seed == derive_seed(0, 303, i)
+            assert result.master_seed == result.config.master_seed
+            expected_dim = 3 if result.analysis == "dcqe" else None
+            assert result.config.intermediate_dim == expected_dim
+            assert result.config.anchor_size == 600
