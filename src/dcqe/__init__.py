@@ -7,73 +7,12 @@ estimates average treatment effects with propensity-score matching or
 inverse-probability weighting.
 """
 
-from .causal import (
-    EffectEstimate,
-    MatchingResult,
-    PropensityScores,
-    estimate_ipw,
-    estimate_propensity,
-    estimate_psm,
-    ipw_weights,
-    match_pairs,
-    matched_sample,
-)
-from .collaboration import (
-    AnchorDataset,
-    CollaborativeRepresentation,
-    IntegrationFunction,
-    IntermediateRepresentation,
-    assemble_collaborative,
-    fit_integration,
-    generate_anchor,
-    make_intermediate,
-    shared_anchor_basis,
-)
-from .datamodel import (
-    CollaborationScope,
-    Dataset,
-    PartitionSpec,
-    PartyView,
-    partition,
-    scope_dataset,
-)
-from .errors import (
-    AnchorError,
-    CollaborationError,
-    ConfigError,
-    DcqeError,
-    DegenerateLabelsError,
-    DimensionError,
-    InfiniteImbalanceError,
-    IngestionError,
-    InvalidDataError,
-    PartitionError,
-    ScopeError,
-)
+from .datamodel import CollaborationScope, PartitionSpec
 from .experiments import (
     ArtificialDataConfig,
     ScenarioConfig,
-    ScenarioResult,
     generate_artificial,
-    run_experiment_one,
-    run_experiment_two,
     run_scenario,
 )
-from .metrics import BalanceReport, BootstrapDistribution, gap, inconsistency, smd
-from .numerics import (
-    LogisticModel,
-    PcaModel,
-    StandardizationParams,
-    TruncatedSvd,
-    logistic_fit,
-    logistic_predict,
-    pca_fit,
-    pca_transform,
-    pseudoinverse,
-    standardize_apply,
-    standardize_fit,
-    svd_truncated,
-)
-from .tabular import TabularSchema, ingest_csv, load_party_files
 
 __version__ = "0.1.0"

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateLabelsError, DimensionError, InvalidDataError
-from .numerics import ensure_matrix, ensure_vector, logistic_fit, logistic_predict
+from .numerics import _predict, ensure_vector, logistic_fit
 
 PROPENSITY_CLIP = (1e-6, 1.0 - 1e-6)
 SCORE_SOURCES = ("true", "centralized", "individual", "dcqe")
@@ -37,10 +37,12 @@ class PropensityScores:
 
 
 def estimate_propensity(features, treatments, source: str = "dcqe") -> PropensityScores:
-    """Fit a logistic model with constant term and return clipped probabilities."""
-    x = ensure_matrix(features, "features")
-    model = logistic_fit(x, treatments)
-    probs = logistic_predict(model, x)
+    """Fit a logistic model with constant term and return clipped probabilities.
+
+    ``logistic_fit`` checks the features and the treatments.
+    """
+    model = logistic_fit(features, treatments)
+    probs = _predict(model, np.asarray(features, dtype=float))
     return PropensityScores(np.clip(probs, *PROPENSITY_CLIP), source)
 
 

@@ -21,7 +21,7 @@ import numpy as np
 
 from .datamodel import PartyView
 from .errors import AnchorError, CollaborationError, DimensionError
-from .numerics import ensure_matrix, pca_fit, pca_transform, pseudoinverse, svd_truncated
+from .numerics import _project, ensure_matrix, pca_fit, pseudoinverse, svd_truncated
 
 
 @dataclass(frozen=True, eq=False)
@@ -99,6 +99,7 @@ def make_intermediate(view: PartyView, anchor_block: np.ndarray,
     only, then applied to both the data and the anchor block, so the anchor
     image lives in the same reduced space. Reduction must be strict:
     ``target_dim`` has to be smaller than the block's covariate count.
+    The anchor block is checked here and the party block by ``pca_fit``.
     """
     block = ensure_matrix(anchor_block, "anchor_block")
     if block.shape[1] != view.covariate_count:
@@ -114,8 +115,8 @@ def make_intermediate(view: PartyView, anchor_block: np.ndarray,
     return IntermediateRepresentation(
         row_index=view.row_index,
         col_index=view.col_index,
-        data_rep=pca_transform(model, view.covariates),
-        anchor_rep=pca_transform(model, block),
+        data_rep=_project(model, view.covariates),
+        anchor_rep=_project(model, block),
     )
 
 
@@ -125,9 +126,6 @@ class IntegrationFunction:
 
     row_index: int
     matrix: np.ndarray
-
-    def __post_init__(self):
-        ensure_matrix(self.matrix, "integration matrix")
 
     @property
     def collaborative_dim(self) -> int:
@@ -187,12 +185,6 @@ def _shared_basis(groups: dict[int, dict[int, IntermediateRepresentation]],
             "constant party columns are a likely cause"
         )
     return basis
-
-
-def shared_anchor_basis(intermediates: Sequence[IntermediateRepresentation],
-                        collaborative_dim: int) -> np.ndarray:
-    """The orthonormal target basis onto which every row block is aligned."""
-    return _shared_basis(_group_by_row_block(intermediates), collaborative_dim)
 
 
 def fit_integration(intermediates: Sequence[IntermediateRepresentation],

@@ -13,26 +13,11 @@ from itertools import product
 
 import numpy as np
 
-from .errors import InvalidDataError, PartitionError, ScopeError
-from .numerics import ensure_matrix, ensure_vector
+from .errors import DegenerateLabelsError, DimensionError, InvalidDataError, PartitionError, \
+    ScopeError
+from .numerics import ensure_binary_labels, ensure_matrix, ensure_vector
 
 SCOPE_KINDS = ("left", "right", "top", "bottom", "whole", "custom")
-
-
-def ensure_treatments(values, length: int | None = None) -> np.ndarray:
-    """Validate a 0/1 treatment vector with at least one subject per group."""
-    arr = np.asarray(values)
-    if arr.ndim != 1:
-        raise InvalidDataError("treatments must be 1-dimensional")
-    if length is not None and arr.shape[0] != length:
-        raise InvalidDataError(f"treatments must have length {length}, got {arr.shape[0]}")
-    values = arr.astype(float)
-    if not np.all(np.isin(values, (0.0, 1.0))):
-        raise InvalidDataError("treatments must contain only 0 and 1")
-    out = values.astype(np.int64)
-    if out.min() == out.max():
-        raise InvalidDataError("dataset needs at least one treated and one control subject")
-    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -45,7 +30,10 @@ class Dataset:
 
     def __post_init__(self):
         cov = ensure_matrix(self.covariates, "covariates")
-        z = ensure_treatments(self.treatments, length=cov.shape[0])
+        try:
+            z = ensure_binary_labels(self.treatments, "treatments", length=cov.shape[0])
+        except (DimensionError, DegenerateLabelsError) as exc:
+            raise InvalidDataError(str(exc)) from exc
         y = ensure_vector(self.outcomes, "outcomes", length=cov.shape[0])
         object.__setattr__(self, "covariates", cov)
         object.__setattr__(self, "treatments", z)
@@ -131,24 +119,23 @@ class PartyView:
 
 
 def partition(data: Dataset, spec: PartitionSpec) -> list[PartyView]:
-    """Split a dataset into per-party views, in row-major block order."""
+    """Split a dataset into per-party views, in row-major block order.
+
+    The views' arrays are slices of the dataset's: they share its memory.
+    """
     spec.validate_for(data)
+    return _party_views(data.covariates, data.treatments, data.outcomes, spec)
+
+
+def _party_views(covariates: np.ndarray, treatments: np.ndarray, outcomes: np.ndarray,
+                 spec: PartitionSpec) -> list[PartyView]:
+    """``partition`` of arrays already checked and sized to ``spec``, without copies."""
     views = []
     for k in range(spec.row_block_count):
         rows = spec.row_slice(k)
-        z = data.treatments[rows]
-        y = data.outcomes[rows]
         for l in range(spec.col_block_count):
-            cols = spec.col_slice(l)
-            views.append(
-                PartyView(
-                    row_index=k,
-                    col_index=l,
-                    covariates=data.covariates[rows, cols].copy(),
-                    treatments=z.copy(),
-                    outcomes=y.copy(),
-                )
-            )
+            views.append(PartyView(k, l, covariates[rows, spec.col_slice(l)],
+                                   treatments[rows], outcomes[rows]))
     return views
 
 

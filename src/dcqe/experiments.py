@@ -23,7 +23,7 @@ from .causal import ESTIMANDS, _ipw_estimate, estimate_propensity, estimate_psm,
     ipw_weights, match_pairs, matched_sample
 from .collaboration import assemble_collaborative, fit_integration, generate_anchor, \
     make_intermediate
-from .datamodel import CollaborationScope, Dataset, PartitionSpec, partition, \
+from .datamodel import CollaborationScope, Dataset, PartitionSpec, _party_views, \
     scope_col_indices, scope_row_indices, scoped_partition
 from .errors import ConfigError, DcqeError
 from .metrics import BalanceReport, BootstrapDistribution, gap, inconsistency, smd
@@ -343,7 +343,7 @@ def run_scenario(data: Dataset, config: ScenarioConfig,
         ground_truth = full_cov[idx]
 
         if is_dcqe:
-            views = partition(Dataset(scoped_cov[idx], z, y), sub_spec)
+            views = _party_views(scoped_cov[idx], z, y, sub_spec)
             anchor = generate_anchor(anchor_bounds, anchor_size, anchor_seed, sub_spec.col_blocks)
             reps = [
                 make_intermediate(v, anchor.block(v.col_index), config.intermediate_dim)

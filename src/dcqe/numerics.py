@@ -3,6 +3,13 @@
 Everything in this module is deterministic: sign conventions are fixed, no
 randomized solvers are used, and identical inputs give bit-identical outputs.
 All matrices are plain 2-d float64 ``numpy`` arrays.
+
+Validation happens once, where an array enters: each public function and
+constructor checks the arrays its caller passes (``ensure_matrix`` and its
+siblings) and raises ``InvalidDataError`` on a wrong rank, an empty or a
+non-finite input. Library code never sends arrays it built, or has already
+checked, through a public checker again; it calls the private body instead
+(``_moments``, ``_project``, ``_predict``).
 """
 
 from __future__ import annotations
@@ -112,7 +119,11 @@ def standardize_fit(data: Matrix) -> StandardizationParams:
     Columns whose standard deviation falls below ``DEGENERATE_STDDEV`` get a
     divisor of 1.0 so downstream transforms never divide by zero.
     """
-    arr = ensure_matrix(data)
+    return _moments(ensure_matrix(data))
+
+
+def _moments(arr: np.ndarray) -> StandardizationParams:
+    """``standardize_fit`` of a checked matrix."""
     means = arr.mean(axis=0)
     if arr.shape[0] >= 2:
         stddevs = arr.std(axis=0, ddof=1)
@@ -140,12 +151,6 @@ class PcaModel:
     components: np.ndarray
     explained_variance: np.ndarray
 
-    def __post_init__(self):
-        if np.any(self.explained_variance < -1e-12):
-            raise InvalidDataError("explained variances must be non-negative")
-        if np.any(np.diff(self.explained_variance) > 1e-12):
-            raise InvalidDataError("explained variances must be non-increasing")
-
     @property
     def input_dim(self) -> int:
         return self.components.shape[0]
@@ -169,8 +174,8 @@ def pca_fit(data: Matrix, target_dim: int) -> PcaModel:
         raise InvalidDataError("pca_fit needs at least two rows")
     if not 1 <= target_dim <= m:
         raise DimensionError(f"target_dim must be in [1, {m}], got {target_dim}")
-    params = standardize_fit(arr)
-    standardized = standardize_apply(params, arr)
+    params = _moments(arr)
+    standardized = (arr - params.means) / params.stddevs
     # Thin SVD is enough unless more components than rows are requested.
     full = target_dim > min(n, m)
     _, svals, vt = np.linalg.svd(standardized, full_matrices=full)
@@ -189,7 +194,12 @@ def pca_transform(model: PcaModel, data: Matrix) -> np.ndarray:
         raise DimensionError(
             f"data has {arr.shape[1]} columns, model expects {model.input_dim}"
         )
-    return standardize_apply(model.params, arr) @ model.components
+    return _project(model, arr)
+
+
+def _project(model: PcaModel, arr: np.ndarray) -> np.ndarray:
+    """``pca_transform`` of a checked matrix of the model's width."""
+    return ((arr - model.params.means) / model.params.stddevs) @ model.components
 
 
 @dataclass(frozen=True, eq=False)
@@ -199,12 +209,6 @@ class TruncatedSvd:
     u: np.ndarray
     sigma: np.ndarray
     v: np.ndarray
-
-    def __post_init__(self):
-        if np.any(self.sigma <= 0):
-            raise InvalidDataError("singular values must be strictly positive")
-        if np.any(np.diff(self.sigma) > 0):
-            raise InvalidDataError("singular values must be non-increasing")
 
     @property
     def rank(self) -> int:
@@ -290,6 +294,8 @@ def logistic_fit(features: Matrix, labels) -> LogisticModel:
     penalty = np.full(m + 1, LOGISTIC_RIDGE)
     penalty[0] = 0.0
 
+    diagonal = np.diag_indices(m + 1)
+
     theta = np.zeros(m + 1)
     eta, value = _linear_and_loglik(design, y, theta, penalty)
     trace = [value]
@@ -300,7 +306,7 @@ def logistic_fit(features: Matrix, labels) -> LogisticModel:
         weight = prob * (1.0 - prob)
         grad = design.T @ (y - prob) - penalty * theta
         hess = (design * weight[:, None]).T @ design
-        hess[np.diag_indices_from(hess)] += penalty
+        hess[diagonal] += penalty
         try:
             delta = np.linalg.solve(hess, grad)
         except np.linalg.LinAlgError:
@@ -337,6 +343,11 @@ def logistic_predict(model: LogisticModel, features: Matrix) -> np.ndarray:
         raise DimensionError(
             f"features have {x.shape[1]} columns, model expects {model.coefficients.shape[0]}"
         )
+    return _predict(model, x)
+
+
+def _predict(model: LogisticModel, x: np.ndarray) -> np.ndarray:
+    """``logistic_predict`` of a checked matrix of the model's width."""
     prob = sigmoid(model.intercept + x @ model.coefficients)
     info = np.finfo(float)
     return np.clip(prob, info.tiny, 1.0 - info.epsneg)

@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import dcqe
 import oracles
 from dcqe.causal import PropensityScores, estimate_ipw, match_pairs
 from dcqe.experiments import (
@@ -227,13 +228,15 @@ def test_criterion_8_cli_determinism(tmp_path):
         "data.subjects = 80\nbootstrap.replicates = 6\nestimation.benchmark = 1.0\nseed = 5\n",
         encoding="utf-8",
     )
+    # The pytest ``pythonpath`` setting does not reach child processes.
+    src = Path(dcqe.__file__).resolve().parent.parent
     digests = []
     for name in ("first", "second"):
         out = tmp_path / name
         proc = subprocess.run(
             [sys.executable, "-m", "dcqe.cli", "simulate",
              "--config", str(config), "--out", str(out)],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(src)),
         )
         assert proc.returncode == 0, proc.stderr
         digests.append((out / "results.csv").read_bytes())
