@@ -20,7 +20,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .datamodel import PartyView
-from .errors import AnchorError, CollaborationError, DimensionError
+from .errors import AnchorError, CollaborationError, DimensionError, InvalidDataError
 from .numerics import _project, ensure_matrix, pca_fit, pseudoinverse, svd_truncated
 
 
@@ -42,10 +42,6 @@ class AnchorDataset:
                 f"anchor column blocks sum to {sum(self.column_blocks)}, "
                 f"values have {values.shape[1]} columns"
             )
-
-    @property
-    def row_count(self) -> int:
-        return self.values.shape[0]
 
     def block(self, l: int) -> np.ndarray:
         """The anchor columns belonging to column block ``l``."""
@@ -99,9 +95,11 @@ def make_intermediate(view: PartyView, anchor_block: np.ndarray,
     only, then applied to both the data and the anchor block, so the anchor
     image lives in the same reduced space. Reduction must be strict:
     ``target_dim`` has to be smaller than the block's covariate count.
-    The anchor block is checked here and the party block by ``pca_fit``.
+    The anchor block and the party block's rank are checked here, the rest by ``pca_fit``.
     """
     block = ensure_matrix(anchor_block, "anchor_block")
+    if np.ndim(view.covariates) != 2:
+        raise InvalidDataError("party covariates must be 2-dimensional")
     if block.shape[1] != view.covariate_count:
         raise DimensionError(
             f"anchor block has {block.shape[1]} columns, party holds {view.covariate_count}"

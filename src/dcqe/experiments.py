@@ -14,6 +14,9 @@ covariates, which only the evaluation harness can see.
 from __future__ import annotations
 
 import os
+import pickle
+import signal
+import sys
 import threading
 from dataclasses import dataclass
 
@@ -218,19 +221,6 @@ def _default_label(config: ScenarioConfig) -> str:
     return _SCOPE_LABELS[config.scope.kind]
 
 
-# The run function a forked bootstrap worker inherited from its parent.
-_worker_run = None
-
-
-def _adopt_run(run) -> None:
-    global _worker_run
-    _worker_run = run
-
-
-def _run_range(start: int, stop: int) -> list:
-    return [_worker_run(i) for i in range(start, stop)]
-
-
 def _available_cpus() -> int:
     """CPUs this process may run on: its affinity mask, or every CPU where there is none."""
     try:
@@ -248,36 +238,66 @@ def _worker_count(count: int) -> int:
     a caller has rebound a package function that a run calls by name (a
     tracer, a profiler or a mock: what it records would stay in a worker).
     """
-    workers = min(_available_cpus(), count)
-    if workers < 2 or threading.active_count() > 1 \
-            or any(globals().get(name) is not fn for name, fn in _PIPELINE.items()):
-        return 1
-    import multiprocessing
-    return workers if "fork" in multiprocessing.get_all_start_methods() else 1
+    serial = not hasattr(os, "fork") or threading.active_count() > 1 \
+        or any(globals().get(name) is not fn for name, fn in _PIPELINE.items())
+    return 1 if serial else max(1, min(_available_cpus(), count))
+
+
+def _serve_range(run, start: int, stop: int, sink) -> None:
+    """A forked worker: pickle its runs' results, or what stopped them, into ``sink``; exit 0."""
+    try:
+        outcome = True, [run(i) for i in range(start, stop)]
+    except BaseException as exc:  # the parent raises it again
+        outcome = False, exc
+    pickle.dump(outcome, sink, pickle.HIGHEST_PROTOCOL)
+    sink.flush()
+    sys.stdout.flush()
+    os._exit(0)  # not through the parent's exit handlers
 
 
 def _run_all(run, count: int) -> list:
     """``[run(i) for i in range(count)]``, split over ``_worker_count(count)`` forked processes.
 
-    Each worker runs one contiguous range of indices. Workers are forked
-    after set-up, so they inherit ``run`` and its data, and only the results
-    are sent back, in index order. A worker that dies raises ``DcqeError``.
+    Each worker is forked after set-up, so it inherits ``run`` and its data,
+    runs one contiguous range of indices and sends back its outcome through
+    a pipe of its own. Every worker is reaped before this returns or raises:
+    the first failing range's exception, or ``DcqeError`` for a dead worker.
     """
     workers = _worker_count(count)
     if workers < 2:
         return [run(i) for i in range(count)]
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-    from concurrent.futures.process import BrokenProcessPool
     bounds = [count * k // workers for k in range(workers + 1)]
+    sys.stdout.flush()  # or the workers would inherit the buffered text
+    pending, outcomes = [], []  # pending: [read end, pid until reaped] per worker, in order
     try:
-        with ProcessPoolExecutor(workers, multiprocessing.get_context("fork"),
-                                 _adopt_run, (run,)) as pool:
-            ranges = [pool.submit(_run_range, start, stop)
-                      for start, stop in zip(bounds, bounds[1:])]
-            return [result for done in ranges for result in done.result()]
-    except BrokenProcessPool as exc:
-        raise DcqeError(f"a bootstrap worker process died: {exc}") from exc
+        for start, stop in zip(bounds, bounds[1:]):
+            read_fd, write_fd = os.pipe()
+            pending.append([read_fd, None])
+            with open(write_fd, "wb") as sink:
+                pending[-1][1] = pid = os.fork()
+                if pid == 0:  # the worker
+                    try:
+                        _serve_range(run, start, stop, sink)
+                    finally:
+                        os._exit(1)
+        for entry in pending:
+            with open(entry[0], "rb", closefd=False) as source:
+                payload = source.read()
+            code = os.waitstatus_to_exitcode(os.waitpid(entry[1], 0)[1])
+            entry[1] = None
+            outcomes.append(pickle.loads(payload) if code == 0 else (False, DcqeError(
+                "a bootstrap worker process died: "
+                + (f"killed by signal {-code}" if code < 0 else f"exit code {code}"))))
+    finally:
+        for fd, pid in pending:
+            os.close(fd)
+            if pid:  # still running only when this process is leaving by an exception
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+    for ok, value in outcomes:
+        if not ok:
+            raise value
+    return [result for _, results in outcomes for result in results]
 
 
 def run_scenario(data: Dataset, config: ScenarioConfig,
@@ -289,16 +309,14 @@ def run_scenario(data: Dataset, config: ScenarioConfig,
     treatment group are redrawn. With ``resample`` disabled every replicate
     equals the point run, so the bootstrap mean equals the point estimate.
 
-    The point run and the replicates run in forked worker processes, one per
-    CPU in the process's affinity mask (``os.sched_getaffinity``), each on a
-    contiguous range of runs. For a fixed BLAS thread count, results do not
-    depend on the worker count. The runs are made in order in this process
-    when it is pinned to one CPU (``taskset -c 0``), runs other threads, or
-    has a package function that a run calls rebound (a tracer or a mock).
-    Each worker runs its own BLAS, so set ``OPENBLAS_NUM_THREADS=1`` (or the
-    variable of your BLAS) to keep workers from oversubscribing the CPUs;
-    pinning also lowers OpenBLAS's default thread count, which follows the
-    visible CPUs. A worker that dies raises ``DcqeError``.
+    A scope that covers every row, or every column, reads the dataset's
+    arrays without copying them. The runs are split over forked workers, one
+    fork and one pipe per CPU in the affinity mask, unless this process is
+    pinned to one CPU, runs other threads or has a pipeline function rebound.
+    Every worker is reaped before this returns or raises; one that dies
+    raises ``DcqeError``. For a fixed BLAS thread count results do not depend
+    on the worker count; set ``OPENBLAS_NUM_THREADS=1`` (or the variable of
+    your BLAS) so the workers do not oversubscribe the CPUs.
     """
     spec = config.partition
     spec.validate_for(data)
@@ -306,21 +324,21 @@ def run_scenario(data: Dataset, config: ScenarioConfig,
     rows = scope_row_indices(spec, config.scope)
     cols = scope_col_indices(spec, config.scope)
     sub_spec = scoped_partition(spec, config.scope)
-    scoped_cov = data.covariates[np.ix_(rows, cols)]
-    full_cov = data.covariates[rows]
-    z_all = data.treatments[rows]
-    y_all = data.outcomes[rows]
     n_scope = rows.shape[0]
     full_width = cols.shape[0] == data.covariate_count
+    in_scope = slice(None) if n_scope == data.subject_count else rows  # all rows: views, no copies
+    full_cov = data.covariates[in_scope]
+    scoped_cov = None if full_width else full_cov[:, cols]
+    z_all = data.treatments[in_scope]
+    y_all = data.outcomes[in_scope]
 
-    true_sub = None
-    if true_scores is not None:
-        true_sub = ensure_vector(true_scores, "true_scores", length=data.subject_count)[rows]
+    true_sub = None if true_scores is None else \
+        ensure_vector(true_scores, "true_scores", length=data.subject_count)[in_scope]
 
     is_dcqe = config.analysis == "dcqe"
     if is_dcqe:
-        scope_columns = data.covariates[:, cols]
-        anchor_bounds = np.column_stack([scope_columns.min(axis=0), scope_columns.max(axis=0)])
+        anchor_bounds = np.column_stack([data.covariates.min(axis=0)[cols],
+                                         data.covariates.max(axis=0)[cols]])
         anchor_size = config.anchor_size if config.anchor_size is not None else data.subject_count
 
     def run_once(seed_index: int) -> _Replicate:
@@ -341,9 +359,10 @@ def run_scenario(data: Dataset, config: ScenarioConfig,
         z = z_all[idx]
         y = y_all[idx]
         ground_truth = full_cov[idx]
+        scoped = ground_truth if full_width else scoped_cov[idx]
 
         if is_dcqe:
-            views = _party_views(scoped_cov[idx], z, y, sub_spec)
+            views = _party_views(scoped, z, y, sub_spec)
             anchor = generate_anchor(anchor_bounds, anchor_size, anchor_seed, sub_spec.col_blocks)
             reps = [
                 make_intermediate(v, anchor.block(v.col_index), config.intermediate_dim)
@@ -359,7 +378,7 @@ def run_scenario(data: Dataset, config: ScenarioConfig,
             scores = estimate_propensity(collab.values, z, source="dcqe")
             effective_dim = collab.collaborative_dim
         else:
-            scores = estimate_propensity(scoped_cov[idx], z, source=config.analysis)
+            scores = estimate_propensity(scoped, z, source=config.analysis)
             effective_dim = None
 
         if config.estimator == "PSM":

@@ -155,10 +155,6 @@ class PcaModel:
     def input_dim(self) -> int:
         return self.components.shape[0]
 
-    @property
-    def output_dim(self) -> int:
-        return self.components.shape[1]
-
 
 def pca_fit(data: Matrix, target_dim: int) -> PcaModel:
     """Fit a PCA with ``target_dim`` components on standardized ``data``.

@@ -540,9 +540,9 @@ class TestRunCommand:
         script = "\n".join([
             "import os, sys",
             "from dcqe import cli, experiments",
-            "def dying(start, stop):",
+            "def dying(*args):",
             "    os._exit(1)",
-            "experiments._run_range = dying",
+            "experiments._serve_range = dying",
             "sys.exit(cli.main(sys.argv[1:]))",
         ])
         src = Path(dcqe.__file__).resolve().parent.parent

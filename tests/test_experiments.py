@@ -5,6 +5,7 @@ import signal
 import subprocess
 import sys
 import threading
+import tracemalloc
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
@@ -199,7 +200,7 @@ class TestRunScenario:
 
 
 CPUS = experiments._available_cpus()
-CAN_FORK = "fork" in multiprocessing.get_all_start_methods()
+CAN_FORK = hasattr(os, "fork")
 needs_workers = pytest.mark.skipif(CPUS < 2 or not CAN_FORK,
                                    reason="parallel replicates need 2 CPUs and fork")
 needs_pinning = pytest.mark.skipif(not CAN_FORK or not hasattr(os, "sched_setaffinity"),
@@ -228,6 +229,32 @@ def result_numbers(result):
     values += [x for s in summaries for x in (s.point, s.mean, s.se)]
     return (np.array(values, dtype=float).tobytes(), result.bootstrap.estimates.tobytes(),
             result.balance.smd_per_covariate.tobytes())
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _dead_worker_error(death):
+    """The error ``_run_all`` raises when every worker calls ``death``, within the alarm bound."""
+    parent = os.getpid()
+
+    def dying(index):
+        if os.getpid() != parent:
+            death()
+        return index
+
+    previous = signal.signal(signal.SIGALRM, _raise_alarm)
+    signal.alarm(120)
+    try:
+        with pytest.raises(DcqeError, match="bootstrap worker process died") as caught:
+            experiments._run_all(dying, 4)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert type(caught.value) is DcqeError
+    return caught.value
 
 
 def _failing_run(index):
@@ -267,7 +294,7 @@ class TestParallelReplicates:
             assert experiments._worker_count(runs) == min(CPUS, runs)
             parallel = run_scenario(data, config, scores)
             assert result_numbers(parallel) == result_numbers(serial), (replicates, resample)
-            assert threading.active_count() == 1  # the pool's threads are joined
+            assert threading.active_count() == 1  # the runner starts no thread
 
     @needs_workers
     def test_runs_are_made_in_workers_one_range_each_in_index_order(self):
@@ -282,23 +309,47 @@ class TestParallelReplicates:
 
     @needs_workers
     def test_dead_worker_raises_instead_of_hanging(self):
-        parent = os.getpid()
+        error = _dead_worker_error(lambda: os._exit(1))
+        # The message gives the worker's wait status.
+        assert str(error) == "a bootstrap worker process died: exit code 1"
+        assert_no_child_left()
 
-        def dying(index):
-            if os.getpid() != parent:
-                os._exit(1)
-            return index
+    @needs_workers
+    def test_killed_worker_raises_instead_of_hanging(self):
+        error = _dead_worker_error(lambda: os.kill(os.getpid(), signal.SIGKILL))
+        assert str(error) == f"a bootstrap worker process died: killed by signal {signal.SIGKILL:d}"
+        assert_no_child_left()
 
-        previous = signal.signal(signal.SIGALRM, _raise_alarm)
-        signal.alarm(120)
-        try:
-            with pytest.raises(DcqeError, match="bootstrap worker process died") as caught:
-                experiments._run_all(dying, 4)
-        finally:
-            signal.alarm(0)
-            signal.signal(signal.SIGALRM, previous)
-        assert type(caught.value) is DcqeError
-        assert type(caught.value.__cause__).__name__ == "BrokenProcessPool"
+    @needs_workers
+    def test_every_worker_is_reaped_on_return_and_on_raise(self):
+        count = 2 * CPUS + 1
+        assert experiments._run_all(lambda i: i, count) == list(range(count))
+        assert_no_child_left()
+        with pytest.raises(DimensionError, match="run 1 failed"):
+            experiments._run_all(_failing_run, count)
+        assert_no_child_left()
+
+    @needs_workers
+    def test_unflushed_output_is_written_once(self):
+        # A worker that exited through the interpreter would flush its copy
+        # of the parent's stdout buffer again.
+        code = "\n".join([
+            "import sys",
+            "from dcqe import experiments",
+            "assert experiments._worker_count(4) > 1",
+            "sys.stdout.write('buffered before the fork\\n')",
+            "assert experiments._run_all(lambda i: i, 4) == [0, 1, 2, 3]",
+            "try:",
+            "    experiments._run_all(lambda i: 1 / i, 4)",
+            "except ZeroDivisionError:",
+            "    pass",
+        ])
+        src = Path(experiments.__file__).resolve().parent.parent
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=dict(env, PYTHONPATH=str(src)), timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "buffered before the fork\n"
 
     def test_no_fork_while_another_thread_runs(self):
         parent = os.getpid()
@@ -357,13 +408,53 @@ class TestParallelReplicates:
         assert len(calls) == 4
 
     def test_import_leaves_process_pool_modules_unloaded(self):
-        code = ("import sys, dcqe; print(sorted(m for m in sys.modules "
-                "if m.split('.')[0] in ('multiprocessing', 'concurrent')))")
+        # Unloaded after the import, and after a run that forks where it can.
+        code = "\n".join([
+            "import sys, dcqe",
+            "from dcqe import experiments as e",
+            "from dcqe.datamodel import CollaborationScope, PartitionSpec",
+            "def pools():",
+            "    return sorted(m for m in sys.modules",
+            "                  if m.split('.')[0] in ('multiprocessing', 'concurrent'))",
+            "print(pools())",
+            "data, _ = e.generate_artificial(e.ArtificialDataConfig(subjects=80, seed=4))",
+            "spec = PartitionSpec((40, 40), (3, 3))",
+            "config = e.ScenarioConfig(spec, CollaborationScope.build('whole', spec),",
+            "                          intermediate_dim=2, collaborative_dim=6,",
+            "                          bootstrap_replicates=4)",
+            "print(e._worker_count(5))",
+            "e.run_scenario(data, config)",
+            "print(pools())",
+        ])
         src = Path(experiments.__file__).resolve().parent.parent
         done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                               env=dict(os.environ, PYTHONPATH=str(src)), check=True,
                               timeout=120)
-        assert done.stdout.strip() == "[]"
+        workers = min(CPUS, 5) if CAN_FORK else 1
+        assert done.stdout.split() == ["[]", str(workers), "[]"]
+
+    def test_whole_scope_is_not_copied_before_the_runs(self, monkeypatch):
+        data, scores = generate_artificial(ArtificialDataConfig(subjects=4000, seed=4))
+        spec = PartitionSpec((2000, 2000), (3, 3))
+        config = small_scenario(partition=spec, scope=CollaborationScope.build("whole", spec),
+                                anchor_size=100, bootstrap_replicates=1, resample=False)
+        original, held = experiments._run_all, []
+
+        def measured(run, count):
+            held.append(tracemalloc.get_traced_memory()[0] - baseline)
+            return original(run, count)
+
+        monkeypatch.setattr(experiments, "_run_all", measured)
+        tracemalloc.start()
+        try:
+            baseline = tracemalloc.get_traced_memory()[0]
+            run_scenario(data, config, scores)
+        finally:
+            tracemalloc.stop()
+        # What run_scenario holds when it reaches the runs: the row and column
+        # indices of the scope, but no copy of its covariates.
+        assert len(held) == 1
+        assert held[0] < data.covariates.nbytes / 2
 
 
 class TestBootstrapRate:

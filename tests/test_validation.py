@@ -54,10 +54,9 @@ ENTRY_POINTS = {
     "make_intermediate-anchor": lambda x: make_intermediate(PartyView(0, 0, GOOD, Z, Y), x, 2),
     "smd": lambda x: smd(x, Z),
 }
-# A party view is not checked on construction and needs a 2-d block to report
-# its width; ``TestStandardize.test_rejects_non_finite`` covers the NaN case
-# of ``standardize_fit``.
-NOT_COVERED = {("make_intermediate-party", "1d"), ("standardize_fit", "nan")}
+# ``TestStandardize.test_rejects_non_finite`` covers the NaN case of
+# ``standardize_fit``.
+NOT_COVERED = {("standardize_fit", "nan")}
 
 
 @pytest.mark.parametrize("entry,bad", [
