@@ -1,7 +1,8 @@
 """Command-line entry point: config parsing, execution, and report emission.
 
 Configuration files are flat ``key = value`` text with dotted section names,
-chosen for diffability and unambiguous parsing. Unknown keys are rejected.
+chosen for diffability and unambiguous parsing. ``SETTINGS`` lists the keys:
+a key that is unknown, or that the command does not read, is rejected.
 Reports are written as ``results.csv`` (full precision), ``results.json``
 (nested per scenario, embedding the effective config), and ``results.txt``
 (human-readable table with "mean (se)" cells); the effective configuration is
@@ -18,7 +19,7 @@ import csv
 import json
 import re
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 from .datamodel import CollaborationScope, PartitionSpec, scoped_partition
@@ -33,44 +34,17 @@ EXIT_INGESTION = 3
 EXIT_RUNTIME = 4
 
 SUITES = ("scenario", "experiment-one", "experiment-two")
+SCENARIO, EXPERIMENT_ONE, EXPERIMENT_TWO = SUITES
 FORMATS = ("csv", "json", "table")
 
-_PARTY_KEY = re.compile(r"^run\.party\.(\d+)\.(\d+)$")
-_BLOCK_KEY = re.compile(r"^run\.block\.(\d+)$")
+# Run mode's anchor size and collaborative width when the config sets none:
+# the synthetic defaults, not taken from the ingested partition.
+RUN_ANCHOR_SUBJECTS = 1000
+RUN_COLLABORATIVE_DIM = 6
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Fully validated settings for one command invocation."""
-
-    command: str = "simulate"
-    suite: str = "scenario"
-    subjects: int = 1000
-    covariates: int = 6
-    correlation: float = 0.5
-    noise_sd: float = 0.1
-    row_blocks: tuple[int, ...] = ()
-    col_blocks: tuple[int, ...] = ()
-    scope_kind: str = "whole"
-    scope_rows: tuple[int, ...] = ()
-    scope_cols: tuple[int, ...] = ()
-    analysis: str = "dcqe"
-    intermediate_dim: int = 2
-    collaborative_dim: int | None = None
-    anchor_subjects: int | None = None
-    estimator: str = "IPW"
-    estimand: str = "ATE"
-    benchmark: float | None = None
-    replicates: int = 1000
-    resample: bool = True
-    seed: int = 0
-    out_dir: str = "results"
-    formats: tuple[str, ...] = ("csv", "json", "table")
-    dump_bootstrap: bool = False
-    data_path: str | None = None
-    id_column: str | None = None
-    party_files: tuple[tuple[int, int, str], ...] = ()
-    block_files: tuple[tuple[int, str], ...] = ()
+def _text(value: str, key: str) -> str:
+    return value
 
 
 def _parse_int(value: str, key: str) -> int:
@@ -107,47 +81,109 @@ def _parse_str_tuple(value: str, key: str) -> tuple[str, ...]:
     return tuple("table" if p == "pretty-table" else p for p in parts if p)
 
 
-# key -> (RunConfig attribute, parser)
-_SCALAR_KEYS = {
-    "suite": ("suite", str),
-    "data.subjects": ("subjects", _parse_int),
-    "data.covariates": ("covariates", _parse_int),
-    "data.correlation": ("correlation", _parse_float),
-    "data.noise_sd": ("noise_sd", _parse_float),
-    "partition.row_blocks": ("row_blocks", _parse_int_tuple),
-    "partition.col_blocks": ("col_blocks", _parse_int_tuple),
-    "scope.kind": ("scope_kind", str),
-    "scope.rows": ("scope_rows", _parse_int_tuple),
-    "scope.cols": ("scope_cols", _parse_int_tuple),
-    "analysis": ("analysis", str),
-    "reduction.intermediate_dim": ("intermediate_dim", _parse_int),
-    "reduction.collaborative_dim": ("collaborative_dim", _parse_int),
-    "anchor.subjects": ("anchor_subjects", _parse_int),
-    "estimation.estimator": ("estimator", str),
-    "estimation.estimand": ("estimand", str),
-    "estimation.benchmark": ("benchmark", _parse_float),
-    "bootstrap.replicates": ("replicates", _parse_int),
-    "bootstrap.resample": ("resample", _parse_bool),
-    "seed": ("seed", _parse_int),
-    "output.dir": ("out_dir", str),
-    "output.formats": ("formats", _parse_str_tuple),
-    "output.dump_bootstrap": ("dump_bootstrap", _parse_bool),
-    "evaluate.data": ("data_path", str),
-    "run.id_column": ("id_column", str),
+def _halves(total: int) -> tuple[int, int]:
+    half = max(total // 2, 1)
+    return half, max(total - half, 1)
+
+
+def _build_scope(settings: dict, spec: PartitionSpec) -> CollaborationScope:
+    kind, rows, cols = settings["scope.kind"], settings["scope.rows"], settings["scope.cols"]
+    if kind != "custom":
+        return CollaborationScope.build(kind, spec)
+    if not rows or not cols:
+        raise ConfigError("scope.kind = custom needs scope.rows and scope.cols")
+    return CollaborationScope.custom(rows, cols)
+
+
+def _default_width(settings: dict, mode: str) -> int | None:
+    """Every covariate of the scope; run mode takes ``RUN_COLLABORATIVE_DIM``."""
+    if mode == "run":
+        return RUN_COLLABORATIVE_DIM
+    if settings["analysis"] != "dcqe":
+        return None
+    try:
+        spec = PartitionSpec(settings["partition.row_blocks"], settings["partition.col_blocks"])
+        return scoped_partition(spec, _build_scope(settings, spec)).covariate_count
+    except DcqeError:
+        return None  # ScenarioConfig reports the partition or the scope
+
+
+# What a command runs: ``simulate`` runs its suite, the others themselves.
+MODES = (*SUITES, "evaluate", "run")
+_SCENARIO_MODES = (SCENARIO, "run")
+
+# One row per key, in config.txt order: its parser, its default, and the
+# modes that read it; every other mode rejects the key. A callable default
+# gets the settings above it and the mode. ``#`` stands for a block index.
+SETTINGS = {
+    "suite": (_text, lambda s, mode: EXPERIMENT_TWO if mode == "evaluate" else SCENARIO,
+              (*SUITES, "evaluate")),
+    "data.subjects": (_parse_int, 1000, (SCENARIO, EXPERIMENT_ONE)),
+    "data.covariates": (_parse_int, 6, (SCENARIO,)),
+    "data.correlation": (_parse_float, 0.5, (SCENARIO,)),
+    "data.noise_sd": (_parse_float, 0.1, (SCENARIO,)),
+    "partition.row_blocks": (_parse_int_tuple, lambda s, mode: _halves(s["data.subjects"]),
+                             (SCENARIO,)),
+    "partition.col_blocks": (_parse_int_tuple, lambda s, mode: _halves(s["data.covariates"]),
+                             (SCENARIO,)),
+    "scope.kind": (_text, "whole", (SCENARIO,)),
+    "scope.rows": (_parse_int_tuple, (), (SCENARIO,)),
+    "scope.cols": (_parse_int_tuple, (), (SCENARIO,)),
+    "analysis": (_text, "dcqe", (SCENARIO,)),
+    "reduction.intermediate_dim": (_parse_int, 2, _SCENARIO_MODES),
+    "reduction.collaborative_dim": (_parse_int, _default_width, _SCENARIO_MODES),
+    "anchor.subjects": (_parse_int, lambda s, mode: RUN_ANCHOR_SUBJECTS if mode == "run"
+                        else s["data.subjects"], _SCENARIO_MODES),
+    "estimation.estimator": (_text, "IPW", _SCENARIO_MODES),
+    "estimation.estimand": (_text, "ATE", _SCENARIO_MODES),
+    "estimation.benchmark": (_parse_float, None, _SCENARIO_MODES),
+    "bootstrap.replicates": (_parse_int, 1000, MODES),
+    "bootstrap.resample": (_parse_bool, True, _SCENARIO_MODES),
+    "seed": (_parse_int, 0, MODES),
+    "output.dir": (_text, "results", MODES),
+    "output.formats": (_parse_str_tuple, FORMATS, MODES),
+    "output.dump_bootstrap": (_parse_bool, False, MODES),
+    "evaluate.data": (_text, None, ("evaluate",)),
+    "run.id_column": (_text, None, ("run",)),
+    "run.party.#.#": (_text, None, ("run",)),
+    "run.block.#": (_text, None, ("run",)),
 }
 
 
-def parse_config(path, command: str = "simulate") -> RunConfig:
-    """Read, default-fill and validate a configuration file."""
+def _row(key: str) -> str:
+    """The ``SETTINGS`` row of a key: ``run.party.0.1`` is a ``run.party.#.#``."""
+    return re.sub(r"\.\d+", ".#", key)
+
+
+def _indices(key: str) -> tuple[int, ...]:
+    return tuple(int(index) for index in key.split(".")[2:])
+
+
+@dataclass(frozen=True)
+class RunConfig:
+    """The effective value of each key a command's mode reads, in ``SETTINGS`` order,
+    and for a ``simulate`` of one scenario the data and scenario configs it runs.
+    """
+
+    command: str
+    mode: str
+    settings: dict[str, object]
+    data: ArtificialDataConfig | None = None
+    scenario: ScenarioConfig | None = None
+
+
+def parse_config(path, command: str = "simulate",
+                 overrides: dict[str, str] | None = None) -> RunConfig:
+    """Read and validate the settings of one command, rejecting the keys it does not read.
+
+    ``overrides`` maps keys to text that replaces the file's value.
+    """
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-    values: dict[str, object] = {"command": command}
-    party_files: dict[tuple[int, int], str] = {}
-    block_files: dict[int, str] = {}
-    seen: set[str] = set()
+    given: dict[str, object] = {}
     for number, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.strip()
         if not line or line.startswith("#"):
@@ -156,208 +192,143 @@ def parse_config(path, command: str = "simulate") -> RunConfig:
             raise ConfigError(f"line {number}: expected 'key = value', got {raw_line!r}")
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
-        if key in seen:
+        if key in given:
             raise ConfigError(f"line {number}: duplicate key {key!r}")
-        seen.add(key)
-        party = _PARTY_KEY.match(key)
-        block = _BLOCK_KEY.match(key)
-        if party:
-            party_files[(int(party.group(1)), int(party.group(2)))] = value
-        elif block:
-            block_files[int(block.group(1))] = value
-        elif key in _SCALAR_KEYS:
-            attr, parser = _SCALAR_KEYS[key]
-            values[attr] = parser(value, key) if parser is not str else value
-        else:
+        if _row(key) not in SETTINGS or "#" in key:
             raise ConfigError(f"line {number}: unknown key {key!r}")
-    values["party_files"] = tuple(sorted((k, l, p) for (k, l), p in party_files.items()))
-    values["block_files"] = tuple(sorted(block_files.items()))
-    config = RunConfig(**values)
-    return validate_config(_fill_defaults(config))
+        given[key] = SETTINGS[_row(key)][0](value, key)
+    given.update({key: SETTINGS[key][0](value, key) for key, value in (overrides or {}).items()})
+    suite = given.get("suite", SCENARIO)
+    if suite not in SUITES:
+        raise ConfigError(f"suite: must be one of {SUITES}, got {suite!r}")
+    mode = suite if command == "simulate" else command
+    if mode not in MODES:
+        raise ConfigError(f"unknown command {command!r}")
+    settings: dict[str, object] = {}
+    for row, (_, default, modes) in SETTINGS.items():
+        if mode not in modes:
+            continue
+        if row.endswith("#"):
+            settings.update(sorted(((key, value) for key, value in given.items()
+                                    if _row(key) == row), key=lambda item: _indices(item[0])))
+        elif row in given:
+            settings[row] = given[row]
+        else:
+            settings[row] = default(settings, mode) if callable(default) else default
 
-
-def _fill_defaults(config: RunConfig) -> RunConfig:
-    """Make derived defaults explicit so the effective config is complete."""
-    updates = {}
-    if not config.row_blocks:
-        half = max(config.subjects // 2, 1)
-        updates["row_blocks"] = (half, max(config.subjects - half, 1))
-    if not config.col_blocks:
-        half = max(config.covariates // 2, 1)
-        updates["col_blocks"] = (half, max(config.covariates - half, 1))
-    config = replace(config, **updates) if updates else config
-    if config.collaborative_dim is None and config.analysis == "dcqe":
-        try:
-            spec = PartitionSpec(config.row_blocks, config.col_blocks)
-            cols = scoped_partition(spec, _build_scope(config, spec)).covariate_count
-            config = replace(config, collaborative_dim=cols)
-        except DcqeError:
-            pass  # left for validate_config to report
-    if config.anchor_subjects is None:
-        config = replace(config, anchor_subjects=config.subjects)
-    return config
-
-
-def _build_scope(config: RunConfig, spec: PartitionSpec) -> CollaborationScope:
-    if config.scope_kind != "custom":
-        return CollaborationScope.build(config.scope_kind, spec)
-    if not config.scope_rows or not config.scope_cols:
-        raise ConfigError("scope.kind = custom needs scope.rows and scope.cols")
-    return CollaborationScope.custom(config.scope_rows, config.scope_cols)
-
-
-def validate_config(config: RunConfig) -> RunConfig:
-    """Reject configs that would violate pipeline preconditions downstream.
-
-    The scenario and data rules belong to ``ScenarioConfig`` and
-    ``ArtificialDataConfig`` and are checked by building them; this function
-    checks only the keys the library never sees. In run mode the partition
-    comes from the party files, so the scenario rules wait for ``execute``.
-    """
-    if config.suite not in SUITES:
-        raise ConfigError(f"suite: must be one of {SUITES}, got {config.suite!r}")
-    if config.command == "evaluate" and config.suite == "scenario":
-        config = replace(config, suite="experiment-two")
-    unknown = [f for f in config.formats if f not in FORMATS]
+    unknown = [f for f in settings["output.formats"] if f not in FORMATS]
     if unknown:
         raise ConfigError(f"output.formats: unknown format {unknown[0]!r}")
-    if not config.formats:
+    if not settings["output.formats"]:
         raise ConfigError("output.formats: needs at least one format")
-    if config.command != "simulate" or config.suite != "scenario":
-        if config.command == "run" and config.suite == "scenario" \
-                and (not config.party_files or not config.block_files):
-            raise ConfigError("run command needs run.party.<k>.<l> and run.block.<k> keys")
-        # These modes build their scenarios later; the replicate count and the
-        # seed they take from the config are checked now on a one-party stand-in.
-        one = PartitionSpec((1,), (1,))
-        ScenarioConfig(one, CollaborationScope.build("whole", one), analysis="centralized",
-                       bootstrap_replicates=config.replicates, master_seed=config.seed)
-        return config
+    unread = [key for key in given if mode not in SETTINGS[_row(key)][2]]
+    if unread:
+        name = f"simulate with suite = {mode}" if command == "simulate" else command
+        raise ConfigError(f"{unread[0]}: not read by dcqe {name}")
+    if mode == "evaluate" and settings["suite"] != EXPERIMENT_TWO:
+        raise ConfigError(f"suite: dcqe evaluate runs {EXPERIMENT_TWO}, got {settings['suite']!r}")
 
-    _artificial_from_config(config)
-    for axis, blocks, key, total in (("row", config.row_blocks, "subjects", config.subjects),
-                                     ("col", config.col_blocks, "covariates", config.covariates)):
+    data = scenario = None
+    if mode == SCENARIO:
+        data, scenario = _synthetic_scenario(settings)
+    elif mode == "run" and not {"run.party.#.#", "run.block.#"} <= set(map(_row, settings)):
+        raise ConfigError("run command needs run.party.<k>.<l> and run.block.<k> keys")
+    # ScenarioConfig's rules for the two values every mode reads; the other
+    # modes build their scenarios only after generating or reading data.
+    if settings["bootstrap.replicates"] < 1:
+        raise ConfigError("bootstrap replicate count must be at least 1, "
+                          f"got {settings['bootstrap.replicates']}")
+    if settings["seed"] < 0:
+        raise ConfigError(f"master seed must be non-negative, got {settings['seed']}")
+    return RunConfig(command, mode, settings, data, scenario)
+
+
+def _scenario(settings: dict, spec: PartitionSpec, scope: CollaborationScope,
+              analysis: str) -> ScenarioConfig:
+    dcqe = analysis == "dcqe"
+    return ScenarioConfig(
+        partition=spec,
+        scope=scope,
+        analysis=analysis,
+        estimator=settings["estimation.estimator"],
+        estimand=settings["estimation.estimand"],
+        intermediate_dim=settings["reduction.intermediate_dim"] if dcqe else None,
+        collaborative_dim=settings["reduction.collaborative_dim"] if dcqe else None,
+        anchor_size=settings["anchor.subjects"],
+        bootstrap_replicates=settings["bootstrap.replicates"],
+        resample=settings["bootstrap.resample"],
+        master_seed=settings["seed"],
+        benchmark=settings["estimation.benchmark"],
+    )
+
+
+def _synthetic_scenario(s: dict) -> tuple[ArtificialDataConfig, ScenarioConfig]:
+    """The data and the scenario of ``simulate`` with ``suite = scenario``."""
+    data = ArtificialDataConfig(subjects=s["data.subjects"], covariate_count=s["data.covariates"],
+                                correlation=s["data.correlation"], noise_sd=s["data.noise_sd"],
+                                seed=s["seed"])
+    for axis, key in (("row", "subjects"), ("col", "covariates")):
+        blocks, total = s[f"partition.{axis}_blocks"], s[f"data.{key}"]
         if sum(blocks) != total:
             raise ConfigError(f"partition.{axis}_blocks: sum {sum(blocks)} != data.{key} {total}")
     try:
-        _scenario_from_config(config)
+        spec = PartitionSpec(s["partition.row_blocks"], s["partition.col_blocks"])
+        scenario = _scenario(s, spec, _build_scope(s, spec), s["analysis"])
     except ConfigError:
         raise
     except DcqeError as exc:
         raise ConfigError(f"scope: {exc}") from exc
-    return config
+    return data, scenario
+
+
+def _render(value) -> str:
+    """The text of a report cell or of a setting."""
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, tuple):
+        return ",".join(str(v) for v in value)
+    return repr(value) if isinstance(value, float) else str(value)
+
+
+def _rendered(settings: dict) -> dict[str, str]:
+    """The text of each setting, leaving out the unset ones (None or empty)."""
+    return {key: _render(value) for key, value in settings.items() if value not in (None, ())}
 
 
 def format_config(config: RunConfig) -> str:
     """Serialize the effective configuration back to the flat key format."""
-    reverse = {attr: key for key, (attr, _) in _SCALAR_KEYS.items()}
     lines = [f"# effective dcqe configuration (command: {config.command})"]
-    for field in fields(RunConfig):
-        if field.name in ("command", "party_files", "block_files"):
-            continue
-        value = getattr(config, field.name)
-        if value is None:
-            continue
-        key = reverse[field.name]
-        if isinstance(value, tuple):
-            rendered = ",".join(str(v) for v in value)
-            if not rendered:
-                continue
-        elif isinstance(value, bool):
-            rendered = "true" if value else "false"
-        elif isinstance(value, float):
-            rendered = repr(value)
-        else:
-            rendered = str(value)
-        lines.append(f"{key} = {rendered}")
-    for k, l, path in config.party_files:
-        lines.append(f"run.party.{k}.{l} = {path}")
-    for k, path in config.block_files:
-        lines.append(f"run.block.{k} = {path}")
+    lines += [f"{key} = {text}" for key, text in _rendered(config.settings).items()]
     return "\n".join(lines) + "\n"
-
-
-def _scenario_from_config(config: RunConfig) -> ScenarioConfig:
-    spec = PartitionSpec(config.row_blocks, config.col_blocks)
-    return ScenarioConfig(
-        partition=spec,
-        scope=_build_scope(config, spec),
-        analysis=config.analysis,
-        estimator=config.estimator,
-        estimand=config.estimand,
-        intermediate_dim=config.intermediate_dim if config.analysis == "dcqe" else None,
-        collaborative_dim=config.collaborative_dim if config.analysis == "dcqe" else None,
-        anchor_size=config.anchor_subjects,
-        bootstrap_replicates=config.replicates,
-        resample=config.resample,
-        master_seed=config.seed,
-        benchmark=config.benchmark,
-    )
-
-
-def _artificial_from_config(config: RunConfig) -> ArtificialDataConfig:
-    return ArtificialDataConfig(
-        subjects=config.subjects,
-        covariate_count=config.covariates,
-        correlation=config.correlation,
-        noise_sd=config.noise_sd,
-        seed=config.seed,
-    )
 
 
 def execute(config: RunConfig) -> list[ScenarioResult]:
     """Run the configured command and return the result table."""
-    if config.command == "simulate":
-        if config.suite == "experiment-one":
-            return run_experiment_one(config.seed, config.replicates, config.subjects)
-        if config.suite == "experiment-two":
-            raise ConfigError("suite experiment-two requires the evaluate command with --data")
-        data, true_scores = generate_artificial(_artificial_from_config(config))
-        return [run_scenario(data, _scenario_from_config(config), true_scores)]
-    if config.command == "evaluate":
-        if not config.data_path:
+    s = config.settings
+    if config.mode == SCENARIO:
+        data, true_scores = generate_artificial(config.data)
+        return [run_scenario(data, config.scenario, true_scores)]
+    if config.mode == EXPERIMENT_ONE:
+        return run_experiment_one(s["seed"], s["bootstrap.replicates"], s["data.subjects"])
+    if config.mode == EXPERIMENT_TWO:
+        raise ConfigError("suite experiment-two requires the evaluate command with --data")
+    if config.mode == "evaluate":
+        if not s["evaluate.data"]:
             raise ConfigError("evaluate command needs a data path (--data or evaluate.data)")
-        return run_experiment_two(config.data_path, config.seed, config.replicates)
-    if config.command == "run":
-        data, spec = load_party_files(
-            {(k, l): p for k, l, p in config.party_files},
-            dict(config.block_files),
-            config.id_column,
-        )
-        run_cfg = replace(
-            config,
-            row_blocks=spec.row_blocks,
-            col_blocks=spec.col_blocks,
-            analysis="dcqe",
-            scope_kind="whole",
-            collaborative_dim=spec.covariate_count if config.collaborative_dim is None
-            else config.collaborative_dim,
-        )
-        return [run_scenario(data, _scenario_from_config(run_cfg))]
-    raise ConfigError(f"unknown command {config.command!r}")
-
-
-_CSV_COLUMNS = (
-    "estimator", "collaboration", "estimand", "analysis", "subjects",
-    "estimate_mean", "estimate_se", "point_estimate", "gap",
-    "inconsistency_true_mean", "inconsistency_true_se", "inconsistency_true_point",
-    "inconsistency_ca_mean", "inconsistency_ca_se", "inconsistency_ca_point",
-    "masmd_mean", "masmd_se", "masmd_point",
-    "collaborative_dim", "replicates", "master_seed",
-)
-
-
-def _render(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+        return run_experiment_two(s["evaluate.data"], s["seed"], s["bootstrap.replicates"])
+    data, spec = load_party_files(
+        {_indices(key): path for key, path in s.items() if _row(key) == "run.party.#.#"},
+        {_indices(key)[0]: path for key, path in s.items() if _row(key) == "run.block.#"},
+        s["run.id_column"],
+    )
+    return [run_scenario(data, _scenario(s, spec, CollaborationScope.build("whole", spec), "dcqe"))]
 
 
 def _result_row(result: ScenarioResult) -> dict[str, object]:
-    true_summary = result.inconsistency_true
-    return {
+    """One result: a results.json entry, and a results.csv row whose columns are its keys."""
+    row = {
         "estimator": result.estimator,
         "collaboration": result.collaboration,
         "estimand": result.estimand,
@@ -367,19 +338,15 @@ def _result_row(result: ScenarioResult) -> dict[str, object]:
         "estimate_se": result.estimate_se,
         "point_estimate": result.point_estimate,
         "gap": result.gap,
-        "inconsistency_true_mean": None if true_summary is None else true_summary.mean,
-        "inconsistency_true_se": None if true_summary is None else true_summary.se,
-        "inconsistency_true_point": None if true_summary is None else true_summary.point,
-        "inconsistency_ca_mean": result.inconsistency_ca.mean,
-        "inconsistency_ca_se": result.inconsistency_ca.se,
-        "inconsistency_ca_point": result.inconsistency_ca.point,
-        "masmd_mean": result.masmd.mean,
-        "masmd_se": result.masmd.se,
-        "masmd_point": result.masmd.point,
-        "collaborative_dim": result.collaborative_dim,
-        "replicates": result.bootstrap.replicate_count,
-        "master_seed": result.master_seed,
     }
+    for name in ("inconsistency_true", "inconsistency_ca", "masmd"):
+        summary = getattr(result, name)
+        for stat in ("mean", "se", "point"):
+            row[f"{name}_{stat}"] = None if summary is None else getattr(summary, stat)
+    row["collaborative_dim"] = result.collaborative_dim
+    row["replicates"] = result.bootstrap.replicate_count
+    row["master_seed"] = result.master_seed
+    return row
 
 
 def _mean_se(mean: float | None, se: float | None) -> str:
@@ -417,47 +384,45 @@ def emit_report(results: list[ScenarioResult], config: RunConfig) -> list[Path]:
     """Write the configured report files and return their paths."""
     if not results:
         raise DcqeError("no results to report")
-    out_dir = Path(config.out_dir)
+    settings = config.settings
+    out_dir = Path(settings["output.dir"])
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise DcqeError(f"cannot create output directory {out_dir}: {exc}") from exc
 
     written = []
-    config_text = format_config(config)
     config_path = out_dir / "config.txt"
-    config_path.write_text(config_text, encoding="utf-8")
+    config_path.write_text(format_config(config), encoding="utf-8")
     written.append(config_path)
+    rows = [_result_row(result) for result in results]
 
-    if "csv" in config.formats:
+    if "csv" in settings["output.formats"]:
         path = out_dir / "results.csv"
         with path.open("w", newline="", encoding="utf-8") as handle:
             writer = csv.writer(handle, lineterminator="\n")
-            writer.writerow(_CSV_COLUMNS)
-            for result in results:
-                row = _result_row(result)
-                writer.writerow([_render(row[c]) for c in _CSV_COLUMNS])
+            writer.writerow(rows[0])
+            writer.writerows([_render(value) for value in row.values()] for row in rows)
         written.append(path)
 
-    if "json" in config.formats:
+    if "json" in settings["output.formats"]:
         path = out_dir / "results.json"
         payload = {
             "command": config.command,
-            "seed": config.seed,
-            "config": {line.split(" = ")[0]: line.split(" = ", 1)[1]
-                       for line in config_text.splitlines() if " = " in line},
-            "results": [_result_row(result) for result in results],
+            "seed": settings["seed"],
+            "config": _rendered(settings),
+            "results": rows,
         }
         path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
         written.append(path)
 
-    if "table" in config.formats:
+    if "table" in settings["output.formats"]:
         path = out_dir / "results.txt"
-        header = f"# command: {config.command}  seed: {config.seed}\n"
+        header = f"# command: {config.command}  seed: {settings['seed']}\n"
         path.write_text(header + format_table(results), encoding="utf-8")
         written.append(path)
 
-    if config.dump_bootstrap:
+    if settings["output.dump_bootstrap"]:
         path = out_dir / "bootstrap_estimates.csv"
         with path.open("w", newline="", encoding="utf-8") as handle:
             writer = csv.writer(handle, lineterminator="\n")
@@ -478,24 +443,22 @@ def _build_parser() -> argparse.ArgumentParser:
     simulate = sub.add_parser("simulate", help="synthetic-data scenario or full benchmark suite")
     run = sub.add_parser("run", help="collaborative estimation on user-supplied party CSVs")
     evaluate = sub.add_parser("evaluate", help="job-training benchmark on a combined CSV")
+    # Each override's destination is the key it sets.
     for p in (simulate, run, evaluate):
         p.add_argument("--config", required=True, help="path to a key = value config file")
-        p.add_argument("--seed", type=int, default=None, help="override the config seed")
-        p.add_argument("--out", default=None, help="override the output directory")
-    evaluate.add_argument("--data", default=None, help="combined benchmark CSV path")
+        p.add_argument("--seed", type=int, help="override the config seed")
+        p.add_argument("--out", dest="output.dir", help="override the output directory")
+    evaluate.add_argument("--data", dest="evaluate.data", type=lambda path: path or None,
+                          help="combined benchmark CSV path; empty leaves evaluate.data")
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = vars(_build_parser().parse_args(argv))
+    overrides = {key: str(value) for key, value in args.items()
+                 if key in SETTINGS and value is not None}
     try:
-        config = parse_config(args.config, command=args.command)
-        if args.seed is not None:
-            config = validate_config(replace(config, seed=args.seed))
-        if args.out is not None:
-            config = replace(config, out_dir=args.out)
-        if getattr(args, "data", None):
-            config = replace(config, data_path=args.data)
+        config = parse_config(args["config"], args["command"], overrides)
         results = execute(config)
         paths = emit_report(results, config)
         sys.stdout.write(format_table(results))

@@ -157,21 +157,16 @@ def _group_by_row_block(
     return groups
 
 
-def _concat_anchor(groups: dict[int, dict[int, IntermediateRepresentation]], k: int) -> np.ndarray:
-    return np.hstack([groups[k][l].anchor_rep for l in sorted(groups[k])])
-
-
-def _shared_basis(groups: dict[int, dict[int, IntermediateRepresentation]],
-                  collaborative_dim: int) -> np.ndarray:
-    first_block = next(iter(groups.values()))
-    anchor_rows = next(iter(first_block.values())).anchor_rep.shape[0]
+def _shared_basis(images: list[np.ndarray], collaborative_dim: int) -> np.ndarray:
+    """The shared basis of the row blocks' anchor images, in row-block order."""
+    anchor_rows = images[0].shape[0]
     if collaborative_dim < 1:
         raise DimensionError(f"collaborative dimension must be positive, got {collaborative_dim}")
     if collaborative_dim > anchor_rows:
         raise DimensionError(
             f"collaborative dimension {collaborative_dim} exceeds anchor size {anchor_rows}"
         )
-    combined = np.hstack([_concat_anchor(groups, k) for k in sorted(groups)])
+    combined = np.hstack(images)
     # The shared basis cannot be wider than the combined anchor image; requests
     # beyond that (or beyond numerical rank) shrink silently and the effective
     # width is reported by the returned matrices.
@@ -195,11 +190,11 @@ def fit_integration(intermediates: Sequence[IntermediateRepresentation],
     block's map is the pseudoinverse of its own anchor image times that basis.
     """
     groups = _group_by_row_block(intermediates)
-    basis = _shared_basis(groups, collaborative_dim)
-    return [
-        IntegrationFunction(row_index=k, matrix=pseudoinverse(_concat_anchor(groups, k)) @ basis)
-        for k in sorted(groups)
-    ]
+    images = {k: np.hstack([groups[k][l].anchor_rep for l in sorted(groups[k])])
+              for k in sorted(groups)}
+    basis = _shared_basis(list(images.values()), collaborative_dim)
+    return [IntegrationFunction(row_index=k, matrix=pseudoinverse(image) @ basis)
+            for k, image in images.items()]
 
 
 @dataclass(frozen=True, eq=False)

@@ -53,6 +53,8 @@ def _read_columns(path) -> tuple[list[str], list[list[str]], int]:
             raise IngestionError(f"{path}: file is empty, a header row is required") from None
         except csv.Error as exc:  # e.g. a cell longer than csv.field_size_limit()
             raise IngestionError(f"{path}: line {reader.line_num}: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise IngestionError(f"{path}: {exc}") from exc
     columns = [list(map(str.strip, column)) for column in zip(*rows)]
     return header, columns or [[] for _ in header], len(rows)
 

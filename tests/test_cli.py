@@ -21,7 +21,6 @@ from dcqe.cli import (
     format_table,
     main,
     parse_config,
-    validate_config,
 )
 from dcqe.datamodel import CollaborationScope, PartitionSpec
 from dcqe.errors import ConfigError, IngestionError
@@ -38,14 +37,14 @@ class TestParseConfig:
     def test_minimal_config_fills_defaults(self, tmp_path):
         path = write_config(tmp_path / "c.conf", "data.subjects = 100\n")
         config = parse_config(path)
-        assert config.replicates == 1000
-        assert config.seed == 0
-        assert config.estimator == "IPW"
-        assert config.estimand == "ATE"
-        assert config.row_blocks == (50, 50)
-        assert config.col_blocks == (3, 3)
-        assert config.collaborative_dim == 6  # scope covariate count
-        assert config.anchor_subjects == 100
+        assert config.settings["bootstrap.replicates"] == 1000
+        assert config.settings["seed"] == 0
+        assert config.scenario.estimator == "IPW"
+        assert config.scenario.estimand == "ATE"
+        assert config.scenario.partition.row_blocks == (50, 50)
+        assert config.scenario.partition.col_blocks == (3, 3)
+        assert config.scenario.collaborative_dim == 6  # scope covariate count
+        assert config.scenario.anchor_size == 100
 
     def test_unknown_key_rejected_by_name(self, tmp_path):
         path = write_config(tmp_path / "c.conf", "data.subjects = 100\nbogus.key = 3\n")
@@ -75,7 +74,7 @@ class TestParseConfig:
             tmp_path / "c.conf",
             "# a comment\n\ndata.subjects = 80\nseed = 3\n",
         )
-        assert parse_config(path).seed == 3
+        assert parse_config(path).settings["seed"] == 3
 
     def test_round_trip_through_effective_config(self, tmp_path):
         path = write_config(
@@ -91,6 +90,15 @@ class TestParseConfig:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):
             parse_config(tmp_path / "absent.conf")
+
+    def test_file_that_is_not_utf8_is_a_config_error(self, tmp_path, capsys):
+        path = tmp_path / "c.conf"
+        path.write_bytes(b"seed = 1\n\xff = 2\n")
+        code = main(["simulate", "--config", str(path), "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG
+        assert err.startswith(f"config error: cannot read config file {path}: 'utf-8' codec")
+        assert "Traceback" not in err
 
     def test_bad_types_reported_with_key(self, tmp_path):
         path = write_config(tmp_path / "c.conf", "bootstrap.replicates = soon\n")
@@ -256,27 +264,20 @@ class TestEmitReport:
             tmp_path / "c.conf",
             "data.subjects = 60\nbootstrap.replicates = 4\nestimation.benchmark = 1.0\n"
             "output.dump_bootstrap = true\n",
-        ))
-        config = validate_config(config)
+        ), overrides={"output.dir": str(tmp_path / "out")})
         results = execute(config)
         return results, config
 
-    def test_csv_has_header_and_one_line(self, single_result, tmp_path):
+    def test_csv_has_header_and_one_line(self, single_result):
         results, config = single_result
-        from dataclasses import replace
-
-        config = replace(config, out_dir=str(tmp_path / "out"))
         paths = emit_report(results, config)
         csv_path = [p for p in paths if p.name == "results.csv"][0]
         lines = csv_path.read_text().splitlines()
         assert len(lines) == 2
         assert lines[0].startswith("estimator,collaboration")
 
-    def test_json_round_trips_full_precision(self, single_result, tmp_path):
+    def test_json_round_trips_full_precision(self, single_result):
         results, config = single_result
-        from dataclasses import replace
-
-        config = replace(config, out_dir=str(tmp_path / "out"))
         paths = emit_report(results, config)
         json_path = [p for p in paths if p.name == "results.json"][0]
         payload = json.loads(json_path.read_text())
@@ -284,13 +285,10 @@ class TestEmitReport:
         assert row["estimate_mean"] == results[0].estimate_mean
         assert row["gap"] == results[0].gap
         assert row["masmd_point"] == results[0].masmd.point
-        assert payload["seed"] == config.seed
+        assert payload["seed"] == config.settings["seed"]
 
-    def test_bootstrap_sidecar_written(self, single_result, tmp_path):
+    def test_bootstrap_sidecar_written(self, single_result):
         results, config = single_result
-        from dataclasses import replace
-
-        config = replace(config, out_dir=str(tmp_path / "out"))
         paths = emit_report(results, config)
         sidecar = [p for p in paths if p.name == "bootstrap_estimates.csv"][0]
         lines = sidecar.read_text().splitlines()
@@ -446,7 +444,7 @@ class TestSuiteRuns:
             tmp_path / "c.conf",
             "data.subjects = 60\nbootstrap.replicates = 2\noutput.formats = pretty-table\n",
         )
-        assert parse_config(config).formats == ("table",)
+        assert parse_config(config).settings["output.formats"] == ("table",)
 
 
 class TestIngestionFidelity:
@@ -480,6 +478,23 @@ class TestRunCommand:
         payload = json.loads((tmp_path / "out" / "results.json").read_text())
         assert payload["results"][0]["analysis"] == "dcqe"
         assert payload["results"][0]["subjects"] == 8
+        assert parse_config(tmp_path / "out" / "config.txt", "run") == \
+            parse_config(config, "run", {"output.dir": str(tmp_path / "out")})
+
+    def test_party_file_that_is_not_utf8_exits_ingestion_naming_the_file(self, tmp_path, capsys):
+        files, blocks = write_party_grid(tmp_path)
+        bad = Path(files[(1, 0)])
+        bad.write_bytes(bad.read_bytes() + b"\xff\n")
+        lines = ["bootstrap.replicates = 2", "reduction.intermediate_dim = 1",
+                 "run.id_column = id"]
+        lines += [f"run.party.{k}.{l} = {p}" for (k, l), p in files.items()]
+        lines += [f"run.block.{k} = {p}" for k, p in blocks.items()]
+        config = write_config(tmp_path / "run.conf", "\n".join(lines) + "\n")
+        code = main(["run", "--config", str(config), "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == EXIT_INGESTION
+        assert err.startswith(f"ingestion error: {bad}: 'utf-8' codec can't decode")
+        assert "Traceback" not in err
 
     def test_constant_party_columns_exit_runtime_with_reason(self, tmp_path, capsys):
         party = write_rows(tmp_path / "party.csv", [f"{i},1,2,3,4" for i in range(50)],
@@ -555,3 +570,135 @@ class TestRunCommand:
         assert done.returncode == EXIT_RUNTIME
         assert "a bootstrap worker process died" in done.stderr
         assert "Traceback" not in done.stderr
+
+
+# The keys each mode reads, written out here rather than taken from
+# ``cli.SETTINGS``: a mode is a command, and for ``simulate`` its suite.
+COMMON_KEYS = {"bootstrap.replicates", "seed", "output.dir", "output.formats",
+               "output.dump_bootstrap"}
+SCENARIO_KEYS = {"reduction.intermediate_dim", "reduction.collaborative_dim", "anchor.subjects",
+                 "estimation.estimator", "estimation.estimand", "estimation.benchmark",
+                 "bootstrap.resample"}
+SYNTHETIC_KEYS = {"data.subjects", "data.covariates", "data.correlation", "data.noise_sd",
+                  "partition.row_blocks", "partition.col_blocks", "scope.kind", "scope.rows",
+                  "scope.cols", "analysis"}
+READS = {
+    ("simulate", "scenario"): {"suite"} | COMMON_KEYS | SCENARIO_KEYS | SYNTHETIC_KEYS,
+    ("simulate", "experiment-one"): {"suite", "data.subjects"} | COMMON_KEYS,
+    ("simulate", "experiment-two"): {"suite"} | COMMON_KEYS,
+    ("evaluate", "experiment-two"): {"suite", "evaluate.data"} | COMMON_KEYS,
+    ("run", None): {"run.id_column", "run.party.0.0", "run.block.0"} | COMMON_KEYS
+    | SCENARIO_KEYS,
+}
+# One valid value per key, valid together in every mode that reads them.
+VALUES = {
+    "data.subjects": "60", "data.covariates": "6", "data.correlation": "0.25",
+    "data.noise_sd": "0.5", "partition.row_blocks": "20,40", "partition.col_blocks": "3,3",
+    "scope.kind": "custom", "scope.rows": "0,1", "scope.cols": "1", "analysis": "dcqe",
+    "reduction.intermediate_dim": "1", "reduction.collaborative_dim": "2",
+    "anchor.subjects": "50", "estimation.estimator": "PSM", "estimation.estimand": "ATT",
+    "estimation.benchmark": "1.5", "bootstrap.replicates": "3", "bootstrap.resample": "false",
+    "seed": "7", "output.dir": "somewhere", "output.formats": "csv,table",
+    "output.dump_bootstrap": "true", "evaluate.data": "nsw.csv", "run.id_column": "id",
+    "run.party.0.0": "party.csv", "run.block.0": "labels.csv",
+}
+ALL_MODES = list(READS)
+
+
+def mode_id(mode):
+    return "-".join(part for part in mode if part)
+
+
+def mode_config(path, mode, keys):
+    """A config file for ``mode`` setting ``keys`` to their ``VALUES``.
+
+    It names the suite of its mode and, in run mode, one party and its labels.
+    """
+    command, suite = mode
+    values = dict(VALUES, suite=suite or "scenario")
+    keys = dict.fromkeys((["suite"] if suite else [])
+                         + (["run.party.0.0", "run.block.0"] if command == "run" else []) + keys)
+    return write_config(path, "".join(f"{key} = {values[key]}\n" for key in keys))
+
+
+class TestKeysPerCommand:
+    @pytest.mark.parametrize("mode, key", [
+        pytest.param(mode, key, id=f"{mode_id(mode)}-{key}")
+        for mode in ALL_MODES for key in ["suite", *VALUES] if key not in READS[mode]
+    ])
+    def test_unread_key_exits_config_naming_key_and_command(self, tmp_path, capsys, mode, key):
+        config = mode_config(tmp_path / "c.conf", mode, [key])
+        code = main([mode[0], "--config", str(config), "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        name = f"simulate with suite = {mode[1]}" if mode[0] == "simulate" else mode[0]
+        assert code == EXIT_CONFIG
+        assert err == f"config error: {key}: not read by dcqe {name}\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("mode", ALL_MODES, ids=mode_id)
+    def test_every_key_read_is_accepted_and_written_back(self, tmp_path, mode):
+        given = mode_config(tmp_path / "c.conf", mode, sorted(READS[mode]))
+        config = parse_config(given, mode[0])
+        assert set(config.settings) == READS[mode]
+        emitted = write_config(tmp_path / "effective.conf", format_config(config))
+        assert parse_config(emitted, mode[0]) == config
+        assert sorted(emitted.read_text().splitlines()[1:]) == \
+            sorted(given.read_text().splitlines())
+
+    @pytest.mark.parametrize("mode", ALL_MODES, ids=mode_id)
+    def test_defaults_and_overrides_round_trip(self, tmp_path, mode):
+        overrides = {"seed": "4", "output.dir": str(tmp_path / "out")}
+        if mode[0] == "evaluate":
+            overrides["evaluate.data"] = "nsw.csv"
+        config = parse_config(mode_config(tmp_path / "c.conf", mode, []), mode[0], overrides)
+        emitted = write_config(tmp_path / "effective.conf", format_config(config))
+        assert parse_config(emitted, mode[0]) == config
+        assert config.settings["seed"] == 4
+
+    def test_run_mode_writes_its_fixed_anchor_and_width(self, tmp_path):
+        config = parse_config(mode_config(tmp_path / "c.conf", ("run", None), []), "run")
+        lines = format_config(config).splitlines()
+        assert "anchor.subjects = 1000" in lines
+        assert "reduction.collaborative_dim = 6" in lines
+
+    def test_run_files_are_written_in_block_order(self, tmp_path):
+        keys = [f"run.party.{k}.{l}" for k in (10, 2, 0) for l in (1, 0)]
+        keys += [f"run.block.{k}" for k in (2, 10, 0)]
+        path = write_config(tmp_path / "c.conf", "".join(f"{key} = {key}.csv\n" for key in keys))
+        lines = format_config(parse_config(path, "run")).splitlines()
+        written = [line.split(" = ")[0] for line in lines if line.startswith("run.")]
+        assert written == [f"run.party.{k}.{l}" for k in (0, 2, 10) for l in (0, 1)] \
+            + [f"run.block.{k}" for k in (0, 2, 10)]
+
+    @pytest.mark.parametrize("suite", ["scenario", "experiment-one"])
+    def test_evaluate_runs_only_experiment_two(self, tmp_path, capsys, suite):
+        config = write_config(tmp_path / "c.conf", f"suite = {suite}\n")
+        code = main(["evaluate", "--config", str(config), "--data", "nsw.csv"])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err == \
+            f"config error: suite: dcqe evaluate runs experiment-two, got {suite!r}\n"
+
+    def test_every_shipped_config_parses_under_its_command(self):
+        configs = Path(__file__).resolve().parent.parent / "configs"
+        commands = {"evaluate.conf": "evaluate", "experiment_one.conf": "simulate",
+                    "run_template.conf": "run", "scenario.conf": "simulate"}
+        assert sorted(p.name for p in configs.glob("*.conf")) == sorted(commands)
+        for name, command in commands.items():
+            assert parse_config(configs / name, command).command == command
+
+    @pytest.mark.parametrize("mode", ALL_MODES, ids=mode_id)
+    @pytest.mark.parametrize("key, value, build", [
+        ("bootstrap.replicates", "0", lambda: _library_scenario(bootstrap_replicates=0)),
+        ("seed", "-1", lambda: _library_scenario(master_seed=-1)),
+    ])
+    def test_replicate_and_seed_rules_are_the_library_ones(self, tmp_path, capsys, mode, key,
+                                                           value, build):
+        # Only the one-scenario simulate builds its ScenarioConfig before
+        # running; the others state its two rules on the values they read.
+        with pytest.raises(ConfigError) as caught:
+            build()
+        config = mode_config(tmp_path / "c.conf", mode, [])
+        config.write_text(config.read_text() + f"{key} = {value}\n", encoding="utf-8")
+        code = main([mode[0], "--config", str(config), "--out", str(tmp_path / "out")])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err == f"config error: {caught.value}\n"

@@ -18,7 +18,10 @@ from dcqe.experiments import ArtificialDataConfig, generate_artificial
 
 def shared_anchor_basis(reps, collaborative_dim):
     """The orthonormal target basis onto which ``fit_integration`` aligns every row block."""
-    return _shared_basis(_group_by_row_block(reps), collaborative_dim)
+    groups = _group_by_row_block(reps)
+    images = [np.hstack([groups[k][l].anchor_rep for l in sorted(groups[k])])
+              for k in sorted(groups)]
+    return _shared_basis(images, collaborative_dim)
 
 
 def benchmark_pipeline(seed=3, anchor_seed=77, scope_kind="whole", collaborative_dim=6):

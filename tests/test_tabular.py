@@ -227,3 +227,17 @@ class TestLoadPartyFilesMatchesCellwise:
         with pytest.raises(IngestionError, match=f"{header}: line 1: field larger than"):
             ingest_csv(header, TabularSchema(covariates=(), treatment="treatment",
                                              outcome="y"))
+
+    @pytest.mark.parametrize("bad", ["party", "labels", "dataset"])
+    def test_file_that_is_not_utf8_names_the_file(self, tmp_path, bad):
+        block = write(tmp_path, "labels.csv", "id,treatment,outcome", ["a,0,1.0", "b,1,2.0"])
+        party = write(tmp_path, "party.csv", "id,u,v", ["a,1,2", "b,4,5"])
+        dataset = write(tmp_path, "dataset.csv", "treatment,u,y", ["0,1,2", "1,4,5"])
+        target = {"party": party, "labels": block, "dataset": dataset}[bad]
+        target.write_bytes(target.read_bytes().replace(b"2", b"\xff", 1))
+        with pytest.raises(IngestionError, match=f"^{target}: 'utf-8' codec can't decode"):
+            if bad == "dataset":
+                ingest_csv(dataset, TabularSchema(covariates=("u",), treatment="treatment",
+                                                  outcome="y"))
+            else:
+                load_party_files({(0, 0): str(party)}, {0: str(block)}, "id")
