@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateLabelsError, DimensionError, InvalidDataError
-from .numerics import _predict, ensure_vector, logistic_fit
+from .errors import InvalidDataError
+from .numerics import ensure_binary_labels, ensure_vector, logistic_fit, sigmoid
 
 PROPENSITY_CLIP = (1e-6, 1.0 - 1e-6)
 SCORE_SOURCES = ("true", "centralized", "individual", "dcqe")
@@ -42,7 +42,7 @@ def estimate_propensity(features, treatments, source: str = "dcqe") -> Propensit
     ``logistic_fit`` checks the features and the treatments.
     """
     model = logistic_fit(features, treatments)
-    probs = _predict(model, np.asarray(features, dtype=float))
+    probs = sigmoid(model.intercept + np.asarray(features, dtype=float) @ model.coefficients)
     return PropensityScores(np.clip(probs, *PROPENSITY_CLIP), source)
 
 
@@ -71,15 +71,9 @@ def _score_values(scores) -> np.ndarray:
 
 
 def _treatment_groups(treatments, length: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    z = np.asarray(treatments)
-    if z.ndim != 1 or z.shape[0] != length:
-        raise DimensionError("treatments must be a vector matching the score length")
-    z = z.astype(np.int64)
-    treated = np.flatnonzero(z == 1)
-    control = np.flatnonzero(z == 0)
-    if treated.size == 0 or control.size == 0:
-        raise DegenerateLabelsError("matching needs at least one subject in each group")
-    return z, treated, control
+    """Checked 0/1 treatments of the scores' length, and the treated and control indices."""
+    z = ensure_binary_labels(treatments, "treatments", length=length)
+    return z, np.flatnonzero(z == 1), np.flatnonzero(z == 0)
 
 
 def _nearest(queries: np.ndarray, candidates: np.ndarray) -> np.ndarray:
@@ -181,8 +175,8 @@ def estimate_ipw(scores, treatments, outcomes, estimand: str) -> EffectEstimate:
 
 
 def _ipw_estimate(weights, treatments, outcomes, estimand: str) -> EffectEstimate:
-    """``estimate_ipw`` from weights already computed by ``ipw_weights``."""
-    treated = np.asarray(treatments).astype(np.int64) == 1
+    """``estimate_ipw`` from the weights ``ipw_weights`` computed and the treatments it checked."""
+    treated = np.asarray(treatments) == 1
     y = ensure_vector(outcomes, "outcomes", length=weights.shape[0])
     wt = np.where(treated, weights, 0.0)
     wc = np.where(treated, 0.0, weights)

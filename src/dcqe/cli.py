@@ -87,7 +87,7 @@ def _halves(total: int) -> tuple[int, int]:
 
 
 def _build_scope(settings: dict, spec: PartitionSpec) -> CollaborationScope:
-    kind, rows, cols = settings["scope.kind"], settings["scope.rows"], settings["scope.cols"]
+    kind, rows, cols = (settings.get(key) for key in ("scope.kind", "scope.rows", "scope.cols"))
     if kind != "custom":
         return CollaborationScope.build(kind, spec)
     if not rows or not cols:
@@ -99,8 +99,6 @@ def _default_width(settings: dict, mode: str) -> int | None:
     """Every covariate of the scope; run mode takes ``RUN_COLLABORATIVE_DIM``."""
     if mode == "run":
         return RUN_COLLABORATIVE_DIM
-    if settings["analysis"] != "dcqe":
-        return None
     try:
         spec = PartitionSpec(settings["partition.row_blocks"], settings["partition.col_blocks"])
         return scoped_partition(spec, _build_scope(settings, spec)).covariate_count
@@ -148,6 +146,21 @@ SETTINGS = {
     "run.party.#.#": (_text, None, ("run",)),
     "run.block.#": (_text, None, ("run",)),
 }
+# Keys read only at one value of an earlier key, by the modes that read that
+# key: ``run`` reads neither ``scope.kind`` nor ``analysis``, so it reads these.
+READ_ONLY_WHEN = {
+    "scope.rows": ("scope.kind", "custom"),
+    "scope.cols": ("scope.kind", "custom"),
+    "reduction.intermediate_dim": ("analysis", "dcqe"),
+    "reduction.collaborative_dim": ("analysis", "dcqe"),
+    "anchor.subjects": ("analysis", "dcqe"),
+}
+
+
+def _unread_because(row: str, settings: dict) -> str | None:
+    """The ``key = value`` setting that keeps a mode from reading ``row``, if any."""
+    key, value = READ_ONLY_WHEN.get(row, (None, None))
+    return f"{key} = {settings[key]}" if settings.get(key, value) != value else None
 
 
 def _row(key: str) -> str:
@@ -206,7 +219,7 @@ def parse_config(path, command: str = "simulate",
         raise ConfigError(f"unknown command {command!r}")
     settings: dict[str, object] = {}
     for row, (_, default, modes) in SETTINGS.items():
-        if mode not in modes:
+        if mode not in modes or _unread_because(row, settings):
             continue
         if row.endswith("#"):
             settings.update(sorted(((key, value) for key, value in given.items()
@@ -221,17 +234,18 @@ def parse_config(path, command: str = "simulate",
         raise ConfigError(f"output.formats: unknown format {unknown[0]!r}")
     if not settings["output.formats"]:
         raise ConfigError("output.formats: needs at least one format")
-    unread = [key for key in given if mode not in SETTINGS[_row(key)][2]]
+    data = scenario = None
+    if mode == SCENARIO:  # first, so a mistyped analysis or scope kind is named as such
+        data, scenario = _synthetic_scenario(settings)
+    unread = [key for key in given if key not in settings]
     if unread:
         name = f"simulate with suite = {mode}" if command == "simulate" else command
-        raise ConfigError(f"{unread[0]}: not read by dcqe {name}")
+        because = _unread_because(unread[0], settings)
+        raise ConfigError(f"{unread[0]}: not read by dcqe {name}"
+                          + (f" and {because}" if because else ""))
     if mode == "evaluate" and settings["suite"] != EXPERIMENT_TWO:
         raise ConfigError(f"suite: dcqe evaluate runs {EXPERIMENT_TWO}, got {settings['suite']!r}")
-
-    data = scenario = None
-    if mode == SCENARIO:
-        data, scenario = _synthetic_scenario(settings)
-    elif mode == "run" and not {"run.party.#.#", "run.block.#"} <= set(map(_row, settings)):
+    if mode == "run" and not {"run.party.#.#", "run.block.#"} <= set(map(_row, settings)):
         raise ConfigError("run command needs run.party.<k>.<l> and run.block.<k> keys")
     # ScenarioConfig's rules for the two values every mode reads; the other
     # modes build their scenarios only after generating or reading data.
@@ -245,16 +259,15 @@ def parse_config(path, command: str = "simulate",
 
 def _scenario(settings: dict, spec: PartitionSpec, scope: CollaborationScope,
               analysis: str) -> ScenarioConfig:
-    dcqe = analysis == "dcqe"
     return ScenarioConfig(
         partition=spec,
         scope=scope,
         analysis=analysis,
         estimator=settings["estimation.estimator"],
         estimand=settings["estimation.estimand"],
-        intermediate_dim=settings["reduction.intermediate_dim"] if dcqe else None,
-        collaborative_dim=settings["reduction.collaborative_dim"] if dcqe else None,
-        anchor_size=settings["anchor.subjects"],
+        intermediate_dim=settings.get("reduction.intermediate_dim"),
+        collaborative_dim=settings.get("reduction.collaborative_dim"),
+        anchor_size=settings.get("anchor.subjects"),
         bootstrap_replicates=settings["bootstrap.replicates"],
         resample=settings["bootstrap.resample"],
         master_seed=settings["seed"],

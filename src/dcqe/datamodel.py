@@ -13,8 +13,7 @@ from itertools import product
 
 import numpy as np
 
-from .errors import DegenerateLabelsError, DimensionError, InvalidDataError, PartitionError, \
-    ScopeError
+from .errors import DimensionError, InvalidDataError, PartitionError, ScopeError
 from .numerics import ensure_binary_labels, ensure_matrix, ensure_vector
 
 SCOPE_KINDS = ("left", "right", "top", "bottom", "whole", "custom")
@@ -32,7 +31,7 @@ class Dataset:
         cov = ensure_matrix(self.covariates, "covariates")
         try:
             z = ensure_binary_labels(self.treatments, "treatments", length=cov.shape[0])
-        except (DimensionError, DegenerateLabelsError) as exc:
+        except DimensionError as exc:
             raise InvalidDataError(str(exc)) from exc
         y = ensure_vector(self.outcomes, "outcomes", length=cov.shape[0])
         object.__setattr__(self, "covariates", cov)
@@ -187,18 +186,6 @@ class CollaborationScope:
     def single_party(cls, k: int, l: int) -> CollaborationScope:
         return cls("custom", (k,), (l,))
 
-    @classmethod
-    def from_parties(cls, kind: str, parties) -> CollaborationScope:
-        """Build a scope from explicit (k, l) pairs, which must form a rectangle."""
-        pairs = set((int(k), int(l)) for k, l in parties)
-        if not pairs:
-            raise ScopeError("scope must include at least one party")
-        rows = tuple(sorted(set(k for k, _ in pairs)))
-        cols = tuple(sorted(set(l for _, l in pairs)))
-        if pairs != set(product(rows, cols)):
-            raise ScopeError("scope parties must form a full rectangular sub-grid")
-        return cls(kind, rows, cols)
-
     @property
     def parties(self) -> frozenset[tuple[int, int]]:
         return frozenset(product(self.row_indices, self.col_indices))
@@ -236,16 +223,4 @@ def scoped_partition(spec: PartitionSpec, scope: CollaborationScope) -> Partitio
     return PartitionSpec(
         tuple(spec.row_blocks[k] for k in scope.row_indices),
         tuple(spec.col_blocks[l] for l in scope.col_indices),
-    )
-
-
-def scope_dataset(data: Dataset, spec: PartitionSpec, scope: CollaborationScope) -> Dataset:
-    """The ground-truth sub-dataset a given collaboration could at best see."""
-    spec.validate_for(data)
-    rows = scope_row_indices(spec, scope)
-    cols = scope_col_indices(spec, scope)
-    return Dataset(
-        covariates=data.covariates[np.ix_(rows, cols)],
-        treatments=data.treatments[rows],
-        outcomes=data.outcomes[rows],
     )

@@ -15,8 +15,8 @@ class DimensionError(DcqeError):
     """Shapes or requested dimensions are inconsistent."""
 
 
-class DegenerateLabelsError(DcqeError):
-    """A binary-outcome operation received labels from a single class."""
+class DegenerateLabelsError(InvalidDataError):
+    """Binary labels hold a single class; an ``InvalidDataError`` like any other bad labels."""
 
 
 class PartitionError(DcqeError):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, InfiniteImbalanceError, InvalidDataError
-from .numerics import DEGENERATE_STDDEV, ensure_matrix, ensure_vector
+from .numerics import DEGENERATE_STDDEV, ensure_binary_labels, ensure_matrix, ensure_vector
 
 
 @dataclass(frozen=True, eq=False)
@@ -91,14 +91,9 @@ def smd(covariates, treatments, weights=None) -> BalanceReport:
     otherwise.
     """
     x = ensure_matrix(covariates, "covariates")
-    z = np.asarray(treatments)
-    if z.ndim != 1 or z.shape[0] != x.shape[0]:
-        raise DimensionError("treatments must be a vector matching the covariate rows")
-    z = z.astype(np.int64)
+    z = ensure_binary_labels(treatments, "treatments", length=x.shape[0])
     treated = z == 1
     control = z == 0
-    if not treated.any() or not control.any():
-        raise InvalidDataError("balance needs both a treated and a control group")
     w = None
     if weights is not None:
         w = ensure_vector(weights, "weights", length=x.shape[0])

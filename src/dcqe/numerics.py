@@ -8,8 +8,8 @@ Validation happens once, where an array enters: each public function and
 constructor checks the arrays its caller passes (``ensure_matrix`` and its
 siblings) and raises ``InvalidDataError`` on a wrong rank, an empty or a
 non-finite input. Library code never sends arrays it built, or has already
-checked, through a public checker again; it calls the private body instead
-(``_moments``, ``_project``, ``_predict``).
+checked, through a public checker again. Binary labels have one checker,
+``ensure_binary_labels``: 0/1 only and both classes present.
 """
 
 from __future__ import annotations
@@ -100,60 +100,13 @@ def _orient_columns(primary: np.ndarray, partner: np.ndarray | None = None) -> N
 
 
 @dataclass(frozen=True, eq=False)
-class StandardizationParams:
-    """Column means and standard deviations fitted on a matrix."""
+class PcaModel:
+    """Column means and standard deviations plus orthonormal principal directions."""
 
     means: np.ndarray
     stddevs: np.ndarray
-
-    def __post_init__(self):
-        if self.means.shape != self.stddevs.shape or self.means.ndim != 1:
-            raise DimensionError("means and stddevs must be 1-d and equally long")
-        if np.any(self.stddevs <= 0):
-            raise InvalidDataError("stddevs must be strictly positive")
-
-
-def standardize_fit(data: Matrix) -> StandardizationParams:
-    """Fit column means and sample standard deviations.
-
-    Columns whose standard deviation falls below ``DEGENERATE_STDDEV`` get a
-    divisor of 1.0 so downstream transforms never divide by zero.
-    """
-    return _moments(ensure_matrix(data))
-
-
-def _moments(arr: np.ndarray) -> StandardizationParams:
-    """``standardize_fit`` of a checked matrix."""
-    means = arr.mean(axis=0)
-    if arr.shape[0] >= 2:
-        stddevs = arr.std(axis=0, ddof=1)
-    else:
-        stddevs = np.zeros(arr.shape[1])
-    stddevs = np.where(stddevs < DEGENERATE_STDDEV, 1.0, stddevs)
-    return StandardizationParams(means, stddevs)
-
-
-def standardize_apply(params: StandardizationParams, data: Matrix) -> np.ndarray:
-    """Center and scale ``data`` with previously fitted parameters."""
-    arr = ensure_matrix(data)
-    if arr.shape[1] != params.means.shape[0]:
-        raise DimensionError(
-            f"data has {arr.shape[1]} columns, parameters were fitted on {params.means.shape[0]}"
-        )
-    return (arr - params.means) / params.stddevs
-
-
-@dataclass(frozen=True, eq=False)
-class PcaModel:
-    """Standardization parameters plus orthonormal principal directions."""
-
-    params: StandardizationParams
     components: np.ndarray
     explained_variance: np.ndarray
-
-    @property
-    def input_dim(self) -> int:
-        return self.components.shape[0]
 
 
 def pca_fit(data: Matrix, target_dim: int) -> PcaModel:
@@ -162,7 +115,8 @@ def pca_fit(data: Matrix, target_dim: int) -> PcaModel:
     Components are the top right singular vectors of the standardized matrix
     (equivalently the leading eigenvectors of its sample covariance), with the
     sign convention that each component's largest-magnitude entry is
-    non-negative.
+    non-negative. Columns whose sample standard deviation falls below
+    ``DEGENERATE_STDDEV`` get a divisor of 1.0.
     """
     arr = ensure_matrix(data)
     n, m = arr.shape
@@ -170,8 +124,10 @@ def pca_fit(data: Matrix, target_dim: int) -> PcaModel:
         raise InvalidDataError("pca_fit needs at least two rows")
     if not 1 <= target_dim <= m:
         raise DimensionError(f"target_dim must be in [1, {m}], got {target_dim}")
-    params = _moments(arr)
-    standardized = (arr - params.means) / params.stddevs
+    means = arr.mean(axis=0)
+    stddevs = arr.std(axis=0, ddof=1)
+    stddevs = np.where(stddevs < DEGENERATE_STDDEV, 1.0, stddevs)
+    standardized = (arr - means) / stddevs
     # Thin SVD is enough unless more components than rows are requested.
     full = target_dim > min(n, m)
     _, svals, vt = np.linalg.svd(standardized, full_matrices=full)
@@ -180,22 +136,12 @@ def pca_fit(data: Matrix, target_dim: int) -> PcaModel:
     padded = np.zeros(target_dim)
     count = min(target_dim, svals.shape[0])
     padded[:count] = svals[:count] ** 2 / (n - 1)
-    return PcaModel(params, components, padded)
-
-
-def pca_transform(model: PcaModel, data: Matrix) -> np.ndarray:
-    """Project ``data`` onto the model's principal directions."""
-    arr = ensure_matrix(data)
-    if arr.shape[1] != model.input_dim:
-        raise DimensionError(
-            f"data has {arr.shape[1]} columns, model expects {model.input_dim}"
-        )
-    return _project(model, arr)
+    return PcaModel(means, stddevs, components, padded)
 
 
 def _project(model: PcaModel, arr: np.ndarray) -> np.ndarray:
-    """``pca_transform`` of a checked matrix of the model's width."""
-    return ((arr - model.params.means) / model.params.stddevs) @ model.components
+    """``make_intermediate``'s image of a checked matrix of the model's width."""
+    return ((arr - model.means) / model.stddevs) @ model.components
 
 
 @dataclass(frozen=True, eq=False)
@@ -330,20 +276,3 @@ def logistic_fit(features: Matrix, labels) -> LogisticModel:
         n_iter=iterations,
         loglik_trace=np.asarray(trace),
     )
-
-
-def logistic_predict(model: LogisticModel, features: Matrix) -> np.ndarray:
-    """Predicted probabilities, kept strictly inside (0, 1)."""
-    x = ensure_matrix(features, "features")
-    if x.shape[1] != model.coefficients.shape[0]:
-        raise DimensionError(
-            f"features have {x.shape[1]} columns, model expects {model.coefficients.shape[0]}"
-        )
-    return _predict(model, x)
-
-
-def _predict(model: LogisticModel, x: np.ndarray) -> np.ndarray:
-    """``logistic_predict`` of a checked matrix of the model's width."""
-    prob = sigmoid(model.intercept + x @ model.coefficients)
-    info = np.finfo(float)
-    return np.clip(prob, info.tiny, 1.0 - info.epsneg)

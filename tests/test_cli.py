@@ -574,6 +574,8 @@ class TestRunCommand:
 
 # The keys each mode reads, written out here rather than taken from
 # ``cli.SETTINGS``: a mode is a command, and for ``simulate`` its suite.
+# ``simulate`` with suite = scenario reads them all only at the ``VALUES``
+# scope.kind = custom and analysis = dcqe.
 COMMON_KEYS = {"bootstrap.replicates", "seed", "output.dir", "output.formats",
                "output.dump_bootstrap"}
 SCENARIO_KEYS = {"reduction.intermediate_dim", "reduction.collaborative_dim", "anchor.subjects",
@@ -603,6 +605,10 @@ VALUES = {
     "run.party.0.0": "party.csv", "run.block.0": "labels.csv",
 }
 ALL_MODES = list(READS)
+# Keys simulate with suite = scenario reads only at analysis = dcqe, and only
+# at scope.kind = custom.
+DCQE_ONLY_KEYS = {"reduction.intermediate_dim", "reduction.collaborative_dim", "anchor.subjects"}
+CUSTOM_SCOPE_KEYS = {"scope.rows", "scope.cols"}
 
 
 def mode_id(mode):
@@ -654,6 +660,40 @@ class TestKeysPerCommand:
         emitted = write_config(tmp_path / "effective.conf", format_config(config))
         assert parse_config(emitted, mode[0]) == config
         assert config.settings["seed"] == 4
+
+    @pytest.mark.parametrize("setting, key", [
+        pytest.param(setting, key, id=f"{setting.split()[-1]}-{key}")
+        for setting, keys in [
+            ("analysis = centralized", DCQE_ONLY_KEYS),
+            ("analysis = individual", DCQE_ONLY_KEYS),
+            ("scope.kind = whole", CUSTOM_SCOPE_KEYS),
+            ("scope.kind = left", CUSTOM_SCOPE_KEYS),
+        ] for key in keys
+    ])
+    def test_key_unread_at_the_value_given_exits_config(self, tmp_path, capsys, setting, key):
+        config = write_config(tmp_path / "c.conf",
+                              f"data.subjects = 60\n{setting}\n{key} = {VALUES[key]}\n")
+        code = main(["simulate", "--config", str(config), "--out", str(tmp_path / "out")])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err == f"config error: {key}: not read by dcqe simulate " \
+            f"with suite = scenario and {setting}\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_mistyped_analysis_is_named_before_the_keys_it_leaves_unread(self, tmp_path,
+                                                                          capsys):
+        config = write_config(tmp_path / "c.conf",
+                              "analysis = dqce\nreduction.intermediate_dim = 1\n")
+        assert main(["simulate", "--config", str(config)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == "config error: unknown analysis mode 'dqce'\n"
+
+    @pytest.mark.parametrize("analysis", ["centralized", "individual"])
+    def test_scenario_without_dcqe_writes_no_reduction_or_anchor(self, tmp_path, analysis):
+        config = parse_config(write_config(tmp_path / "c.conf", f"analysis = {analysis}\n"))
+        assert not set(config.settings) & (DCQE_ONLY_KEYS | CUSTOM_SCOPE_KEYS)
+        assert config.scenario.intermediate_dim is None
+        assert config.scenario.anchor_size is None
+        assert not any(line.startswith(("reduction.", "anchor.", "scope.rows", "scope.cols"))
+                       for line in format_config(config).splitlines())
 
     def test_run_mode_writes_its_fixed_anchor_and_width(self, tmp_path):
         config = parse_config(mode_config(tmp_path / "c.conf", ("run", None), []), "run")

@@ -6,17 +6,15 @@ from hypothesis import assume, example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 import oracles
+from dcqe.causal import PROPENSITY_CLIP, estimate_propensity
+from dcqe.collaboration import make_intermediate
+from dcqe.datamodel import PartyView
 from dcqe.errors import DegenerateLabelsError, DimensionError, InvalidDataError
 from dcqe.numerics import (
-    LogisticModel,
     logistic_fit,
-    logistic_predict,
     pca_fit,
-    pca_transform,
     pseudoinverse,
     sigmoid,
-    standardize_apply,
-    standardize_fit,
     svd_truncated,
 )
 
@@ -29,41 +27,66 @@ def random_matrices(max_rows=20, max_cols=20):
     )
 
 
+def reduce_party(data, target_dim, anchor_block=None):
+    """``make_intermediate`` of one party holding ``data``, with ``data`` as its anchor block."""
+    n = data.shape[0]
+    view = PartyView(0, 0, data, np.arange(n) % 2, np.zeros(n))
+    return make_intermediate(view, data if anchor_block is None else anchor_block, target_dim)
+
+
+def standardized(data):
+    """Columns centered and divided by their sample SD, from the loop oracle."""
+    means, sds = oracles.column_stats(data)
+    return (data - np.array(means)) / np.array(sds)
+
+
 class TestStandardize:
+    """``pca_fit`` standardizes with column means and sample SDs before the SVD."""
+
     def test_two_point_sample(self):
-        params = standardize_fit([[1.0], [3.0]])
-        assert params.means[0] == 2.0
-        assert params.stddevs[0] == math.sqrt(2.0)
+        model = pca_fit([[1.0], [3.0]], 1)
+        assert model.means[0] == 2.0
+        assert model.stddevs[0] == math.sqrt(2.0)
 
     def test_constant_column_uses_unit_divisor(self):
-        params = standardize_fit([[5.0], [5.0], [5.0]])
-        assert params.means[0] == 5.0
-        assert params.stddevs[0] == 1.0
+        model = pca_fit([[5.0, 1.0], [5.0, 2.0], [5.0, 4.0]], 1)
+        assert model.means[0] == 5.0
+        assert model.stddevs[0] == 1.0
+
+    def test_constant_party_column_gives_finite_zero_free_reduction(self):
+        rng = np.random.default_rng(6)
+        data = np.column_stack([np.full(30, 5.0), rng.normal(size=(30, 2))])
+        rep = reduce_party(data, 2)
+        assert np.all(np.isfinite(rep.data_rep))
+        # The constant column standardizes to zeros and moves nothing.
+        moved = data.copy()
+        moved[:, 0] = -3.0
+        np.testing.assert_allclose(reduce_party(moved, 2).data_rep, rep.data_rep, atol=1e-12)
 
     def test_matches_column_stat_oracle(self):
         rng = np.random.default_rng(42)
         data = rng.normal(3.0, 2.5, size=(4, 2))
-        params = standardize_fit(data)
+        model = pca_fit(data, 1)
         means, sds = oracles.column_stats(data)
-        np.testing.assert_allclose(params.means, means, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(params.stddevs, sds, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(model.means, means, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(model.stddevs, sds, rtol=0, atol=1e-12)
 
-    def test_transform_of_fit_data_is_centered_and_scaled(self):
+    def test_fit_data_is_centered_and_scaled(self):
         rng = np.random.default_rng(7)
         data = rng.normal(size=(60, 5)) * [1, 2, 3, 4, 5]
-        params = standardize_fit(data)
-        out = standardize_apply(params, data)
+        model = pca_fit(data, 4)
+        out = (data - model.means) / model.stddevs
         np.testing.assert_allclose(out.mean(axis=0), 0.0, atol=1e-8)
         np.testing.assert_allclose(out.std(axis=0, ddof=1), 1.0, atol=1e-8)
+        # The party's reduced data keeps zero mean and the explained variances.
+        rep = reduce_party(data, 4)
+        np.testing.assert_allclose(rep.data_rep.mean(axis=0), 0.0, atol=1e-8)
+        np.testing.assert_allclose(rep.data_rep.var(axis=0, ddof=1), model.explained_variance,
+                                   atol=1e-8)
 
     def test_rejects_non_finite(self):
         with pytest.raises(InvalidDataError):
-            standardize_fit([[1.0, np.nan], [2.0, 3.0]])
-
-    def test_apply_rejects_width_mismatch(self):
-        params = standardize_fit([[1.0, 2.0], [3.0, 4.0]])
-        with pytest.raises(DimensionError):
-            standardize_apply(params, [[1.0], [2.0]])
+            pca_fit([[1.0, np.nan], [2.0, 3.0]], 1)
 
 
 class TestPca:
@@ -75,20 +98,24 @@ class TestPca:
         # Standardized rank-1 data has total variance 2, all on one direction.
         assert model.explained_variance[0] == pytest.approx(2.0, abs=1e-8)
 
-    def test_full_rank_round_trip(self):
+    def test_reduction_drops_only_the_last_direction(self):
         rng = np.random.default_rng(1)
         data = rng.normal(size=(50, 4))
-        model = pca_fit(data, 4)
-        standardized = standardize_apply(model.params, data)
-        projected = pca_transform(model, data)
-        np.testing.assert_allclose(projected @ model.components.T, standardized, atol=1e-8)
+        full = pca_fit(data, 4)
+        rep = reduce_party(data, 3)
+        residual = standardized(data) - rep.data_rep @ full.components[:, :3].T
+        # What the reduction loses is the data's share along the fourth component.
+        np.testing.assert_allclose(residual, np.outer(residual @ full.components[:, 3],
+                                                      full.components[:, 3]), atol=1e-8)
+        lost = np.sum(residual ** 2) / (data.shape[0] - 1)
+        assert lost == pytest.approx(full.explained_variance[3], abs=1e-8)
 
     def test_explained_variance_matches_jacobi_oracle(self):
         rng = np.random.default_rng(5)
         data = rng.normal(size=(50, 6)) @ rng.normal(size=(6, 6))
         model = pca_fit(data, 4)
-        standardized = standardize_apply(standardize_fit(data), data)
-        covariance = standardized.T @ standardized / (data.shape[0] - 1)
+        scaled = standardized(data)
+        covariance = scaled.T @ scaled / (data.shape[0] - 1)
         expected = oracles.jacobi_eigenvalues(covariance)[:4]
         np.testing.assert_allclose(model.explained_variance, expected, atol=1e-6)
 
@@ -108,36 +135,35 @@ class TestPca:
         lead = np.argmax(np.abs(model.components), axis=0)
         assert np.all(model.components[lead, np.arange(4)] >= 0)
 
-    def test_transform_isometry_at_full_dimension(self):
+    def test_reduction_never_lengthens_distances(self):
         rng = np.random.default_rng(3)
         data = rng.normal(size=(20, 4))
-        model = pca_fit(data, 4)
-        standardized = standardize_apply(model.params, data)
-        projected = pca_transform(model, data)
+        scaled = standardized(data)
+        projected = reduce_party(data, 3).data_rep
         for i in range(0, 20, 5):
             for j in range(1, 20, 7):
-                original = np.linalg.norm(standardized[i] - standardized[j])
+                original = np.linalg.norm(scaled[i] - scaled[j])
                 mapped = np.linalg.norm(projected[i] - projected[j])
-                assert mapped == pytest.approx(original, abs=1e-8)
+                assert mapped <= original + 1e-8
 
     def test_row_of_column_means_maps_to_zero(self):
         rng = np.random.default_rng(4)
         data = rng.normal(size=(30, 3))
-        model = pca_fit(data, 2)
-        out = pca_transform(model, data.mean(axis=0, keepdims=True))
-        np.testing.assert_allclose(out, 0.0, atol=1e-10)
+        rep = reduce_party(data, 2, data.mean(axis=0, keepdims=True))
+        np.testing.assert_allclose(rep.anchor_rep, 0.0, atol=1e-10)
 
-    def test_transform_matches_matmul_oracle(self):
+    def test_anchor_projection_matches_loop_oracle(self):
         rng = np.random.default_rng(11)
         data = rng.normal(size=(12, 3))
         model = pca_fit(data, 2)
+        means, sds = oracles.column_stats(data)
         fresh = rng.normal(size=(5, 3))
         expected = np.empty((5, 2))
         for i in range(5):
-            row = (fresh[i] - model.params.means) / model.params.stddevs
+            row = [(fresh[i, t] - means[t]) / sds[t] for t in range(3)]
             for j in range(2):
                 expected[i, j] = sum(row[t] * model.components[t, j] for t in range(3))
-        np.testing.assert_allclose(pca_transform(model, fresh), expected, atol=1e-12)
+        np.testing.assert_allclose(reduce_party(data, 2, fresh).anchor_rep, expected, atol=1e-12)
 
     def test_target_dim_out_of_range(self):
         data = np.eye(3)
@@ -145,11 +171,6 @@ class TestPca:
             pca_fit(data, 0)
         with pytest.raises(DimensionError):
             pca_fit(data, 4)
-
-    def test_transform_rejects_width_mismatch(self):
-        model = pca_fit(np.random.default_rng(0).normal(size=(10, 3)), 2)
-        with pytest.raises(DimensionError):
-            pca_transform(model, np.ones((4, 2)))
 
 
 class TestTruncatedSvd:
@@ -259,7 +280,7 @@ class TestLogistic:
         model = logistic_fit(x, y)
         assert np.isfinite(model.intercept)
         assert np.all(np.isfinite(model.coefficients))
-        probs = logistic_predict(model, x)
+        probs = estimate_propensity(x, y).values
         assert np.all(np.diff(probs) >= 0)
 
     def test_matches_gradient_ascent_oracle(self):
@@ -282,29 +303,25 @@ class TestLogistic:
             assert np.all(np.diff(model.loglik_trace) >= -1e-10)
 
     def test_predict_zero_parameters_gives_half(self):
-        model = LogisticModel(intercept=0.0, coefficients=np.zeros(2))
-        np.testing.assert_allclose(logistic_predict(model, np.ones((3, 2))), 0.5)
+        # Balanced labels on uninformative features: the fit stays at zero.
+        scores = estimate_propensity(np.ones((6, 2)), [1, 0] * 3)
+        assert np.all(scores.values == 0.5)
 
-    def test_predict_saturates_inside_open_interval(self):
-        model = LogisticModel(intercept=30.0, coefficients=np.zeros(1))
-        probs = logistic_predict(model, np.zeros((4, 1)))
-        assert np.all(probs > 1.0 - 1e-9)
-        assert np.all(probs < 1.0)
+    def test_predict_saturates_at_the_propensity_clip(self):
+        x = np.linspace(-2, 2, 30).reshape(-1, 1)
+        probs = estimate_propensity(x, (x[:, 0] > 0).astype(int)).values
+        assert probs.min() == PROPENSITY_CLIP[0]
+        assert probs.max() == PROPENSITY_CLIP[1]
 
     def test_predict_matches_sigmoid_oracle(self):
-        rng = np.random.default_rng(31)
-        model = LogisticModel(intercept=0.3, coefficients=rng.normal(size=3))
-        x = rng.normal(size=(7, 3))
+        x, y = seeded_logistic_data(seed=31, n=40)
+        model = logistic_fit(x, y)
         expected = [
-            1.0 / (1.0 + math.exp(-(0.3 + sum(x[i, j] * model.coefficients[j] for j in range(3)))))
-            for i in range(7)
+            1.0 / (1.0 + math.exp(-(model.intercept
+                                    + sum(x[i, j] * model.coefficients[j] for j in range(3)))))
+            for i in range(40)
         ]
-        np.testing.assert_allclose(logistic_predict(model, x), expected, atol=1e-12)
-
-    def test_predict_rejects_width_mismatch(self):
-        model = LogisticModel(intercept=0.0, coefficients=np.zeros(2))
-        with pytest.raises(DimensionError):
-            logistic_predict(model, np.ones((3, 3)))
+        np.testing.assert_allclose(estimate_propensity(x, y).values, expected, atol=1e-12)
 
 
 def oracle_logistic_problem(n, m, seed, slope, tail):

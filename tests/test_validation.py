@@ -1,9 +1,10 @@
 """Arrays are checked once, where they enter the package.
 
 Every public entry point on the pipeline path rejects a NaN or 1-d array
-with ``InvalidDataError``, and library code does not send the arrays it has
-already checked through a public checker again, so one pipeline run makes
-only a few checks.
+with ``InvalidDataError``, every one that takes treatments rejects labels
+other than 0/1 or from a single group the same way, and library code does
+not send the arrays it has already checked through a public checker again,
+so one pipeline run makes only a few checks.
 """
 
 import sys
@@ -12,21 +13,12 @@ import numpy as np
 import pytest
 
 from dcqe import experiments, numerics
-from dcqe.causal import estimate_propensity
+from dcqe.causal import estimate_ipw, estimate_propensity, ipw_weights, match_pairs
 from dcqe.collaboration import AnchorDataset, make_intermediate
 from dcqe.datamodel import CollaborationScope, Dataset, PartitionSpec, PartyView
-from dcqe.errors import InvalidDataError
+from dcqe.errors import DegenerateLabelsError, InvalidDataError
 from dcqe.metrics import smd
-from dcqe.numerics import (
-    logistic_fit,
-    logistic_predict,
-    pca_fit,
-    pca_transform,
-    pseudoinverse,
-    standardize_apply,
-    standardize_fit,
-    svd_truncated,
-)
+from dcqe.numerics import logistic_fit, pca_fit, pseudoinverse, svd_truncated
 
 GOOD = np.random.default_rng(0).normal(size=(8, 3))
 Z = np.array([0, 1] * 4)
@@ -35,37 +27,61 @@ NAN = GOOD.copy()
 NAN[2, 1] = np.nan
 FLAT = GOOD[:, 0]
 
-PCA = pca_fit(GOOD, 2)
-LOGIT = logistic_fit(GOOD, Z)
-
 ENTRY_POINTS = {
     "Dataset": lambda x: Dataset(x, Z, Y),
     "AnchorDataset": lambda x: AnchorDataset(x, (3,)),
-    "standardize_fit": standardize_fit,
-    "standardize_apply": lambda x: standardize_apply(PCA.params, x),
     "pca_fit": lambda x: pca_fit(x, 2),
-    "pca_transform": lambda x: pca_transform(PCA, x),
     "svd_truncated": lambda x: svd_truncated(x, 1),
     "pseudoinverse": pseudoinverse,
     "logistic_fit": lambda x: logistic_fit(x, Z),
-    "logistic_predict": lambda x: logistic_predict(LOGIT, x),
     "estimate_propensity": lambda x: estimate_propensity(x, Z),
     "make_intermediate-party": lambda x: make_intermediate(PartyView(0, 0, x, Z, Y), GOOD, 2),
     "make_intermediate-anchor": lambda x: make_intermediate(PartyView(0, 0, GOOD, Z, Y), x, 2),
     "smd": lambda x: smd(x, Z),
 }
-# ``TestStandardize.test_rejects_non_finite`` covers the NaN case of
-# ``standardize_fit``.
-NOT_COVERED = {("standardize_fit", "nan")}
 
 
 @pytest.mark.parametrize("entry,bad", [
     pytest.param(entry, bad, id=f"{entry}-{bad}")
-    for entry in ENTRY_POINTS for bad in ("nan", "1d") if (entry, bad) not in NOT_COVERED
+    for entry in ENTRY_POINTS for bad in ("nan", "1d")
 ])
 def test_entry_point_rejects_bad_array(entry, bad):
     with pytest.raises(InvalidDataError):
         ENTRY_POINTS[entry](NAN if bad == "nan" else FLAT)
+
+
+# Five subjects: covariates, distinct scores and outcomes for the label checks.
+X5 = GOOD[:5]
+SCORES5 = np.array([0.2, 0.4, 0.6, 0.8, 0.5])
+Y5 = np.arange(5.0)
+LABEL_ENTRY_POINTS = {
+    "Dataset": lambda z: Dataset(X5, z, Y5),
+    "logistic_fit": lambda z: logistic_fit(X5, z),
+    "estimate_propensity": lambda z: estimate_propensity(X5, z),
+    "match_pairs": lambda z: match_pairs(SCORES5, z),
+    "ipw_weights": lambda z: ipw_weights(SCORES5, z, "ATE"),
+    "estimate_ipw": lambda z: estimate_ipw(SCORES5, z, Y5, "ATE"),
+    "smd": lambda z: smd(X5, z),
+}
+BAD_LABELS = {
+    "two": ([0, 1, 0, 1, 2], InvalidDataError),
+    "half": ([0, 1, 0, 1, 0.5], InvalidDataError),
+    "single": ([1, 1, 1, 1, 1], DegenerateLabelsError),
+}
+
+
+@pytest.mark.parametrize("entry,bad", [
+    pytest.param(entry, bad, id=f"{entry}-labels-{bad}")
+    for entry in LABEL_ENTRY_POINTS for bad in BAD_LABELS
+])
+def test_entry_point_rejects_bad_labels(entry, bad):
+    labels, error = BAD_LABELS[bad]
+    with pytest.raises(error):
+        LABEL_ENTRY_POINTS[entry](np.array(labels))
+
+
+def test_single_class_is_invalid_data():
+    assert issubclass(DegenerateLabelsError, InvalidDataError)
 
 
 @pytest.mark.parametrize("analysis,most", [("dcqe", 15), ("centralized", 2)])
