@@ -20,8 +20,8 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .datamodel import PartyView
-from .errors import AnchorError, CollaborationError, DimensionError, InvalidDataError
-from .numerics import _project, ensure_matrix, pca_fit, pseudoinverse, svd_truncated
+from .errors import AnchorError, CollaborationError, DimensionError
+from .numerics import _pca, _project, ensure_matrix, pseudoinverse, svd_truncated
 
 
 @dataclass(frozen=True, eq=False)
@@ -95,11 +95,10 @@ def make_intermediate(view: PartyView, anchor_block: np.ndarray,
     only, then applied to both the data and the anchor block, so the anchor
     image lives in the same reduced space. Reduction must be strict:
     ``target_dim`` has to be smaller than the block's covariate count.
-    The anchor block and the party block's rank are checked here, the rest by ``pca_fit``.
+    Both blocks are checked here; the party block is standardized only once.
     """
     block = ensure_matrix(anchor_block, "anchor_block")
-    if np.ndim(view.covariates) != 2:
-        raise InvalidDataError("party covariates must be 2-dimensional")
+    covariates = ensure_matrix(view.covariates, "party covariates")
     if block.shape[1] != view.covariate_count:
         raise DimensionError(
             f"anchor block has {block.shape[1]} columns, party holds {view.covariate_count}"
@@ -109,11 +108,11 @@ def make_intermediate(view: PartyView, anchor_block: np.ndarray,
             f"reduction must be strict: target_dim must be in [1, {view.covariate_count - 1}], "
             f"got {target_dim}"
         )
-    model = pca_fit(view.covariates, target_dim)
+    model, standardized = _pca(covariates, target_dim)
     return IntermediateRepresentation(
         row_index=view.row_index,
         col_index=view.col_index,
-        data_rep=_project(model, view.covariates),
+        data_rep=standardized.T @ model.components,
         anchor_rep=_project(model, block),
     )
 

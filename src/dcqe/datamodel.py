@@ -176,7 +176,8 @@ class CollaborationScope:
             return cls(kind, (c - 1,), tuple(range(d)))
         if kind == "whole":
             return cls(kind, tuple(range(c)), tuple(range(d)))
-        raise ScopeError(f"scope kind {kind!r} needs explicit indices")
+        raise ScopeError("scope kind 'custom' needs explicit indices" if kind == "custom" else
+                         f"unknown scope kind {kind!r}, expected one of {', '.join(SCOPE_KINDS)}")
 
     @classmethod
     def custom(cls, rows, cols) -> CollaborationScope:

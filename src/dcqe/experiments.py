@@ -29,7 +29,7 @@ from .collaboration import assemble_collaborative, fit_integration, generate_anc
 from .datamodel import CollaborationScope, Dataset, PartitionSpec, _party_views, \
     scope_col_indices, scope_row_indices, scoped_partition
 from .errors import ConfigError, DcqeError
-from .metrics import BalanceReport, BootstrapDistribution, gap, inconsistency, smd
+from .metrics import BalanceReport, BootstrapDistribution, _smd, gap, inconsistency, smd
 from .numerics import ensure_vector, sigmoid
 from .tabular import TabularSchema, ingest_csv
 
@@ -385,13 +385,8 @@ def run_scenario(data: Dataset, config: ScenarioConfig,
             matching = match_pairs(scores, z)
             estimate = estimate_psm(matching, y, config.estimand).value
             t_rows, c_rows = matched_sample(matching, config.estimand)
-            balance = smd(
-                np.vstack([ground_truth[t_rows], ground_truth[c_rows]]),
-                np.concatenate([
-                    np.ones(t_rows.shape[0], dtype=np.int64),
-                    np.zeros(c_rows.shape[0], dtype=np.int64),
-                ]),
-            )
+            truth = np.ascontiguousarray(ground_truth.T)  # variables-major
+            balance = _smd(truth.take(t_rows, axis=1), truth.take(c_rows, axis=1))
         else:
             weights = ipw_weights(scores, z, config.estimand)
             estimate = _ipw_estimate(weights, z, y, config.estimand).value

@@ -65,19 +65,19 @@ def inconsistency(scores_a, scores_b) -> float:
     return float(np.sqrt(np.mean((a - b) ** 2)))
 
 
-def _group_moments(x: np.ndarray, weights: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
-    """Mean and variance per column; the weighted variant uses the
-    frequency-weight bias correction sum(w) / (sum(w)^2 - sum(w^2))."""
+def _group_moments(cols: np.ndarray, weights: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and variance of each row of a variables x subjects array; the weighted
+    variant uses the frequency-weight bias correction sum(w) / (sum(w)^2 - sum(w^2))."""
     if weights is None:
-        if x.shape[0] < 2:
+        if cols.shape[1] < 2:
             raise InvalidDataError("balance needs at least two subjects per group")
-        return x.mean(axis=0), x.var(axis=0, ddof=1)
+        return cols.mean(axis=1), cols.var(axis=1, ddof=1)
     total = weights.sum()
     denom = total * total - float(weights @ weights)
     if denom <= 0:
         raise InvalidDataError("weighted balance needs effective group size above one")
-    mean = (weights[:, None] * x).sum(axis=0) / total
-    var = total / denom * (weights[:, None] * (x - mean) ** 2).sum(axis=0)
+    mean = (cols * weights).sum(axis=1) / total
+    var = total / denom * ((cols - mean[:, None]) ** 2 * weights).sum(axis=1)
     return mean, var
 
 
@@ -94,20 +94,25 @@ def smd(covariates, treatments, weights=None) -> BalanceReport:
     z = ensure_binary_labels(treatments, "treatments", length=x.shape[0])
     treated = z == 1
     control = z == 0
-    w = None
-    if weights is not None:
-        w = ensure_vector(weights, "weights", length=x.shape[0])
-        if np.any(w <= 0):
-            raise InvalidDataError("weights must be strictly positive")
+    w = None if weights is None else ensure_vector(weights, "weights", length=x.shape[0])
+    if w is not None and np.any(w <= 0):
+        raise InvalidDataError("weights must be strictly positive")
+    cols = np.ascontiguousarray(x.T)
+    return _smd(cols.compress(treated, axis=1), cols.compress(control, axis=1),
+                None if w is None else w[treated], None if w is None else w[control])
 
-    mean_t, var_t = _group_moments(x[treated], None if w is None else w[treated])
-    mean_c, var_c = _group_moments(x[control], None if w is None else w[control])
+
+def _smd(treated: np.ndarray, control: np.ndarray, weights_t: np.ndarray | None = None,
+         weights_c: np.ndarray | None = None) -> BalanceReport:
+    """``smd`` of checked groups given variables-major, with their checked weights."""
+    mean_t, var_t = _group_moments(treated, weights_t)
+    mean_c, var_c = _group_moments(control, weights_c)
     pooled = (var_t + var_c) / 2.0
     diff = mean_t - mean_c
 
-    scale = np.maximum(np.abs(x).max(axis=0), 1.0)
+    scale = np.maximum(np.maximum(np.abs(treated).max(axis=1), np.abs(control).max(axis=1)), 1.0)
     degenerate = pooled < (DEGENERATE_STDDEV * scale) ** 2
-    values = np.zeros(x.shape[1])
+    values = np.zeros(treated.shape[0])
     regular = ~degenerate
     values[regular] = diff[regular] / np.sqrt(pooled[regular])
     bad = degenerate & (np.abs(diff) > DEGENERATE_STDDEV * scale)

@@ -10,6 +10,11 @@ siblings) and raises ``InvalidDataError`` on a wrong rank, an empty or a
 non-finite input. Library code never sends arrays it built, or has already
 checked, through a public checker again. Binary labels have one checker,
 ``ensure_binary_labels``: 0/1 only and both classes present.
+
+Kernels that reduce over the subjects copy their tall subjects x variables
+input once into a C-contiguous variables x subjects array and reduce along
+its rows: an ``axis=0`` reduction walks a row-major array one short row at
+a time, several times slower, and its bits depend on the input's layout.
 """
 
 from __future__ import annotations
@@ -78,9 +83,9 @@ def ensure_binary_labels(labels, name: str = "labels", length: int | None = None
 def sigmoid(eta) -> np.ndarray:
     """Numerically stable logistic function 1 / (1 + exp(-eta))."""
     eta = np.asarray(eta, dtype=float)
-    # exp(-|eta|) never overflows: 1 / (1 + ex) for eta >= 0, ex / (1 + ex) below.
+    # exp(-|eta|) <= 1 never overflows: the numerator is 1 for eta >= 0, ex below.
     ex = np.exp(-np.abs(eta))
-    return np.where(eta >= 0, 1.0, ex) / (1.0 + ex)
+    return np.maximum(ex, eta >= 0) / (1.0 + ex)
 
 
 def _orient_columns(primary: np.ndarray, partner: np.ndarray | None = None) -> None:
@@ -90,8 +95,6 @@ def _orient_columns(primary: np.ndarray, partner: np.ndarray | None = None) -> N
     products are preserved. Ties pick the first index, so the convention is
     deterministic.
     """
-    if primary.shape[1] == 0:
-        return
     lead = np.argmax(np.abs(primary), axis=0)
     flip = primary[lead, np.arange(primary.shape[1])] < 0.0
     primary[:, flip] *= -1.0
@@ -118,30 +121,36 @@ def pca_fit(data: Matrix, target_dim: int) -> PcaModel:
     non-negative. Columns whose sample standard deviation falls below
     ``DEGENERATE_STDDEV`` get a divisor of 1.0.
     """
-    arr = ensure_matrix(data)
+    return _pca(ensure_matrix(data), target_dim)[0]
+
+
+def _pca(arr: np.ndarray, target_dim: int) -> tuple[PcaModel, np.ndarray]:
+    """``pca_fit`` of a checked matrix, and the standardized matrix, variables-major."""
     n, m = arr.shape
     if n < 2:
         raise InvalidDataError("pca_fit needs at least two rows")
     if not 1 <= target_dim <= m:
         raise DimensionError(f"target_dim must be in [1, {m}], got {target_dim}")
-    means = arr.mean(axis=0)
-    stddevs = arr.std(axis=0, ddof=1)
+    cols = np.ascontiguousarray(arr.T)
+    means = cols.mean(axis=1)
+    stddevs = cols.std(axis=1, ddof=1)
     stddevs = np.where(stddevs < DEGENERATE_STDDEV, 1.0, stddevs)
-    standardized = (arr - means) / stddevs
+    standardized = (cols - means[:, None]) / stddevs[:, None]
     # Thin SVD is enough unless more components than rows are requested.
     full = target_dim > min(n, m)
-    _, svals, vt = np.linalg.svd(standardized, full_matrices=full)
+    _, svals, vt = np.linalg.svd(standardized.T, full_matrices=full)
     components = vt[:target_dim].T.copy()
     _orient_columns(components)
     padded = np.zeros(target_dim)
     count = min(target_dim, svals.shape[0])
     padded[:count] = svals[:count] ** 2 / (n - 1)
-    return PcaModel(means, stddevs, components, padded)
+    return PcaModel(means, stddevs, components, padded), standardized
 
 
 def _project(model: PcaModel, arr: np.ndarray) -> np.ndarray:
     """``make_intermediate``'s image of a checked matrix of the model's width."""
-    return ((arr - model.means) / model.stddevs) @ model.components
+    cols = np.ascontiguousarray(arr.T)
+    return ((cols - model.means[:, None]) / model.stddevs[:, None]).T @ model.components
 
 
 @dataclass(frozen=True, eq=False)
@@ -207,12 +216,14 @@ class LogisticModel:
             raise InvalidDataError("logistic parameters must be finite")
 
 
-def _linear_and_loglik(design: np.ndarray, labels: np.ndarray, theta: np.ndarray,
-                       penalty: np.ndarray) -> tuple[np.ndarray, float]:
-    """The linear predictor ``design @ theta`` and the penalized log-likelihood."""
-    eta = design @ theta
-    ll = float(np.sum(labels * eta - np.logaddexp(0.0, eta)))
-    return eta, ll - 0.5 * float(penalty @ (theta * theta))
+def _linear_and_loglik(design_t: np.ndarray, labels: np.ndarray, theta: np.ndarray,
+                       penalty: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """``eta = theta @ design_t``, ``exp(-|eta|)`` and the penalized log-likelihood,
+    whose softplus ``log(1 + exp(eta))`` is ``max(eta, 0) + log1p(exp(-|eta|))``."""
+    eta = theta @ design_t
+    ex = np.exp(-np.abs(eta))
+    ll = float(np.sum(labels * eta - (np.maximum(eta, 0.0) + np.log1p(ex))))
+    return eta, ex, ll - 0.5 * float(penalty @ (theta * theta))
 
 
 def logistic_fit(features: Matrix, labels) -> LogisticModel:
@@ -225,29 +236,31 @@ def logistic_fit(features: Matrix, labels) -> LogisticModel:
     ``LOGISTIC_TOL``; after ``LOGISTIC_MAX_ITER`` iterations the best iterate
     is returned with ``converged`` set to False.
 
-    Each evaluated candidate costs one matrix-vector product and one
-    ``logaddexp``; the accepted candidate's linear predictor is reused for
-    the next Newton step, whose probabilities cost one ``exp``.
+    Each evaluated candidate costs one matrix-vector product, one ``exp``
+    and one ``log1p``; the accepted candidate's linear predictor and
+    ``exp(-|eta|)`` give the next Newton step's probabilities with one
+    division, equal bit for bit to ``sigmoid(eta)``.
     """
     x = ensure_matrix(features, "features")
     y = ensure_binary_labels(labels, "labels", length=x.shape[0]).astype(float)
     n, m = x.shape
-    design = np.hstack([np.ones((n, 1)), x])
+    design_t = np.ones((m + 1, n))  # variables-major, whatever the layout of x
+    design_t[1:] = x.T
     penalty = np.full(m + 1, LOGISTIC_RIDGE)
     penalty[0] = 0.0
 
     diagonal = np.diag_indices(m + 1)
 
     theta = np.zeros(m + 1)
-    eta, value = _linear_and_loglik(design, y, theta, penalty)
+    eta, ex, value = _linear_and_loglik(design_t, y, theta, penalty)
     trace = [value]
     converged = False
     iterations = 0
     for iterations in range(1, LOGISTIC_MAX_ITER + 1):
-        prob = sigmoid(eta)
+        prob = np.maximum(ex, eta >= 0) / (1.0 + ex)  # sigmoid(eta)
         weight = prob * (1.0 - prob)
-        grad = design.T @ (y - prob) - penalty * theta
-        hess = (design * weight[:, None]).T @ design
+        grad = design_t @ (y - prob) - penalty * theta
+        hess = (design_t * weight) @ design_t.T
         hess[diagonal] += penalty
         try:
             delta = np.linalg.solve(hess, grad)
@@ -256,11 +269,11 @@ def logistic_fit(features: Matrix, labels) -> LogisticModel:
 
         step = 1.0
         candidate = theta + delta
-        eta, value = _linear_and_loglik(design, y, candidate, penalty)
+        eta, ex, value = _linear_and_loglik(design_t, y, candidate, penalty)
         while value < trace[-1] - 1e-12 and step > 1e-12:
             step *= 0.5
             candidate = theta + step * delta
-            eta, value = _linear_and_loglik(design, y, candidate, penalty)
+            eta, ex, value = _linear_and_loglik(design_t, y, candidate, penalty)
 
         change = float(np.max(np.abs(candidate - theta)))
         theta = candidate

@@ -40,21 +40,21 @@ def _read_columns(path) -> tuple[list[str], list[list[str]], int]:
         raise IngestionError(f"input file not found: {path}")
     with path.open(newline="", encoding="utf-8") as handle:
         reader = csv.reader(handle)
+        header, rows, failure = [], [], None
         try:
             header = [name.strip() for name in next(reader)]
-            rows = []
-            for number, row in enumerate(reader, start=1):
-                if len(row) != len(header):
-                    raise IngestionError(
-                        f"{path}: row {number} has {len(row)} cells, header has {len(header)}"
-                    )
-                rows.append(row)
+            rows.extend(reader)
         except StopIteration:
             raise IngestionError(f"{path}: file is empty, a header row is required") from None
         except csv.Error as exc:  # e.g. a cell longer than csv.field_size_limit()
-            raise IngestionError(f"{path}: line {reader.line_num}: {exc}") from exc
+            failure = exc  # raised after any ragged row read before it
         except UnicodeDecodeError as exc:
             raise IngestionError(f"{path}: {exc}") from exc
+    if set(map(len, rows)) - {len(header)}:
+        number, row = next((i, row) for i, row in enumerate(rows, 1) if len(row) != len(header))
+        raise IngestionError(f"{path}: row {number} has {len(row)} cells, header has {len(header)}")
+    if failure is not None:
+        raise IngestionError(f"{path}: line {reader.line_num}: {failure}") from failure
     columns = [list(map(str.strip, column)) for column in zip(*rows)]
     return header, columns or [[] for _ in header], len(rows)
 

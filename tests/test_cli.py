@@ -686,6 +686,13 @@ class TestKeysPerCommand:
         assert main(["simulate", "--config", str(config)]) == EXIT_CONFIG
         assert capsys.readouterr().err == "config error: unknown analysis mode 'dqce'\n"
 
+    @pytest.mark.parametrize("kind", ["Custom", "diagonal"])
+    def test_mistyped_scope_kind_exits_config_naming_the_kinds(self, tmp_path, capsys, kind):
+        config = write_config(tmp_path / "c.conf", f"data.subjects = 60\nscope.kind = {kind}\n")
+        assert main(["simulate", "--config", str(config)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"config error: scope: unknown scope kind {kind!r}, " \
+            "expected one of left, right, top, bottom, whole, custom\n"
+
     @pytest.mark.parametrize("analysis", ["centralized", "individual"])
     def test_scenario_without_dcqe_writes_no_reduction_or_anchor(self, tmp_path, analysis):
         config = parse_config(write_config(tmp_path / "c.conf", f"analysis = {analysis}\n"))

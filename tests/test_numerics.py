@@ -10,7 +10,10 @@ from dcqe.causal import PROPENSITY_CLIP, estimate_propensity
 from dcqe.collaboration import make_intermediate
 from dcqe.datamodel import PartyView
 from dcqe.errors import DegenerateLabelsError, DimensionError, InvalidDataError
+from dcqe.metrics import smd
 from dcqe.numerics import (
+    LOGISTIC_RIDGE,
+    LOGISTIC_TOL,
     logistic_fit,
     pca_fit,
     pseudoinverse,
@@ -340,8 +343,33 @@ def oracle_logistic_problem(n, m, seed, slope, tail):
     return x, y
 
 
+def irls_problems(test):
+    """Run ``test(x, y)`` on ``oracle_logistic_problem`` cases with both classes present."""
+    # At n >= 8000 the log-likelihood's last bit exceeds the 1e-12 margin of
+    # the step-halving test, so a last-ulp change there flips halving steps.
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(20, 400) | st.integers(8000, 32_000), st.integers(1, 6),
+           st.integers(0, 2**32 - 1), st.sampled_from([0.1, 0.3, 1.0, 4.0, 30.0]),
+           st.booleans())
+    @example(n=27_853, m=4, seed=8, slope=0.1, tail=False)  # rounding-triggered halving
+    @example(n=16_000, m=4, seed=0, slope=1.0, tail=False)
+    @example(n=25, m=6, seed=5, slope=4.0, tail=True)  # separated: three halving steps
+    @example(n=60, m=5, seed=40, slope=4.0, tail=True)  # hits LOGISTIC_MAX_ITER
+    def run(self, n, m, seed, slope, tail):
+        x, y = oracle_logistic_problem(n, m, seed, slope, tail)
+        assume(0 < y.sum() < n)
+        test(self, x, y)
+    return run
+
+
+def parameters(model):
+    return np.concatenate([[model.intercept], model.coefficients])
+
+
 class TestIrlsMatchesMaskedOracle:
-    """The fused IRLS loop gives the masked-sigmoid fit bit for bit."""
+    """``sigmoid`` gives the masked two-branch sigmoid bit for bit; the IRLS fit
+    equals its verbatim softplus copy bit for bit and stays within a stated
+    bound of the earlier ``logaddexp`` fit, and every converged fit is stationary."""
 
     def test_sigmoid_bitwise_at_extremes_and_nan(self):
         tiny = np.finfo(float).tiny
@@ -360,25 +388,38 @@ class TestIrlsMatchesMaskedOracle:
         assert np.array_equal(np.isnan(new), nan) and nan.sum() == 2
         assert np.array_equal(new[~nan].view(np.int64), old[~nan].view(np.int64))
 
-    # At n >= 8000 the log-likelihood's last bit exceeds the 1e-12 margin of
-    # the step-halving test, so a last-ulp change there flips halving steps.
-    @settings(max_examples=60, deadline=None)
-    @given(st.integers(20, 400) | st.integers(8000, 32_000), st.integers(1, 6),
-           st.integers(0, 2**32 - 1), st.sampled_from([0.1, 0.3, 1.0, 4.0, 30.0]),
-           st.booleans())
-    @example(n=27_853, m=4, seed=8, slope=0.1, tail=False)  # rounding-triggered halving
-    @example(n=16_000, m=4, seed=0, slope=1.0, tail=False)
-    @example(n=25, m=6, seed=5, slope=4.0, tail=True)  # separated: three halving steps
-    @example(n=60, m=5, seed=40, slope=4.0, tail=True)  # hits LOGISTIC_MAX_ITER
-    def test_fit_bitwise_equal(self, n, m, seed, slope, tail):
-        x, y = oracle_logistic_problem(n, m, seed, slope, tail)
-        assume(0 < y.sum() < n)
-        new, old = logistic_fit(x, y), oracles.reference_logistic_fit(x, y)
+    @irls_problems
+    def test_fit_bitwise_equal(self, x, y):
+        new, old = logistic_fit(x, y), oracles.softplus_logistic_fit(x, y)
         assert new.intercept == old.intercept
         assert np.array_equal(new.coefficients, old.coefficients)
         assert new.n_iter == old.n_iter
         assert new.converged == old.converged
         assert np.array_equal(new.loglik_trace, old.loglik_trace)
+
+    # Each fit stops within about LOGISTIC_TOL of the optimum, so two fits of
+    # the same problem differ by at most twice that (relative for large
+    # parameters, which only fits stopped at LOGISTIC_MAX_ITER reach).
+    # Measured on 700 cases: at most 1.6e-9 when converged, 1.4e-15 relative
+    # at the iteration limit.
+    @irls_problems
+    def test_fit_near_logaddexp_oracle(self, x, y):
+        new, old = parameters(logistic_fit(x, y)), parameters(oracles.reference_logistic_fit(x, y))
+        assert np.max(np.abs(new - old)) <= 2 * LOGISTIC_TOL * max(1.0, np.max(np.abs(old)))
+
+    # The penalized gradient, evaluated without the package: each component
+    # is far below the largest value it could take, sum_i |x_ij| (residuals
+    # lie in [-1, 1]). Measured on 300 converged cases: at most 4.9e-10 of it.
+    @irls_problems
+    def test_converged_fit_is_stationary(self, x, y):
+        model = logistic_fit(x, y)
+        assume(model.converged)
+        theta = parameters(model)
+        design = np.hstack([np.ones((x.shape[0], 1)), x])
+        penalty = np.r_[0.0, np.full(x.shape[1], LOGISTIC_RIDGE)]
+        residual = y - oracles.masked_sigmoid(design @ theta)
+        gradient = design.T @ residual - penalty * theta
+        assert np.all(np.abs(gradient) <= 1e-6 * np.abs(design).sum(axis=0))
 
 
 class TestDeterminism:
@@ -401,3 +442,40 @@ class TestDeterminism:
         m2 = logistic_fit(x.copy(), y.copy())
         assert m1.intercept == m2.intercept
         assert np.array_equal(m1.coefficients, m2.coefficients)
+
+
+def layouts(values):
+    """The same values C-ordered, F-ordered and as a column slice of a wider array."""
+    wide = np.zeros((values.shape[0], values.shape[1] + 2))
+    wide[:, 1:-1] = values
+    return [np.ascontiguousarray(values), np.asfortranarray(values), wide[:, 1:-1]]
+
+
+def bits(*arrays):
+    return [np.asarray(a, dtype=float).tobytes() for a in arrays]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+class TestLayoutIndependence:
+    """The kernels reduce a variables-major copy, so the input's layout cannot move a bit."""
+
+    def test_pca_fit(self, seed):
+        data = np.random.default_rng(seed).normal(size=(1000, 4)) * [1.0, 10.0, 0.1, 3.0]
+        fits = [pca_fit(view, 2) for view in layouts(data)]
+        got = [bits(f.means, f.stddevs, f.components, f.explained_variance) for f in fits]
+        assert got[1] == got[0] and got[2] == got[0]
+
+    def test_logistic_fit(self, seed):
+        x, y = seeded_logistic_data(seed=seed, n=2000)
+        fits = [logistic_fit(view, y) for view in layouts(x)]
+        got = [bits(f.intercept, f.coefficients, f.loglik_trace) for f in fits]
+        assert got[1] == got[0] and got[2] == got[0]
+
+    def test_smd(self, seed):
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(2000, 5)) + 100.0
+        z = (rng.random(2000) < 0.4).astype(int)
+        weights = rng.uniform(0.5, 4.0, 2000)
+        for w in (None, weights):
+            got = [bits(smd(view, z, weights=w).smd_per_covariate) for view in layouts(x)]
+            assert got[1] == got[0] and got[2] == got[0]

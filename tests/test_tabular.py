@@ -228,6 +228,16 @@ class TestLoadPartyFilesMatchesCellwise:
             ingest_csv(header, TabularSchema(covariates=(), treatment="treatment",
                                              outcome="y"))
 
+    def test_ragged_row_before_an_over_long_cell_is_reported_first(self, tmp_path):
+        lines = [f"{i},1,2" for i in range(50)]
+        lines[3] = "3,1"
+        lines[7] = "7," + "1" * 140_000 + ",2"
+        path = write(tmp_path, "d.csv", "id,treatment,y", lines)
+        schema = TabularSchema(covariates=(), treatment="treatment", outcome="y")
+        for load in (ingest_csv, oracles.cellwise_ingest_csv):
+            with pytest.raises(IngestionError, match=f"^{path}: row 4 has 2 cells, header has 3"):
+                load(path, schema)
+
     @pytest.mark.parametrize("bad", ["party", "labels", "dataset"])
     def test_file_that_is_not_utf8_names_the_file(self, tmp_path, bad):
         block = write(tmp_path, "labels.csv", "id,treatment,outcome", ["a,0,1.0", "b,1,2.0"])
