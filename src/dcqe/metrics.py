@@ -94,9 +94,11 @@ def smd(covariates, treatments, weights=None) -> BalanceReport:
     z = ensure_binary_labels(treatments, "treatments", length=x.shape[0])
     treated = z == 1
     control = z == 0
-    w = None if weights is None else ensure_vector(weights, "weights", length=x.shape[0])
-    if w is not None and np.any(w <= 0):
-        raise InvalidDataError("weights must be strictly positive")
+    w = None
+    if weights is not None:
+        w = ensure_vector(weights, "weights", length=x.shape[0])
+        if np.any(w <= 0):
+            raise InvalidDataError("weights must be strictly positive")
     cols = np.ascontiguousarray(x.T)
     return _smd(cols.compress(treated, axis=1), cols.compress(control, axis=1),
                 None if w is None else w[treated], None if w is None else w[control])

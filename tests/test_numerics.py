@@ -397,11 +397,11 @@ class TestIrlsMatchesMaskedOracle:
         assert new.converged == old.converged
         assert np.array_equal(new.loglik_trace, old.loglik_trace)
 
-    # Each fit stops within about LOGISTIC_TOL of the optimum, so two fits of
-    # the same problem differ by at most twice that (relative for large
-    # parameters, which only fits stopped at LOGISTIC_MAX_ITER reach).
-    # Measured on 700 cases: at most 1.6e-9 when converged, 1.4e-15 relative
-    # at the iteration limit.
+    # A converged fit stops within about LOGISTIC_TOL of the optimum, so two
+    # fits of one problem differ by at most about twice that; the bound scales
+    # with the largest parameter where it exceeds 1. Fits stopped at
+    # LOGISTIC_MAX_ITER follow the same Newton path. Measured on 700 cases:
+    # at most 1.6e-9 when converged, 1.4e-15 relative at the iteration limit.
     @irls_problems
     def test_fit_near_logaddexp_oracle(self, x, y):
         new, old = parameters(logistic_fit(x, y)), parameters(oracles.reference_logistic_fit(x, y))
