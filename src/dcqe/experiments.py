@@ -13,6 +13,7 @@ covariates, which only the evaluation harness can see.
 
 from __future__ import annotations
 
+import ctypes
 import os
 import pickle
 import signal
@@ -243,6 +244,17 @@ def _worker_count(count: int) -> int:
     return 1 if serial else max(1, min(_available_cpus(), count))
 
 
+def _keep_freed_memory() -> None:
+    """Keep freed blocks under 64 MB in the heap, where there is glibc's ``mallopt``.
+
+    Raising only one of the trim and mmap thresholds leaves most page faults."""
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    if mallopt is not None:
+        mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+        for option in (-1, -3):  # M_TRIM_THRESHOLD, M_MMAP_THRESHOLD
+            mallopt(option, 64 << 20)
+
+
 def _serve_range(run, start: int, stop: int, sink) -> None:
     """A forked worker: pickle its runs' results, or what stopped them, into ``sink``; exit 0."""
     try:
@@ -262,6 +274,9 @@ def _run_all(run, count: int) -> list:
     runs one contiguous range of indices and sends back its outcome through
     a pipe of its own. Every worker is reaped before this returns or raises:
     the first failing range's exception, or ``DcqeError`` for a dead worker.
+    On glibc each worker keeps what it frees for its next runs' n x k
+    temporaries, which would otherwise fault in fresh pages; this process's
+    allocator is left as it is.
     """
     workers = _worker_count(count)
     if workers < 2:
@@ -277,6 +292,7 @@ def _run_all(run, count: int) -> list:
                 pending[-1][1] = pid = os.fork()
                 if pid == 0:  # the worker
                     try:
+                        _keep_freed_memory()
                         _serve_range(run, start, stop, sink)
                     finally:
                         os._exit(1)

@@ -5,10 +5,16 @@ reals, and no quoting of numerics. Validation is strict: every cell must
 parse, treatments must be exactly "0" or "1", and errors carry the row and
 column they were found at (rows counted from 1, excluding the header).
 
-Cells are parsed a column at a time, but errors are reported as a
-row-by-row reader would report them: a ragged row before any cell is
-parsed, and of several bad cells the first in file order (row by row, then
-left to right over the columns a loader reads).
+A plain file (valid UTF-8 without quotes, carriage returns, NULs or blank
+lines, every line with the header's cell count and within
+``csv.field_size_limit()``) has its real columns parsed by numpy's C reader
+and its id and treatment cells split out at once. Other files, and plain ones
+with a cell numpy rejects or a value that is not finite, are read by
+``csv.reader`` and parsed cell by cell; numpy rejects every cell that
+``float(cell.strip())`` would not turn into the same double, so the two paths
+agree cell for cell. Errors are those of a row-by-row reader: a ragged row
+before any cell is parsed, then the first bad cell in file order (row by row,
+then left to right over the columns a loader reads).
 """
 
 from __future__ import annotations
@@ -33,11 +39,21 @@ class TabularSchema:
     id_column: str | None = None
 
 
-def _read_columns(path) -> tuple[list[str], list[list[str]], int]:
-    """Stripped header, stripped cells column by column, and the data row count."""
+def _read_table(path) -> tuple[list[str], list, bool]:
+    """Stripped header, data rows, and whether the file is plain (its rows are then its lines)."""
     path = Path(path)
     if not path.is_file():
         raise IngestionError(f"input file not found: {path}")
+    text = path.read_bytes().decode("utf-8", "replace")  # csv.reader names a bad byte
+    lines = text.split("\n")  # not splitlines(): csv.reader ends rows only at "\n" here
+    if lines[-1] == "":
+        lines.pop()  # after the final newline
+    commas = lines[0].count(",") if lines else -1
+    # No line longer than the field size limit, so no cell longer than it.
+    if (len(lines) > 1 and not any(char in text for char in '"\r\0\ufffd') and "" not in lines
+            and max(map(len, lines)) <= csv.field_size_limit()
+            and all(line.count(",") == commas for line in lines)):
+        return [name.strip() for name in lines[0].split(",")], lines[1:], True
     with path.open(newline="", encoding="utf-8") as handle:
         reader = csv.reader(handle)
         header, rows, failure = [], [], None
@@ -55,8 +71,7 @@ def _read_columns(path) -> tuple[list[str], list[list[str]], int]:
         raise IngestionError(f"{path}: row {number} has {len(row)} cells, header has {len(header)}")
     if failure is not None:
         raise IngestionError(f"{path}: line {reader.line_num}: {failure}") from failure
-    columns = [list(map(str.strip, column)) for column in zip(*rows)]
-    return header, columns or [[] for _ in header], len(rows)
+    return header, rows, False
 
 
 def _column_index(header: list[str], name: str, path) -> int:
@@ -91,56 +106,56 @@ def _parse_treatment(cell: str, row: int, column: str, path) -> int:
     )
 
 
-def _real_column(cells: list[str]) -> np.ndarray:
-    values = np.fromiter(map(float, cells), float, count=len(cells))
-    if not np.isfinite(values).all():
-        raise ValueError("non-finite value")
-    return values
-
-
-def _treatment_column(cells: list[str]) -> np.ndarray:
-    if not set(cells) <= {"0", "1"}:
-        raise ValueError("treatment other than \"0\" or \"1\"")
-    return np.fromiter(map(int, cells), np.int64, count=len(cells))
-
-
-# Column kinds: the whole-column parser and the per-cell parser that names a bad cell.
-_REAL = (_real_column, _parse_real)
-_TREATMENT = (_treatment_column, _parse_treatment)
-
-
-def _parse_columns(path, header: list[str], columns: list[list[str]],
-                   fields: list[tuple[int, tuple]]) -> list[np.ndarray]:
-    """Parse each (column index, kind) field into an array, in ``fields`` order."""
-    try:
-        return [parse_column(columns[idx]) for idx, (parse_column, _) in fields]
-    except ValueError:
-        # Rescan row by row so the error names the first bad cell in file order.
-        cells_by_row = zip(*(columns[idx] for idx, _ in fields))
-        for number, cells in enumerate(cells_by_row, start=1):
-            for (idx, (_, parse_cell)), cell in zip(fields, cells):
-                parse_cell(cell, number, header[idx], path)
-        raise
+def _parse_table(path, header: list[str], rows: list, plain: bool,
+                 fields: list[tuple[int, object]], id_idx: int | None = None):
+    """The real ``fields`` as a C-ordered n x k matrix in their order, the treatment or None,
+    and the stripped ids or None. ``fields`` pairs a column index with ``_parse_real`` or
+    ``_parse_treatment``, which name the first bad cell, row by row in ``fields`` order."""
+    reals = [idx for idx, parse in fields if parse is _parse_real]
+    z_idx = next((idx for idx, parse in fields if parse is _parse_treatment), None)
+    if plain:
+        try:
+            values = np.loadtxt(rows, delimiter=",", usecols=reals, comments=None,
+                                quotechar=None, dtype=float, ndmin=2)
+        except ValueError:
+            values = None
+        cells = ",".join(rows).split(",") if (z_idx, id_idx) != (None, None) else []
+        labels, ids = (None if idx is None else list(map(str.strip, cells[idx::len(header)]))
+                       for idx in (z_idx, id_idx))
+        # loadtxt may skip a whitespace-only line, so the row count is checked.
+        if (values is not None and values.shape[0] == len(rows) and np.isfinite(values).all()
+                and set(labels or ()) <= {"0", "1"}):
+            treatments = None if labels is None else np.fromiter(map("1".__eq__, labels), np.int64)
+            return values, treatments, ids
+        rows = [line.split(",") for line in rows]
+    parsed = [[parse(row[idx].strip(), number, header[idx], path) for idx, parse in fields]
+              for number, row in enumerate(rows, start=1)]
+    columns = list(zip([parse for _, parse in fields], list(zip(*parsed)) or [()] * len(fields)))
+    values = np.array([column for parse, column in columns if parse is _parse_real], float)
+    treatments = next((np.array(column, np.int64) for parse, column in columns
+                       if parse is _parse_treatment), None)
+    ids = None if id_idx is None else [row[id_idx].strip() for row in rows]
+    return values.T.copy(), treatments, ids
 
 
 def ingest_csv(path, schema: TabularSchema) -> tuple[Dataset, list[str] | None]:
     """Read a dataset CSV against a schema; returns the dataset and the ids."""
-    header, columns, count = _read_columns(path)
-    if count < 2:
-        raise IngestionError(f"{path}: need at least 2 data rows, found {count}")
+    header, rows, plain = _read_table(path)
+    if len(rows) < 2:
+        raise IngestionError(f"{path}: need at least 2 data rows, found {len(rows)}")
     cov_idx = [_column_index(header, name, path) for name in schema.covariates]
     z_idx = _column_index(header, schema.treatment, path)
     y_idx = _column_index(header, schema.outcome, path)
     id_idx = _column_index(header, schema.id_column, path) if schema.id_column else None
 
-    fields = [(idx, _REAL) for idx in cov_idx] + [(z_idx, _TREATMENT), (y_idx, _REAL)]
-    *covariates, treatments, outcomes = _parse_columns(path, header, columns, fields)
+    fields = [(idx, _parse_real) for idx in cov_idx]
+    fields += [(z_idx, _parse_treatment), (y_idx, _parse_real)]
+    values, treatments, ids = _parse_table(path, header, rows, plain, fields, id_idx)
     try:
-        matrix = np.column_stack(covariates) if covariates else np.empty((count, 0))
-        dataset = Dataset(matrix, treatments, outcomes)
+        dataset = Dataset(np.ascontiguousarray(values[:, :-1]), treatments, values[:, -1].copy())
     except Exception as exc:
         raise IngestionError(f"{path}: {exc}") from exc
-    return dataset, columns[id_idx] if id_idx is not None else None
+    return dataset, ids
 
 
 def _check_id_alignment(reference: list[str] | None, ids: list[str] | None,
@@ -160,13 +175,13 @@ def _check_id_alignment(reference: list[str] | None, ids: list[str] | None,
 
 def _read_label_table(path, id_column: str | None):
     """Read a row block's treatment/outcome CSV plus optional ids."""
-    header, columns, _ = _read_columns(path)
+    header, rows, plain = _read_table(path)
     z_idx = _column_index(header, "treatment", path)
     y_idx = _column_index(header, "outcome", path)
     id_idx = header.index(id_column) if id_column and id_column in header else None
-    treatments, outcomes = _parse_columns(
-        path, header, columns, [(z_idx, _TREATMENT), (y_idx, _REAL)])
-    return treatments, outcomes, columns[id_idx] if id_idx is not None else None
+    values, treatments, ids = _parse_table(
+        path, header, rows, plain, [(z_idx, _parse_treatment), (y_idx, _parse_real)], id_idx)
+    return treatments, values[:, 0], ids
 
 
 def load_party_files(party_paths: dict[tuple[int, int], str],
@@ -203,14 +218,13 @@ def load_party_files(party_paths: dict[tuple[int, int], str],
         row_parts = []
         for l in col_ids:
             path = party_paths[(k, l)]
-            header, columns, _ = _read_columns(path)
+            header, rows, plain = _read_table(path)
             id_idx = header.index(id_column) if id_column and id_column in header else None
             cov_cols = [i for i in range(len(header)) if i != id_idx]
             if not cov_cols:
                 raise IngestionError(f"{path}: no covariate columns found")
-            data = np.column_stack(
-                _parse_columns(path, header, columns, [(i, _REAL) for i in cov_cols]))
-            ids = columns[id_idx] if id_idx is not None else None
+            data, _, ids = _parse_table(
+                path, header, rows, plain, [(i, _parse_real) for i in cov_cols], id_idx)
             if data.shape[0] != z_col.shape[0]:
                 raise IngestionError(
                     f"{path}: has {data.shape[0]} rows, {block_paths[k]} has {z_col.shape[0]}"

@@ -1,6 +1,8 @@
 import csv
 import multiprocessing
 import os
+import platform
+import resource
 import signal
 import subprocess
 import sys
@@ -306,6 +308,22 @@ class TestParallelReplicates:
         for start, stop in zip(bounds, bounds[1:]):
             assert len({pid for _, pid in runs[start:stop]}) == 1
         assert os.getpid() not in {pid for _, pid in runs}
+
+    @needs_workers
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the heap setting is glibc's")
+    def test_worker_reuses_its_heap(self):
+        # 16000 x 8 arrays, two alive at a time as in a replicate's arithmetic:
+        # with glibc's default thresholds each cycle faults in fresh pages.
+        def faults(index):
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            for _ in range(50):
+                [np.ones((16000, 8)) for _ in range(2)]
+            return os.getpid(), resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+
+        assert experiments._worker_count(CPUS) == CPUS
+        runs = experiments._run_all(faults, CPUS)
+        assert os.getpid() not in {pid for pid, _ in runs}
+        assert max(count for _, count in runs) < 2000, runs
 
     @needs_workers
     def test_dead_worker_raises_instead_of_hanging(self):

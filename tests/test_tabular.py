@@ -1,7 +1,8 @@
-"""The column-at-a-time CSV parser against the cell-by-cell loaders it replaced.
+"""The CSV reader, on both of its paths, against the cell-by-cell loaders.
 
-Both must give the same arrays bit for bit, the same ids, and, for a bad
-file, the same error message naming the same cell.
+A plain file is parsed by numpy's C reader and any other file cell by cell;
+either way the result must be the same arrays bit for bit, the same ids,
+and, for a bad file, the same error message naming the same cell.
 """
 
 import random
@@ -13,6 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
+from dcqe import tabular
 from dcqe.errors import IngestionError
 from dcqe.tabular import TabularSchema, ingest_csv, load_party_files
 
@@ -33,25 +35,31 @@ bad_real_text = st.sampled_from(
     ["abc", "", "nan", "NaN", "inf", "-Infinity", "1e999", "-1e400", "0x10", "1.2.3", "1,5"])
 bad_treatment_text = st.sampled_from(["2", "1.0", "", "yes", "01", "-0", "+1"])
 padding = st.sampled_from(["", " ", "  ", "\t", " \t "])
+blank_lines = st.sampled_from(["", " ", "\t", "  "])
 
 
 @st.composite
-def cells(draw, text):
-    """One CSV field holding ``text``: padded and sometimes quoted."""
+def cells(draw, text, quoted):
+    """One CSV field holding ``text``: padded, and quoted when it holds a comma
+    and otherwise sometimes, if ``quoted``."""
     text = draw(padding) + text + draw(padding)
-    if "," in text or draw(st.booleans()):
+    if "," in text or (quoted and draw(st.booleans())):
         text = '"' + text + '"'
     return text
 
 
 @st.composite
 def csv_files(draw, kinds, ids, bad_rate):
-    """CSV text with one column per entry of ``kinds``; column 0 holds ``ids``.
+    """Rows and layout of CSV text with one column per entry of ``kinds``;
+    column 0 holds ``ids``.
 
-    A cell is bad with probability ``bad_rate`` and a row ragged with a
-    quarter of it, decided by a seeded generator so the rates hold as drawn.
+    A cell is bad with probability ``bad_rate``, and a row ragged or a blank
+    or whitespace-only line inserted with a quarter of it each, decided by a
+    seeded generator so the rates hold as drawn. Some files quote no cell,
+    so both read paths are drawn.
     """
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    quoted = draw(st.booleans())
     lines = []
     for subject in ids:
         row = [draw(padding) + subject]
@@ -60,11 +68,13 @@ def csv_files(draw, kinds, ids, bad_rate):
                 text = draw(bad_treatment_text if kind == "z" else bad_real_text)
             else:
                 text = rng.choice("01") if kind == "z" else draw(real_text)
-            row.append(draw(cells(text)))
+            row.append(draw(cells(text, quoted)))
         if rng.random() < bad_rate / 4:
             row = row[:-1] if draw(st.booleans()) else row + ["7"]  # ragged row
+        if rng.random() < bad_rate / 4:
+            lines.append(draw(blank_lines))
         lines.append(",".join(row))
-    return lines
+    return lines, draw(layouts)
 
 
 def outcome(load, *args):
@@ -87,9 +97,15 @@ def assert_same_dataset(new, old):
     assert_same_array(new.outcomes, old.outcomes)
 
 
-def write(directory, name, header, lines):
+# (line ending, whether the last line ends with one)
+layouts = st.tuples(st.sampled_from(["\n", "\r\n"]), st.booleans())
+
+
+def write(directory, name, header, lines, layout=("\n", True)):
+    ending, final = layout
     path = Path(directory) / name
-    path.write_text("\n".join([header] + lines) + "\n", encoding="utf-8")
+    text = ending.join([header] + lines) + (ending if final else "")
+    path.write_bytes(text.encode("utf-8"))  # no newline translation
     return path
 
 
@@ -98,9 +114,9 @@ class TestIngestCsvMatchesCellwise:
     @given(st.data(), st.integers(1, 12), st.sampled_from([0.0, 0.02, 0.1]))
     def test_same_arrays_ids_or_message(self, data, n, bad_rate):
         ids = [f"s{i}" for i in range(n)]
-        lines = data.draw(csv_files(["id", "a", "z", "b", "y"], ids, bad_rate))
+        lines, layout = data.draw(csv_files(["id", "a", "z", "b", "y"], ids, bad_rate))
         with tempfile.TemporaryDirectory() as directory:
-            path = write(directory, "d.csv", HEADER, lines)
+            path = write(directory, "d.csv", HEADER, lines, layout)
             new = outcome(ingest_csv, path, SCHEMA)
             old = outcome(oracles.cellwise_ingest_csv, path, SCHEMA)
         if isinstance(old, str):
@@ -152,19 +168,22 @@ class TestIngestCsvMatchesCellwise:
 
 
 def write_grid(directory, draw_lines, blocks, widths, permute=False):
-    """Party and label files for a grid; ``draw_lines(kinds, ids)`` makes the rows."""
+    """Party and label files for a grid; ``draw_lines(kinds, ids)`` makes the rows
+    and the layout."""
     party_paths, block_paths = {}, {}
     start = 0
     for k, rows in enumerate(blocks):
         ids = [f"id{i}" for i in range(start, start + rows)]
         start += rows
-        lines = draw_lines(["id", "z", "y"], ids)
-        block_paths[k] = str(write(directory, f"labels_{k}.csv", "id,treatment,outcome", lines))
+        path = write(directory, f"labels_{k}.csv", "id,treatment,outcome",
+                     *draw_lines(["id", "z", "y"], ids))
+        block_paths[k] = str(path)
         for l, width in enumerate(widths):
             shown = list(reversed(ids)) if permute and l == len(widths) - 1 else ids
             names = ",".join(f"x{l}_{j}" for j in range(width))
-            lines = draw_lines(["id"] + ["x"] * width, shown)
-            party_paths[(k, l)] = str(write(directory, f"party_{k}_{l}.csv", f"id,{names}", lines))
+            path = write(directory, f"party_{k}_{l}.csv", f"id,{names}",
+                         *draw_lines(["id"] + ["x"] * width, shown))
+            party_paths[(k, l)] = str(path)
     return party_paths, block_paths
 
 
@@ -251,3 +270,76 @@ class TestLoadPartyFilesMatchesCellwise:
                                                   outcome="y"))
             else:
                 load_party_files({(0, 0): str(party)}, {0: str(block)}, "id")
+
+
+# Cells numpy's C reader and float() may treat differently: numpy must
+# reject whatever it does not parse to the same double as float(cell.strip()).
+ODD_CELLS = ["1_000.5", "١٢", "\x1c1", "\xa01.5\xa0", " 2 ", "1d5", "0x1p3",
+             "nan", "-Infinity", "infinity", "1e999", "", " ", "\t", "\x0b2", "\x0c3",
+             "\x852", "+.5", "1.", "-0", "1e-320", "4.9e-324", " +1e+2 ", "0b1", "١"]
+
+
+class TestPlainFileReader:
+    @pytest.mark.parametrize("cell", ODD_CELLS)
+    def test_odd_cell_matches_cellwise(self, tmp_path, cell):
+        block = write(tmp_path, "labels.csv", "id,treatment,outcome",
+                      ["a,0,1.0", f"b,1,{cell}", "c, 1 ,3.0"])
+        party = write(tmp_path, "party.csv", "id,u,v", [f"a,{cell},2", "b,4,5", "c,7,8"])
+        dataset = write(tmp_path, "d.csv", "u,treatment,y,id", ["1,0,2,a", f"{cell},1,3,b"])
+        for path in (block, party, dataset):
+            assert tabular._read_table(path)[2]  # a plain file
+        schema = TabularSchema(covariates=("u",), treatment="treatment", outcome="y",
+                               id_column="id")
+        for load, oracle, args in [
+            (load_party_files, oracles.cellwise_load_party_files,
+             ({(0, 0): str(party)}, {0: str(block)}, "id")),
+            (load_party_files, oracles.cellwise_load_party_files,
+             ({(0, 0): str(party)}, {0: str(block)})),
+            (ingest_csv, oracles.cellwise_ingest_csv, (dataset, schema)),
+        ]:
+            new, old = outcome(load, *args), outcome(oracle, *args)
+            if isinstance(old, str):
+                assert new == old
+            else:
+                assert_same_dataset(new[0], old[0])
+                assert new[1] == old[1]
+
+    @pytest.mark.parametrize("blank", [" ", "\t", ""])
+    def test_blank_line_in_a_one_column_file_matches_cellwise(self, tmp_path, blank):
+        # loadtxt may skip a whitespace-only line; the row count must catch it.
+        block = write(tmp_path, "labels.csv", "treatment,outcome", ["0,1.0", "1,2.0", "1,3.0"])
+        party = write(tmp_path, "party.csv", "u", ["1", blank, "2"])
+        message = outcome(load_party_files, {(0, 0): str(party)}, {0: str(block)})
+        assert isinstance(message, str)
+        assert message == outcome(oracles.cellwise_load_party_files,
+                                  {(0, 0): str(party)}, {0: str(block)})
+
+    @pytest.mark.parametrize("layout", [("\n", True), ("\n", False), ("\r\n", True)])
+    def test_plain_and_quoted_files_give_identical_results(self, tmp_path, layout):
+        rng = np.random.default_rng(5)
+        values = rng.standard_normal((40, 3)) * 10.0 ** rng.integers(-300, 300, (40, 3))
+        ids = [f"s{i}" for i in range(40)]
+        party = [f"{ids[i]},{u!r},{v:.17g}" for i, (u, v, _) in enumerate(values.tolist())]
+        labels = [f"{ids[i]},{i % 2},{y!r}" for i, (_, _, y) in enumerate(values.tolist())]
+        results = []
+        for quote in (False, True):
+            directory = tmp_path / str(quote)
+            directory.mkdir()
+            head, last = party[0].rsplit(",", 1)
+            rows = [f'{head},"{last}"' if quote else party[0]] + party[1:]
+            party_path = write(directory, "party.csv", "id,u,v", rows, layout)
+            block_path = write(directory, "labels.csv", "id,treatment,outcome", labels, layout)
+            assert tabular._read_table(party_path)[2] is (not quote and layout[0] == "\n")
+            results.append(load_party_files({(0, 0): str(party_path)}, {0: str(block_path)},
+                                            "id"))
+            schema = TabularSchema(covariates=("u", "v"), treatment="treatment",
+                                   outcome="outcome", id_column="id")
+            merged = [f"{p},{l.split(',', 1)[1]}" for p, l in zip(rows, labels)]
+            results.append(ingest_csv(write(directory, "d.csv", "id,u,v,treatment,outcome",
+                                            merged, layout), schema))
+        plain_party, plain_dataset, quoted_party, quoted_dataset = results
+        assert_same_dataset(plain_party[0], quoted_party[0])
+        assert plain_party[1] == quoted_party[1]
+        assert_same_dataset(plain_dataset[0], quoted_dataset[0])
+        assert plain_dataset[1] == quoted_dataset[1] == ids
+        assert np.array_equal(plain_dataset[0].covariates, values[:, :2])
