@@ -36,6 +36,8 @@ bad_real_text = st.sampled_from(
 bad_treatment_text = st.sampled_from(["2", "1.0", "", "yes", "01", "-0", "+1"])
 padding = st.sampled_from(["", " ", "  ", "\t", " \t "])
 blank_lines = st.sampled_from(["", " ", "\t", "  "])
+# (line ending, whether the last line ends with one)
+layouts = st.tuples(st.sampled_from(["\n", "\r\n"]), st.booleans())
 
 
 @st.composite
@@ -95,10 +97,6 @@ def assert_same_dataset(new, old):
     assert_same_array(new.covariates, old.covariates)
     assert_same_array(new.treatments, old.treatments)
     assert_same_array(new.outcomes, old.outcomes)
-
-
-# (line ending, whether the last line ends with one)
-layouts = st.tuples(st.sampled_from(["\n", "\r\n"]), st.booleans())
 
 
 def write(directory, name, header, lines, layout=("\n", True)):
