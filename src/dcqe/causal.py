@@ -16,34 +16,31 @@ from .errors import InvalidDataError
 from .numerics import ensure_binary_labels, ensure_vector, logistic_fit, sigmoid
 
 PROPENSITY_CLIP = (1e-6, 1.0 - 1e-6)
-SCORE_SOURCES = ("true", "centralized", "individual", "dcqe")
 ESTIMANDS = ("ATE", "ATT")
 
 
 @dataclass(frozen=True, eq=False)
 class PropensityScores:
-    """Estimated treatment probabilities, clipped strictly inside (0, 1)."""
+    """Estimated treatment probabilities, clipped strictly inside (0, 1); ``source`` is unread."""
 
     values: np.ndarray
-    source: str = "dcqe"
+    source: str = ""
 
     def __post_init__(self):
         values = ensure_vector(self.values, "propensity scores")
         if np.any(values <= 0.0) or np.any(values >= 1.0):
             raise InvalidDataError("propensity scores must lie strictly inside (0, 1)")
-        if self.source not in SCORE_SOURCES:
-            raise InvalidDataError(f"unknown propensity source {self.source!r}")
         object.__setattr__(self, "values", values)
 
 
-def estimate_propensity(features, treatments, source: str = "dcqe") -> PropensityScores:
+def estimate_propensity(features, treatments) -> PropensityScores:
     """Fit a logistic model with constant term and return clipped probabilities.
 
     ``logistic_fit`` checks the features and the treatments.
     """
     model = logistic_fit(features, treatments)
     probs = sigmoid(model.intercept + np.asarray(features, dtype=float) @ model.coefficients)
-    return PropensityScores(np.clip(probs, *PROPENSITY_CLIP), source)
+    return PropensityScores(np.clip(probs, *PROPENSITY_CLIP))
 
 
 @dataclass(frozen=True, eq=False)
@@ -76,30 +73,32 @@ def _treatment_groups(treatments, length: int) -> tuple[np.ndarray, np.ndarray, 
     return z, np.flatnonzero(z == 1), np.flatnonzero(z == 0)
 
 
-def _nearest(queries: np.ndarray, candidates: np.ndarray) -> np.ndarray:
-    """Index of the candidate with the smallest computed ``|q - c|`` per query.
+def _nearest(queries: np.ndarray, candidates: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """The candidate with the smallest computed ``|q - values[c]|`` per query.
 
-    Among equal computed gaps the smallest index wins. The computed gap is
-    monotone on each side of a query, so only the nearest distinct value
-    below and above can win; a farther value can equal its gap only through
-    rounding, and those queries fall back to a direct scan.
+    ``candidates`` are subject indices sorted by value; sorted queries search
+    fastest. Among equal computed gaps the smallest index wins. The computed
+    gap is monotone on each side of a query, so only the nearest distinct
+    value below and above can win; a farther value can equal its gap only
+    through rounding, and those queries fall back to a direct scan.
     """
-    order = np.argsort(candidates, kind="stable")
-    ordered = candidates[order]
+    ordered = values[candidates]
     starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
-    values, first = ordered[starts], order[starts]  # smallest index per value
-    last = values.shape[0] - 1
-    pos = np.searchsorted(values, queries)
+    # The sort need not be stable: a value's smallest index may sit anywhere in its run.
+    distinct, first = ordered[starts], np.minimum.reduceat(candidates, starts)
+    last = distinct.shape[0] - 1
+    pos = np.searchsorted(distinct, queries)
     lo, hi = np.maximum(pos - 1, 0), np.minimum(pos, last)
-    gap_lo = np.abs(queries - values[lo])
-    gap_hi = np.abs(queries - values[hi])
+    gap_lo = np.abs(queries - distinct[lo])
+    gap_hi = np.abs(queries - distinct[hi])
     take_lo = (gap_lo < gap_hi) | ((gap_lo == gap_hi) & (first[lo] < first[hi]))
     out = np.where(take_lo, first[lo], first[hi])
     gap = np.minimum(gap_lo, gap_hi)
-    rounded = (lo > 0) & (np.abs(queries - values[np.maximum(lo - 1, 0)]) == gap)
-    rounded |= (hi < last) & (np.abs(queries - values[np.minimum(hi + 1, last)]) == gap)
+    rounded = (lo > 0) & (np.abs(queries - distinct[np.maximum(lo - 1, 0)]) == gap)
+    rounded |= (hi < last) & (np.abs(queries - distinct[np.minimum(hi + 1, last)]) == gap)
     for i in np.flatnonzero(rounded):
-        out[i] = np.argmin(np.abs(queries[i] - candidates))
+        gaps = np.abs(queries[i] - ordered)
+        out[i] = candidates[gaps == gaps.min()].min()
     return out
 
 
@@ -107,14 +106,15 @@ def match_pairs(scores, treatments) -> MatchingResult:
     """Match every subject to its nearest opposite-group subject, with replacement.
 
     The winner is the smallest index among opposite-group subjects whose
-    computed ``|e_i - e_j|`` is minimal, float rounding included. Costs
-    O(n log n) time and O(n) memory.
+    computed ``|e_i - e_j|`` is minimal, float rounding included. Each group
+    is sorted once, as queries and as candidates: O(n log n) time, O(n) memory.
     """
     values = _score_values(scores)
     _, treated, control = _treatment_groups(treatments, values.shape[0])
+    by_t, by_c = treated[np.argsort(values[treated])], control[np.argsort(values[control])]
     pairs = np.empty(values.shape[0], dtype=np.intp)
-    pairs[treated] = control[_nearest(values[treated], values[control])]
-    pairs[control] = treated[_nearest(values[control], values[treated])]
+    pairs[by_t] = _nearest(values[by_t], by_c, values)
+    pairs[by_c] = _nearest(values[by_c], by_t, values)
     return MatchingResult(pairs=pairs, treated=treated, control=control)
 
 

@@ -3,9 +3,11 @@
 Parties never share raw covariates. Each party fits a dimensionality
 reduction on its own block, applies it to both its data and to a shared
 anchor dataset of dummy rows, and ships only the reduced matrices. The
-analyst aligns the per-row-block reduced spaces by taking a truncated SVD
-of the concatenated anchor images and mapping every block onto the shared
-left-singular basis with a pseudoinverse.
+analyst aligns the per-row-block reduced spaces onto the leading left
+singular vectors of the concatenated anchor images. Each row block's map
+comes from the R factor of that combined image: with ``combined = Q R``,
+``pinv(Q R_k) @ (Q U_R) = pinv(R_k) @ U_R`` is its pseudoinverse map in
+exact arithmetic, and no factor as tall as the anchor is formed.
 
 Analyst-side functions in this module accept reduced representations and
 per-row-block treatments/outcomes only; no covariate-bearing type crosses
@@ -156,29 +158,6 @@ def _group_by_row_block(
     return groups
 
 
-def _shared_basis(images: list[np.ndarray], collaborative_dim: int) -> np.ndarray:
-    """The shared basis of the row blocks' anchor images, in row-block order."""
-    anchor_rows = images[0].shape[0]
-    if collaborative_dim < 1:
-        raise DimensionError(f"collaborative dimension must be positive, got {collaborative_dim}")
-    if collaborative_dim > anchor_rows:
-        raise DimensionError(
-            f"collaborative dimension {collaborative_dim} exceeds anchor size {anchor_rows}"
-        )
-    combined = np.hstack(images)
-    # The shared basis cannot be wider than the combined anchor image; requests
-    # beyond that (or beyond numerical rank) shrink silently and the effective
-    # width is reported by the returned matrices.
-    rank = min(collaborative_dim, combined.shape[1])
-    basis = svd_truncated(combined, rank).u
-    if basis.shape[1] == 0:
-        raise CollaborationError(
-            "the combined anchor image has numerical rank 0, so there is no shared basis; "
-            "constant party columns are a likely cause"
-        )
-    return basis
-
-
 def fit_integration(intermediates: Sequence[IntermediateRepresentation],
                     collaborative_dim: int) -> list[IntegrationFunction]:
     """Fit one alignment map per row block from the anchor images.
@@ -186,14 +165,32 @@ def fit_integration(intermediates: Sequence[IntermediateRepresentation],
     The anchor images are concatenated per row block, those are concatenated
     side by side across row blocks, and the leading ``collaborative_dim``
     left singular vectors of the result become the shared basis. Each row
-    block's map is the pseudoinverse of its own anchor image times that basis.
+    block's map is the pseudoinverse of its own anchor image times that basis,
+    computed from the block's columns of the combined image's R factor.
     """
     groups = _group_by_row_block(intermediates)
-    images = {k: np.hstack([groups[k][l].anchor_rep for l in sorted(groups[k])])
-              for k in sorted(groups)}
-    basis = _shared_basis(list(images.values()), collaborative_dim)
-    return [IntegrationFunction(row_index=k, matrix=pseudoinverse(image) @ basis)
-            for k, image in images.items()]
+    images = [groups[k][l].anchor_rep for k in sorted(groups) for l in sorted(groups[k])]
+    if collaborative_dim < 1:
+        raise DimensionError(f"collaborative dimension must be positive, got {collaborative_dim}")
+    if collaborative_dim > images[0].shape[0]:
+        raise DimensionError(
+            f"collaborative dimension {collaborative_dim} exceeds anchor size {images[0].shape[0]}"
+        )
+    combined = np.empty((images[0].shape[0], sum(image.shape[1] for image in images)), order="F")
+    np.concatenate(images, axis=1, out=combined)  # column-major: faster to fill and to factor
+    r = np.linalg.qr(combined, mode="r")
+    # The shared basis cannot be wider than the combined anchor image; requests
+    # beyond that (or beyond numerical rank) shrink silently and the effective
+    # width is reported by the returned matrices.
+    basis = svd_truncated(r, min(collaborative_dim, combined.shape[1])).u
+    if basis.shape[1] == 0:
+        raise CollaborationError(
+            "the combined anchor image has numerical rank 0, so there is no shared basis; "
+            "constant party columns are a likely cause"
+        )
+    widths = [sum(rep.anchor_rep.shape[1] for rep in groups[k].values()) for k in sorted(groups)]
+    return [IntegrationFunction(k, pseudoinverse(r_k) @ basis)
+            for k, r_k in zip(sorted(groups), np.split(r, np.cumsum(widths)[:-1], axis=1))]
 
 
 @dataclass(frozen=True, eq=False)

@@ -391,10 +391,10 @@ def run_scenario(data: Dataset, config: ScenarioConfig,
                 {v.row_index: v.treatments for v in views},
                 {v.row_index: v.outcomes for v in views},
             )
-            scores = estimate_propensity(collab.values, z, source="dcqe")
+            scores = estimate_propensity(collab.values, z)
             effective_dim = collab.collaborative_dim
         else:
-            scores = estimate_propensity(scoped, z, source=config.analysis)
+            scores = estimate_propensity(scoped, z)
             effective_dim = None
 
         if config.estimator == "PSM":
@@ -414,7 +414,7 @@ def run_scenario(data: Dataset, config: ScenarioConfig,
         if not is_dcqe and full_width:
             reference = scores
         else:
-            reference = estimate_propensity(ground_truth, z, source="centralized")
+            reference = estimate_propensity(ground_truth, z)
         inc_ca = inconsistency(scores.values, reference.values)
         inc_true = None
         if true_sub is not None:

@@ -136,9 +136,10 @@ def _pca(arr: np.ndarray, target_dim: int) -> tuple[PcaModel, np.ndarray]:
     stddevs = cols.std(axis=1, ddof=1)
     stddevs = np.where(stddevs < DEGENERATE_STDDEV, 1.0, stddevs)
     standardized = (cols - means[:, None]) / stddevs[:, None]
-    # Thin SVD is enough unless more components than rows are requested.
-    full = target_dim > min(n, m)
-    _, svals, vt = np.linalg.svd(standardized.T, full_matrices=full)
+    # A tall block's R factor has its singular values and right vectors; gesdd
+    # takes that route itself once n >= 11m/6, so there only forming U is saved.
+    factor = np.linalg.qr(standardized.T, mode="r") if n > m else standardized.T
+    _, svals, vt = np.linalg.svd(factor, full_matrices=target_dim > min(n, m))
     components = vt[:target_dim].T.copy()
     _orient_columns(components)
     padded = np.zeros(target_dim)

@@ -13,7 +13,11 @@ variables-major softplus IRLS fit (``softplus_logistic_fit``) and the
 cell-by-cell CSV loaders (``cellwise_ingest_csv``,
 ``cellwise_load_party_files``). The masked-branch IRLS fit with
 ``logaddexp`` (``masked_sigmoid``, ``reference_logistic_fit``) is the fit
-before that one; the package's fit stays within a stated bound of it.
+before that one; the package's fit stays within a stated bound of it. The
+alignment that decomposes the anchor-tall combined image and pseudo-inverts
+each row block's anchor image (``fit_integration``, ``_shared_basis``) is
+the one before the R-factor alignment; the package's maps stay within a
+stated bound of its maps.
 """
 
 from __future__ import annotations
@@ -21,11 +25,13 @@ from __future__ import annotations
 import csv
 from fractions import Fraction
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
+from dcqe.collaboration import IntegrationFunction, IntermediateRepresentation, _group_by_row_block
 from dcqe.datamodel import Dataset, PartitionSpec
-from dcqe.errors import IngestionError
+from dcqe.errors import CollaborationError, DimensionError, IngestionError
 from dcqe.numerics import (
     LOGISTIC_MAX_ITER,
     LOGISTIC_RIDGE,
@@ -33,6 +39,8 @@ from dcqe.numerics import (
     LogisticModel,
     ensure_binary_labels,
     ensure_matrix,
+    pseudoinverse,
+    svd_truncated,
 )
 
 
@@ -365,6 +373,48 @@ def softplus_logistic_fit(features, labels) -> LogisticModel:
         n_iter=iterations,
         loglik_trace=np.asarray(trace),
     )
+
+
+# -- Alignment through the anchor-tall SVD and one pseudoinverse per row block
+
+def _shared_basis(images: list[np.ndarray], collaborative_dim: int) -> np.ndarray:
+    """The shared basis of the row blocks' anchor images, in row-block order."""
+    anchor_rows = images[0].shape[0]
+    if collaborative_dim < 1:
+        raise DimensionError(f"collaborative dimension must be positive, got {collaborative_dim}")
+    if collaborative_dim > anchor_rows:
+        raise DimensionError(
+            f"collaborative dimension {collaborative_dim} exceeds anchor size {anchor_rows}"
+        )
+    combined = np.hstack(images)
+    # The shared basis cannot be wider than the combined anchor image; requests
+    # beyond that (or beyond numerical rank) shrink silently and the effective
+    # width is reported by the returned matrices.
+    rank = min(collaborative_dim, combined.shape[1])
+    basis = svd_truncated(combined, rank).u
+    if basis.shape[1] == 0:
+        raise CollaborationError(
+            "the combined anchor image has numerical rank 0, so there is no shared basis; "
+            "constant party columns are a likely cause"
+        )
+    return basis
+
+
+def fit_integration(intermediates: Sequence[IntermediateRepresentation],
+                    collaborative_dim: int) -> list[IntegrationFunction]:
+    """Fit one alignment map per row block from the anchor images.
+
+    The anchor images are concatenated per row block, those are concatenated
+    side by side across row blocks, and the leading ``collaborative_dim``
+    left singular vectors of the result become the shared basis. Each row
+    block's map is the pseudoinverse of its own anchor image times that basis.
+    """
+    groups = _group_by_row_block(intermediates)
+    images = {k: np.hstack([groups[k][l].anchor_rep for l in sorted(groups[k])])
+              for k in sorted(groups)}
+    basis = _shared_basis(list(images.values()), collaborative_dim)
+    return [IntegrationFunction(row_index=k, matrix=pseudoinverse(image) @ basis)
+            for k, image in images.items()]
 
 
 # -- CSV loaders that parse and check one cell at a time, row by row ---------

@@ -43,11 +43,10 @@ class TestPropensity:
         x = rng.normal(size=(200, 3))
         logits = -0.2 + x @ np.array([0.8, -0.4, 0.1])
         z = (rng.random(200) < 1.0 / (1.0 + np.exp(-logits))).astype(int)
-        scores = estimate_propensity(x, z, source="centralized")
+        scores = estimate_propensity(x, z)
         theta = oracles.gradient_ascent_logistic(x, z)
         expected = 1.0 / (1.0 + np.exp(-(theta[0] + x @ theta[1:])))
         np.testing.assert_allclose(scores.values, np.clip(expected, 1e-6, 1 - 1e-6), atol=1e-4)
-        assert scores.source == "centralized"
 
     def test_single_class_raises(self):
         with pytest.raises(DegenerateLabelsError):
@@ -253,7 +252,7 @@ class TestIpwEstimates:
 
     def test_true_scores_recover_unit_effect_at_scale(self):
         data, true_scores = generate_artificial(ArtificialDataConfig(subjects=20_000, seed=11))
-        scores = PropensityScores(np.clip(true_scores, 1e-6, 1 - 1e-6), source="true")
+        scores = PropensityScores(np.clip(true_scores, 1e-6, 1 - 1e-6))
         point = estimate_ipw(scores, data.treatments, data.outcomes, "ATE").value
         rng = np.random.default_rng(4040)
         replicates = []

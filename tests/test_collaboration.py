@@ -3,9 +3,11 @@ import inspect
 import numpy as np
 import pytest
 
+import oracles
+from dcqe.causal import estimate_propensity
 from dcqe.collaboration import (
+    IntermediateRepresentation,
     _group_by_row_block,
-    _shared_basis,
     assemble_collaborative,
     fit_integration,
     generate_anchor,
@@ -17,11 +19,14 @@ from dcqe.experiments import ArtificialDataConfig, generate_artificial
 
 
 def shared_anchor_basis(reps, collaborative_dim):
-    """The orthonormal target basis onto which ``fit_integration`` aligns every row block."""
+    """The orthonormal target basis onto which ``fit_integration`` aligns every row block.
+
+    It comes from the pseudoinverse oracle, which forms it from the anchor-tall SVD.
+    """
     groups = _group_by_row_block(reps)
     images = [np.hstack([groups[k][l].anchor_rep for l in sorted(groups[k])])
               for k in sorted(groups)]
-    return _shared_basis(images, collaborative_dim)
+    return oracles._shared_basis(images, collaborative_dim)
 
 
 def benchmark_pipeline(seed=3, anchor_seed=77, scope_kind="whole", collaborative_dim=6):
@@ -152,14 +157,17 @@ class TestFitIntegration:
         rng = np.random.default_rng(8)
         anchor_rep = rng.normal(size=(30, 3))
         data = rng.normal(size=(12, 3))
-        from dcqe.collaboration import IntermediateRepresentation
 
         reps = [
             IntermediateRepresentation(0, 0, data, anchor_rep),
             IntermediateRepresentation(1, 0, data, anchor_rep),
         ]
         functions = fit_integration(reps, 3)
-        assert np.array_equal(functions[0].matrix, functions[1].matrix)
+        # The two row blocks own different columns of the combined image's R
+        # factor, which agree only up to rounding, so the maps agree within a
+        # few ulps of their largest entry rather than bit for bit.
+        largest = np.max(np.abs(functions[0].matrix))
+        assert np.max(np.abs(functions[0].matrix - functions[1].matrix)) <= 8 * np.spacing(largest)
         basis = shared_anchor_basis(reps, 3)
         np.testing.assert_allclose(anchor_rep @ functions[0].matrix, basis, atol=1e-8)
 
@@ -233,6 +241,77 @@ class TestFitIntegration:
         rep = make_intermediate(view, anchor.block(0), 2)
         with pytest.raises(CollaborationError, match="numerical rank 0.*constant party columns"):
             fit_integration([rep], 2)
+
+
+def random_reps(rng, anchor_reps):
+    """One representation per (row block, column block) key, with the given anchor images."""
+    return [IntermediateRepresentation(k, l, rng.normal(size=(9 + k, a.shape[1])), a)
+            for (k, l), a in anchor_reps.items()]
+
+
+def oracle_cases():
+    """Inputs for the pseudoinverse oracle: representations and a requested width."""
+    rng = np.random.default_rng(21)
+    a, b, col = rng.normal(size=(40, 2)), rng.normal(size=(40, 2)), rng.normal(size=(40, 1))
+    return [
+        pytest.param(benchmark_pipeline(scope_kind="top")[1], 6, id="one-row-block-width-clamped"),
+        pytest.param(benchmark_pipeline(seed=4, anchor_seed=9)[1], 6, id="two-row-blocks"),
+        pytest.param(benchmark_pipeline(seed=4, anchor_seed=9)[1], 8, id="two-row-blocks-full-width"),
+        # Both row blocks hold the same anchor images: the combined image has rank 4 of 8.
+        pytest.param(random_reps(rng, {(0, 0): a, (0, 1): b, (1, 0): a, (1, 1): b}), 8,
+                     id="rank-deficient-combined-image"),
+        pytest.param(random_reps(rng, {
+            (0, 0): np.hstack([col, 2.0 * col]), (0, 1): rng.normal(size=(40, 2)),
+            (1, 0): rng.normal(size=(40, 2)), (1, 1): rng.normal(size=(40, 2))}), 6,
+            id="rank-deficient-row-block"),
+        # Five anchor rows against a combined width of 8: R is 5 x 8.
+        pytest.param(random_reps(rng, {(k, l): rng.normal(size=(5, 2))
+                                       for k in range(2) for l in range(2)}), 5,
+                     id="fewer-anchor-rows-than-combined-width"),
+    ]
+
+
+class TestAlignmentMatchesPseudoinverseOracle:
+    """The R-factor maps against the anchor-tall SVD and pseudoinverse maps.
+
+    The two are equal in exact arithmetic; measured, they differ by at most
+    6e-15 of the largest map entry on these cases and at 16 000 anchor rows.
+    """
+
+    @pytest.mark.parametrize("reps,width", oracle_cases())
+    def test_maps_within_bound(self, reps, width):
+        new = fit_integration(reps, width)
+        old = oracles.fit_integration(reps, width)
+        assert [f.row_index for f in new] == [f.row_index for f in old]
+        for got, want in zip(new, old):
+            assert got.matrix.shape == want.matrix.shape
+            largest = np.max(np.abs(want.matrix))
+            assert np.max(np.abs(got.matrix - want.matrix)) <= 1e-13 * largest
+
+
+class TestRotatedPartyKeepsPropensities:
+    """A party that rotates its reduced space leaves the DC-QE propensities unchanged.
+
+    Right-multiplying one party's data and anchor images by an orthogonal Q
+    changes the combined anchor image by a block-diagonal orthogonal factor,
+    which leaves its left singular vectors alone (up to sign), and that
+    block's map absorbs Q^T. Each row block needs its own pseudoinverse for
+    this to hold.
+    """
+
+    @pytest.mark.parametrize("width", [4, 6, 8])
+    def test_propensities_unchanged(self, width):
+        views, reps, _ = benchmark_pipeline(seed=5, anchor_seed=13)
+        labels = ({v.row_index: v.treatments for v in views},
+                  {v.row_index: v.outcomes for v in views})
+        q, _ = np.linalg.qr(np.random.default_rng(31).normal(size=(2, 2)))
+        rotated = [IntermediateRepresentation(r.row_index, r.col_index, r.data_rep @ q, r.anchor_rep @ q)
+                   if (r.row_index, r.col_index) == (1, 1) else r for r in reps]
+        scores = []
+        for party_reps in (reps, rotated):
+            collab = assemble_collaborative(party_reps, fit_integration(party_reps, width), *labels)
+            scores.append(estimate_propensity(collab.values, collab.treatments).values)
+        assert np.max(np.abs(scores[0] - scores[1])) <= 1e-12
 
 
 def assemble_benchmark(scope_kind, collaborative_dim, seed=3, anchor_seed=77):

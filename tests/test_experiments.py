@@ -113,7 +113,7 @@ class TestRunScenario:
         data, scores = generate_artificial(ArtificialDataConfig(subjects=80, seed=2))
         config = small_scenario(analysis="centralized", intermediate_dim=None,
                                 collaborative_dim=None, bootstrap_replicates=3)
-        fitted = estimate_propensity(data.covariates, data.treatments, source="centralized")
+        fitted = estimate_propensity(data.covariates, data.treatments)
         expected = estimate_ipw(fitted, data.treatments, data.outcomes, "ATE").value
         assert run_scenario(data, config, scores).point_estimate == expected
 
@@ -517,6 +517,31 @@ class TestAlignmentRank:
             truncated = svd_truncated(combined, rank)
             errors.append(np.linalg.norm(combined - truncated.reconstruct()))
         assert all(b <= a + 1e-9 for a, b in zip(errors, errors[1:]))
+
+    def test_no_svd_input_is_taller_than_the_combined_width(self, monkeypatch):
+        # Party PCA and alignment decompose R factors, never the subject- or
+        # anchor-tall matrices themselves.
+        shapes, widths = [], []
+        svd, fit = np.linalg.svd, experiments.fit_integration
+
+        def recording_svd(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return svd(a, *args, **kwargs)
+
+        def recording_fit(reps, collaborative_dim):  # a rebound name also keeps the runs serial
+            widths.append(sum(r.anchor_rep.shape[1] for r in reps))
+            return fit(reps, collaborative_dim)
+
+        monkeypatch.setattr(np.linalg, "svd", recording_svd)
+        monkeypatch.setattr(experiments, "fit_integration", recording_fit)
+        data, true_scores = generate_artificial(ArtificialDataConfig(subjects=4000, seed=2))
+        spec = PartitionSpec((2000, 2000), (3, 3))
+        config = ScenarioConfig(partition=spec, scope=CollaborationScope.build("whole", spec),
+                                analysis="dcqe", estimator="PSM", intermediate_dim=2,
+                                collaborative_dim=6, bootstrap_replicates=2, master_seed=3)
+        run_scenario(data, config, true_scores)
+        assert widths == [8, 8, 8]
+        assert shapes and max(rows for rows, _ in shapes) <= 8, shapes
 
 
 @pytest.fixture(scope="module")
