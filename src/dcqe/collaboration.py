@@ -1,23 +1,24 @@
 """Construction of collaborative representations from party-private data.
 
 Parties never share raw covariates. Each party fits a dimensionality
-reduction on its own block, applies it to both its data and to a shared
-anchor dataset of dummy rows, and ships only the reduced matrices. The
-analyst aligns the per-row-block reduced spaces onto the leading left
-singular vectors of the concatenated anchor images. Each row block's map
-comes from the R factor of that combined image: with ``combined = Q R``,
-``pinv(Q R_k) @ (Q U_R) = pinv(R_k) @ U_R`` is its pseudoinverse map in
-exact arithmetic, and no factor as tall as the anchor is formed.
+reduction on its own block, applies it to both its data and to its columns
+of a shared anchor matrix of dummy rows, and ships only the reduced
+matrices. The analyst aligns the per-row-block reduced spaces onto the
+leading left singular vectors of the concatenated anchor images. Each row
+block's map comes from the R factor of that combined image: with
+``combined = Q R``, ``pinv(Q R_k) @ (Q U_R) = pinv(R_k) @ U_R`` is its
+pseudoinverse map in exact arithmetic, and no factor as tall as the anchor
+is formed. The assembled collaborative representation is a plain matrix
+with one row per subject.
 
-Analyst-side functions in this module accept reduced representations and
-per-row-block treatments/outcomes only; no covariate-bearing type crosses
-that boundary.
+Analyst-side functions take only reduced representations and the maps
+fitted from them; no covariates, treatments or outcomes cross that boundary.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -26,34 +27,8 @@ from .errors import AnchorError, CollaborationError, DimensionError
 from .numerics import _pca, _project, ensure_matrix, pseudoinverse, svd_truncated
 
 
-@dataclass(frozen=True, eq=False)
-class AnchorDataset:
-    """Shareable dummy rows spanning all covariate columns."""
-
-    values: np.ndarray
-    column_blocks: tuple[int, ...]
-
-    def __post_init__(self):
-        values = ensure_matrix(self.values, "anchor values")
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "column_blocks", tuple(int(v) for v in self.column_blocks))
-        if any(v < 1 for v in self.column_blocks):
-            raise AnchorError("anchor column blocks must be non-empty")
-        if sum(self.column_blocks) != values.shape[1]:
-            raise AnchorError(
-                f"anchor column blocks sum to {sum(self.column_blocks)}, "
-                f"values have {values.shape[1]} columns"
-            )
-
-    def block(self, l: int) -> np.ndarray:
-        """The anchor columns belonging to column block ``l``."""
-        offsets = np.concatenate([[0], np.cumsum(self.column_blocks)])
-        return self.values[:, offsets[l]:offsets[l + 1]]
-
-
-def generate_anchor(col_ranges: Sequence[tuple[float, float]], r: int, seed: int,
-                    column_blocks: Sequence[int] | None = None) -> AnchorDataset:
-    """Draw ``r`` anchor rows with each column uniform on its (min, max) range."""
+def generate_anchor(col_ranges: Sequence[tuple[float, float]], r: int, seed: int) -> np.ndarray:
+    """The ``r`` x m anchor matrix, its column j uniform on the range ``col_ranges[j]``."""
     ranges = np.asarray(col_ranges, dtype=float)
     if ranges.ndim != 2 or ranges.shape[0] < 1 or ranges.shape[1] != 2:
         raise AnchorError("col_ranges must be a non-empty sequence of (min, max) pairs")
@@ -62,13 +37,15 @@ def generate_anchor(col_ranges: Sequence[tuple[float, float]], r: int, seed: int
     lows, highs = ranges[:, 0], ranges[:, 1]
     if np.any(lows > highs):
         raise AnchorError("every anchor range needs min <= max")
+    with np.errstate(over="ignore"):  # an overflowing width is reported just below
+        too_wide = np.flatnonzero(~np.isfinite(highs - lows))
+    if too_wide.size:
+        j = too_wide[0]
+        raise AnchorError(f"anchor range {j} [{lows[j]:g}, {highs[j]:g}] is too wide: "
+                          "its max - min overflows")
     if r < 1:
         raise AnchorError(f"anchor size must be positive, got {r}")
-    if column_blocks is None:
-        column_blocks = (ranges.shape[0],)
-    rng = np.random.default_rng(seed)
-    values = rng.uniform(lows, highs, size=(int(r), ranges.shape[0]))
-    return AnchorDataset(values, tuple(column_blocks))
+    return np.random.default_rng(seed).uniform(lows, highs, size=(int(r), ranges.shape[0]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -193,34 +170,12 @@ def fit_integration(intermediates: Sequence[IntermediateRepresentation],
             for k, r_k in zip(sorted(groups), np.split(r, np.cumsum(widths)[:-1], axis=1))]
 
 
-@dataclass(frozen=True, eq=False)
-class CollaborativeRepresentation:
-    """Aligned representation of all subjects plus their treatments and outcomes."""
-
-    values: np.ndarray
-    row_blocks: tuple[int, ...]
-    treatments: np.ndarray
-    outcomes: np.ndarray
-
-    @property
-    def subject_count(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def collaborative_dim(self) -> int:
-        return self.values.shape[1]
-
-
-def assemble_collaborative(
-    intermediates: Sequence[IntermediateRepresentation],
-    integrations: Sequence[IntegrationFunction],
-    treatments_by_block: Mapping[int, np.ndarray],
-    outcomes_by_block: Mapping[int, np.ndarray],
-) -> CollaborativeRepresentation:
+def assemble_collaborative(intermediates: Sequence[IntermediateRepresentation],
+                           integrations: Sequence[IntegrationFunction]) -> np.ndarray:
     """Stack each row block's aligned representation in block order.
 
-    Treatments and outcomes are concatenated in the same order, so row ``i``
-    of the result corresponds to entry ``i`` of both vectors.
+    Row ``i`` of the result is subject ``i`` of the row blocks taken in order,
+    so it lines up with their treatments and outcomes concatenated the same way.
     """
     groups = _group_by_row_block(intermediates)
     maps = {g.row_index: g.matrix for g in integrations}
@@ -233,7 +188,7 @@ def assemble_collaborative(
     if len(widths) != 1:
         raise CollaborationError("integration functions disagree on the collaborative dimension")
 
-    blocks, sizes, z_parts, y_parts = [], [], [], []
+    blocks = []
     for k in sorted(groups):
         stacked = np.hstack([groups[k][l].data_rep for l in sorted(groups[k])])
         if stacked.shape[1] != maps[k].shape[0]:
@@ -241,22 +196,5 @@ def assemble_collaborative(
                 f"row block {k}: representation width {stacked.shape[1]} does not match "
                 f"integration input width {maps[k].shape[0]}"
             )
-        if k not in treatments_by_block or k not in outcomes_by_block:
-            raise CollaborationError(f"missing treatments or outcomes for row block {k}")
-        z = np.asarray(treatments_by_block[k])
-        y = np.asarray(outcomes_by_block[k], dtype=float)
-        if z.shape[0] != stacked.shape[0] or y.shape[0] != stacked.shape[0]:
-            raise CollaborationError(
-                f"row block {k}: treatments/outcomes length does not match its subject count"
-            )
         blocks.append(stacked @ maps[k])
-        sizes.append(stacked.shape[0])
-        z_parts.append(z)
-        y_parts.append(y)
-
-    return CollaborativeRepresentation(
-        values=np.vstack(blocks),
-        row_blocks=tuple(sizes),
-        treatments=np.concatenate(z_parts),
-        outcomes=np.concatenate(y_parts),
-    )
+    return np.vstack(blocks)

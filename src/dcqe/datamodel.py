@@ -100,17 +100,11 @@ class PartitionSpec:
 
 @dataclass(frozen=True, eq=False)
 class PartyView:
-    """One party's private covariate block plus its row block's labels."""
+    """One party's private covariate block and its place in the grid."""
 
     row_index: int
     col_index: int
     covariates: np.ndarray
-    treatments: np.ndarray
-    outcomes: np.ndarray
-
-    @property
-    def subject_count(self) -> int:
-        return self.covariates.shape[0]
 
     @property
     def covariate_count(self) -> int:
@@ -118,23 +112,21 @@ class PartyView:
 
 
 def partition(data: Dataset, spec: PartitionSpec) -> list[PartyView]:
-    """Split a dataset into per-party views, in row-major block order.
+    """Split a dataset's covariates into per-party views, in row-major block order.
 
     The views' arrays are slices of the dataset's: they share its memory.
     """
     spec.validate_for(data)
-    return _party_views(data.covariates, data.treatments, data.outcomes, spec)
+    return _party_views(data.covariates, spec)
 
 
-def _party_views(covariates: np.ndarray, treatments: np.ndarray, outcomes: np.ndarray,
-                 spec: PartitionSpec) -> list[PartyView]:
-    """``partition`` of arrays already checked and sized to ``spec``, without copies."""
+def _party_views(covariates: np.ndarray, spec: PartitionSpec) -> list[PartyView]:
+    """``partition`` of covariates already checked and sized to ``spec``, without copies."""
     views = []
     for k in range(spec.row_block_count):
         rows = spec.row_slice(k)
         for l in range(spec.col_block_count):
-            views.append(PartyView(k, l, covariates[rows, spec.col_slice(l)],
-                                   treatments[rows], outcomes[rows]))
+            views.append(PartyView(k, l, covariates[rows, spec.col_slice(l)]))
     return views
 
 

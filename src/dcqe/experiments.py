@@ -378,21 +378,15 @@ def run_scenario(data: Dataset, config: ScenarioConfig,
         scoped = ground_truth if full_width else scoped_cov[idx]
 
         if is_dcqe:
-            views = _party_views(scoped, z, y, sub_spec)
-            anchor = generate_anchor(anchor_bounds, anchor_size, anchor_seed, sub_spec.col_blocks)
+            anchor = generate_anchor(anchor_bounds, anchor_size, anchor_seed)
             reps = [
-                make_intermediate(v, anchor.block(v.col_index), config.intermediate_dim)
-                for v in views
+                make_intermediate(v, anchor[:, sub_spec.col_slice(v.col_index)],
+                                  config.intermediate_dim)
+                for v in _party_views(scoped, sub_spec)
             ]
-            integrations = fit_integration(reps, config.collaborative_dim)
-            collab = assemble_collaborative(
-                reps,
-                integrations,
-                {v.row_index: v.treatments for v in views},
-                {v.row_index: v.outcomes for v in views},
-            )
-            scores = estimate_propensity(collab.values, z)
-            effective_dim = collab.collaborative_dim
+            collab = assemble_collaborative(reps, fit_integration(reps, config.collaborative_dim))
+            scores = estimate_propensity(collab, z)
+            effective_dim = collab.shape[1]
         else:
             scores = estimate_propensity(scoped, z)
             effective_dim = None

@@ -1,12 +1,15 @@
 import csv
+import io
 import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import dcqe
 
@@ -15,6 +18,7 @@ from dcqe.cli import (
     EXIT_INGESTION,
     EXIT_OK,
     EXIT_RUNTIME,
+    SETTINGS,
     emit_report,
     execute,
     format_config,
@@ -514,6 +518,31 @@ class TestRunCommand:
         assert "anchor image has numerical rank 0" in err
         assert "constant party columns" in err
 
+    def test_covariate_range_wider_than_a_double_exits_runtime_naming_the_anchor_range(
+            self, tmp_path, capsys):
+        # Column b spans [-1e308, 1e308]: its max - min overflows, so no anchor can be drawn.
+        rng = np.random.default_rng(0)
+        wide = [1e308, -1e308] + [0.0] * 38
+        party0 = write_rows(tmp_path / "p0.csv",
+                            [f"{i},{rng.normal()!r},{wide[i]!r}" for i in range(40)],
+                            header="id,a,b")
+        party1 = write_rows(tmp_path / "p1.csv",
+                            [f"{i},{rng.normal()!r},{rng.normal()!r}" for i in range(40)],
+                            header="id,c,d")
+        block = write_rows(tmp_path / "block.csv",
+                           [f"{i},{i % 2},{rng.normal()!r}" for i in range(40)],
+                           header="id,treatment,outcome")
+        config = write_config(tmp_path / "run.conf", "\n".join([
+            f"run.party.0.0 = {party0}", f"run.party.0.1 = {party1}", f"run.block.0 = {block}",
+            "run.id_column = id", "reduction.intermediate_dim = 1",
+            "reduction.collaborative_dim = 2", "bootstrap.replicates = 2",
+        ]) + "\n")
+        code = main(["run", "--config", str(config), "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == EXIT_RUNTIME
+        assert "anchor range 1 [-1e+308, 1e+308] is too wide" in err
+        assert "Traceback" not in err
+
     def test_non_strict_reduction_of_ingested_parties_is_a_config_error(self, tmp_path, capsys):
         # The parties hold two columns each, so a width of 2 is no reduction;
         # the rule needs the ingested partition and is checked after reading.
@@ -749,3 +778,75 @@ class TestKeysPerCommand:
         code = main([mode[0], "--config", str(config), "--out", str(tmp_path / "out")])
         assert code == EXIT_CONFIG
         assert capsys.readouterr().err == f"config error: {caught.value}\n"
+
+
+# Party-file cells: any finite double, with the extremes, subnormals and zero
+# drawn often; a column may also be constant.
+EXTREME_CELLS = [1e308, -1e308, 5e-324, -5e-324, 2.2250738585072014e-308, 0.0, 1.0]
+FUZZ_CELLS = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                       st.sampled_from(EXTREME_CELLS))
+FUZZ_FILES = ("p0.csv", "p1.csv", "block.csv", "missing.csv")
+# Config values for every other key. No digits in free text, so that no size
+# key is ever parsed as a large integer.
+FUZZ_VALUES = st.one_of(
+    st.integers(-3, 12).map(str),
+    FUZZ_CELLS.map(repr),
+    st.sampled_from(["true", "false", "IPW", "PSM", "ATE", "ATT", "dcqe", "whole", "custom",
+                     "csv,json", "table", "id", ""]),
+    st.text(st.characters(blacklist_categories=("Nd", "Cs"), blacklist_characters="\n\r"),
+            max_size=6),
+)
+
+
+@st.composite
+def fuzz_config_lines(draw):
+    """``key = value`` lines of ``SETTINGS`` keys, each ``#`` a small block index."""
+    lines = {}
+    for row in draw(st.lists(st.sampled_from(sorted(SETTINGS)), max_size=4)):
+        key = ".".join(str(draw(st.integers(0, 2))) if part == "#" else part
+                       for part in row.split("."))
+        is_path = row.startswith("run.party") or row in ("run.block.#", "evaluate.data")
+        lines[key] = draw(st.sampled_from(FUZZ_FILES) if is_path else FUZZ_VALUES)
+    return lines
+
+
+@st.composite
+def fuzz_columns(draw, n):
+    """One party's two covariate columns of ``n`` cells: constant, of moderate size, or any."""
+    kinds = {"constant": None, "moderate": st.floats(-1e3, 1e3), "any": FUZZ_CELLS}
+    columns = []
+    for kind in draw(st.lists(st.sampled_from(sorted(kinds)), min_size=2, max_size=2)):
+        cells = kinds[kind] or st.just(draw(FUZZ_CELLS))
+        columns.append(draw(st.lists(cells, min_size=n, max_size=n)))
+    return columns
+
+
+class TestRunFuzz:
+    """``dcqe run`` on drawn config lines and party cells exits with a code, never a traceback."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data(), st.integers(2, 10), fuzz_config_lines())
+    def test_exit_code_without_traceback(self, tmp_path_factory, data, n, extra):
+        tmp = tmp_path_factory.mktemp("fuzz")
+        for name in ("p0.csv", "p1.csv"):
+            columns = data.draw(fuzz_columns(n))
+            write_rows(tmp / name, [f"{i},{a!r},{b!r}" for i, (a, b) in enumerate(zip(*columns))],
+                       header="id,a,b")
+        labels = data.draw(st.lists(st.sampled_from([0, 1]), min_size=n, max_size=n))
+        outcomes = data.draw(st.lists(FUZZ_CELLS, min_size=n, max_size=n))
+        write_rows(tmp / "block.csv", [f"{i},{z},{y!r}" for i, (z, y) in
+                                       enumerate(zip(labels, outcomes))],
+                   header="id,treatment,outcome")
+        lines = {"run.party.0.0": "p0.csv", "run.party.0.1": "p1.csv", "run.block.0": "block.csv",
+                 "run.id_column": "id", "reduction.intermediate_dim": "1",
+                 "bootstrap.replicates": "2"}
+        lines.update(extra)
+        lines = {key: str(tmp / value) if value in FUZZ_FILES else value
+                 for key, value in lines.items()}
+        config = write_config(tmp / "run.conf",
+                              "".join(f"{key} = {value}\n" for key, value in lines.items()))
+        err = io.StringIO()
+        with redirect_stderr(err), redirect_stdout(io.StringIO()):
+            code = main(["run", "--config", str(config), "--out", str(tmp / "out")])
+        assert code in (EXIT_OK, EXIT_CONFIG, EXIT_INGESTION, EXIT_RUNTIME), err.getvalue()
+        assert "Traceback" not in err.getvalue()

@@ -1,4 +1,5 @@
 import inspect
+import warnings
 
 import numpy as np
 import pytest
@@ -13,7 +14,8 @@ from dcqe.collaboration import (
     generate_anchor,
     make_intermediate,
 )
-from dcqe.datamodel import CollaborationScope, Dataset, PartitionSpec, PartyView, partition
+from dcqe.datamodel import CollaborationScope, Dataset, PartitionSpec, PartyView, partition, \
+    scoped_partition
 from dcqe.errors import AnchorError, CollaborationError, DimensionError
 from dcqe.experiments import ArtificialDataConfig, generate_artificial
 
@@ -38,31 +40,34 @@ def benchmark_pipeline(seed=3, anchor_seed=77, scope_kind="whole", collaborative
     cols = np.concatenate([np.arange(spec.col_slice(l).start, spec.col_slice(l).stop)
                            for l in scope.col_indices])
     bounds = np.column_stack([data.covariates[:, cols].min(0), data.covariates[:, cols].max(0)])
-    blocks = tuple(spec.col_blocks[l] for l in scope.col_indices)
-    anchor = generate_anchor(bounds, 1000, anchor_seed, blocks)
+    anchor = generate_anchor(bounds, 1000, anchor_seed)
+    sub_spec = scoped_partition(spec, scope)
     local_col = {l: i for i, l in enumerate(scope.col_indices)}
-    reps = [make_intermediate(v, anchor.block(local_col[v.col_index]), 2) for v in views]
+    reps = [make_intermediate(v, anchor[:, sub_spec.col_slice(local_col[v.col_index])], 2)
+            for v in views]
     return views, reps, collaborative_dim
 
 
 class TestGenerateAnchor:
     def test_degenerate_interval_gives_constant(self):
         anchor = generate_anchor([(0.0, 0.0)], 5, seed=1)
-        assert anchor.values.shape == (5, 1)
-        np.testing.assert_array_equal(anchor.values, 0.0)
+        assert anchor.shape == (5, 1)
+        np.testing.assert_array_equal(anchor, 0.0)
 
     def test_benchmark_size_matches_subject_count(self):
         bounds = [(-3.0, 3.0)] * 6
-        anchor = generate_anchor(bounds, 1000, seed=0, column_blocks=(3, 3))
-        assert anchor.values.shape == (1000, 6)
-        assert anchor.block(0).shape == (1000, 3)
-        assert anchor.block(1).shape == (1000, 3)
+        anchor = generate_anchor(bounds, 1000, seed=0)
+        assert anchor.shape == (1000, 6)
+        spec = PartitionSpec((500, 500), (3, 3))
+        # Each party's anchor block is its own column slice of the one matrix.
+        np.testing.assert_array_equal(anchor[:, spec.col_slice(0)], anchor[:, :3])
+        np.testing.assert_array_equal(anchor[:, spec.col_slice(1)], anchor[:, 3:])
 
     def test_uniform_moments(self):
         bounds = [(-2.0, 6.0), (0.0, 1.0)]
         anchor = generate_anchor(bounds, 10_000, seed=9)
         for j, (low, high) in enumerate(bounds):
-            column = anchor.values[:, j]
+            column = anchor[:, j]
             assert column.min() >= low and column.max() <= high
             midpoint = (low + high) / 2.0
             stderr = (high - low) / np.sqrt(12.0 * 10_000)
@@ -72,7 +77,7 @@ class TestGenerateAnchor:
         bounds = [(0.0, 1.0), (-1.0, 1.0)]
         first = generate_anchor(bounds, 50, seed=4)
         second = generate_anchor(bounds, 50, seed=4)
-        assert np.array_equal(first.values, second.values)
+        assert np.array_equal(first, second)
 
     def test_invalid_inputs(self):
         with pytest.raises(AnchorError):
@@ -81,15 +86,20 @@ class TestGenerateAnchor:
             generate_anchor([(1.0, 0.0)], 5, seed=0)
         with pytest.raises(AnchorError):
             generate_anchor([(0.0, 1.0)], 0, seed=0)
-        with pytest.raises(AnchorError):
-            generate_anchor([(0.0, 1.0)] * 3, 5, seed=0, column_blocks=(2, 2))
+
+    def test_range_wider_than_the_largest_double_rejected_without_warning(self):
+        # max - min overflows although both bounds are finite; numpy's uniform
+        # would raise OverflowError on it.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(AnchorError, match=r"anchor range 1 \[-1e\+308, 1e\+308\]"):
+                generate_anchor([(0.0, 1.0), (-1e308, 1e308)], 5, seed=0)
+            assert generate_anchor([(-1e308, 0.0), (0.0, 1e308)], 5, seed=0).shape == (5, 2)
 
 
 def make_view(rows, cols, seed=0, row_index=0, col_index=0):
     rng = np.random.default_rng(seed)
-    z = np.zeros(rows, dtype=int)
-    z[: rows // 2] = 1
-    return PartyView(row_index, col_index, rng.normal(size=(rows, cols)), z, rng.normal(size=rows))
+    return PartyView(row_index, col_index, rng.normal(size=(rows, cols)))
 
 
 class TestMakeIntermediate:
@@ -112,9 +122,7 @@ class TestMakeIntermediate:
         rng = np.random.default_rng(5)
         base = rng.normal(size=60)
         covariates = np.column_stack([base, 2.0 * base, -0.5 * base])
-        z = np.zeros(60, dtype=int)
-        z[:30] = 1
-        view = PartyView(0, 0, covariates, z, rng.normal(size=60))
+        view = PartyView(0, 0, covariates)
         rep = make_intermediate(view, rng.uniform(-1, 1, size=(10, 3)), 1)
         # Standardized rank-1 block has total variance 3, all on one direction.
         assert rep.data_rep[:, 0].var(ddof=1) == pytest.approx(3.0, abs=1e-8)
@@ -233,12 +241,10 @@ class TestFitIntegration:
     def test_rank_zero_anchor_image_named(self):
         # A party whose columns are all constant draws a constant anchor
         # block, which standardizes to zero: the anchor image has rank 0.
-        rng = np.random.default_rng(4)
-        z = np.array([0, 1] * 25)
-        view = PartyView(0, 0, np.tile([1.0, 2.0, 3.0, 4.0], (50, 1)), z, rng.normal(size=50))
+        view = PartyView(0, 0, np.tile([1.0, 2.0, 3.0, 4.0], (50, 1)))
         bounds = np.column_stack([view.covariates.min(0), view.covariates.max(0)])
         anchor = generate_anchor(bounds, 50, seed=1)
-        rep = make_intermediate(view, anchor.block(0), 2)
+        rep = make_intermediate(view, anchor, 2)
         with pytest.raises(CollaborationError, match="numerical rank 0.*constant party columns"):
             fit_integration([rep], 2)
 
@@ -301,42 +307,100 @@ class TestRotatedPartyKeepsPropensities:
 
     @pytest.mark.parametrize("width", [4, 6, 8])
     def test_propensities_unchanged(self, width):
-        views, reps, _ = benchmark_pipeline(seed=5, anchor_seed=13)
-        labels = ({v.row_index: v.treatments for v in views},
-                  {v.row_index: v.outcomes for v in views})
+        _, reps, _ = benchmark_pipeline(seed=5, anchor_seed=13)
+        z = generate_artificial(ArtificialDataConfig(seed=5))[0].treatments
         q, _ = np.linalg.qr(np.random.default_rng(31).normal(size=(2, 2)))
         rotated = [IntermediateRepresentation(r.row_index, r.col_index, r.data_rep @ q, r.anchor_rep @ q)
                    if (r.row_index, r.col_index) == (1, 1) else r for r in reps]
         scores = []
         for party_reps in (reps, rotated):
-            collab = assemble_collaborative(party_reps, fit_integration(party_reps, width), *labels)
-            scores.append(estimate_propensity(collab.values, collab.treatments).values)
+            collab = assemble_collaborative(party_reps, fit_integration(party_reps, width))
+            scores.append(estimate_propensity(collab, z).values)
         assert np.max(np.abs(scores[0] - scores[1])) <= 1e-12
 
 
+def protocol_propensities(blocks, anchor_blocks, z, width=6):
+    """DC-QE propensities from party and anchor blocks keyed by (row block, column block)."""
+    reps = [make_intermediate(PartyView(k, l, blocks[k, l]), anchor_blocks[k, l], 2)
+            for k, l in sorted(blocks)]
+    return estimate_propensity(assemble_collaborative(reps, fit_integration(reps, width)), z).values
+
+
+def protocol_inputs(seed=7, anchor_seed=41):
+    """The 2 x 2 grid of 1000 x 6 benchmark data: party blocks, anchor blocks and treatments."""
+    data, _ = generate_artificial(ArtificialDataConfig(seed=seed))
+    spec = PartitionSpec((500, 500), (3, 3))
+    bounds = np.column_stack([data.covariates.min(0), data.covariates.max(0)])
+    anchor = generate_anchor(bounds, 1000, anchor_seed)
+    blocks = {(v.row_index, v.col_index): v.covariates for v in partition(data, spec)}
+    anchor_blocks = {(k, l): anchor[:, spec.col_slice(l)] for k, l in blocks}
+    return blocks, anchor_blocks, data.treatments
+
+
+class TestMetamorphicProtocol:
+    """Re-coding one party's covariates, or reordering a row block, keeps the propensities.
+
+    Each party standardizes its block with its own means and SDs before its
+    PCA, so a per-column affine map ``x -> a x + b`` (``a > 0``) applied to its
+    covariates, and to its anchor columns as it would see them in its own
+    units, gives the same intermediate representations up to rounding.
+    That rounding grows with a shift's size against the recoded column's SD
+    (``|b| / (a sd)``), through cancellation in the centring: the shifts here
+    are a few SDs, while a shift of 3000 on a column of SD 0.01 (3e5 SDs)
+    moved the propensities by 4e-12.
+    Measured change on these cases: at most 7e-16, against a bound of 1e-12.
+    """
+
+    BOUND = 1e-12
+
+    @pytest.mark.parametrize("scale,shift", [
+        pytest.param([1000.0, 0.01, 7.0], [0.0, 0.0, 0.0], id="scale"),
+        pytest.param([1.0, 1.0, 1.0], [-5.0, 3.0, 0.5], id="shift"),
+        pytest.param([1000.0, 0.01, 7.0], [-2000.0, 0.05, 10.0], id="scale-and-shift"),
+    ])
+    def test_affine_recoding_of_one_party(self, scale, shift):
+        blocks, anchor_blocks, z = protocol_inputs()
+        before = protocol_propensities(blocks, anchor_blocks, z)
+        scale, shift = np.array(scale), np.array(shift)
+        blocks[0, 1] = blocks[0, 1] * scale + shift
+        anchor_blocks[0, 1] = anchor_blocks[0, 1] * scale + shift
+        after = protocol_propensities(blocks, anchor_blocks, z)
+        assert np.max(np.abs(after - before)) <= self.BOUND
+
+    def test_permuting_subjects_within_a_row_block(self):
+        blocks, anchor_blocks, z = protocol_inputs()
+        before = protocol_propensities(blocks, anchor_blocks, z)
+        perm = np.random.default_rng(3).permutation(500)
+        for l in (0, 1):  # the same order in each party of row block 1
+            blocks[1, l] = blocks[1, l][perm]
+        permuted_z = np.concatenate([z[:500], z[500:][perm]])
+        after = protocol_propensities(blocks, anchor_blocks, permuted_z)
+        restored = after.copy()
+        restored[500 + perm] = after[500:]
+        assert not np.array_equal(after, before)
+        assert np.max(np.abs(restored - before)) <= self.BOUND
+
+
 def assemble_benchmark(scope_kind, collaborative_dim, seed=3, anchor_seed=77):
-    views, reps, _ = benchmark_pipeline(seed=seed, anchor_seed=anchor_seed,
-                                        scope_kind=scope_kind,
-                                        collaborative_dim=collaborative_dim)
-    functions = fit_integration(reps, collaborative_dim)
-    return assemble_collaborative(
-        reps,
-        functions,
-        {v.row_index: v.treatments for v in views},
-        {v.row_index: v.outcomes for v in views},
-    )
+    _, reps, _ = benchmark_pipeline(seed=seed, anchor_seed=anchor_seed, scope_kind=scope_kind,
+                                    collaborative_dim=collaborative_dim)
+    return assemble_collaborative(reps, fit_integration(reps, collaborative_dim))
 
 
 class TestAssemble:
     def test_whole_collaboration_width(self):
-        collab = assemble_benchmark("whole", 6)
-        assert collab.values.shape == (1000, 6)
-        assert collab.row_blocks == (500, 500)
-        assert collab.treatments.shape == (1000,)
+        _, reps, _ = benchmark_pipeline()
+        functions = fit_integration(reps, 6)
+        collab = assemble_collaborative(reps, functions)
+        assert collab.shape == (1000, 6)
+        # Row block k's 500 subjects fill rows 500k to 500k + 499, in its own order.
+        for k, fn in enumerate(functions):
+            stacked = np.hstack([r.data_rep for r in reps if r.row_index == k])
+            assert np.array_equal(collab[500 * k:500 * (k + 1)], stacked @ fn.matrix)
 
     def test_left_collaboration_width(self):
         collab = assemble_benchmark("left", 3)
-        assert collab.values.shape == (1000, 3)
+        assert collab.shape == (1000, 3)
 
     def test_single_party_spans_reduction_scores(self):
         rng = np.random.default_rng(12)
@@ -346,34 +410,21 @@ class TestAssemble:
         spec = PartitionSpec((80,), (4,))
         view = partition(data, spec)[0]
         bounds = np.column_stack([data.covariates.min(0), data.covariates.max(0)])
-        anchor = generate_anchor(bounds, 80, 3, (4,))
-        rep = make_intermediate(view, anchor.block(0), 3)
-        functions = fit_integration([rep], 3)
-        collab = assemble_collaborative(
-            [rep], functions, {0: view.treatments}, {0: view.outcomes}
-        )
+        anchor = generate_anchor(bounds, 80, 3)
+        rep = make_intermediate(view, anchor, 3)
+        collab = assemble_collaborative([rep], fit_integration([rep], 3))
         # The aligned representation is an invertible linear image of the
         # reduction scores, so predicting it from them leaves no residual.
-        solution, residual, rank, _ = np.linalg.lstsq(rep.data_rep, collab.values, rcond=None)
+        solution, residual, rank, _ = np.linalg.lstsq(rep.data_rep, collab, rcond=None)
         assert rank == 3
         reconstruction = rep.data_rep @ solution
-        np.testing.assert_allclose(reconstruction, collab.values, atol=1e-8)
+        np.testing.assert_allclose(reconstruction, collab, atol=1e-8)
 
     def test_mismatched_integrations_rejected(self):
-        views, reps, _ = benchmark_pipeline()
+        _, reps, _ = benchmark_pipeline()
         functions = fit_integration(reps, 6)
         with pytest.raises(CollaborationError):
-            assemble_collaborative(
-                reps, functions[:1],
-                {v.row_index: v.treatments for v in views},
-                {v.row_index: v.outcomes for v in views},
-            )
-
-    def test_missing_labels_rejected(self):
-        views, reps, _ = benchmark_pipeline()
-        functions = fit_integration(reps, 6)
-        with pytest.raises(CollaborationError):
-            assemble_collaborative(reps, functions, {}, {})
+            assemble_collaborative(reps, functions[:1])
 
 
 class TestPrivacyBoundary:
@@ -389,21 +440,15 @@ class TestPrivacyBoundary:
 
     def test_analyst_output_ignores_covariate_tampering(self):
         views, reps, _ = benchmark_pipeline(seed=15, anchor_seed=2)
-        labels = ({v.row_index: v.treatments for v in views},
-                  {v.row_index: v.outcomes for v in views})
-        functions_before = fit_integration(reps, 6)
-        before = assemble_collaborative(reps, functions_before, *labels)
+        before = assemble_collaborative(reps, fit_integration(reps, 6))
         for view in views:  # overwrite the private blocks after sharing
             view.covariates[:] = 0.0
-        functions_after = fit_integration(reps, 6)
-        after = assemble_collaborative(reps, functions_after, *labels)
-        assert np.array_equal(before.values, after.values)
+        after = assemble_collaborative(reps, fit_integration(reps, 6))
+        assert np.array_equal(before, after)
 
 
 class TestDeterminism:
     def test_fixed_seeds_give_bit_identical_representations(self):
         first = assemble_benchmark("whole", 6, seed=4, anchor_seed=21)
         second = assemble_benchmark("whole", 6, seed=4, anchor_seed=21)
-        assert np.array_equal(first.values, second.values)
-        assert np.array_equal(first.treatments, second.treatments)
-        assert np.array_equal(first.outcomes, second.outcomes)
+        assert np.array_equal(first, second)

@@ -60,8 +60,6 @@ class TestPartition:
         views = partition(data, PartitionSpec((5,), (3,)))
         assert len(views) == 1
         np.testing.assert_array_equal(views[0].covariates, data.covariates)
-        np.testing.assert_array_equal(views[0].treatments, data.treatments)
-        np.testing.assert_array_equal(views[0].outcomes, data.outcomes)
 
     def test_round_trip_is_exact(self):
         rng = np.random.default_rng(3)
@@ -74,16 +72,6 @@ class TestPartition:
             data = make_dataset(spec.subject_count, spec.covariate_count, seed=int(rng.integers(1000)))
             views = partition(data, spec)
             np.testing.assert_array_equal(reassemble(views, spec), data.covariates)
-
-    def test_views_share_row_block_labels(self):
-        data = make_dataset(10, 4)
-        spec = PartitionSpec((6, 4), (2, 2))
-        views = partition(data, spec)
-        for k in range(2):
-            group = [v for v in views if v.row_index == k]
-            for v in group[1:]:
-                np.testing.assert_array_equal(v.treatments, group[0].treatments)
-                np.testing.assert_array_equal(v.outcomes, group[0].outcomes)
 
     def test_inconsistent_spec_rejected(self):
         data = make_dataset(10, 4)

@@ -505,8 +505,8 @@ class TestAlignmentRank:
         spec = PartitionSpec((500, 500), (3, 3))
         views = partition(data, spec)
         bounds = np.column_stack([data.covariates.min(0), data.covariates.max(0)])
-        anchor = generate_anchor(bounds, 1000, 23, spec.col_blocks)
-        reps = [make_intermediate(v, anchor.block(v.col_index), 2) for v in views]
+        anchor = generate_anchor(bounds, 1000, 23)
+        reps = [make_intermediate(v, anchor[:, spec.col_slice(v.col_index)], 2) for v in views]
         combined = np.hstack([
             np.hstack([r.anchor_rep for r in sorted(
                 (x for x in reps if x.row_index == k), key=lambda x: x.col_index)])

@@ -32,8 +32,7 @@ def random_matrices(max_rows=20, max_cols=20):
 
 def reduce_party(data, target_dim, anchor_block=None):
     """``make_intermediate`` of one party holding ``data``, with ``data`` as its anchor block."""
-    n = data.shape[0]
-    view = PartyView(0, 0, data, np.arange(n) % 2, np.zeros(n))
+    view = PartyView(0, 0, data)
     return make_intermediate(view, data if anchor_block is None else anchor_block, target_dim)
 
 

@@ -14,7 +14,7 @@ import pytest
 
 from dcqe import experiments, numerics
 from dcqe.causal import estimate_ipw, estimate_propensity, ipw_weights, match_pairs
-from dcqe.collaboration import AnchorDataset, make_intermediate
+from dcqe.collaboration import make_intermediate
 from dcqe.datamodel import CollaborationScope, Dataset, PartitionSpec, PartyView
 from dcqe.errors import DegenerateLabelsError, InvalidDataError
 from dcqe.metrics import smd
@@ -29,14 +29,13 @@ FLAT = GOOD[:, 0]
 
 ENTRY_POINTS = {
     "Dataset": lambda x: Dataset(x, Z, Y),
-    "AnchorDataset": lambda x: AnchorDataset(x, (3,)),
     "pca_fit": lambda x: pca_fit(x, 2),
     "svd_truncated": lambda x: svd_truncated(x, 1),
     "pseudoinverse": pseudoinverse,
     "logistic_fit": lambda x: logistic_fit(x, Z),
     "estimate_propensity": lambda x: estimate_propensity(x, Z),
-    "make_intermediate-party": lambda x: make_intermediate(PartyView(0, 0, x, Z, Y), GOOD, 2),
-    "make_intermediate-anchor": lambda x: make_intermediate(PartyView(0, 0, GOOD, Z, Y), x, 2),
+    "make_intermediate-party": lambda x: make_intermediate(PartyView(0, 0, x), GOOD, 2),
+    "make_intermediate-anchor": lambda x: make_intermediate(PartyView(0, 0, GOOD), x, 2),
     "smd": lambda x: smd(x, Z),
 }
 
@@ -84,7 +83,7 @@ def test_single_class_is_invalid_data():
     assert issubclass(DegenerateLabelsError, InvalidDataError)
 
 
-@pytest.mark.parametrize("analysis,most", [("dcqe", 15), ("centralized", 2)])
+@pytest.mark.parametrize("analysis,most", [("dcqe", 14), ("centralized", 2)])
 def test_one_run_checks_few_arrays(monkeypatch, analysis, most):
     original = numerics.ensure_matrix
     calls = []
