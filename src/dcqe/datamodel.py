@@ -9,7 +9,6 @@ immutable value objects and every operation is a pure function.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 
@@ -98,36 +97,19 @@ class PartitionSpec:
             )
 
 
-@dataclass(frozen=True, eq=False)
-class PartyView:
-    """One party's private covariate block and its place in the grid."""
+def partition(data: Dataset, spec: PartitionSpec) -> list[list[np.ndarray]]:
+    """Split a dataset's covariates into the party grid: ``blocks[k][l]`` is party (k, l)'s.
 
-    row_index: int
-    col_index: int
-    covariates: np.ndarray
-
-    @property
-    def covariate_count(self) -> int:
-        return self.covariates.shape[1]
-
-
-def partition(data: Dataset, spec: PartitionSpec) -> list[PartyView]:
-    """Split a dataset's covariates into per-party views, in row-major block order.
-
-    The views' arrays are slices of the dataset's: they share its memory.
+    The blocks are slices of the dataset's array: they share its memory.
     """
     spec.validate_for(data)
-    return _party_views(data.covariates, spec)
+    return _party_blocks(data.covariates, spec)
 
 
-def _party_views(covariates: np.ndarray, spec: PartitionSpec) -> list[PartyView]:
+def _party_blocks(covariates: np.ndarray, spec: PartitionSpec) -> list[list[np.ndarray]]:
     """``partition`` of covariates already checked and sized to ``spec``, without copies."""
-    views = []
-    for k in range(spec.row_block_count):
-        rows = spec.row_slice(k)
-        for l in range(spec.col_block_count):
-            views.append(PartyView(k, l, covariates[rows, spec.col_slice(l)]))
-    return views
+    return [[covariates[spec.row_slice(k), spec.col_slice(l)] for l in range(spec.col_block_count)]
+            for k in range(spec.row_block_count)]
 
 
 @dataclass(frozen=True)
@@ -178,10 +160,6 @@ class CollaborationScope:
     @classmethod
     def single_party(cls, k: int, l: int) -> CollaborationScope:
         return cls("custom", (k,), (l,))
-
-    @property
-    def parties(self) -> frozenset[tuple[int, int]]:
-        return frozenset(product(self.row_indices, self.col_indices))
 
     def validate_for(self, spec: PartitionSpec) -> None:
         if self.row_indices[-1] >= spec.row_block_count:

@@ -27,7 +27,7 @@ from .causal import ESTIMANDS, _ipw_estimate, estimate_propensity, estimate_psm,
     ipw_weights, match_pairs, matched_sample
 from .collaboration import assemble_collaborative, fit_integration, generate_anchor, \
     make_intermediate
-from .datamodel import CollaborationScope, Dataset, PartitionSpec, _party_views, \
+from .datamodel import CollaborationScope, Dataset, PartitionSpec, _party_blocks, \
     scope_col_indices, scope_row_indices, scoped_partition
 from .errors import ConfigError, DcqeError
 from .metrics import BalanceReport, BootstrapDistribution, _smd, gap, inconsistency, smd
@@ -379,12 +379,12 @@ def run_scenario(data: Dataset, config: ScenarioConfig,
 
         if is_dcqe:
             anchor = generate_anchor(anchor_bounds, anchor_size, anchor_seed)
-            reps = [
-                make_intermediate(v, anchor[:, sub_spec.col_slice(v.col_index)],
-                                  config.intermediate_dim)
-                for v in _party_views(scoped, sub_spec)
-            ]
-            collab = assemble_collaborative(reps, fit_integration(reps, config.collaborative_dim))
+            intermediates = [[make_intermediate(block, anchor[:, sub_spec.col_slice(l)],
+                                                config.intermediate_dim)
+                              for l, block in enumerate(row)]
+                             for row in _party_blocks(scoped, sub_spec)]
+            collab = assemble_collaborative(
+                intermediates, fit_integration(intermediates, config.collaborative_dim))
             scores = estimate_propensity(collab, z)
             effective_dim = collab.shape[1]
         else:

@@ -109,7 +109,6 @@ class PcaModel:
     means: np.ndarray
     stddevs: np.ndarray
     components: np.ndarray
-    explained_variance: np.ndarray
 
 
 def pca_fit(data: Matrix, target_dim: int) -> PcaModel:
@@ -119,33 +118,37 @@ def pca_fit(data: Matrix, target_dim: int) -> PcaModel:
     (equivalently the leading eigenvectors of its sample covariance), with the
     sign convention that each component's largest-magnitude entry is
     non-negative. Columns whose sample standard deviation falls below
-    ``DEGENERATE_STDDEV`` get a divisor of 1.0.
+    ``DEGENERATE_STDDEV`` get a divisor of 1.0; a column whose mean or
+    standard deviation overflows raises ``InvalidDataError``.
     """
     return _pca(ensure_matrix(data), target_dim)[0]
 
 
-def _pca(arr: np.ndarray, target_dim: int) -> tuple[PcaModel, np.ndarray]:
-    """``pca_fit`` of a checked matrix, and the standardized matrix, variables-major."""
+def _pca(arr: np.ndarray, target_dim: int, name: str = "data") -> tuple[PcaModel, np.ndarray]:
+    """``pca_fit`` of a checked matrix called ``name``, and the standardized matrix,
+    variables-major."""
     n, m = arr.shape
     if n < 2:
         raise InvalidDataError("pca_fit needs at least two rows")
     if not 1 <= target_dim <= m:
         raise DimensionError(f"target_dim must be in [1, {m}], got {target_dim}")
     cols = np.ascontiguousarray(arr.T)
-    means = cols.mean(axis=1)
-    stddevs = cols.std(axis=1, ddof=1)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported just below
+        means = cols.mean(axis=1)
+        stddevs = cols.std(axis=1, ddof=1)
+    overflowing = np.flatnonzero(~(np.isfinite(means) & np.isfinite(stddevs)))
+    if overflowing.size:
+        raise InvalidDataError(f"{name} column {overflowing[0]}: its mean or standard deviation "
+                               "overflows a double")
     stddevs = np.where(stddevs < DEGENERATE_STDDEV, 1.0, stddevs)
     standardized = (cols - means[:, None]) / stddevs[:, None]
     # A tall block's R factor has its singular values and right vectors; gesdd
     # takes that route itself once n >= 11m/6, so there only forming U is saved.
     factor = np.linalg.qr(standardized.T, mode="r") if n > m else standardized.T
-    _, svals, vt = np.linalg.svd(factor, full_matrices=target_dim > min(n, m))
+    vt = np.linalg.svd(factor, full_matrices=target_dim > min(n, m))[2]
     components = vt[:target_dim].T.copy()
     _orient_columns(components)
-    padded = np.zeros(target_dim)
-    count = min(target_dim, svals.shape[0])
-    padded[:count] = svals[:count] ** 2 / (n - 1)
-    return PcaModel(means, stddevs, components, padded), standardized
+    return PcaModel(means, stddevs, components), standardized
 
 
 def _project(model: PcaModel, arr: np.ndarray) -> np.ndarray:

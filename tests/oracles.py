@@ -29,7 +29,6 @@ from typing import Sequence
 
 import numpy as np
 
-from dcqe.collaboration import IntegrationFunction, IntermediateRepresentation, _group_by_row_block
 from dcqe.datamodel import Dataset, PartitionSpec
 from dcqe.errors import CollaborationError, DimensionError, IngestionError
 from dcqe.numerics import (
@@ -400,21 +399,18 @@ def _shared_basis(images: list[np.ndarray], collaborative_dim: int) -> np.ndarra
     return basis
 
 
-def fit_integration(intermediates: Sequence[IntermediateRepresentation],
-                    collaborative_dim: int) -> list[IntegrationFunction]:
-    """Fit one alignment map per row block from the anchor images.
+def fit_integration(intermediates: Sequence[Sequence[tuple[np.ndarray, np.ndarray]]],
+                    collaborative_dim: int) -> list[np.ndarray]:
+    """Fit one alignment map per row block of the party grid from the anchor images.
 
     The anchor images are concatenated per row block, those are concatenated
     side by side across row blocks, and the leading ``collaborative_dim``
     left singular vectors of the result become the shared basis. Each row
     block's map is the pseudoinverse of its own anchor image times that basis.
     """
-    groups = _group_by_row_block(intermediates)
-    images = {k: np.hstack([groups[k][l].anchor_rep for l in sorted(groups[k])])
-              for k in sorted(groups)}
-    basis = _shared_basis(list(images.values()), collaborative_dim)
-    return [IntegrationFunction(row_index=k, matrix=pseudoinverse(image) @ basis)
-            for k, image in images.items()]
+    images = [np.hstack([anchor for _, anchor in row]) for row in intermediates]
+    basis = _shared_basis(images, collaborative_dim)
+    return [pseudoinverse(image) @ basis for image in images]
 
 
 # -- CSV loaders that parse and check one cell at a time, row by row ---------

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -543,6 +544,33 @@ class TestRunCommand:
         assert "anchor range 1 [-1e+308, 1e+308] is too wide" in err
         assert "Traceback" not in err
 
+    def test_overflowing_column_mean_exits_runtime_naming_the_column(self, tmp_path, capsys):
+        # Column b holds two 1e308 cells: its range fits a double, its sum does not.
+        rng = np.random.default_rng(0)
+        big = [1e308, 1e308] + [0.0] * 38
+        party0 = write_rows(tmp_path / "p0.csv",
+                            [f"{i},{rng.normal()!r},{big[i]!r}" for i in range(40)],
+                            header="id,a,b")
+        party1 = write_rows(tmp_path / "p1.csv",
+                            [f"{i},{rng.normal()!r},{rng.normal()!r}" for i in range(40)],
+                            header="id,c,d")
+        block = write_rows(tmp_path / "block.csv",
+                           [f"{i},{i % 2},{rng.normal()!r}" for i in range(40)],
+                           header="id,treatment,outcome")
+        config = write_config(tmp_path / "run.conf", "\n".join([
+            f"run.party.0.0 = {party0}", f"run.party.0.1 = {party1}", f"run.block.0 = {block}",
+            "run.id_column = id", "reduction.intermediate_dim = 1",
+            "reduction.collaborative_dim = 2", "bootstrap.replicates = 2",
+        ]) + "\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["run", "--config", str(config), "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == EXIT_RUNTIME
+        assert err == ("error: party covariates column 1: its mean or standard deviation "
+                       "overflows a double\n")
+        assert "SVD did not converge" not in err
+
     def test_non_strict_reduction_of_ingested_parties_is_a_config_error(self, tmp_path, capsys):
         # The parties hold two columns each, so a width of 2 is no reduction;
         # the rule needs the ingested partition and is checked after reading.
@@ -816,7 +844,7 @@ def fuzz_columns(draw, n):
     kinds = {"constant": None, "moderate": st.floats(-1e3, 1e3), "any": FUZZ_CELLS}
     columns = []
     for kind in draw(st.lists(st.sampled_from(sorted(kinds)), min_size=2, max_size=2)):
-        cells = kinds[kind] or st.just(draw(FUZZ_CELLS))
+        cells = st.just(draw(FUZZ_CELLS)) if kind == "constant" else kinds[kind]
         columns.append(draw(st.lists(cells, min_size=n, max_size=n)))
     return columns
 

@@ -7,17 +7,19 @@ import pytest
 import oracles
 from dcqe.causal import estimate_propensity
 from dcqe.collaboration import (
-    IntermediateRepresentation,
-    _group_by_row_block,
     assemble_collaborative,
     fit_integration,
     generate_anchor,
     make_intermediate,
 )
-from dcqe.datamodel import CollaborationScope, Dataset, PartitionSpec, PartyView, partition, \
-    scoped_partition
-from dcqe.errors import AnchorError, CollaborationError, DimensionError
+from dcqe.datamodel import CollaborationScope, Dataset, PartitionSpec, partition, scoped_partition
+from dcqe.errors import AnchorError, CollaborationError, DimensionError, InvalidDataError
 from dcqe.experiments import ArtificialDataConfig, generate_artificial
+
+
+def row_anchor_image(row):
+    """A row block's anchor images side by side, in column-block order."""
+    return np.hstack([anchor for _, anchor in row])
 
 
 def shared_anchor_basis(reps, collaborative_dim):
@@ -25,27 +27,27 @@ def shared_anchor_basis(reps, collaborative_dim):
 
     It comes from the pseudoinverse oracle, which forms it from the anchor-tall SVD.
     """
-    groups = _group_by_row_block(reps)
-    images = [np.hstack([groups[k][l].anchor_rep for l in sorted(groups[k])])
-              for k in sorted(groups)]
-    return oracles._shared_basis(images, collaborative_dim)
+    return oracles._shared_basis([row_anchor_image(row) for row in reps], collaborative_dim)
 
 
 def benchmark_pipeline(seed=3, anchor_seed=77, scope_kind="whole", collaborative_dim=6):
-    """Reduced benchmark pipeline: 1000x6 data on a 2x2 grid, width-2 reductions."""
+    """Reduced benchmark pipeline: 1000x6 data on a 2x2 grid, width-2 reductions.
+
+    Returns the scope's grid of party blocks, its grid of intermediates and the width.
+    """
     data, _ = generate_artificial(ArtificialDataConfig(seed=seed))
     spec = PartitionSpec((500, 500), (3, 3))
     scope = CollaborationScope.build(scope_kind, spec)
-    views = [v for v in partition(data, spec) if (v.row_index, v.col_index) in scope.parties]
+    grid = partition(data, spec)
+    blocks = [[grid[k][l] for l in scope.col_indices] for k in scope.row_indices]
     cols = np.concatenate([np.arange(spec.col_slice(l).start, spec.col_slice(l).stop)
                            for l in scope.col_indices])
     bounds = np.column_stack([data.covariates[:, cols].min(0), data.covariates[:, cols].max(0)])
     anchor = generate_anchor(bounds, 1000, anchor_seed)
     sub_spec = scoped_partition(spec, scope)
-    local_col = {l: i for i, l in enumerate(scope.col_indices)}
-    reps = [make_intermediate(v, anchor[:, sub_spec.col_slice(local_col[v.col_index])], 2)
-            for v in views]
-    return views, reps, collaborative_dim
+    reps = [[make_intermediate(block, anchor[:, sub_spec.col_slice(l)], 2)
+             for l, block in enumerate(row)] for row in blocks]
+    return blocks, reps, collaborative_dim
 
 
 class TestGenerateAnchor:
@@ -97,87 +99,85 @@ class TestGenerateAnchor:
             assert generate_anchor([(-1e308, 0.0), (0.0, 1e308)], 5, seed=0).shape == (5, 2)
 
 
-def make_view(rows, cols, seed=0, row_index=0, col_index=0):
-    rng = np.random.default_rng(seed)
-    return PartyView(row_index, col_index, rng.normal(size=(rows, cols)))
+def make_block(rows, cols, seed=0):
+    return np.random.default_rng(seed).normal(size=(rows, cols))
 
 
 class TestMakeIntermediate:
     def test_benchmark_party_shapes(self):
-        view = make_view(500, 3)
         anchor_block = np.random.default_rng(1).uniform(-3, 3, size=(1000, 3))
-        rep = make_intermediate(view, anchor_block, 2)
-        assert rep.data_rep.shape == (500, 2)
-        assert rep.anchor_rep.shape == (1000, 2)
-        assert rep.reduced_dim == 2
+        data_image, anchor_image = make_intermediate(make_block(500, 3), anchor_block, 2)
+        assert data_image.shape == (500, 2)
+        assert anchor_image.shape == (1000, 2)
 
     def test_wider_party_shapes(self):
-        view = make_view(1337, 4, seed=2)
         anchor_block = np.random.default_rng(3).uniform(-1, 1, size=(2674, 4))
-        rep = make_intermediate(view, anchor_block, 3)
-        assert rep.data_rep.shape == (1337, 3)
-        assert rep.anchor_rep.shape == (2674, 3)
+        data_image, anchor_image = make_intermediate(make_block(1337, 4, seed=2), anchor_block, 3)
+        assert data_image.shape == (1337, 3)
+        assert anchor_image.shape == (2674, 3)
 
     def test_rank_one_block_preserves_all_variance(self):
         rng = np.random.default_rng(5)
         base = rng.normal(size=60)
         covariates = np.column_stack([base, 2.0 * base, -0.5 * base])
-        view = PartyView(0, 0, covariates)
-        rep = make_intermediate(view, rng.uniform(-1, 1, size=(10, 3)), 1)
+        data_image, _ = make_intermediate(covariates, rng.uniform(-1, 1, size=(10, 3)), 1)
         # Standardized rank-1 block has total variance 3, all on one direction.
-        assert rep.data_rep[:, 0].var(ddof=1) == pytest.approx(3.0, abs=1e-8)
+        assert data_image[:, 0].var(ddof=1) == pytest.approx(3.0, abs=1e-8)
 
     def test_fit_depends_on_party_data_only(self):
         # Different anchors may not change the party-side reduction: the
         # standardization and components are fitted on the private block.
-        view = make_view(100, 3, seed=9)
+        block = make_block(100, 3, seed=9)
         rng = np.random.default_rng(10)
-        rep_a = make_intermediate(view, rng.uniform(-5, 5, size=(40, 3)), 2)
-        rep_b = make_intermediate(view, rng.uniform(-5, 5, size=(40, 3)), 2)
-        assert np.array_equal(rep_a.data_rep, rep_b.data_rep)
+        data_a, _ = make_intermediate(block, rng.uniform(-5, 5, size=(40, 3)), 2)
+        data_b, _ = make_intermediate(block, rng.uniform(-5, 5, size=(40, 3)), 2)
+        assert np.array_equal(data_a, data_b)
 
     def test_reduction_must_be_strict(self):
-        view = make_view(20, 3)
-        block = np.zeros((5, 3))
+        block = make_block(20, 3)
         with pytest.raises(DimensionError):
-            make_intermediate(view, block, 3)
+            make_intermediate(block, np.zeros((5, 3)), 3)
         with pytest.raises(DimensionError):
-            make_intermediate(view, block, 0)
+            make_intermediate(block, np.zeros((5, 3)), 0)
 
     def test_anchor_width_must_match(self):
-        view = make_view(20, 3)
         with pytest.raises(DimensionError):
-            make_intermediate(view, np.zeros((5, 2)), 1)
+            make_intermediate(make_block(20, 3), np.zeros((5, 2)), 1)
+
+    def test_overflowing_column_named_without_warning(self):
+        # Two 1e308 cells make the column's sum, and so its mean, overflow.
+        block = make_block(40, 2)
+        block[:2, 1] = 1e308
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidDataError, match="party covariates column 1: .* overflows"):
+                make_intermediate(block, np.zeros((5, 2)), 1)
 
 
 class TestFitIntegration:
     def test_single_row_block_aligns_exactly(self):
         rng = np.random.default_rng(7)
-        views = [make_view(40, 4, seed=1, col_index=0), make_view(40, 3, seed=1, col_index=1)]
+        blocks = [make_block(40, 4, seed=1), make_block(40, 3, seed=1)]
         anchor_blocks = [rng.uniform(-2, 2, size=(50, 4)), rng.uniform(-2, 2, size=(50, 3))]
-        reps = [make_intermediate(v, b, 2) for v, b in zip(views, anchor_blocks)]
-        functions = fit_integration(reps, 4)
+        reps = [[make_intermediate(b, a, 2) for b, a in zip(blocks, anchor_blocks)]]
+        maps = fit_integration(reps, 4)
         basis = shared_anchor_basis(reps, 4)
-        stacked = np.hstack([reps[0].anchor_rep, reps[1].anchor_rep])
-        np.testing.assert_allclose(stacked @ functions[0].matrix, basis, atol=1e-8)
+        np.testing.assert_allclose(row_anchor_image(reps[0]) @ maps[0], basis, atol=1e-8)
 
     def test_identical_row_blocks_get_identical_maps(self):
         rng = np.random.default_rng(8)
-        anchor_rep = rng.normal(size=(30, 3))
+        anchor_image = rng.normal(size=(30, 3))
         data = rng.normal(size=(12, 3))
 
-        reps = [
-            IntermediateRepresentation(0, 0, data, anchor_rep),
-            IntermediateRepresentation(1, 0, data, anchor_rep),
-        ]
-        functions = fit_integration(reps, 3)
+        reps = [[(data, anchor_image)], [(data, anchor_image)]]
+        maps = fit_integration(reps, 3)
         # The two row blocks own different columns of the combined image's R
         # factor, which agree only up to rounding, so the maps agree within a
         # few ulps of their largest entry rather than bit for bit.
-        largest = np.max(np.abs(functions[0].matrix))
-        assert np.max(np.abs(functions[0].matrix - functions[1].matrix)) <= 8 * np.spacing(largest)
+        largest = np.max(np.abs(maps[0]))
+        assert np.max(np.abs(maps[0] - maps[1])) <= 8 * np.spacing(largest)
         basis = shared_anchor_basis(reps, 3)
-        np.testing.assert_allclose(anchor_rep @ functions[0].matrix, basis, atol=1e-8)
+        np.testing.assert_allclose(anchor_image @ maps[0], basis, atol=1e-8)
 
     def test_benchmark_alignment_residual_regression(self):
         # With width-4 anchor images and a 6-column shared basis the relative
@@ -185,28 +185,21 @@ class TestFitIntegration:
         # lie outside each block's span); the pipeline sits essentially at
         # that floor. Frozen regression bound from a seeded run: 0.5777.
         _, reps, collaborative_dim = benchmark_pipeline()
-        functions = fit_integration(reps, collaborative_dim)
+        maps = fit_integration(reps, collaborative_dim)
         basis = shared_anchor_basis(reps, collaborative_dim)
-        for fn in functions:
-            own = np.hstack([r.anchor_rep for r in reps if r.row_index == fn.row_index])
-            residual = np.linalg.norm(own @ fn.matrix - basis) / np.linalg.norm(basis)
+        for row, m in zip(reps, maps):
+            residual = np.linalg.norm(row_anchor_image(row) @ m - basis) / np.linalg.norm(basis)
             assert residual < 0.60
 
     def test_pairwise_alignment_bounded_by_shared_target(self):
         _, reps, collaborative_dim = benchmark_pipeline(seed=6, anchor_seed=11)
-        functions = fit_integration(reps, collaborative_dim)
+        maps = fit_integration(reps, collaborative_dim)
         basis = shared_anchor_basis(reps, collaborative_dim)
-        images = {}
-        residuals = {}
-        for fn in functions:
-            own = np.hstack([r.anchor_rep for r in reps if r.row_index == fn.row_index])
-            images[fn.row_index] = own @ fn.matrix
-            residuals[fn.row_index] = np.linalg.norm(images[fn.row_index] - basis)
-        keys = sorted(images)
-        worst = max(residuals.values())
-        for i, a in enumerate(keys):
-            for b in keys[i + 1:]:
-                pairwise = np.linalg.norm(images[a] - images[b])
+        images = [row_anchor_image(row) @ m for row, m in zip(reps, maps)]
+        worst = max(np.linalg.norm(image - basis) for image in images)
+        for i, a in enumerate(images):
+            for b in images[i + 1:]:
+                pairwise = np.linalg.norm(a - b)
                 assert pairwise <= 2.0 * worst + 1e-9
 
     def test_shared_basis_is_orthonormal(self):
@@ -218,8 +211,8 @@ class TestFitIntegration:
         # Top-side collaboration: one row block, two width-2 images; asking
         # for 6 shared directions can only ever return 4.
         _, reps, _ = benchmark_pipeline(scope_kind="top")
-        functions = fit_integration(reps, 6)
-        assert functions[0].collaborative_dim == 4
+        maps = fit_integration(reps, 6)
+        assert maps[0].shape[1] == 4
 
     def test_width_beyond_anchor_rows_rejected(self):
         _, reps, _ = benchmark_pipeline()
@@ -228,31 +221,40 @@ class TestFitIntegration:
         with pytest.raises(DimensionError):
             fit_integration(reps, 0)
 
-    def test_missing_block_rejected(self):
+    def test_ragged_grid_rejected_naming_the_row_block(self):
         _, reps, _ = benchmark_pipeline()
-        with pytest.raises(CollaborationError):
-            fit_integration(reps[:-1], 4)
+        reps[1] = reps[1][:-1]
+        with pytest.raises(CollaborationError, match="row block 1 supplies 1 column blocks, "
+                                                     "row block 0 supplies 2"):
+            fit_integration(reps, 4)
 
-    def test_duplicate_party_rejected(self):
+    def test_empty_grid_rejected(self):
+        for reps in ([], [[]]):
+            with pytest.raises(CollaborationError, match="no intermediate representations"):
+                fit_integration(reps, 4)
+
+    def test_anchor_images_of_different_heights_rejected(self):
         _, reps, _ = benchmark_pipeline()
-        with pytest.raises(CollaborationError):
-            fit_integration(reps + [reps[0]], 4)
+        data_image, anchor_image = reps[1][1]
+        reps[1][1] = data_image, anchor_image[:-1]
+        with pytest.raises(CollaborationError, match="anchor images disagree on their row count"):
+            fit_integration(reps, 4)
 
     def test_rank_zero_anchor_image_named(self):
         # A party whose columns are all constant draws a constant anchor
         # block, which standardizes to zero: the anchor image has rank 0.
-        view = PartyView(0, 0, np.tile([1.0, 2.0, 3.0, 4.0], (50, 1)))
-        bounds = np.column_stack([view.covariates.min(0), view.covariates.max(0)])
+        block = np.tile([1.0, 2.0, 3.0, 4.0], (50, 1))
+        bounds = np.column_stack([block.min(0), block.max(0)])
         anchor = generate_anchor(bounds, 50, seed=1)
-        rep = make_intermediate(view, anchor, 2)
+        rep = make_intermediate(block, anchor, 2)
         with pytest.raises(CollaborationError, match="numerical rank 0.*constant party columns"):
-            fit_integration([rep], 2)
+            fit_integration([[rep]], 2)
 
 
-def random_reps(rng, anchor_reps):
-    """One representation per (row block, column block) key, with the given anchor images."""
-    return [IntermediateRepresentation(k, l, rng.normal(size=(9 + k, a.shape[1])), a)
-            for (k, l), a in anchor_reps.items()]
+def random_reps(rng, anchor_images):
+    """A grid of intermediates with the given grid of anchor images and random data images."""
+    return [[(rng.normal(size=(9 + k, a.shape[1])), a) for a in row]
+            for k, row in enumerate(anchor_images)]
 
 
 def oracle_cases():
@@ -264,15 +266,14 @@ def oracle_cases():
         pytest.param(benchmark_pipeline(seed=4, anchor_seed=9)[1], 6, id="two-row-blocks"),
         pytest.param(benchmark_pipeline(seed=4, anchor_seed=9)[1], 8, id="two-row-blocks-full-width"),
         # Both row blocks hold the same anchor images: the combined image has rank 4 of 8.
-        pytest.param(random_reps(rng, {(0, 0): a, (0, 1): b, (1, 0): a, (1, 1): b}), 8,
-                     id="rank-deficient-combined-image"),
-        pytest.param(random_reps(rng, {
-            (0, 0): np.hstack([col, 2.0 * col]), (0, 1): rng.normal(size=(40, 2)),
-            (1, 0): rng.normal(size=(40, 2)), (1, 1): rng.normal(size=(40, 2))}), 6,
+        pytest.param(random_reps(rng, [[a, b], [a, b]]), 8, id="rank-deficient-combined-image"),
+        pytest.param(random_reps(rng, [
+            [np.hstack([col, 2.0 * col]), rng.normal(size=(40, 2))],
+            [rng.normal(size=(40, 2)), rng.normal(size=(40, 2))]]), 6,
             id="rank-deficient-row-block"),
         # Five anchor rows against a combined width of 8: R is 5 x 8.
-        pytest.param(random_reps(rng, {(k, l): rng.normal(size=(5, 2))
-                                       for k in range(2) for l in range(2)}), 5,
+        pytest.param(random_reps(rng, [[rng.normal(size=(5, 2)) for l in range(2)]
+                                       for k in range(2)]), 5,
                      id="fewer-anchor-rows-than-combined-width"),
     ]
 
@@ -288,11 +289,11 @@ class TestAlignmentMatchesPseudoinverseOracle:
     def test_maps_within_bound(self, reps, width):
         new = fit_integration(reps, width)
         old = oracles.fit_integration(reps, width)
-        assert [f.row_index for f in new] == [f.row_index for f in old]
+        assert len(new) == len(old) == len(reps)
         for got, want in zip(new, old):
-            assert got.matrix.shape == want.matrix.shape
-            largest = np.max(np.abs(want.matrix))
-            assert np.max(np.abs(got.matrix - want.matrix)) <= 1e-13 * largest
+            assert got.shape == want.shape
+            largest = np.max(np.abs(want))
+            assert np.max(np.abs(got - want)) <= 1e-13 * largest
 
 
 class TestRotatedPartyKeepsPropensities:
@@ -310,8 +311,9 @@ class TestRotatedPartyKeepsPropensities:
         _, reps, _ = benchmark_pipeline(seed=5, anchor_seed=13)
         z = generate_artificial(ArtificialDataConfig(seed=5))[0].treatments
         q, _ = np.linalg.qr(np.random.default_rng(31).normal(size=(2, 2)))
-        rotated = [IntermediateRepresentation(r.row_index, r.col_index, r.data_rep @ q, r.anchor_rep @ q)
-                   if (r.row_index, r.col_index) == (1, 1) else r for r in reps]
+        rotated = [list(row) for row in reps]
+        data_image, anchor_image = reps[1][1]
+        rotated[1][1] = data_image @ q, anchor_image @ q
         scores = []
         for party_reps in (reps, rotated):
             collab = assemble_collaborative(party_reps, fit_integration(party_reps, width))
@@ -320,20 +322,23 @@ class TestRotatedPartyKeepsPropensities:
 
 
 def protocol_propensities(blocks, anchor_blocks, z, width=6):
-    """DC-QE propensities from party and anchor blocks keyed by (row block, column block)."""
-    reps = [make_intermediate(PartyView(k, l, blocks[k, l]), anchor_blocks[k, l], 2)
-            for k, l in sorted(blocks)]
+    """DC-QE propensities from grids of party blocks and of their anchor blocks."""
+    reps = [[make_intermediate(block, anchor_block, 2)
+             for block, anchor_block in zip(row, anchor_row)]
+            for row, anchor_row in zip(blocks, anchor_blocks)]
     return estimate_propensity(assemble_collaborative(reps, fit_integration(reps, width)), z).values
 
 
 def protocol_inputs(seed=7, anchor_seed=41):
-    """The 2 x 2 grid of 1000 x 6 benchmark data: party blocks, anchor blocks and treatments."""
+    """The 2 x 2 grid of 1000 x 6 benchmark data: party blocks, anchor blocks and treatments.
+
+    The anchor blocks form a grid too, because each party may re-code its own copy."""
     data, _ = generate_artificial(ArtificialDataConfig(seed=seed))
     spec = PartitionSpec((500, 500), (3, 3))
     bounds = np.column_stack([data.covariates.min(0), data.covariates.max(0)])
     anchor = generate_anchor(bounds, 1000, anchor_seed)
-    blocks = {(v.row_index, v.col_index): v.covariates for v in partition(data, spec)}
-    anchor_blocks = {(k, l): anchor[:, spec.col_slice(l)] for k, l in blocks}
+    blocks = partition(data, spec)
+    anchor_blocks = [[anchor[:, spec.col_slice(l)] for l in range(2)] for _ in range(2)]
     return blocks, anchor_blocks, data.treatments
 
 
@@ -362,8 +367,8 @@ class TestMetamorphicProtocol:
         blocks, anchor_blocks, z = protocol_inputs()
         before = protocol_propensities(blocks, anchor_blocks, z)
         scale, shift = np.array(scale), np.array(shift)
-        blocks[0, 1] = blocks[0, 1] * scale + shift
-        anchor_blocks[0, 1] = anchor_blocks[0, 1] * scale + shift
+        blocks[0][1] = blocks[0][1] * scale + shift
+        anchor_blocks[0][1] = anchor_blocks[0][1] * scale + shift
         after = protocol_propensities(blocks, anchor_blocks, z)
         assert np.max(np.abs(after - before)) <= self.BOUND
 
@@ -372,7 +377,7 @@ class TestMetamorphicProtocol:
         before = protocol_propensities(blocks, anchor_blocks, z)
         perm = np.random.default_rng(3).permutation(500)
         for l in (0, 1):  # the same order in each party of row block 1
-            blocks[1, l] = blocks[1, l][perm]
+            blocks[1][l] = blocks[1][l][perm]
         permuted_z = np.concatenate([z[:500], z[500:][perm]])
         after = protocol_propensities(blocks, anchor_blocks, permuted_z)
         restored = after.copy()
@@ -390,13 +395,13 @@ def assemble_benchmark(scope_kind, collaborative_dim, seed=3, anchor_seed=77):
 class TestAssemble:
     def test_whole_collaboration_width(self):
         _, reps, _ = benchmark_pipeline()
-        functions = fit_integration(reps, 6)
-        collab = assemble_collaborative(reps, functions)
+        maps = fit_integration(reps, 6)
+        collab = assemble_collaborative(reps, maps)
         assert collab.shape == (1000, 6)
         # Row block k's 500 subjects fill rows 500k to 500k + 499, in its own order.
-        for k, fn in enumerate(functions):
-            stacked = np.hstack([r.data_rep for r in reps if r.row_index == k])
-            assert np.array_equal(collab[500 * k:500 * (k + 1)], stacked @ fn.matrix)
+        for k, (row, m) in enumerate(zip(reps, maps)):
+            stacked = np.hstack([data_image for data_image, _ in row])
+            assert np.array_equal(collab[500 * k:500 * (k + 1)], stacked @ m)
 
     def test_left_collaboration_width(self):
         collab = assemble_benchmark("left", 3)
@@ -408,41 +413,49 @@ class TestAssemble:
         z[:40] = 1
         data = Dataset(rng.normal(size=(80, 4)), z, rng.normal(size=80))
         spec = PartitionSpec((80,), (4,))
-        view = partition(data, spec)[0]
+        block = partition(data, spec)[0][0]
         bounds = np.column_stack([data.covariates.min(0), data.covariates.max(0)])
         anchor = generate_anchor(bounds, 80, 3)
-        rep = make_intermediate(view, anchor, 3)
-        collab = assemble_collaborative([rep], fit_integration([rep], 3))
+        reps = [[make_intermediate(block, anchor, 3)]]
+        collab = assemble_collaborative(reps, fit_integration(reps, 3))
         # The aligned representation is an invertible linear image of the
         # reduction scores, so predicting it from them leaves no residual.
-        solution, residual, rank, _ = np.linalg.lstsq(rep.data_rep, collab, rcond=None)
+        data_image = reps[0][0][0]
+        solution, residual, rank, _ = np.linalg.lstsq(data_image, collab, rcond=None)
         assert rank == 3
-        reconstruction = rep.data_rep @ solution
+        reconstruction = data_image @ solution
         np.testing.assert_allclose(reconstruction, collab, atol=1e-8)
 
     def test_mismatched_integrations_rejected(self):
         _, reps, _ = benchmark_pipeline()
-        functions = fit_integration(reps, 6)
-        with pytest.raises(CollaborationError):
-            assemble_collaborative(reps, functions[:1])
+        maps = fit_integration(reps, 6)
+        with pytest.raises(CollaborationError, match="1 integration maps for 2 row blocks"):
+            assemble_collaborative(reps, maps[:1])
+
+    def test_data_image_narrower_than_its_anchor_image_rejected(self):
+        _, reps, _ = benchmark_pipeline()
+        maps = fit_integration(reps, 6)
+        data_image, anchor_image = reps[1][0]
+        reps[1][0] = data_image[:, :1], anchor_image
+        with pytest.raises(CollaborationError, match="row block 1: representation width 3 does "
+                                                     "not match integration input width 4"):
+            assemble_collaborative(reps, maps)
 
 
 class TestPrivacyBoundary:
     ANALYST_FUNCTIONS = (fit_integration, assemble_collaborative)
 
-    def test_analyst_signatures_never_mention_party_views(self):
+    def test_analyst_signatures_never_mention_datasets(self):
         for fn in self.ANALYST_FUNCTIONS:
             signature = inspect.signature(fn)
             for parameter in signature.parameters.values():
-                annotation = str(parameter.annotation)
-                assert "PartyView" not in annotation
-                assert "Dataset" not in annotation
+                assert "Dataset" not in str(parameter.annotation)
 
     def test_analyst_output_ignores_covariate_tampering(self):
-        views, reps, _ = benchmark_pipeline(seed=15, anchor_seed=2)
+        blocks, reps, _ = benchmark_pipeline(seed=15, anchor_seed=2)
         before = assemble_collaborative(reps, fit_integration(reps, 6))
-        for view in views:  # overwrite the private blocks after sharing
-            view.covariates[:] = 0.0
+        for block in (block for row in blocks for block in row):  # overwrite after sharing
+            block[:] = 0.0
         after = assemble_collaborative(reps, fit_integration(reps, 6))
         assert np.array_equal(before, after)
 

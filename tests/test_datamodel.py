@@ -21,12 +21,8 @@ def make_dataset(n, m, seed=0):
     return Dataset(rng.normal(size=(n, m)), z, rng.normal(size=n))
 
 
-def reassemble(views, spec):
-    row_blocks = []
-    for k in range(spec.row_block_count):
-        row = [v.covariates for v in views if v.row_index == k]
-        row_blocks.append(np.hstack(row))
-    return np.vstack(row_blocks)
+def reassemble(blocks):
+    return np.vstack([np.hstack(row) for row in blocks])
 
 
 class TestDataset:
@@ -46,20 +42,20 @@ class TestDataset:
 class TestPartition:
     def test_two_by_two_equal_split(self):
         data = make_dataset(4, 6)
-        views = partition(data, PartitionSpec((2, 2), (3, 3)))
-        assert len(views) == 4
-        assert all(v.covariates.shape == (2, 3) for v in views)
+        blocks = partition(data, PartitionSpec((2, 2), (3, 3)))
+        assert [len(row) for row in blocks] == [2, 2]
+        assert all(block.shape == (2, 3) for row in blocks for block in row)
 
     def test_benchmark_scale_split(self):
         data = make_dataset(1000, 6)
-        views = partition(data, PartitionSpec((500, 500), (3, 3)))
-        assert all(v.covariates.shape == (500, 3) for v in views)
+        blocks = partition(data, PartitionSpec((500, 500), (3, 3)))
+        assert all(block.shape == (500, 3) for row in blocks for block in row)
 
     def test_identity_partition(self):
         data = make_dataset(5, 3)
-        views = partition(data, PartitionSpec((5,), (3,)))
-        assert len(views) == 1
-        np.testing.assert_array_equal(views[0].covariates, data.covariates)
+        blocks = partition(data, PartitionSpec((5,), (3,)))
+        assert [len(row) for row in blocks] == [1]
+        np.testing.assert_array_equal(blocks[0][0], data.covariates)
 
     def test_round_trip_is_exact(self):
         rng = np.random.default_rng(3)
@@ -70,8 +66,9 @@ class TestPartition:
             col_blocks = tuple(int(v) for v in rng.integers(1, 5, d))
             spec = PartitionSpec(row_blocks, col_blocks)
             data = make_dataset(spec.subject_count, spec.covariate_count, seed=int(rng.integers(1000)))
-            views = partition(data, spec)
-            np.testing.assert_array_equal(reassemble(views, spec), data.covariates)
+            blocks = partition(data, spec)
+            assert [len(row) for row in blocks] == [d] * c
+            np.testing.assert_array_equal(reassemble(blocks), data.covariates)
 
     def test_inconsistent_spec_rejected(self):
         data = make_dataset(10, 4)
@@ -126,11 +123,11 @@ class TestCollaborationScope:
 
     def test_named_scopes_cover_expected_parties(self):
         spec = PartitionSpec((2, 2), (2, 2))
-        assert CollaborationScope.build("left", spec).parties == {(0, 0), (1, 0)}
-        assert CollaborationScope.build("right", spec).parties == {(0, 1), (1, 1)}
-        assert CollaborationScope.build("top", spec).parties == {(0, 0), (0, 1)}
-        assert CollaborationScope.build("bottom", spec).parties == {(1, 0), (1, 1)}
-        assert len(CollaborationScope.build("whole", spec).parties) == 4
+        expected = {"left": ((0, 1), (0,)), "right": ((0, 1), (1,)), "top": ((0,), (0, 1)),
+                    "bottom": ((1,), (0, 1)), "whole": ((0, 1), (0, 1))}
+        for kind, (rows, cols) in expected.items():
+            scope = CollaborationScope.build(kind, spec)
+            assert (scope.row_indices, scope.col_indices) == (rows, cols)
 
     def test_out_of_range_scope_rejected(self):
         spec = PartitionSpec((2, 2), (2, 2))

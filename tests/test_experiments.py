@@ -16,7 +16,7 @@ import pytest
 
 from dcqe import experiments
 from dcqe.causal import estimate_ipw, estimate_propensity
-from dcqe.collaboration import generate_anchor, make_intermediate
+from dcqe.collaboration import fit_integration, generate_anchor, make_intermediate
 from dcqe.datamodel import CollaborationScope, PartitionSpec, partition
 from dcqe.errors import ConfigError, DcqeError, DimensionError, ScopeError
 from dcqe.experiments import (
@@ -503,15 +503,10 @@ class TestAlignmentRank:
     def test_shared_basis_tail_error_is_monotone_in_rank(self):
         data, _ = generate_artificial(ArtificialDataConfig(seed=19))
         spec = PartitionSpec((500, 500), (3, 3))
-        views = partition(data, spec)
         bounds = np.column_stack([data.covariates.min(0), data.covariates.max(0)])
         anchor = generate_anchor(bounds, 1000, 23)
-        reps = [make_intermediate(v, anchor[:, spec.col_slice(v.col_index)], 2) for v in views]
-        combined = np.hstack([
-            np.hstack([r.anchor_rep for r in sorted(
-                (x for x in reps if x.row_index == k), key=lambda x: x.col_index)])
-            for k in (0, 1)
-        ])
+        combined = np.hstack([make_intermediate(block, anchor[:, spec.col_slice(l)], 2)[1]
+                              for row in partition(data, spec) for l, block in enumerate(row)])
         errors = []
         for rank in range(1, combined.shape[1] + 1):
             truncated = svd_truncated(combined, rank)
@@ -529,7 +524,7 @@ class TestAlignmentRank:
             return svd(a, *args, **kwargs)
 
         def recording_fit(reps, collaborative_dim):  # a rebound name also keeps the runs serial
-            widths.append(sum(r.anchor_rep.shape[1] for r in reps))
+            widths.append(sum(anchor.shape[1] for row in reps for _, anchor in row))
             return fit(reps, collaborative_dim)
 
         monkeypatch.setattr(np.linalg, "svd", recording_svd)
@@ -542,6 +537,45 @@ class TestAlignmentRank:
         run_scenario(data, config, true_scores)
         assert widths == [8, 8, 8]
         assert shapes and max(rows for rows, _ in shapes) <= 8, shapes
+
+
+class TestPublicProtocolIsThePipeline:
+    def test_hand_built_grid_matches_the_run_bit_for_bit(self, monkeypatch):
+        # Rebinding the two names records what a run passes and also keeps it serial.
+        anchors, assembled = [], []
+        anchor_fn, assemble_fn = experiments.generate_anchor, experiments.assemble_collaborative
+
+        def recording_anchor(*args):
+            anchors.append(anchor_fn(*args))
+            return anchors[-1]
+
+        def recording_assemble(intermediates, maps):
+            assembled.append((intermediates, maps, assemble_fn(intermediates, maps)))
+            return assembled[-1][2]
+
+        monkeypatch.setattr(experiments, "generate_anchor", recording_anchor)
+        monkeypatch.setattr(experiments, "assemble_collaborative", recording_assemble)
+        data, _ = generate_artificial(ArtificialDataConfig(subjects=400, seed=8))
+        spec = PartitionSpec((200, 200), (3, 3))
+        config = ScenarioConfig(partition=spec, scope=CollaborationScope.build("whole", spec),
+                                analysis="dcqe", estimator="IPW", intermediate_dim=2,
+                                collaborative_dim=6, bootstrap_replicates=2, resample=False)
+        run_scenario(data, config)
+        assert len(anchors) == len(assembled) == 1
+        (anchor,), ((run_grid, run_maps, run_collab),) = anchors, assembled
+
+        grid = [[make_intermediate(block, anchor[:, spec.col_slice(l)], 2)
+                 for l, block in enumerate(row)] for row in partition(data, spec)]
+        maps = fit_integration(grid, 6)
+        assert [len(row) for row in run_grid] == [2, 2]
+        for run_row, row in zip(run_grid, grid):
+            for run_pair, pair in zip(run_row, row):
+                assert all(np.array_equal(a, b) for a, b in zip(run_pair, pair))
+        assert len(run_maps) == len(maps) == 2
+        assert all(np.array_equal(a, b) for a, b in zip(run_maps, maps))
+        collab = assemble_fn(grid, maps)
+        assert collab.shape == (400, 6)
+        assert np.array_equal(run_collab, collab)
 
 
 @pytest.fixture(scope="module")

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,7 +9,6 @@ from hypothesis.extra import numpy as hnp
 import oracles
 from dcqe.causal import PROPENSITY_CLIP, estimate_propensity
 from dcqe.collaboration import make_intermediate
-from dcqe.datamodel import PartyView
 from dcqe.errors import DegenerateLabelsError, DimensionError, InvalidDataError
 from dcqe.metrics import smd
 from dcqe.numerics import (
@@ -32,8 +32,13 @@ def random_matrices(max_rows=20, max_cols=20):
 
 def reduce_party(data, target_dim, anchor_block=None):
     """``make_intermediate`` of one party holding ``data``, with ``data`` as its anchor block."""
-    view = PartyView(0, 0, data)
-    return make_intermediate(view, data if anchor_block is None else anchor_block, target_dim)
+    return make_intermediate(data, data if anchor_block is None else anchor_block, target_dim)
+
+
+def jacobi_variances(data, count):
+    """The ``count`` largest eigenvalues of the standardized data's sample covariance."""
+    scaled = standardized(data)
+    return oracles.jacobi_eigenvalues(scaled.T @ scaled / (data.shape[0] - 1))[:count]
 
 
 def standardized(data):
@@ -58,12 +63,12 @@ class TestStandardize:
     def test_constant_party_column_gives_finite_zero_free_reduction(self):
         rng = np.random.default_rng(6)
         data = np.column_stack([np.full(30, 5.0), rng.normal(size=(30, 2))])
-        rep = reduce_party(data, 2)
-        assert np.all(np.isfinite(rep.data_rep))
+        data_image, _ = reduce_party(data, 2)
+        assert np.all(np.isfinite(data_image))
         # The constant column standardizes to zeros and moves nothing.
         moved = data.copy()
         moved[:, 0] = -3.0
-        np.testing.assert_allclose(reduce_party(moved, 2).data_rep, rep.data_rep, atol=1e-12)
+        np.testing.assert_allclose(reduce_party(moved, 2)[0], data_image, atol=1e-12)
 
     def test_matches_column_stat_oracle(self):
         rng = np.random.default_rng(42)
@@ -81,14 +86,27 @@ class TestStandardize:
         np.testing.assert_allclose(out.mean(axis=0), 0.0, atol=1e-8)
         np.testing.assert_allclose(out.std(axis=0, ddof=1), 1.0, atol=1e-8)
         # The party's reduced data keeps zero mean and the explained variances.
-        rep = reduce_party(data, 4)
-        np.testing.assert_allclose(rep.data_rep.mean(axis=0), 0.0, atol=1e-8)
-        np.testing.assert_allclose(rep.data_rep.var(axis=0, ddof=1), model.explained_variance,
+        data_image, _ = reduce_party(data, 4)
+        np.testing.assert_allclose(data_image.mean(axis=0), 0.0, atol=1e-8)
+        np.testing.assert_allclose(data_image.var(axis=0, ddof=1), jacobi_variances(data, 4),
                                    atol=1e-8)
 
     def test_rejects_non_finite(self):
         with pytest.raises(InvalidDataError):
             pca_fit([[1.0, np.nan], [2.0, 3.0]], 1)
+
+    @pytest.mark.parametrize("cells", [
+        pytest.param([1e308, 1e308], id="mean-overflows"),
+        pytest.param([1e308, -1e308], id="sd-overflows"),
+    ])
+    def test_overflowing_column_named_without_warning(self, cells):
+        data = np.random.default_rng(8).normal(size=(40, 3))
+        data[:2, 2] = cells
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidDataError,
+                               match="data column 2: its mean or standard deviation overflows"):
+                pca_fit(data, 2)
 
 
 class TestPca:
@@ -96,30 +114,28 @@ class TestPca:
         rng = np.random.default_rng(0)
         base = rng.normal(size=40)
         data = np.column_stack([base, 3.0 * base + 1.0])
-        model = pca_fit(data, 1)
+        data_image, _ = reduce_party(data, 1)
         # Standardized rank-1 data has total variance 2, all on one direction.
-        assert model.explained_variance[0] == pytest.approx(2.0, abs=1e-8)
+        assert data_image[:, 0].var(ddof=1) == pytest.approx(2.0, abs=1e-8)
 
     def test_reduction_drops_only_the_last_direction(self):
         rng = np.random.default_rng(1)
         data = rng.normal(size=(50, 4))
         full = pca_fit(data, 4)
-        rep = reduce_party(data, 3)
-        residual = standardized(data) - rep.data_rep @ full.components[:, :3].T
+        data_image, _ = reduce_party(data, 3)
+        residual = standardized(data) - data_image @ full.components[:, :3].T
         # What the reduction loses is the data's share along the fourth component.
         np.testing.assert_allclose(residual, np.outer(residual @ full.components[:, 3],
                                                       full.components[:, 3]), atol=1e-8)
         lost = np.sum(residual ** 2) / (data.shape[0] - 1)
-        assert lost == pytest.approx(full.explained_variance[3], abs=1e-8)
+        assert lost == pytest.approx(jacobi_variances(data, 4)[3], abs=1e-8)
 
     def test_explained_variance_matches_jacobi_oracle(self):
         rng = np.random.default_rng(5)
         data = rng.normal(size=(50, 6)) @ rng.normal(size=(6, 6))
-        model = pca_fit(data, 4)
-        scaled = standardized(data)
-        covariance = scaled.T @ scaled / (data.shape[0] - 1)
-        expected = oracles.jacobi_eigenvalues(covariance)[:4]
-        np.testing.assert_allclose(model.explained_variance, expected, atol=1e-6)
+        data_image, _ = reduce_party(data, 4)
+        np.testing.assert_allclose(data_image.var(axis=0, ddof=1), jacobi_variances(data, 4),
+                                   atol=1e-6)
 
     def test_components_orthonormal_and_variance_sorted(self):
         for seed in range(5):
@@ -128,8 +144,9 @@ class TestPca:
             model = pca_fit(data, 5)
             gram = model.components.T @ model.components
             np.testing.assert_allclose(gram, np.eye(5), atol=1e-8)
-            assert np.all(np.diff(model.explained_variance) <= 1e-12)
-            assert np.all(model.explained_variance >= 0)
+            variances = reduce_party(data, 4)[0].var(axis=0, ddof=1)
+            assert np.all(np.diff(variances) <= 1e-12)
+            assert np.all(variances >= 0)
 
     def test_sign_convention(self):
         rng = np.random.default_rng(9)
@@ -141,7 +158,7 @@ class TestPca:
         rng = np.random.default_rng(3)
         data = rng.normal(size=(20, 4))
         scaled = standardized(data)
-        projected = reduce_party(data, 3).data_rep
+        projected, _ = reduce_party(data, 3)
         for i in range(0, 20, 5):
             for j in range(1, 20, 7):
                 original = np.linalg.norm(scaled[i] - scaled[j])
@@ -151,8 +168,8 @@ class TestPca:
     def test_row_of_column_means_maps_to_zero(self):
         rng = np.random.default_rng(4)
         data = rng.normal(size=(30, 3))
-        rep = reduce_party(data, 2, data.mean(axis=0, keepdims=True))
-        np.testing.assert_allclose(rep.anchor_rep, 0.0, atol=1e-10)
+        _, anchor_image = reduce_party(data, 2, data.mean(axis=0, keepdims=True))
+        np.testing.assert_allclose(anchor_image, 0.0, atol=1e-10)
 
     def test_anchor_projection_matches_loop_oracle(self):
         rng = np.random.default_rng(11)
@@ -165,7 +182,7 @@ class TestPca:
             row = [(fresh[i, t] - means[t]) / sds[t] for t in range(3)]
             for j in range(2):
                 expected[i, j] = sum(row[t] * model.components[t, j] for t in range(3))
-        np.testing.assert_allclose(reduce_party(data, 2, fresh).anchor_rep, expected, atol=1e-12)
+        np.testing.assert_allclose(reduce_party(data, 2, fresh)[1], expected, atol=1e-12)
 
     def test_target_dim_out_of_range(self):
         data = np.eye(3)
@@ -428,7 +445,7 @@ class TestDeterminism:
         first = pca_fit(data, 3)
         second = pca_fit(data.copy(), 3)
         assert np.array_equal(first.components, second.components)
-        assert np.array_equal(first.explained_variance, second.explained_variance)
+        assert np.array_equal(first.stddevs, second.stddevs)
 
         s1 = svd_truncated(data, 4)
         s2 = svd_truncated(data.copy(), 4)
@@ -461,7 +478,7 @@ class TestLayoutIndependence:
     def test_pca_fit(self, seed):
         data = np.random.default_rng(seed).normal(size=(1000, 4)) * [1.0, 10.0, 0.1, 3.0]
         fits = [pca_fit(view, 2) for view in layouts(data)]
-        got = [bits(f.means, f.stddevs, f.components, f.explained_variance) for f in fits]
+        got = [bits(f.means, f.stddevs, f.components) for f in fits]
         assert got[1] == got[0] and got[2] == got[0]
 
     def test_logistic_fit(self, seed):

@@ -15,7 +15,7 @@ import pytest
 from dcqe import experiments, numerics
 from dcqe.causal import estimate_ipw, estimate_propensity, ipw_weights, match_pairs
 from dcqe.collaboration import make_intermediate
-from dcqe.datamodel import CollaborationScope, Dataset, PartitionSpec, PartyView
+from dcqe.datamodel import CollaborationScope, Dataset, PartitionSpec
 from dcqe.errors import DegenerateLabelsError, InvalidDataError
 from dcqe.metrics import smd
 from dcqe.numerics import logistic_fit, pca_fit, pseudoinverse, svd_truncated
@@ -34,8 +34,8 @@ ENTRY_POINTS = {
     "pseudoinverse": pseudoinverse,
     "logistic_fit": lambda x: logistic_fit(x, Z),
     "estimate_propensity": lambda x: estimate_propensity(x, Z),
-    "make_intermediate-party": lambda x: make_intermediate(PartyView(0, 0, x), GOOD, 2),
-    "make_intermediate-anchor": lambda x: make_intermediate(PartyView(0, 0, GOOD), x, 2),
+    "make_intermediate-party": lambda x: make_intermediate(x, GOOD, 2),
+    "make_intermediate-anchor": lambda x: make_intermediate(GOOD, x, 2),
     "smd": lambda x: smd(x, Z),
 }
 
