@@ -122,8 +122,6 @@ def match_pairs(scores, treatments) -> MatchingResult:
 class EffectEstimate:
     """A point estimate of a treatment effect in outcome units."""
 
-    estimand: str
-    method: str
     value: float
 
 
@@ -135,19 +133,20 @@ def estimate_psm(matching: MatchingResult, outcomes, estimand: str) -> EffectEst
     count, so multiply-matched subjects count once per occurrence.
 
     The bootstrap SE of this estimator, which matches with replacement, is
-    known to be unreliable (Abadie & Imbens 2008, Econometrica).
+    known to be unreliable (Abadie & Imbens 2008, Econometrica). A value
+    that overflows is returned without a warning.
     """
     if estimand not in ESTIMANDS:
         raise InvalidDataError(f"unknown estimand {estimand!r}")
     y = ensure_vector(outcomes, "outcomes", length=matching.subject_count)
     t, c = matching.treated, matching.control
-    treated_diffs = y[t] - y[matching.pairs[t]]
-    if estimand == "ATT":
-        value = float(np.mean(treated_diffs))
-    else:
+    with np.errstate(over="ignore", invalid="ignore"):
+        treated_diffs = y[t] - y[matching.pairs[t]]
+        if estimand == "ATT":
+            return EffectEstimate(float(np.mean(treated_diffs)))
         control_diffs = y[matching.pairs[c]] - y[c]
-        value = float((treated_diffs.sum() + control_diffs.sum()) / matching.subject_count)
-    return EffectEstimate(estimand=estimand, method="PSM", value=value)
+        return EffectEstimate(
+            float((treated_diffs.sum() + control_diffs.sum()) / matching.subject_count))
 
 
 def ipw_weights(scores, treatments, estimand: str) -> np.ndarray:
@@ -169,19 +168,20 @@ def estimate_ipw(scores, treatments, outcomes, estimand: str) -> EffectEstimate:
     """Self-normalized inverse-probability-weighted difference of outcome means.
 
     The weights are those of ``ipw_weights``; each group's weighted mean sums
-    over all subjects, with zero weight on the other group.
+    over all subjects, with zero weight on the other group. A value that
+    overflows is returned without a warning.
     """
-    return _ipw_estimate(ipw_weights(scores, treatments, estimand), treatments, outcomes, estimand)
+    return _ipw_estimate(ipw_weights(scores, treatments, estimand), treatments, outcomes)
 
 
-def _ipw_estimate(weights, treatments, outcomes, estimand: str) -> EffectEstimate:
+def _ipw_estimate(weights, treatments, outcomes) -> EffectEstimate:
     """``estimate_ipw`` from the weights ``ipw_weights`` computed and the treatments it checked."""
     treated = np.asarray(treatments) == 1
     y = ensure_vector(outcomes, "outcomes", length=weights.shape[0])
     wt = np.where(treated, weights, 0.0)
     wc = np.where(treated, 0.0, weights)
-    value = float((wt @ y) / wt.sum() - (wc @ y) / wc.sum())
-    return EffectEstimate(estimand=estimand, method="IPW", value=value)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return EffectEstimate(float((wt @ y) / wt.sum() - (wc @ y) / wc.sum()))
 
 
 def matched_sample(matching: MatchingResult, estimand: str) -> tuple[np.ndarray, np.ndarray]:

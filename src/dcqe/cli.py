@@ -357,7 +357,7 @@ def _result_row(result: ScenarioResult) -> dict[str, object]:
         for stat in ("mean", "se", "point"):
             row[f"{name}_{stat}"] = None if summary is None else getattr(summary, stat)
     row["collaborative_dim"] = result.collaborative_dim
-    row["replicates"] = result.bootstrap.replicate_count
+    row["replicates"] = len(result.bootstrap_estimates)
     row["master_seed"] = result.master_seed
     return row
 
@@ -441,7 +441,7 @@ def emit_report(results: list[ScenarioResult], config: RunConfig) -> list[Path]:
             writer = csv.writer(handle, lineterminator="\n")
             writer.writerow(["estimator", "collaboration", "replicate", "estimate"])
             for result in results:
-                for b, est in enumerate(result.bootstrap.estimates):
+                for b, est in enumerate(result.bootstrap_estimates):
                     writer.writerow([result.estimator, result.collaboration, b, repr(float(est))])
         written.append(path)
     return written

@@ -29,8 +29,8 @@ from .collaboration import assemble_collaborative, fit_integration, generate_anc
     make_intermediate
 from .datamodel import CollaborationScope, Dataset, PartitionSpec, _party_blocks, \
     scope_col_indices, scope_row_indices, scoped_partition
-from .errors import ConfigError, DcqeError
-from .metrics import BalanceReport, BootstrapDistribution, _smd, gap, inconsistency, smd
+from .errors import ConfigError, DcqeError, InvalidDataError
+from .metrics import _smd, gap, inconsistency, smd
 from .numerics import ensure_vector, sigmoid
 from .tabular import TabularSchema, ingest_csv
 
@@ -170,7 +170,7 @@ class MetricSummary:
 
 @dataclass(frozen=True, eq=False)
 class ScenarioResult:
-    """Point estimate, bootstrap distribution and evaluation metrics of one scenario."""
+    """Point estimate, bootstrap estimates and evaluation metrics of one scenario, all finite."""
 
     estimator: str
     collaboration: str
@@ -178,7 +178,8 @@ class ScenarioResult:
     analysis: str
     subject_count: int
     point_estimate: float
-    bootstrap: BootstrapDistribution
+    bootstrap_estimates: np.ndarray
+    """The replicate estimates, in replicate order."""
     estimate_mean: float
     estimate_se: float
     """Sample SD of the bootstrap estimates. For PSM (matching with replacement)
@@ -187,7 +188,6 @@ class ScenarioResult:
     inconsistency_true: MetricSummary | None
     inconsistency_ca: MetricSummary
     masmd: MetricSummary
-    balance: BalanceReport
     collaborative_dim: int | None
     master_seed: int
     config: ScenarioConfig
@@ -198,7 +198,7 @@ class _Replicate:
     estimate: float
     inconsistency_true: float | None
     inconsistency_ca: float
-    balance: BalanceReport
+    masmd: float
     collaborative_dim: int | None
 
 
@@ -324,6 +324,9 @@ def run_scenario(data: Dataset, config: ScenarioConfig,
     the no-resample point run uses ``(master_seed, 0)``. Resamples that lose a
     treatment group are redrawn. With ``resample`` disabled every replicate
     equals the point run, so the bootstrap mean equals the point estimate.
+    Every number the result reports is checked once, at the end: the first
+    that is not finite, for example an SE that overflows, raises
+    ``InvalidDataError`` naming it.
 
     A scope that covers every row, or every column, reads the dataset's
     arrays without copying them. The runs are split over forked workers, one
@@ -396,11 +399,11 @@ def run_scenario(data: Dataset, config: ScenarioConfig,
             estimate = estimate_psm(matching, y, config.estimand).value
             t_rows, c_rows = matched_sample(matching, config.estimand)
             truth = np.ascontiguousarray(ground_truth.T)  # variables-major
-            balance = _smd(truth.take(t_rows, axis=1), truth.take(c_rows, axis=1))
+            masmd = _smd(truth.take(t_rows, axis=1), truth.take(c_rows, axis=1)).masmd
         else:
             weights = ipw_weights(scores, z, config.estimand)
-            estimate = _ipw_estimate(weights, z, y, config.estimand).value
-            balance = smd(ground_truth, z, weights=weights)
+            estimate = _ipw_estimate(weights, z, y).value
+            masmd = smd(ground_truth, z, weights=weights).masmd
 
         # Centralized reference: the same subjects with every covariate. When
         # the scenario itself already is that analysis, its scores are reused,
@@ -413,39 +416,39 @@ def run_scenario(data: Dataset, config: ScenarioConfig,
         inc_true = None
         if true_sub is not None:
             inc_true = inconsistency(scores.values, true_sub[idx])
-        return _Replicate(estimate, inc_true, inc_ca, balance, effective_dim)
+        return _Replicate(estimate, inc_true, inc_ca, masmd, effective_dim)
 
     runs = _run_all(run_once, 1 + config.bootstrap_replicates if config.resample else 1)
     point = runs[0]
     replicates = runs[1:] if config.resample else [point] * config.bootstrap_replicates
 
-    estimates = np.array([r.estimate for r in replicates])
-    estimator_label = f"DC-QE({config.estimator})" if is_dcqe else config.estimator
-    dist = BootstrapDistribution(estimates, estimand=config.estimand, method=estimator_label)
-
-    inc_true_summary = None
-    if point.inconsistency_true is not None:
-        inc_true_summary = _summary(
-            point.inconsistency_true, np.array([r.inconsistency_true for r in replicates])
-        )
+    estimates = ensure_vector([r.estimate for r in replicates], "estimates")
+    with np.errstate(over="ignore", invalid="ignore"):  # a number that overflows is named below
+        numbers = {
+            "point_estimate": point.estimate,
+            "estimate_mean": float(estimates.mean()),
+            "estimate_se": _sample_se(estimates),
+            "gap": gap(estimates, config.benchmark) if config.benchmark is not None else None,
+        }
+        summaries = {name: None if getattr(point, name) is None else _summary(
+            getattr(point, name), np.array([getattr(r, name) for r in replicates]))
+            for name in ("inconsistency_true", "inconsistency_ca", "masmd")}
+    checked = dict(numbers, **{f"{name}.{stat}": getattr(summary, stat)
+                               for name, summary in summaries.items() if summary is not None
+                               for stat in ("point", "mean", "se")})
+    for name, value in checked.items():
+        if value is not None and not np.isfinite(value):
+            raise InvalidDataError(f"{name} is not finite: {value!r}")
 
     return ScenarioResult(
-        estimator=estimator_label,
+        estimator=f"DC-QE({config.estimator})" if is_dcqe else config.estimator,
         collaboration=config.collaboration_label or _default_label(config),
         estimand=config.estimand,
         analysis=config.analysis,
         subject_count=n_scope,
-        point_estimate=point.estimate,
-        bootstrap=dist,
-        estimate_mean=float(estimates.mean()),
-        estimate_se=_sample_se(estimates),
-        gap=gap(dist, config.benchmark) if config.benchmark is not None else None,
-        inconsistency_true=inc_true_summary,
-        inconsistency_ca=_summary(
-            point.inconsistency_ca, np.array([r.inconsistency_ca for r in replicates])
-        ),
-        masmd=_summary(point.balance.masmd, np.array([r.balance.masmd for r in replicates])),
-        balance=point.balance,
+        bootstrap_estimates=estimates,
+        **numbers,
+        **summaries,
         collaborative_dim=point.collaborative_dim,
         master_seed=config.master_seed,
         config=config,

@@ -1,7 +1,7 @@
 """Evaluation measures: gap from a benchmark, score inconsistency, balance.
 
-The gap is the root-mean-square deviation of bootstrap estimates from a
-benchmark effect. Inconsistency is the root-mean-square difference between
+The gap is the root-mean-square deviation of a plain vector of bootstrap
+estimates from a benchmark effect. Inconsistency is the root-mean-square difference between
 two propensity-score vectors. Covariate balance is summarized by the maximum
 absolute standardized mean difference (MASMD) across covariates, with an
 optional inverse-probability-weighted variant.
@@ -18,25 +18,6 @@ from .numerics import DEGENERATE_STDDEV, ensure_binary_labels, ensure_matrix, en
 
 
 @dataclass(frozen=True, eq=False)
-class BootstrapDistribution:
-    """Bootstrap replicate estimates with their estimand/method labels."""
-
-    estimates: np.ndarray
-    estimand: str = "ATE"
-    method: str = "IPW"
-
-    def __post_init__(self):
-        values = ensure_vector(self.estimates, "estimates")
-        if values.shape[0] < 1:
-            raise InvalidDataError("bootstrap distribution needs at least one estimate")
-        object.__setattr__(self, "estimates", values)
-
-    @property
-    def replicate_count(self) -> int:
-        return self.estimates.shape[0]
-
-
-@dataclass(frozen=True, eq=False)
 class BalanceReport:
     """Per-covariate standardized mean differences and their maximum magnitude."""
 
@@ -45,10 +26,8 @@ class BalanceReport:
 
 
 def gap(estimates, benchmark: float) -> float:
-    """Root-mean-square deviation of the estimates from the benchmark."""
-    values = estimates.estimates if isinstance(estimates, BootstrapDistribution) else None
-    if values is None:
-        values = ensure_vector(estimates, "estimates")
+    """Root-mean-square deviation of a vector of estimates from the benchmark."""
+    values = ensure_vector(estimates, "estimates")
     if values.shape[0] < 1:
         raise InvalidDataError("gap needs at least one estimate")
     return float(np.sqrt(np.mean((values - float(benchmark)) ** 2)))

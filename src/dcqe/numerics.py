@@ -4,12 +4,13 @@ Everything in this module is deterministic: sign conventions are fixed, no
 randomized solvers are used, and identical inputs give bit-identical outputs.
 All matrices are plain 2-d float64 ``numpy`` arrays.
 
-Validation happens once, where an array enters: each public function and
+Validation happens where an array enters: each public function and
 constructor checks the arrays its caller passes (``ensure_matrix`` and its
 siblings) and raises ``InvalidDataError`` on a wrong rank, an empty or a
-non-finite input. Library code never sends arrays it built, or has already
-checked, through a public checker again. Binary labels have one checker,
-``ensure_binary_labels``: 0/1 only and both classes present.
+non-finite input. A bootstrap replicate still calls some public functions
+on arrays it built or checked itself, so those are checked again: the
+benchmark's tracer times the functions by their public names. Binary labels
+have one checker, ``ensure_binary_labels``: 0/1 only and both classes present.
 
 Kernels that reduce over the subjects copy their tall subjects x variables
 input once into a C-contiguous variables x subjects array and reduce along

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -264,3 +266,22 @@ class TestIpwEstimates:
             )
         stderr = np.std(replicates, ddof=1)
         assert abs(point - 1.0) < 4.0 * stderr
+
+
+class TestOverflowingOutcomes:
+    """Outcomes near the largest double overflow the estimators' sums: the value
+    comes back as it is, without a warning, for ``run_scenario`` to reject."""
+
+    SCORES = np.array([0.2, 0.8, 0.4, 0.6])
+    Z = np.array([1, 1, 0, 0])
+
+    @pytest.mark.parametrize("controls", [0.0, -1e308])
+    def test_no_warning(self, controls):
+        y = np.array([1e308, 1e308, controls, controls])
+        matching = match_pairs(self.SCORES, self.Z)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values = [estimate(estimand).value for estimand in ("ATE", "ATT") for estimate in (
+                lambda e: estimate_ipw(self.SCORES, self.Z, y, e),
+                lambda e: estimate_psm(matching, y, e))]
+        assert not np.any(np.isfinite(values))

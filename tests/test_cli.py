@@ -297,7 +297,7 @@ class TestEmitReport:
         paths = emit_report(results, config)
         sidecar = [p for p in paths if p.name == "bootstrap_estimates.csv"][0]
         lines = sidecar.read_text().splitlines()
-        assert len(lines) == 1 + results[0].bootstrap.replicate_count
+        assert len(lines) == 1 + len(results[0].bootstrap_estimates)
 
     def test_table_uses_four_decimals(self, single_result):
         results, _ = single_result
@@ -570,6 +570,28 @@ class TestRunCommand:
         assert err == ("error: party covariates column 1: its mean or standard deviation "
                        "overflows a double\n")
         assert "SVD did not converge" not in err
+
+    def test_overflowing_effect_exits_runtime_and_writes_nothing(self, tmp_path, capsys):
+        # Outcomes of +-1e308 by treatment group: every estimate overflows.
+        rng = np.random.default_rng(1)
+        parties = [write_rows(tmp_path / f"p{l}.csv",
+                              [f"{i},{rng.normal()!r},{rng.normal()!r}" for i in range(40)],
+                              header="id,a,b") for l in range(2)]
+        block = write_rows(tmp_path / "block.csv",
+                           [f"{i},{i % 2},{1e308 if i % 2 else -1e308!r}" for i in range(40)],
+                           header="id,treatment,outcome")
+        config = write_config(tmp_path / "run.conf", "\n".join([
+            f"run.party.0.0 = {parties[0]}", f"run.party.0.1 = {parties[1]}",
+            f"run.block.0 = {block}", "run.id_column = id", "reduction.intermediate_dim = 1",
+            "reduction.collaborative_dim = 2", "bootstrap.replicates = 2",
+        ]) + "\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["run", "--config", str(config), "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == EXIT_RUNTIME
+        assert err == "error: estimates contains non-finite entries\n"
+        assert not (tmp_path / "out").exists()
 
     def test_non_strict_reduction_of_ingested_parties_is_a_config_error(self, tmp_path, capsys):
         # The parties hold two columns each, so a width of 2 is no reduction;

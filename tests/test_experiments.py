@@ -8,6 +8,7 @@ import subprocess
 import sys
 import threading
 import tracemalloc
+import warnings
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
@@ -18,7 +19,8 @@ from dcqe import experiments
 from dcqe.causal import estimate_ipw, estimate_propensity
 from dcqe.collaboration import fit_integration, generate_anchor, make_intermediate
 from dcqe.datamodel import CollaborationScope, PartitionSpec, partition
-from dcqe.errors import ConfigError, DcqeError, DimensionError, ScopeError
+from dcqe.datamodel import Dataset
+from dcqe.errors import ConfigError, DcqeError, DimensionError, InvalidDataError, ScopeError
 from dcqe.experiments import (
     ArtificialDataConfig,
     ScenarioConfig,
@@ -122,10 +124,9 @@ class TestRunScenario:
         config = small_scenario(estimator="PSM", bootstrap_replicates=8)
         first = run_scenario(data, config, scores)
         second = run_scenario(data, config, scores)
-        assert np.array_equal(first.bootstrap.estimates, second.bootstrap.estimates)
+        assert np.array_equal(first.bootstrap_estimates, second.bootstrap_estimates)
         assert first.inconsistency_ca == second.inconsistency_ca
         assert first.masmd == second.masmd
-        assert np.array_equal(first.balance.smd_per_covariate, second.balance.smd_per_covariate)
 
     def test_centralized_self_inconsistency_is_structurally_zero(self):
         data, scores = generate_artificial(ArtificialDataConfig(subjects=120, seed=6))
@@ -162,7 +163,7 @@ class TestRunScenario:
             benchmark=0.0,
         )
         result = run_scenario(data, config)
-        assert np.all(np.isfinite(result.bootstrap.estimates))
+        assert np.all(np.isfinite(result.bootstrap_estimates))
 
     def test_labels_and_counts(self):
         data, scores = generate_artificial(ArtificialDataConfig(subjects=80, seed=7))
@@ -201,6 +202,47 @@ class TestRunScenario:
             run_scenario(data, small_scenario(collaborative_dim=90))
 
 
+class TestReportedNumbersAreFinite:
+    """``run_scenario`` checks every number it reports, once, and names the first
+    that is not finite; nothing on the way warns."""
+
+    @staticmethod
+    def run_without_warnings(data, config, scores=None):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return run_scenario(data, config, scores)
+
+    @pytest.mark.parametrize("estimator", ["IPW", "PSM"])
+    def test_overflowing_estimates_are_named(self, estimator):
+        data, scores = generate_artificial(ArtificialDataConfig(subjects=80, seed=2))
+        outcomes = np.where(data.treatments == 1, 1e308, -1e308)
+        big = Dataset(data.covariates, data.treatments, outcomes)
+        with pytest.raises(InvalidDataError, match="^estimates contains non-finite entries$"):
+            self.run_without_warnings(big, small_scenario(estimator=estimator), scores)
+
+    def test_overflowing_se_is_named(self):
+        # Every estimate is finite, near 1e306, but their spread overflows in the square.
+        data, scores = generate_artificial(ArtificialDataConfig(subjects=40, seed=0))
+        y = np.zeros(40)
+        y[np.flatnonzero(data.treatments == 1)[0]] = 1e307
+        spec = PartitionSpec((20, 20), (3, 3))
+        config = small_scenario(partition=spec, scope=CollaborationScope.build("whole", spec),
+                                estimand="ATT", collaborative_dim=4, anchor_size=None,
+                                bootstrap_replicates=20, master_seed=0, benchmark=None)
+        with pytest.raises(InvalidDataError, match="^estimate_se is not finite: inf$"):
+            self.run_without_warnings(Dataset(data.covariates, data.treatments, y), config, scores)
+
+    def test_finite_run_reports_plain_numbers(self):
+        data, scores = generate_artificial(ArtificialDataConfig(subjects=80, seed=2))
+        result = self.run_without_warnings(data, small_scenario(bootstrap_replicates=4), scores)
+        assert result.bootstrap_estimates.dtype == np.float64
+        assert result.bootstrap_estimates.shape == (4,)
+        assert result.estimate_mean == float(result.bootstrap_estimates.mean())
+        assert all(type(value) is float for value in (
+            result.point_estimate, result.estimate_mean, result.estimate_se, result.gap,
+            result.masmd.point, result.masmd.mean, result.masmd.se))
+
+
 CPUS = experiments._available_cpus()
 CAN_FORK = hasattr(os, "fork")
 needs_workers = pytest.mark.skipif(CPUS < 2 or not CAN_FORK,
@@ -226,11 +268,10 @@ def result_numbers(result):
     if result.inconsistency_true is not None:
         summaries.append(result.inconsistency_true)
     values = [result.point_estimate, result.estimate_mean, result.estimate_se,
-              np.nan if result.gap is None else result.gap, result.balance.masmd,
+              np.nan if result.gap is None else result.gap,
               result.subject_count, result.collaborative_dim or 0]
     values += [x for s in summaries for x in (s.point, s.mean, s.se)]
-    return (np.array(values, dtype=float).tobytes(), result.bootstrap.estimates.tobytes(),
-            result.balance.smd_per_covariate.tobytes())
+    return np.array(values, dtype=float).tobytes(), result.bootstrap_estimates.tobytes()
 
 
 def assert_no_child_left():

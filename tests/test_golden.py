@@ -10,6 +10,9 @@ in a subprocess with one BLAS thread, and compares its ``results.csv`` with
   synthetic job-training stand-in of ``write_benchmark_fixture`` (ATT, four
   parties, eight covariates).
 
+The ``scenario`` case also writes ``bootstrap_estimates.csv``, which is
+compared with ``tests/golden/scenario_bootstrap_estimates.csv`` the same way.
+
 The header, the row count and every text or integer cell must be equal, and
 every real cell must agree within a relative ``RTOL``. A file that matches
 but is not byte-identical only raises a warning: another BLAS build may
@@ -47,10 +50,13 @@ CASES = {
     "scenario": ("simulate", "scenario.conf", False),
     "evaluate": ("evaluate", "evaluate.conf", True),
 }
+# Golden file name: (case, the report file it pins)
+GOLDEN_FILES = {f"{case}.csv": (case, "results.csv") for case in CASES}
+GOLDEN_FILES["scenario_bootstrap_estimates.csv"] = ("scenario", "bootstrap_estimates.csv")
 
 
 def generate(workdir: Path) -> dict[str, Path]:
-    """Run every case at once in ``workdir``; each case's ``results.csv``."""
+    """Run every case at once in ``workdir``; the report each golden file pins."""
     fixture = write_benchmark_fixture(workdir / "benchmark.csv")
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), OPENBLAS_NUM_THREADS="1")
     running = {}
@@ -59,6 +65,8 @@ def generate(workdir: Path) -> dict[str, Path]:
                               f"bootstrap.replicates = {REPLICATES}",
                               (ROOT / "configs" / config).read_text(encoding="utf-8"))
         assert count == 1, f"{config} sets bootstrap.replicates {count} times"
+        if name == "scenario":
+            text += "output.dump_bootstrap = true\n"
         config_path = workdir / f"{name}.conf"
         config_path.write_text(text, encoding="utf-8")
         args = [sys.executable, "-m", "dcqe.cli", command,
@@ -70,7 +78,7 @@ def generate(workdir: Path) -> dict[str, Path]:
     for name, proc in running.items():
         _, stderr = proc.communicate(timeout=300)
         assert proc.returncode == 0, f"{name}: exit code {proc.returncode}: {stderr}"
-    return {name: workdir / name / "results.csv" for name in CASES}
+    return {golden: workdir / case / report for golden, (case, report) in GOLDEN_FILES.items()}
 
 
 def _real(cell: str) -> float | None:
@@ -111,13 +119,13 @@ def generated(tmp_path_factory):
     return generate(tmp_path_factory.mktemp("golden"))
 
 
-@pytest.mark.parametrize("case", sorted(CASES))
-def test_results_match_golden(case, generated):
-    expected, actual = GOLDEN / f"{case}.csv", generated[case]
+@pytest.mark.parametrize("golden", sorted(GOLDEN_FILES))
+def test_results_match_golden(golden, generated):
+    expected, actual = GOLDEN / golden, generated[golden]
     problems = mismatches(expected, actual)
-    assert not problems, f"{case}: " + "; ".join(problems[:10])
+    assert not problems, f"{golden}: " + "; ".join(problems[:10])
     if expected.read_bytes() != actual.read_bytes():
-        warnings.warn(f"{case}: results.csv matches within {RTOL} but is not byte-identical "
+        warnings.warn(f"{golden}: {actual.name} matches within {RTOL} but is not byte-identical "
                       "to the golden file")
 
 
@@ -144,6 +152,6 @@ def test_mismatches_names_a_moved_cell_and_a_relabel(tmp_path):
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     with tempfile.TemporaryDirectory() as scratch:
-        for case, path in generate(Path(scratch)).items():
-            shutil.copyfile(path, GOLDEN / f"{case}.csv")
-            print(f"wrote {GOLDEN / f'{case}.csv'}")
+        for golden, path in generate(Path(scratch)).items():
+            shutil.copyfile(path, GOLDEN / golden)
+            print(f"wrote {GOLDEN / golden}")

@@ -5,7 +5,7 @@ from hypothesis.extra import numpy as hnp
 
 import oracles
 from dcqe.errors import DimensionError, InfiniteImbalanceError, InvalidDataError
-from dcqe.metrics import BootstrapDistribution, gap, inconsistency, smd
+from dcqe.metrics import gap, inconsistency, smd
 
 unit_floats = st.floats(0.01, 0.99, allow_nan=False, allow_infinity=False)
 
@@ -24,9 +24,11 @@ class TestGap:
     def test_symmetric_pair(self):
         assert gap(np.array([0.0, 2.0]), 1.0) == 1.0
 
-    def test_accepts_distribution_objects(self):
-        dist = BootstrapDistribution(np.array([0.0, 2.0]), estimand="ATE", method="IPW")
-        assert gap(dist, 1.0) == 1.0
+    def test_rejects_empty_or_non_finite_estimates(self):
+        with pytest.raises(InvalidDataError, match="at least one estimate"):
+            gap(np.array([]), 1.0)
+        with pytest.raises(InvalidDataError, match="estimates contains non-finite entries"):
+            gap(np.array([1.0, np.inf]), 1.0)
 
     @settings(max_examples=50, deadline=None)
     @given(score_vectors(12), st.floats(-5, 5, allow_nan=False))
@@ -139,16 +141,3 @@ class TestSmd:
         x, z = grouped_covariates(seed=36, n=12)
         with pytest.raises(InvalidDataError):
             smd(x, z, weights=np.zeros(12))
-
-
-class TestBootstrapDistribution:
-    def test_needs_estimates(self):
-        with pytest.raises(InvalidDataError):
-            BootstrapDistribution(np.array([]))
-
-    def test_rejects_non_finite(self):
-        with pytest.raises(InvalidDataError):
-            BootstrapDistribution(np.array([1.0, np.inf]))
-
-    def test_replicate_count(self):
-        assert BootstrapDistribution(np.zeros(7)).replicate_count == 7

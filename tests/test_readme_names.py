@@ -18,7 +18,7 @@ import dcqe
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 PARAGRAPH_STARTS = ("The protocol pieces are available individually",
-                    "Each array is checked once, where it enters the package")
+                    "Each array is checked where it enters the package")
 MODULES = [importlib.import_module(f"dcqe.{info.name}")
            for info in pkgutil.iter_modules(dcqe.__path__) if not info.name.startswith("_")]
 

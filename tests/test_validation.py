@@ -1,10 +1,11 @@
-"""Arrays are checked once, where they enter the package.
+"""Arrays are checked where they enter the package.
 
 Every public entry point on the pipeline path rejects a NaN or 1-d array
-with ``InvalidDataError``, every one that takes treatments rejects labels
-other than 0/1 or from a single group the same way, and library code does
-not send the arrays it has already checked through a public checker again,
-so one pipeline run makes only a few checks.
+with ``InvalidDataError``, and every one that takes treatments rejects
+labels other than 0/1 or from a single group the same way. A pipeline run
+still calls public entry points, which the benchmark's tracer times by name,
+on arrays it built itself, so it checks some arrays again; the number of
+checks per run is bounded.
 """
 
 import sys
