@@ -18,6 +18,10 @@ alignment that decomposes the anchor-tall combined image and pseudo-inverts
 each row block's anchor image (``fit_integration``, ``_shared_basis``) is
 the one before the R-factor alignment; the package's maps stay within a
 stated bound of its maps.
+
+``reference_scenario`` composes these references into a whole scenario:
+every number ``run_scenario`` reports, recomputed one run at a time from the
+method's steps, with party PCA by the SVD of each standardized block.
 """
 
 from __future__ import annotations
@@ -411,6 +415,155 @@ def fit_integration(intermediates: Sequence[Sequence[tuple[np.ndarray, np.ndarra
     images = [np.hstack([anchor for _, anchor in row]) for row in intermediates]
     basis = _shared_basis(images, collaborative_dim)
     return [pseudoinverse(image) @ basis for image in images]
+
+
+# -- A whole scenario, recomputed serially from the method's steps -----------
+
+_PROPENSITY_CLIP = (1e-6, 1.0 - 1e-6)
+
+
+def _rms(values) -> float:
+    return float(np.sqrt(np.mean(np.square(values))))
+
+
+def _resample(config, n: int, treatments: np.ndarray, run: int) -> tuple[int, np.ndarray]:
+    """The anchor seed and the subject positions of run ``run``; run 0 keeps every subject.
+
+    Each run draws from its own ``SeedSequence((master_seed, run))``: first the
+    anchor seed, then resamples of ``n`` positions until each group keeps at
+    least two subjects.
+    """
+    rng = np.random.default_rng(np.random.SeedSequence((config.master_seed, run)))
+    anchor_seed = int(rng.integers(0, 2**63))
+    if run == 0:
+        return anchor_seed, np.arange(n)
+    for _ in range(100):
+        idx = rng.integers(0, n, size=n)
+        if 2 <= int(treatments[idx].sum()) <= n - 2:
+            return anchor_seed, idx
+    raise AssertionError("the resampling kept losing a treatment group")
+
+
+def _party_pair(block: np.ndarray, anchor_block: np.ndarray, dim: int):
+    """Party PCA by the SVD of the standardized block: its data and anchor images."""
+    mean = block.mean(axis=0)
+    sd = block.std(axis=0, ddof=1)
+    sd = np.where(sd < 1e-12, 1.0, sd)
+    components = np.linalg.svd((block - mean) / sd, full_matrices=False)[2][:dim].T
+    return (block - mean) / sd @ components, (anchor_block - mean) / sd @ components
+
+
+def _collaborative(scoped: np.ndarray, spec, config, anchor: np.ndarray) -> np.ndarray:
+    """The parties' images aligned by the pseudoinverse oracle, row blocks stacked."""
+    rows = np.cumsum((0,) + spec.row_blocks)
+    cols = np.cumsum((0,) + spec.col_blocks)
+    grid = [[_party_pair(scoped[rows[k]:rows[k + 1], cols[l]:cols[l + 1]],
+                         anchor[:, cols[l]:cols[l + 1]], config.intermediate_dim)
+             for l in range(len(spec.col_blocks))] for k in range(len(spec.row_blocks))]
+    maps = fit_integration(grid, config.collaborative_dim)
+    return np.vstack([np.hstack([data for data, _ in row]) @ m for row, m in zip(grid, maps)])
+
+
+def _propensity(features: np.ndarray, treatments: np.ndarray) -> np.ndarray:
+    model = reference_logistic_fit(features, treatments)
+    return np.clip(masked_sigmoid(model.intercept + features @ model.coefficients),
+                   *_PROPENSITY_CLIP)
+
+
+def reference_run(data: Dataset, config, true_scores, run: int) -> dict:
+    """One run of ``run_scenario``'s pipeline, from the method's steps.
+
+    Returns the effect estimate, the masmd on the ground-truth covariates, the
+    two inconsistencies, and the propensity scores and PSM pairs behind them.
+    """
+    spec, scope = config.partition, config.scope
+    row_offsets = np.cumsum((0,) + spec.row_blocks)
+    col_offsets = np.cumsum((0,) + spec.col_blocks)
+    rows = np.concatenate([np.arange(row_offsets[k], row_offsets[k + 1])
+                           for k in scope.row_indices])
+    cols = np.concatenate([np.arange(col_offsets[l], col_offsets[l + 1])
+                           for l in scope.col_indices])
+    anchor_seed, idx = _resample(config, rows.shape[0], data.treatments[rows], run)
+    subjects = rows[idx]
+    truth = data.covariates[subjects]
+    scoped = truth[:, cols]
+    z = data.treatments[subjects]
+    y = data.outcomes[subjects]
+
+    if config.analysis == "dcqe":
+        lows, highs = data.covariates.min(axis=0)[cols], data.covariates.max(axis=0)[cols]
+        anchor_rows = config.anchor_size or data.subject_count
+        anchor = np.random.default_rng(anchor_seed).uniform(lows, highs,
+                                                            size=(anchor_rows, cols.shape[0]))
+        sub_spec = PartitionSpec(tuple(spec.row_blocks[k] for k in scope.row_indices),
+                                 tuple(spec.col_blocks[l] for l in scope.col_indices))
+        scores = _propensity(_collaborative(scoped, sub_spec, config, anchor), z)
+    else:
+        scores = _propensity(scoped, z)
+
+    pairs = None
+    if config.estimator == "PSM":
+        pairs = brute_force_pairs(scores, z)
+        estimate = psm_formula(pairs, z, y, config.estimand)
+        treated = np.flatnonzero(z == 1)
+        control = np.flatnonzero(z == 0)
+        if config.estimand == "ATT":
+            t_rows, c_rows = treated, pairs[treated]
+        else:
+            t_rows = np.concatenate([treated, pairs[control]])
+            c_rows = np.concatenate([pairs[treated], control])
+        labels = np.r_[np.ones(t_rows.shape[0]), np.zeros(c_rows.shape[0])]
+        balance = smd_formula(np.vstack([truth[t_rows], truth[c_rows]]), labels)
+    else:
+        estimate = ipw_formula(scores, z, y, config.estimand)
+        if config.estimand == "ATE":
+            weights = np.where(z == 1, 1.0 / scores, 1.0 / (1.0 - scores))
+        else:
+            weights = np.where(z == 1, 1.0, scores / (1.0 - scores))
+        balance = smd_formula(truth, z, weights)
+
+    full_width = cols.shape[0] == data.covariate_count
+    reference = scores if config.analysis != "dcqe" and full_width else _propensity(truth, z)
+    return {
+        "estimate": estimate,
+        "masmd": max(abs(v) for v in balance),
+        "inconsistency_ca": _rms(scores - reference),
+        "inconsistency_true": None if true_scores is None else
+        _rms(scores - np.asarray(true_scores)[subjects]),
+        "scores": scores,
+        "pairs": pairs,
+    }
+
+
+def reference_scenario(data: Dataset, config, true_scores=None) -> dict:
+    """Every number ``run_scenario`` reports, recomputed serially from the method's steps.
+
+    The runs follow ``reference_run``; run ``b`` of ``1 + B`` is bootstrap
+    replicate ``b``, and without resampling every replicate is run 0. The
+    summaries are the point run's value, the replicates' mean and their
+    sample standard deviation. Also returns the runs themselves, as ``runs``.
+    """
+    count = 1 + config.bootstrap_replicates if config.resample else 1
+    runs = [reference_run(data, config, true_scores, b) for b in range(count)]
+    replicates = runs[1:] if config.resample else runs * config.bootstrap_replicates
+
+    def sd(values) -> float:
+        return float(np.std(values, ddof=1)) if len(values) > 1 else 0.0
+
+    estimates = np.array([r["estimate"] for r in replicates])
+    numbers = {
+        "bootstrap_estimates": estimates,
+        "point_estimate": runs[0]["estimate"],
+        "estimate_mean": float(np.mean(estimates)),
+        "estimate_se": sd(estimates),
+        "gap": None if config.benchmark is None else _rms(estimates - config.benchmark),
+        "runs": runs,
+    }
+    for name in ("inconsistency_true", "inconsistency_ca", "masmd"):
+        values = [r[name] for r in replicates]
+        numbers[name] = None if runs[0][name] is None else \
+            (runs[0][name], float(np.mean(values)), sd(values))
+    return numbers
 
 
 # -- CSV loaders that parse and check one cell at a time, row by row ---------

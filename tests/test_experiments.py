@@ -15,11 +15,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import oracles
 from dcqe import experiments
 from dcqe.causal import estimate_ipw, estimate_propensity
 from dcqe.collaboration import fit_integration, generate_anchor, make_intermediate
-from dcqe.datamodel import CollaborationScope, PartitionSpec, partition
-from dcqe.datamodel import Dataset
+from dcqe.datamodel import CollaborationScope, Dataset, PartitionSpec, partition
 from dcqe.errors import ConfigError, DcqeError, DimensionError, InvalidDataError, ScopeError
 from dcqe.experiments import (
     ArtificialDataConfig,
@@ -241,6 +241,80 @@ class TestReportedNumbersAreFinite:
         assert all(type(value) is float for value in (
             result.point_estimate, result.estimate_mean, result.estimate_se, result.gap,
             result.masmd.point, result.masmd.mean, result.masmd.se))
+
+
+class TestReferenceScenario:
+    """``run_scenario`` against ``oracles.reference_scenario``, which recomputes each run
+    serially from the method's steps: the same seed stream and redraw rule, party
+    PCA by the SVD of the standardized block, the pseudoinverse alignment, the
+    ``logaddexp`` IRLS fit, brute-force matching and loop or rational formulas.
+
+    Every reported number must agree within ``BOUND``, relative to the larger of
+    1 and its size; the largest gap measured on these cases is 7.8e-16. A PSM
+    match that differs between the package's and the oracle's scores is
+    reported by name: none does on these cases.
+    """
+
+    BOUND = 1e-10
+    SPEC = PartitionSpec((100, 100), (3, 3))
+    # (analysis, estimator, estimand, scope, collaborative width)
+    CASES = [
+        ("dcqe", "PSM", "ATE", CollaborationScope.build("whole", SPEC), 4),
+        ("dcqe", "IPW", "ATT", CollaborationScope.build("left", SPEC), 2),
+        ("dcqe", "IPW", "ATE", CollaborationScope.build("top", SPEC), 4),
+        ("dcqe", "PSM", "ATT", CollaborationScope.build("right", SPEC), 2),
+        ("dcqe", "IPW", "ATE", CollaborationScope.build("bottom", SPEC), 3),
+        ("centralized", "IPW", "ATE", CollaborationScope.build("whole", SPEC), None),
+        ("centralized", "PSM", "ATE", CollaborationScope.custom((0, 1), (1,)), None),
+        ("individual", "PSM", "ATT", CollaborationScope.single_party(1, 0), None),
+        ("individual", "IPW", "ATT", CollaborationScope.single_party(0, 1), None),
+    ]
+
+    @staticmethod
+    def numbers(result):
+        """Each reported number of a ``ScenarioResult`` or a ``reference_scenario`` dict."""
+        get = result.get if isinstance(result, dict) else lambda name: getattr(result, name)
+        out = {f"bootstrap_estimates[{b}]": v for b, v in enumerate(get("bootstrap_estimates"))}
+        out.update((name, get(name)) for name in
+                   ("point_estimate", "estimate_mean", "estimate_se", "gap"))
+        for name in ("inconsistency_true", "inconsistency_ca", "masmd"):
+            summary = get(name)
+            values = summary if isinstance(summary, tuple) else \
+                (summary.point, summary.mean, summary.se)
+            out.update((f"{name}.{stat}", v) for stat, v in zip(("point", "mean", "se"), values))
+        return out
+
+    def test_every_reported_number_matches_the_oracle(self, monkeypatch):
+        data, true_scores = generate_artificial(ArtificialDataConfig(subjects=200, seed=0))
+        package_pairs = []
+
+        def recorded(scores, treatments):  # rebinding keeps the runs in this process, in order
+            matching = match_pairs(scores, treatments)
+            package_pairs.append(matching.pairs)
+            return matching
+
+        match_pairs = experiments.match_pairs
+        monkeypatch.setattr(experiments, "match_pairs", recorded)
+        gaps, moved = {}, []
+        for case, (analysis, estimator, estimand, scope, width) in enumerate(self.CASES):
+            config = ScenarioConfig(
+                partition=self.SPEC, scope=scope, analysis=analysis, estimator=estimator,
+                estimand=estimand, intermediate_dim=2 if analysis == "dcqe" else None,
+                collaborative_dim=width, bootstrap_replicates=5, master_seed=case, benchmark=1.0)
+            package_pairs.clear()
+            result = run_scenario(data, config, true_scores)
+            reference = oracles.reference_scenario(data, config, true_scores)
+            for run, (ours, theirs) in enumerate(zip(package_pairs, reference["runs"])):
+                moved += [f"case {case} run {run} subject {i}: {ours[i]} vs {theirs['pairs'][i]}"
+                          for i in np.flatnonzero(ours != theirs["pairs"])]
+            expected = self.numbers(reference)
+            for name, value in self.numbers(result).items():
+                gaps[f"case {case} {name}"] = abs(value - expected[name]) / max(1.0, abs(value))
+        largest = max(gaps, key=gaps.get)
+        print(f"largest gap {gaps[largest]:.1e} at {largest}; bound {self.BOUND:g}; "
+              f"{len(moved)} PSM matches differ")
+        assert not moved, "PSM matches differ: " + "; ".join(moved[:10])
+        assert gaps[largest] <= self.BOUND, f"{largest}: gap {gaps[largest]:.3g}"
 
 
 CPUS = experiments._available_cpus()
