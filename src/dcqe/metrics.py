@@ -85,14 +85,23 @@ def smd(covariates, treatments, weights=None) -> BalanceReport:
 
 def _smd(treated: np.ndarray, control: np.ndarray, weights_t: np.ndarray | None = None,
          weights_c: np.ndarray | None = None) -> BalanceReport:
-    """``smd`` of checked groups given variables-major, with their checked weights."""
-    mean_t, var_t = _group_moments(treated, weights_t)
-    mean_c, var_c = _group_moments(control, weights_c)
-    pooled = (var_t + var_c) / 2.0
-    diff = mean_t - mean_c
+    """``smd`` of checked groups given variables-major, with their checked weights.
 
+    A covariate whose group means or variances overflow a double raises
+    ``InvalidDataError`` naming it.
+    """
     scale = np.maximum(np.maximum(np.abs(treated).max(axis=1), np.abs(control).max(axis=1)), 1.0)
-    degenerate = pooled < (DEGENERATE_STDDEV * scale) ** 2
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported just below
+        mean_t, var_t = _group_moments(treated, weights_t)
+        mean_c, var_c = _group_moments(control, weights_c)
+        pooled = (var_t + var_c) / 2.0
+        diff = mean_t - mean_c
+        # A cut-off that overflows is inf; a finite pooled variance is then below it anyway.
+        degenerate = pooled < (DEGENERATE_STDDEV * scale) ** 2
+    overflowing = np.flatnonzero(~(np.isfinite(pooled) & np.isfinite(diff)))
+    if overflowing.size:
+        raise InvalidDataError(
+            f"covariate {overflowing[0]}: its group means or variances overflow a double")
     values = np.zeros(treated.shape[0])
     regular = ~degenerate
     values[regular] = diff[regular] / np.sqrt(pooled[regular])

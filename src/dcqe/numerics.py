@@ -231,6 +231,10 @@ def _linear_and_loglik(design_t: np.ndarray, labels: np.ndarray, theta: np.ndarr
     return eta, ex, ll - 0.5 * float(penalty @ (theta * theta))
 
 
+_FIT_OVERFLOWS = "features too large: the logistic fit overflows a double"
+
+
+@np.errstate(over="ignore", invalid="ignore")  # an overflow raises InvalidDataError instead
 def logistic_fit(features: Matrix, labels) -> LogisticModel:
     """Fit a ridge-penalized logistic regression by reweighted least squares.
 
@@ -244,7 +248,8 @@ def logistic_fit(features: Matrix, labels) -> LogisticModel:
     Each evaluated candidate costs one matrix-vector product, one ``exp``
     and one ``log1p``; the accepted candidate's linear predictor and
     ``exp(-|eta|)`` give the next Newton step's probabilities with one
-    division, equal bit for bit to ``sigmoid(eta)``.
+    division, equal bit for bit to ``sigmoid(eta)``. Features so large that
+    the Hessian or the likelihood overflows raise ``InvalidDataError``.
     """
     x = ensure_matrix(features, "features")
     y = ensure_binary_labels(labels, "labels", length=x.shape[0]).astype(float)
@@ -267,6 +272,8 @@ def logistic_fit(features: Matrix, labels) -> LogisticModel:
         grad = design_t @ (y - prob) - penalty * theta
         hess = (design_t * weight) @ design_t.T
         hess[diagonal] += penalty
+        if not (np.isfinite(hess).all() and np.isfinite(grad).all()):
+            raise InvalidDataError(_FIT_OVERFLOWS)
         try:
             delta = np.linalg.solve(hess, grad)
         except np.linalg.LinAlgError:
@@ -286,6 +293,8 @@ def logistic_fit(features: Matrix, labels) -> LogisticModel:
         if change < LOGISTIC_TOL:
             converged = True
             break
+    if not np.isfinite(trace).all():
+        raise InvalidDataError(_FIT_OVERFLOWS)
 
     return LogisticModel(
         intercept=float(theta[0]),

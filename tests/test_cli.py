@@ -20,6 +20,7 @@ from dcqe.cli import (
     EXIT_OK,
     EXIT_RUNTIME,
     SETTINGS,
+    SUITES,
     emit_report,
     execute,
     format_config,
@@ -835,40 +836,77 @@ class TestKeysPerCommand:
 EXTREME_CELLS = [1e308, -1e308, 5e-324, -5e-324, 2.2250738585072014e-308, 0.0, 1.0]
 FUZZ_CELLS = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
                        st.sampled_from(EXTREME_CELLS))
-FUZZ_FILES = ("p0.csv", "p1.csv", "block.csv", "missing.csv")
+FUZZ_FILES = ("p0.csv", "p1.csv", "block.csv", "data.csv", "missing.csv")
 # Config values for every other key. No digits in free text, so that no size
 # key is ever parsed as a large integer.
+FUZZ_KEYWORDS = st.sampled_from([
+    "true", "false", "IPW", "PSM", "ATE", "ATT", "dcqe", "centralized", "individual", "whole",
+    "left", "right", "top", "bottom", "custom", "0,1", "1", "csv,json", "table", "id", "",
+    *SUITES])
 FUZZ_VALUES = st.one_of(
     st.integers(-3, 12).map(str),
     FUZZ_CELLS.map(repr),
-    st.sampled_from(["true", "false", "IPW", "PSM", "ATE", "ATT", "dcqe", "whole", "custom",
-                     "csv,json", "table", "id", ""]),
+    FUZZ_KEYWORDS,
     st.text(st.characters(blacklist_categories=("Nd", "Cs"), blacklist_characters="\n\r"),
             max_size=6),
 )
+# Values of the kind each parser reads, drawn as often as FUZZ_VALUES, so that
+# more drawn configs get past parsing; block sizes that fit the 40 x 6 default.
+PARSED_VALUES = {
+    "_parse_int": st.integers(-3, 12).map(str),
+    "_parse_float": FUZZ_CELLS.map(repr),
+    "_parse_bool": st.sampled_from(["true", "false"]),
+    "_parse_int_tuple": st.one_of(
+        st.sampled_from(["20,20", "10,30", "40", "3,3", "2,4", "6", "1,5"]),
+        st.lists(st.integers(0, 12), max_size=3).map(lambda v: ",".join(map(str, v)))),
+    "_parse_str_tuple": st.sampled_from(["csv", "json", "table", "csv,json,table",
+                                         "pretty-table"]),
+    "_text": FUZZ_KEYWORDS,
+}
+
+
+def rows_read_by(*modes):
+    """The ``SETTINGS`` rows that at least one of ``modes`` reads."""
+    return sorted(row for row, (_, _, readers) in SETTINGS.items() if set(readers) & set(modes))
 
 
 @st.composite
-def fuzz_config_lines(draw):
-    """``key = value`` lines of ``SETTINGS`` keys, each ``#`` a small block index."""
+def fuzz_config_lines(draw, rows=tuple(sorted(SETTINGS))):
+    """``key = value`` lines of the ``rows`` of ``SETTINGS``, each ``#`` a small block index."""
     lines = {}
-    for row in draw(st.lists(st.sampled_from(sorted(SETTINGS)), max_size=4)):
+    for row in draw(st.lists(st.sampled_from(rows), max_size=4)):
         key = ".".join(str(draw(st.integers(0, 2))) if part == "#" else part
                        for part in row.split("."))
         is_path = row.startswith("run.party") or row in ("run.block.#", "evaluate.data")
-        lines[key] = draw(st.sampled_from(FUZZ_FILES) if is_path else FUZZ_VALUES)
+        parsed = PARSED_VALUES[SETTINGS[row][0].__name__]
+        lines[key] = draw(st.sampled_from(FUZZ_FILES) if is_path else st.one_of(parsed, FUZZ_VALUES))
     return lines
 
 
 @st.composite
-def fuzz_columns(draw, n):
-    """One party's two covariate columns of ``n`` cells: constant, of moderate size, or any."""
-    kinds = {"constant": None, "moderate": st.floats(-1e3, 1e3), "any": FUZZ_CELLS}
+def fuzz_columns(draw, n, count=2, kinds=("any", "constant", "moderate")):
+    """``count`` columns of ``n`` cells each: constant, of moderate size, or any. Each
+    column's kind is drawn from ``kinds``, so a kind named twice is drawn twice as often."""
+    cell_kinds = {"constant": None, "moderate": st.floats(-1e3, 1e3), "any": FUZZ_CELLS}
     columns = []
-    for kind in draw(st.lists(st.sampled_from(sorted(kinds)), min_size=2, max_size=2)):
-        cells = st.just(draw(FUZZ_CELLS)) if kind == "constant" else kinds[kind]
+    for kind in draw(st.lists(st.sampled_from(kinds), min_size=count, max_size=count)):
+        cells = st.just(draw(FUZZ_CELLS)) if kind == "constant" else cell_kinds[kind]
         columns.append(draw(st.lists(cells, min_size=n, max_size=n)))
     return columns
+
+
+def fuzz_main(tmp, command, lines):
+    """Run ``command`` on the config ``lines``, a file name among them standing for its
+    path in ``tmp``; the exit code must be one of the four, with no traceback."""
+    lines = {key: str(tmp / value) if value in FUZZ_FILES else value
+             for key, value in lines.items()}
+    config = write_config(tmp / f"{command}.conf",
+                          "".join(f"{key} = {value}\n" for key, value in lines.items()))
+    err = io.StringIO()
+    with redirect_stderr(err), redirect_stdout(io.StringIO()):
+        code = main([command, "--config", str(config), "--out", str(tmp / "out")])
+    assert code in (EXIT_OK, EXIT_CONFIG, EXIT_INGESTION, EXIT_RUNTIME), err.getvalue()
+    assert "Traceback" not in err.getvalue()
 
 
 class TestRunFuzz:
@@ -890,13 +928,34 @@ class TestRunFuzz:
         lines = {"run.party.0.0": "p0.csv", "run.party.0.1": "p1.csv", "run.block.0": "block.csv",
                  "run.id_column": "id", "reduction.intermediate_dim": "1",
                  "bootstrap.replicates": "2"}
-        lines.update(extra)
-        lines = {key: str(tmp / value) if value in FUZZ_FILES else value
-                 for key, value in lines.items()}
-        config = write_config(tmp / "run.conf",
-                              "".join(f"{key} = {value}\n" for key, value in lines.items()))
-        err = io.StringIO()
-        with redirect_stderr(err), redirect_stdout(io.StringIO()):
-            code = main(["run", "--config", str(config), "--out", str(tmp / "out")])
-        assert code in (EXIT_OK, EXIT_CONFIG, EXIT_INGESTION, EXIT_RUNTIME), err.getvalue()
-        assert "Traceback" not in err.getvalue()
+        fuzz_main(tmp, "run", {**lines, **extra})
+
+
+class TestSimulateFuzz:
+    """``dcqe simulate`` on drawn lines of the keys it reads exits with a code, never a
+    traceback; a small synthetic dataset and two replicates unless a line says otherwise."""
+
+    @settings(max_examples=600, deadline=None)
+    @given(fuzz_config_lines(rows_read_by(*SUITES)))
+    def test_exit_code_without_traceback(self, tmp_path_factory, extra):
+        lines = {"data.subjects": "40", "bootstrap.replicates": "2"}
+        fuzz_main(tmp_path_factory.mktemp("fuzz"), "simulate", {**lines, **extra})
+
+
+class TestEvaluateFuzz:
+    """``dcqe evaluate`` on drawn lines of the keys it reads and on a drawn file of the
+    job-training layout, 20 to 60 rows, exits with a code, never a traceback. Most
+    columns are of moderate size, so that some files of nine columns get through."""
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.data(), st.integers(20, 60),
+           st.one_of(st.just({}), fuzz_config_lines(rows_read_by("evaluate"))))
+    def test_exit_code_without_traceback(self, tmp_path_factory, data, n, extra):
+        tmp = tmp_path_factory.mktemp("fuzz")
+        labels = data.draw(st.lists(st.sampled_from([0, 1]), min_size=n, max_size=n))
+        columns = data.draw(fuzz_columns(n, count=NSW_HEADER.count(","),
+                                         kinds=("any", "constant", *["moderate"] * 6)))
+        write_rows(tmp / "data.csv", [",".join([str(z), *map(repr, cells)])
+                                      for z, *cells in zip(labels, *columns)])
+        lines = {"evaluate.data": "data.csv", "bootstrap.replicates": "2"}
+        fuzz_main(tmp, "evaluate", {**lines, **extra})

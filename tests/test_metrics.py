@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -132,6 +134,18 @@ class TestSmd:
         for a, b in ((2.0, 0.0), (-1.5, 3.0), (0.001, -9.0), (250.0, 4.2)):
             transformed = smd(a * x + b, z).smd_per_covariate
             np.testing.assert_allclose(transformed, np.sign(a) * base, atol=1e-10)
+
+    @pytest.mark.parametrize("column", ["means", "variances"])
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_overflowing_covariate_named_without_warning(self, column, weighted):
+        x, z = grouped_covariates(seed=37, n=30)
+        x[:, 2] = np.where(z == 1, 1e308, -1e308) if column == "means" else \
+            np.tile([1e308, -1e308, 0.0], 10)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidDataError,
+                               match="covariate 2: its group means or variances overflow"):
+                smd(x, z, weights=np.full(30, 2.0) if weighted else None)
 
     def test_requires_both_groups(self):
         with pytest.raises(InvalidDataError):

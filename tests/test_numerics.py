@@ -286,6 +286,19 @@ def seeded_logistic_data(seed=21, n=200, m=3):
 
 
 class TestLogistic:
+    @pytest.mark.parametrize("size", [1e154, 1e200, 1e306])
+    def test_overflowing_features_raise_without_warning(self, size):
+        # At 1e153 the same column still fits: its Hessian stays below the largest double.
+        x = np.random.default_rng(9).normal(size=(40, 2))
+        x[:, 1] = np.linspace(-size, size, 40)
+        y = np.array([0, 1] * 20)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidDataError, match="the logistic fit overflows a double"):
+                logistic_fit(x, y)
+            x[:, 1] /= size / 1e153
+            assert logistic_fit(x, y).converged
+
     def test_intercept_only_symmetric_case(self):
         x = np.zeros((10, 2))
         y = np.array([1, 0] * 5)
