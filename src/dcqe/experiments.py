@@ -206,8 +206,13 @@ def _sample_se(values: np.ndarray) -> float:
     return float(values.std(ddof=1)) if values.shape[0] > 1 else 0.0
 
 
-def _summary(point: float, values: np.ndarray) -> MetricSummary:
-    return MetricSummary(point=point, mean=float(values.mean()), se=_sample_se(values))
+def _summary(name: str, point: _Replicate, replicates: list[_Replicate]) -> MetricSummary | None:
+    """The summary of one metric of the runs; None where the point run has no value."""
+    if getattr(point, name) is None:
+        return None
+    values = np.array([getattr(r, name) for r in replicates])
+    return MetricSummary(point=getattr(point, name), mean=float(values.mean()),
+                         se=_sample_se(values))
 
 
 _SCOPE_LABELS = {"left": "L-clb", "right": "R-clb", "top": "T-clb",
@@ -430,9 +435,8 @@ def run_scenario(data: Dataset, config: ScenarioConfig,
             "estimate_se": _sample_se(estimates),
             "gap": gap(estimates, config.benchmark) if config.benchmark is not None else None,
         }
-        summaries = {name: None if getattr(point, name) is None else _summary(
-            getattr(point, name), np.array([getattr(r, name) for r in replicates]))
-            for name in ("inconsistency_true", "inconsistency_ca", "masmd")}
+        summaries = {name: _summary(name, point, replicates)
+                     for name in ("inconsistency_true", "inconsistency_ca", "masmd")}
     checked = dict(numbers, **{f"{name}.{stat}": getattr(summary, stat)
                                for name, summary in summaries.items() if summary is not None
                                for stat in ("point", "mean", "se")})

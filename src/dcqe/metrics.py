@@ -1,10 +1,10 @@
 """Evaluation measures: gap from a benchmark, score inconsistency, balance.
 
 The gap is the root-mean-square deviation of a plain vector of bootstrap
-estimates from a benchmark effect. Inconsistency is the root-mean-square difference between
-two propensity-score vectors. Covariate balance is summarized by the maximum
-absolute standardized mean difference (MASMD) across covariates, with an
-optional inverse-probability-weighted variant.
+estimates from a benchmark effect. Inconsistency is the root-mean-square
+difference between two propensity-score vectors. Covariate balance is
+summarized by the maximum absolute standardized mean difference (MASMD)
+across covariates, with an optional inverse-probability-weighted variant.
 """
 
 from __future__ import annotations

