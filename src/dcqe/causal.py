@@ -1,9 +1,11 @@
 """Propensity-score estimation and treatment-effect estimators.
 
 Propensity scores come from a ridge-stabilized logistic regression on either
-raw covariates or collaborative representations. Effects are estimated by
-one-to-one nearest-neighbor matching with replacement (PSM) or by
-self-normalized inverse-probability weighting (IPW).
+raw covariates or collaborative representations, as a plain vector clipped
+strictly inside (0, 1). Effects, plain floats, come from one-to-one
+nearest-neighbor matching with replacement (PSM), which takes any finite
+scores, or from self-normalized inverse-probability weighting (IPW), which
+divides by them and so needs them strictly inside (0, 1).
 """
 
 from __future__ import annotations
@@ -19,28 +21,14 @@ PROPENSITY_CLIP = (1e-6, 1.0 - 1e-6)
 ESTIMANDS = ("ATE", "ATT")
 
 
-@dataclass(frozen=True, eq=False)
-class PropensityScores:
-    """Estimated treatment probabilities, clipped strictly inside (0, 1); ``source`` is unread."""
-
-    values: np.ndarray
-    source: str = ""
-
-    def __post_init__(self):
-        values = ensure_vector(self.values, "propensity scores")
-        if np.any(values <= 0.0) or np.any(values >= 1.0):
-            raise InvalidDataError("propensity scores must lie strictly inside (0, 1)")
-        object.__setattr__(self, "values", values)
-
-
-def estimate_propensity(features, treatments) -> PropensityScores:
-    """Fit a logistic model with constant term and return clipped probabilities.
+def estimate_propensity(features, treatments) -> np.ndarray:
+    """Fit a logistic model with constant term and return the clipped probabilities.
 
     ``logistic_fit`` checks the features and the treatments.
     """
     model = logistic_fit(features, treatments)
     probs = sigmoid(model.intercept + np.asarray(features, dtype=float) @ model.coefficients)
-    return PropensityScores(np.clip(probs, *PROPENSITY_CLIP))
+    return np.clip(probs, *PROPENSITY_CLIP)
 
 
 @dataclass(frozen=True, eq=False)
@@ -55,16 +43,6 @@ class MatchingResult:
     pairs: np.ndarray
     treated: np.ndarray
     control: np.ndarray
-
-    @property
-    def subject_count(self) -> int:
-        return self.pairs.shape[0]
-
-
-def _score_values(scores) -> np.ndarray:
-    if isinstance(scores, PropensityScores):
-        return scores.values
-    return ensure_vector(scores, "scores")
 
 
 def _treatment_groups(treatments, length: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -108,8 +86,9 @@ def match_pairs(scores, treatments) -> MatchingResult:
     The winner is the smallest index among opposite-group subjects whose
     computed ``|e_i - e_j|`` is minimal, float rounding included. Each group
     is sorted once, as queries and as candidates: O(n log n) time, O(n) memory.
+    Any finite 1-d scores will do.
     """
-    values = _score_values(scores)
+    values = ensure_vector(scores, "scores")
     _, treated, control = _treatment_groups(treatments, values.shape[0])
     by_t, by_c = treated[np.argsort(values[treated])], control[np.argsort(values[control])]
     pairs = np.empty(values.shape[0], dtype=np.intp)
@@ -118,15 +97,8 @@ def match_pairs(scores, treatments) -> MatchingResult:
     return MatchingResult(pairs=pairs, treated=treated, control=control)
 
 
-@dataclass(frozen=True)
-class EffectEstimate:
-    """A point estimate of a treatment effect in outcome units."""
-
-    value: float
-
-
-def estimate_psm(matching: MatchingResult, outcomes, estimand: str) -> EffectEstimate:
-    """Average matched outcome differences.
+def estimate_psm(matching: MatchingResult, outcomes, estimand: str) -> float:
+    """Average matched outcome differences, in outcome units.
 
     ATT averages ``y_i - y_pair(i)`` over treated subjects. ATE additionally
     averages ``y_pair(i) - y_i`` over controls and divides by the full subject
@@ -138,33 +110,36 @@ def estimate_psm(matching: MatchingResult, outcomes, estimand: str) -> EffectEst
     """
     if estimand not in ESTIMANDS:
         raise InvalidDataError(f"unknown estimand {estimand!r}")
-    y = ensure_vector(outcomes, "outcomes", length=matching.subject_count)
+    count = matching.pairs.shape[0]
+    y = ensure_vector(outcomes, "outcomes", length=count)
     t, c = matching.treated, matching.control
     with np.errstate(over="ignore", invalid="ignore"):
         treated_diffs = y[t] - y[matching.pairs[t]]
         if estimand == "ATT":
-            return EffectEstimate(float(np.mean(treated_diffs)))
+            return float(np.mean(treated_diffs))
         control_diffs = y[matching.pairs[c]] - y[c]
-        return EffectEstimate(
-            float((treated_diffs.sum() + control_diffs.sum()) / matching.subject_count))
+        return float((treated_diffs.sum() + control_diffs.sum()) / count)
 
 
 def ipw_weights(scores, treatments, estimand: str) -> np.ndarray:
     """Inverse-probability weights for the given estimand.
 
     ATE weights are 1/e for treated and 1/(1-e) for controls; ATT weights are
-    1 for treated and e/(1-e) for controls.
+    1 for treated and e/(1-e) for controls. Every score must lie strictly
+    inside (0, 1).
     """
     if estimand not in ESTIMANDS:
         raise InvalidDataError(f"unknown estimand {estimand!r}")
-    e = _score_values(scores)
+    e = ensure_vector(scores, "scores")
+    if np.any(e <= 0.0) or np.any(e >= 1.0):
+        raise InvalidDataError("propensity scores must lie strictly inside (0, 1)")
     z, _, _ = _treatment_groups(treatments, e.shape[0])
     if estimand == "ATE":
         return np.where(z == 1, 1.0 / e, 1.0 / (1.0 - e))
     return np.where(z == 1, 1.0, e / (1.0 - e))
 
 
-def estimate_ipw(scores, treatments, outcomes, estimand: str) -> EffectEstimate:
+def estimate_ipw(scores, treatments, outcomes, estimand: str) -> float:
     """Self-normalized inverse-probability-weighted difference of outcome means.
 
     The weights are those of ``ipw_weights``; each group's weighted mean sums
@@ -174,14 +149,14 @@ def estimate_ipw(scores, treatments, outcomes, estimand: str) -> EffectEstimate:
     return _ipw_estimate(ipw_weights(scores, treatments, estimand), treatments, outcomes)
 
 
-def _ipw_estimate(weights, treatments, outcomes) -> EffectEstimate:
+def _ipw_estimate(weights, treatments, outcomes) -> float:
     """``estimate_ipw`` from the weights ``ipw_weights`` computed and the treatments it checked."""
     treated = np.asarray(treatments) == 1
     y = ensure_vector(outcomes, "outcomes", length=weights.shape[0])
     wt = np.where(treated, weights, 0.0)
     wc = np.where(treated, 0.0, weights)
     with np.errstate(over="ignore", invalid="ignore"):
-        return EffectEstimate(float((wt @ y) / wt.sum() - (wc @ y) / wc.sum()))
+        return float((wt @ y) / wt.sum() - (wc @ y) / wc.sum())
 
 
 def matched_sample(matching: MatchingResult, estimand: str) -> tuple[np.ndarray, np.ndarray]:

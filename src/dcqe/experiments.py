@@ -401,14 +401,15 @@ def run_scenario(data: Dataset, config: ScenarioConfig,
 
         if config.estimator == "PSM":
             matching = match_pairs(scores, z)
-            estimate = estimate_psm(matching, y, config.estimand).value
+            estimate = estimate_psm(matching, y, config.estimand)
             t_rows, c_rows = matched_sample(matching, config.estimand)
             truth = np.ascontiguousarray(ground_truth.T)  # variables-major
-            masmd = _smd(truth.take(t_rows, axis=1), truth.take(c_rows, axis=1)).masmd
+            smds = _smd(truth.take(t_rows, axis=1), truth.take(c_rows, axis=1))
         else:
             weights = ipw_weights(scores, z, config.estimand)
-            estimate = _ipw_estimate(weights, z, y).value
-            masmd = smd(ground_truth, z, weights=weights).masmd
+            estimate = _ipw_estimate(weights, z, y)
+            smds = smd(ground_truth, z, weights=weights)
+        masmd = float(np.max(np.abs(smds)))
 
         # Centralized reference: the same subjects with every covariate. When
         # the scenario itself already is that analysis, its scores are reused,
@@ -417,10 +418,10 @@ def run_scenario(data: Dataset, config: ScenarioConfig,
             reference = scores
         else:
             reference = estimate_propensity(ground_truth, z)
-        inc_ca = inconsistency(scores.values, reference.values)
+        inc_ca = inconsistency(scores, reference)
         inc_true = None
         if true_sub is not None:
-            inc_true = inconsistency(scores.values, true_sub[idx])
+            inc_true = inconsistency(scores, true_sub[idx])
         return _Replicate(estimate, inc_true, inc_ca, masmd, effective_dim)
 
     runs = _run_all(run_once, 1 + config.bootstrap_replicates if config.resample else 1)

@@ -2,27 +2,18 @@
 
 The gap is the root-mean-square deviation of a plain vector of bootstrap
 estimates from a benchmark effect. Inconsistency is the root-mean-square
-difference between two propensity-score vectors. Covariate balance is
-summarized by the maximum absolute standardized mean difference (MASMD)
-across covariates, with an optional inverse-probability-weighted variant.
+difference between two propensity-score vectors. Covariate balance is the
+vector of per-covariate standardized mean differences, with an optional
+inverse-probability-weighted variant; a scenario summarizes it by its
+maximum magnitude (MASMD).
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimensionError, InfiniteImbalanceError, InvalidDataError
 from .numerics import DEGENERATE_STDDEV, ensure_binary_labels, ensure_matrix, ensure_vector
-
-
-@dataclass(frozen=True, eq=False)
-class BalanceReport:
-    """Per-covariate standardized mean differences and their maximum magnitude."""
-
-    smd_per_covariate: np.ndarray
-    masmd: float
 
 
 def gap(estimates, benchmark: float) -> float:
@@ -60,8 +51,8 @@ def _group_moments(cols: np.ndarray, weights: np.ndarray | None) -> tuple[np.nda
     return mean, var
 
 
-def smd(covariates, treatments, weights=None) -> BalanceReport:
-    """Standardized mean differences between treated and control groups.
+def smd(covariates, treatments, weights=None) -> np.ndarray:
+    """Standardized mean difference of each covariate between treated and control groups.
 
     Each covariate's difference in group means is divided by the square root
     of the averaged group variances. With ``weights`` the group moments are
@@ -84,7 +75,7 @@ def smd(covariates, treatments, weights=None) -> BalanceReport:
 
 
 def _smd(treated: np.ndarray, control: np.ndarray, weights_t: np.ndarray | None = None,
-         weights_c: np.ndarray | None = None) -> BalanceReport:
+         weights_c: np.ndarray | None = None) -> np.ndarray:
     """``smd`` of checked groups given variables-major, with their checked weights.
 
     A covariate whose group means or variances overflow a double raises
@@ -110,4 +101,4 @@ def _smd(treated: np.ndarray, control: np.ndarray, weights_t: np.ndarray | None 
         raise InfiniteImbalanceError(
             f"covariate {int(np.flatnonzero(bad)[0])} has zero variance but unequal group means"
         )
-    return BalanceReport(smd_per_covariate=values, masmd=float(np.max(np.abs(values))))
+    return values

@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 import oracles
 from dcqe.causal import (
     PROPENSITY_CLIP,
-    PropensityScores,
     estimate_ipw,
     estimate_propensity,
     estimate_psm,
@@ -15,7 +14,7 @@ from dcqe.causal import (
     match_pairs,
     matched_sample,
 )
-from dcqe.errors import DegenerateLabelsError, InvalidDataError
+from dcqe.errors import DegenerateLabelsError
 from dcqe.experiments import ArtificialDataConfig, generate_artificial
 
 
@@ -38,7 +37,7 @@ class TestPropensity:
     def test_uninformative_features_predict_base_rate(self):
         z = np.array([1, 1, 1, 0, 0, 0, 0, 0, 0, 0])
         scores = estimate_propensity(np.zeros((10, 3)), z)
-        np.testing.assert_allclose(scores.values, 0.3, atol=1e-6)
+        np.testing.assert_allclose(scores, 0.3, atol=1e-6)
 
     def test_matches_gradient_ascent_oracle(self):
         rng = np.random.default_rng(18)
@@ -48,17 +47,11 @@ class TestPropensity:
         scores = estimate_propensity(x, z)
         theta = oracles.gradient_ascent_logistic(x, z)
         expected = 1.0 / (1.0 + np.exp(-(theta[0] + x @ theta[1:])))
-        np.testing.assert_allclose(scores.values, np.clip(expected, 1e-6, 1 - 1e-6), atol=1e-4)
+        np.testing.assert_allclose(scores, np.clip(expected, 1e-6, 1 - 1e-6), atol=1e-4)
 
     def test_single_class_raises(self):
         with pytest.raises(DegenerateLabelsError):
             estimate_propensity(np.ones((4, 2)), [1, 1, 1, 1])
-
-    def test_scores_type_enforces_open_interval(self):
-        with pytest.raises(InvalidDataError):
-            PropensityScores(np.array([0.0, 0.5]))
-        with pytest.raises(InvalidDataError):
-            PropensityScores(np.array([0.5, 1.0]))
 
 
 class TestMatching:
@@ -162,16 +155,16 @@ class TestPsmEstimates:
     def test_single_pair(self):
         result = match_pairs(np.array([0.5, 0.5]), np.array([1, 0]))
         y = np.array([5.0, 3.0])
-        assert estimate_psm(result, y, "ATT").value == 2.0
-        assert estimate_psm(result, y, "ATE").value == 2.0
+        assert estimate_psm(result, y, "ATT") == 2.0
+        assert estimate_psm(result, y, "ATE") == 2.0
 
     def test_identical_outcomes_give_zero(self):
         rng = np.random.default_rng(1)
         scores, z = random_instance(rng, max_n=30)
         result = match_pairs(scores, z)
         y = np.full(z.shape[0], 4.2)
-        assert estimate_psm(result, y, "ATE").value == 0.0
-        assert estimate_psm(result, y, "ATT").value == 0.0
+        assert estimate_psm(result, y, "ATE") == 0.0
+        assert estimate_psm(result, y, "ATT") == 0.0
 
     def test_seeded_instance_matches_formula_oracle(self):
         rng = np.random.default_rng(60)
@@ -180,7 +173,7 @@ class TestPsmEstimates:
         result = match_pairs(scores, z)
         for estimand in ("ATE", "ATT"):
             expected = oracles.psm_formula(result.pairs, z, y, estimand)
-            assert estimate_psm(result, y, estimand).value == pytest.approx(expected, abs=1e-12)
+            assert estimate_psm(result, y, estimand) == pytest.approx(expected, abs=1e-12)
 
     def test_exact_twins_recover_shift_exactly(self):
         # Every treated subject has a control twin at the same score whose
@@ -189,8 +182,8 @@ class TestPsmEstimates:
         z = np.tile([1, 0], 8)
         y = np.where(z == 1, 1.5, 1.0)
         result = match_pairs(scores, z)
-        assert estimate_psm(result, y, "ATE").value == 0.5
-        assert estimate_psm(result, y, "ATT").value == 0.5
+        assert estimate_psm(result, y, "ATE") == 0.5
+        assert estimate_psm(result, y, "ATT") == 0.5
 
     def test_matched_sample_composition(self):
         scores = np.array([0.2, 0.8, 0.4, 0.6])
@@ -210,7 +203,7 @@ class TestIpwEstimates:
         scores = np.array([0.5, 0.5])
         z = np.array([1, 0])
         y = np.array([3.0, 1.0])
-        assert estimate_ipw(scores, z, y, "ATE").value == 2.0
+        assert estimate_ipw(scores, z, y, "ATE") == 2.0
 
     def test_half_scores_reduce_exactly_on_larger_sample(self):
         # Integer outcomes keep every partial sum exact, so the reduction to
@@ -219,14 +212,14 @@ class TestIpwEstimates:
         rng = np.random.default_rng(8)
         z = np.array([1] * 6 + [0] * 10)
         y = rng.integers(-50, 50, size=16).astype(float)
-        value = estimate_ipw(np.full(16, 0.5), z, y, "ATE").value
+        value = estimate_ipw(np.full(16, 0.5), z, y, "ATE")
         assert value == float(y[z == 1].mean() - y[z == 0].mean())
 
     def test_constant_scores_reduce_within_rounding(self):
         rng = np.random.default_rng(9)
         z = np.array([1] * 5 + [0] * 7)
         y = rng.normal(size=12)
-        value = estimate_ipw(np.full(12, 0.3), z, y, "ATE").value
+        value = estimate_ipw(np.full(12, 0.3), z, y, "ATE")
         assert value == pytest.approx(float(y[z == 1].mean() - y[z == 0].mean()), abs=1e-12)
 
     def test_four_subject_example_matches_rational_oracle(self):
@@ -235,7 +228,7 @@ class TestIpwEstimates:
         e = np.array([0.8, 0.4, 0.5, 0.2])
         for estimand in ("ATE", "ATT"):
             expected = oracles.ipw_formula(e, z, y, estimand)
-            assert estimate_ipw(e, z, y, estimand).value == pytest.approx(expected, abs=1e-12)
+            assert estimate_ipw(e, z, y, estimand) == pytest.approx(expected, abs=1e-12)
 
     def test_seeded_instance_matches_rational_oracle(self):
         rng = np.random.default_rng(70)
@@ -244,7 +237,7 @@ class TestIpwEstimates:
         y = rng.normal(size=z.shape[0])
         for estimand in ("ATE", "ATT"):
             expected = oracles.ipw_formula(scores, z, y, estimand)
-            assert estimate_ipw(scores, z, y, estimand).value == pytest.approx(expected, abs=1e-9)
+            assert estimate_ipw(scores, z, y, estimand) == pytest.approx(expected, abs=1e-9)
 
     def test_weights_follow_estimand(self):
         scores = np.array([0.25, 0.2])
@@ -254,15 +247,15 @@ class TestIpwEstimates:
 
     def test_true_scores_recover_unit_effect_at_scale(self):
         data, true_scores = generate_artificial(ArtificialDataConfig(subjects=20_000, seed=11))
-        scores = PropensityScores(np.clip(true_scores, 1e-6, 1 - 1e-6))
-        point = estimate_ipw(scores, data.treatments, data.outcomes, "ATE").value
+        scores = np.clip(true_scores, 1e-6, 1 - 1e-6)
+        point = estimate_ipw(scores, data.treatments, data.outcomes, "ATE")
         rng = np.random.default_rng(4040)
         replicates = []
         for _ in range(200):
             idx = rng.integers(0, 20_000, 20_000)
             replicates.append(
-                estimate_ipw(scores.values[idx], data.treatments[idx],
-                             data.outcomes[idx], "ATE").value
+                estimate_ipw(scores[idx], data.treatments[idx],
+                             data.outcomes[idx], "ATE")
             )
         stderr = np.std(replicates, ddof=1)
         assert abs(point - 1.0) < 4.0 * stderr
@@ -281,7 +274,7 @@ class TestOverflowingOutcomes:
         matching = match_pairs(self.SCORES, self.Z)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            values = [estimate(estimand).value for estimand in ("ATE", "ATT") for estimate in (
+            values = [estimate(estimand) for estimand in ("ATE", "ATT") for estimate in (
                 lambda e: estimate_ipw(self.SCORES, self.Z, y, e),
                 lambda e: estimate_psm(matching, y, e))]
         assert not np.any(np.isfinite(values))

@@ -317,7 +317,7 @@ class TestRotatedPartyKeepsPropensities:
         scores = []
         for party_reps in (reps, rotated):
             collab = assemble_collaborative(party_reps, fit_integration(party_reps, width))
-            scores.append(estimate_propensity(collab, z).values)
+            scores.append(estimate_propensity(collab, z))
         assert np.max(np.abs(scores[0] - scores[1])) <= 1e-12
 
 
@@ -326,7 +326,7 @@ def protocol_propensities(blocks, anchor_blocks, z, width=6):
     reps = [[make_intermediate(block, anchor_block, 2)
              for block, anchor_block in zip(row, anchor_row)]
             for row, anchor_row in zip(blocks, anchor_blocks)]
-    return estimate_propensity(assemble_collaborative(reps, fit_integration(reps, width)), z).values
+    return estimate_propensity(assemble_collaborative(reps, fit_integration(reps, width)), z)
 
 
 def protocol_inputs(seed=7, anchor_seed=41):

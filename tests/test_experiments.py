@@ -116,7 +116,7 @@ class TestRunScenario:
         config = small_scenario(analysis="centralized", intermediate_dim=None,
                                 collaborative_dim=None, bootstrap_replicates=3)
         fitted = estimate_propensity(data.covariates, data.treatments)
-        expected = estimate_ipw(fitted, data.treatments, data.outcomes, "ATE").value
+        expected = estimate_ipw(fitted, data.treatments, data.outcomes, "ATE")
         assert run_scenario(data, config, scores).point_estimate == expected
 
     def test_deterministic_given_master_seed(self):

@@ -80,47 +80,35 @@ class TestSmd:
         block = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 0.0]])
         x = np.vstack([block, block])
         z = np.array([1, 1, 1, 0, 0, 0])
-        report = smd(x, z)
-        np.testing.assert_array_equal(report.smd_per_covariate, 0.0)
-        assert report.masmd == 0.0
+        np.testing.assert_array_equal(smd(x, z), 0.0)
 
     def test_seeded_instance_matches_loop_oracle(self):
         x, z = grouped_covariates(seed=31)
-        report = smd(x, z)
-        expected = oracles.smd_formula(x, z)
-        np.testing.assert_allclose(report.smd_per_covariate, expected, atol=1e-12)
-        assert report.masmd == pytest.approx(max(abs(v) for v in expected), abs=1e-12)
+        np.testing.assert_allclose(smd(x, z), oracles.smd_formula(x, z), atol=1e-12)
 
     def test_weighted_matches_loop_oracle(self):
         x, z = grouped_covariates(seed=32)
         rng = np.random.default_rng(5)
         w = rng.uniform(0.5, 4.0, x.shape[0])
-        report = smd(x, z, weights=w)
         expected = oracles.smd_formula(x, z, weights=w)
-        np.testing.assert_allclose(report.smd_per_covariate, expected, atol=1e-12)
+        np.testing.assert_allclose(smd(x, z, weights=w), expected, atol=1e-12)
 
     def test_unit_weights_reduce_to_unweighted(self):
         x, z = grouped_covariates(seed=33)
         unweighted = smd(x, z)
         weighted = smd(x, z, weights=np.ones(x.shape[0]))
-        np.testing.assert_allclose(
-            weighted.smd_per_covariate, unweighted.smd_per_covariate, atol=1e-10
-        )
-        assert weighted.masmd == pytest.approx(unweighted.masmd, abs=1e-10)
+        np.testing.assert_allclose(weighted, unweighted, atol=1e-10)
 
     def test_constant_equal_weights_reduce_to_unweighted(self):
         x, z = grouped_covariates(seed=34)
         unweighted = smd(x, z)
         weighted = smd(x, z, weights=np.full(x.shape[0], 2.5))
-        np.testing.assert_allclose(
-            weighted.smd_per_covariate, unweighted.smd_per_covariate, atol=1e-10
-        )
+        np.testing.assert_allclose(weighted, unweighted, atol=1e-10)
 
     def test_zero_variance_equal_means_gives_zero(self):
         x = np.column_stack([np.full(8, 3.0), np.arange(8.0)])
         z = np.array([1, 1, 1, 1, 0, 0, 0, 0])
-        report = smd(x, z)
-        assert report.smd_per_covariate[0] == 0.0
+        assert smd(x, z)[0] == 0.0
 
     def test_zero_variance_unequal_means_raises(self):
         x = np.column_stack([np.repeat([1.0, 0.0], 4), np.arange(8.0)])
@@ -130,9 +118,9 @@ class TestSmd:
 
     def test_affine_rescaling_invariance(self):
         x, z = grouped_covariates(seed=35)
-        base = smd(x, z).smd_per_covariate
+        base = smd(x, z)
         for a, b in ((2.0, 0.0), (-1.5, 3.0), (0.001, -9.0), (250.0, 4.2)):
-            transformed = smd(a * x + b, z).smd_per_covariate
+            transformed = smd(a * x + b, z)
             np.testing.assert_allclose(transformed, np.sign(a) * base, atol=1e-10)
 
     @pytest.mark.parametrize("column", ["means", "variances"])

@@ -312,7 +312,7 @@ class TestLogistic:
         model = logistic_fit(x, y)
         assert np.isfinite(model.intercept)
         assert np.all(np.isfinite(model.coefficients))
-        probs = estimate_propensity(x, y).values
+        probs = estimate_propensity(x, y)
         assert np.all(np.diff(probs) >= 0)
 
     def test_matches_gradient_ascent_oracle(self):
@@ -337,11 +337,11 @@ class TestLogistic:
     def test_predict_zero_parameters_gives_half(self):
         # Balanced labels on uninformative features: the fit stays at zero.
         scores = estimate_propensity(np.ones((6, 2)), [1, 0] * 3)
-        assert np.all(scores.values == 0.5)
+        assert np.all(scores == 0.5)
 
     def test_predict_saturates_at_the_propensity_clip(self):
         x = np.linspace(-2, 2, 30).reshape(-1, 1)
-        probs = estimate_propensity(x, (x[:, 0] > 0).astype(int)).values
+        probs = estimate_propensity(x, (x[:, 0] > 0).astype(int))
         assert probs.min() == PROPENSITY_CLIP[0]
         assert probs.max() == PROPENSITY_CLIP[1]
 
@@ -353,7 +353,7 @@ class TestLogistic:
                                     + sum(x[i, j] * model.coefficients[j] for j in range(3)))))
             for i in range(40)
         ]
-        np.testing.assert_allclose(estimate_propensity(x, y).values, expected, atol=1e-12)
+        np.testing.assert_allclose(estimate_propensity(x, y), expected, atol=1e-12)
 
 
 def oracle_logistic_problem(n, m, seed, slope, tail):
@@ -506,5 +506,5 @@ class TestLayoutIndependence:
         z = (rng.random(2000) < 0.4).astype(int)
         weights = rng.uniform(0.5, 4.0, 2000)
         for w in (None, weights):
-            got = [bits(smd(view, z, weights=w).smd_per_covariate) for view in layouts(x)]
+            got = [bits(smd(view, z, weights=w)) for view in layouts(x)]
             assert got[1] == got[0] and got[2] == got[0]

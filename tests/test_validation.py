@@ -2,13 +2,16 @@
 
 Every public entry point on the pipeline path rejects a NaN or 1-d array
 with ``InvalidDataError``, and every one that takes treatments rejects
-labels other than 0/1 or from a single group the same way. A pipeline run
-still calls public entry points, which the benchmark's tracer times by name,
-on arrays it built itself, so it checks some arrays again; the number of
-checks per run is bounded.
+labels other than 0/1 or from a single group the same way. Every one that
+takes propensity scores rejects a NaN or 2-d score vector; those that divide
+by the scores also reject a score outside the open interval (0, 1). A
+pipeline run still calls public entry points, which the benchmark's tracer
+times by name, on arrays it built itself, so it checks some arrays again;
+the number of checks per run is bounded.
 """
 
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -40,14 +43,38 @@ ENTRY_POINTS = {
     "smd": lambda x: smd(x, Z),
 }
 
+BAD_ARRAYS = {"nan": NAN, "1d": FLAT}
 
-@pytest.mark.parametrize("entry,bad", [
-    pytest.param(entry, bad, id=f"{entry}-{bad}")
-    for entry in ENTRY_POINTS for bad in ("nan", "1d")
-])
-def test_entry_point_rejects_bad_array(entry, bad):
-    with pytest.raises(InvalidDataError):
-        ENTRY_POINTS[entry](NAN if bad == "nan" else FLAT)
+# Scores for the eight subjects of Z; a bad one replaces the third.
+SCORES = np.linspace(0.2, 0.8, 8)
+SCORE_ENTRY_POINTS = {
+    "match_pairs": lambda e: match_pairs(e, Z),
+    **{f"ipw_weights-{estimand}": lambda e, estimand=estimand: ipw_weights(e, Z, estimand)
+       for estimand in ("ATE", "ATT")},
+    **{f"estimate_ipw-{estimand}": lambda e, estimand=estimand: estimate_ipw(e, Z, Y, estimand)
+       for estimand in ("ATE", "ATT")},
+}
+BAD_SCORES = {"nan": np.where(np.arange(8) == 2, np.nan, SCORES), "2d": SCORES.reshape(4, 2),
+              **{repr(v): np.where(np.arange(8) == 2, v, SCORES) for v in (0.0, 1.0, -0.1, 1.5)}}
+# Matching only orders the scores, so it takes any finite ones.
+MATCHING_BAD_SCORES = ("nan", "2d")
+
+BAD_CASES = {
+    **{f"{entry}-{bad}": (call, array)
+       for entry, call in ENTRY_POINTS.items() for bad, array in BAD_ARRAYS.items()},
+    **{f"{entry}-scores-{bad}": (call, array)
+       for entry, call in SCORE_ENTRY_POINTS.items() for bad, array in BAD_SCORES.items()
+       if entry != "match_pairs" or bad in MATCHING_BAD_SCORES},
+}
+
+
+@pytest.mark.parametrize("case", BAD_CASES)
+def test_entry_point_rejects_bad_array(case):
+    call, array = BAD_CASES[case]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidDataError):
+            call(array)
 
 
 # Five subjects: covariates, distinct scores and outcomes for the label checks.
@@ -84,19 +111,32 @@ def test_single_class_is_invalid_data():
     assert issubclass(DegenerateLabelsError, InvalidDataError)
 
 
-@pytest.mark.parametrize("analysis,most", [("dcqe", 14), ("centralized", 2)])
-def test_one_run_checks_few_arrays(monkeypatch, analysis, most):
-    original = numerics.ensure_matrix
-    calls = []
+# The checks one run makes of each kind: matrices, vectors and 0/1 labels.
+CHECKS_PER_RUN = {
+    ("dcqe", "IPW"): {"ensure_matrix": 14, "ensure_vector": 9, "ensure_binary_labels": 4},
+    ("dcqe", "PSM"): {"ensure_matrix": 13, "ensure_vector": 8, "ensure_binary_labels": 3},
+    ("centralized", "IPW"): {"ensure_matrix": 2, "ensure_vector": 9, "ensure_binary_labels": 3},
+    ("centralized", "PSM"): {"ensure_matrix": 1, "ensure_vector": 8, "ensure_binary_labels": 2},
+}
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return original(*args, **kwargs)
 
-    for key, module in list(sys.modules.items()):
-        if key == "dcqe" or key.startswith("dcqe."):
-            for attr in [a for a, v in vars(module).items() if v is original]:
-                monkeypatch.setattr(module, attr, counted)
+@pytest.mark.parametrize("analysis,estimator", list(CHECKS_PER_RUN))
+def test_one_run_checks_few_arrays(monkeypatch, analysis, estimator):
+    most = CHECKS_PER_RUN[analysis, estimator]
+    calls = {name: 0 for name in most}
+
+    def counted(name, original):
+        def check(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return check
+
+    for name in most:
+        original = getattr(numerics, name)
+        for key, module in list(sys.modules.items()):
+            if key == "dcqe" or key.startswith("dcqe."):
+                for attr in [a for a, v in vars(module).items() if v is original]:
+                    monkeypatch.setattr(module, attr, counted(name, original))
 
     data, true_scores = experiments.generate_artificial(
         experiments.ArtificialDataConfig(subjects=200, seed=1))
@@ -105,12 +145,12 @@ def test_one_run_checks_few_arrays(monkeypatch, analysis, most):
         partition=spec,
         scope=CollaborationScope.build("whole", spec),
         analysis=analysis,
-        estimator="IPW",
+        estimator=estimator,
         intermediate_dim=2 if analysis == "dcqe" else None,
         collaborative_dim=6 if analysis == "dcqe" else None,
         bootstrap_replicates=4,
         resample=False,
     )
-    calls.clear()  # count the run only, not the data generation
+    calls.update((name, 0) for name in calls)  # count the run only, not the data generation
     experiments.run_scenario(data, config, true_scores)
-    assert 0 < len(calls) <= most
+    assert all(0 < calls[name] <= most[name] for name in most), calls
