@@ -136,6 +136,8 @@ class ScenarioConfig:
                 f"bootstrap replicate count must be at least 1, got {self.bootstrap_replicates}")
         if self.master_seed < 0:
             raise ConfigError(f"master seed must be non-negative, got {self.master_seed}")
+        if self.benchmark is not None and not np.isfinite(self.benchmark):
+            raise ConfigError(f"benchmark must be finite, got {self.benchmark!r}")
         self.scope.validate_for(self.partition)
         if self.analysis != "dcqe":
             return

@@ -391,6 +391,9 @@ class TestMainExitCodes:
         pytest.param("data.noise_sd = nan\n", [],
                      lambda: ArtificialDataConfig(subjects=60, noise_sd=float("nan")),
                      id="noise-nan"),
+        *[pytest.param(f"estimation.benchmark = {text}\n", [],
+                       lambda text=text: _library_scenario(benchmark=float(text)),
+                       id=f"benchmark-{text}") for text in ("inf", "-inf", "nan")],
     ])
     def test_rejected_with_the_library_message(self, tmp_path, capsys, text, extra, build):
         # The command line has no rules of its own for these values: it
@@ -592,6 +595,29 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert code == EXIT_RUNTIME
         assert err == "error: estimates contains non-finite entries\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("effect", ["inf", "nan"])
+    def test_non_finite_benchmark_exits_config_and_writes_nothing(self, tmp_path, capsys,
+                                                                   effect):
+        # The scenario is built, and its benchmark checked, once the files are read.
+        rng = np.random.default_rng(2)
+        parties = [write_rows(tmp_path / f"p{l}.csv",
+                              [f"{i},{rng.normal()!r},{rng.normal()!r}" for i in range(40)],
+                              header="id,a,b") for l in range(2)]
+        block = write_rows(tmp_path / "block.csv",
+                           [f"{i},{i % 2},{rng.normal()!r}" for i in range(40)],
+                           header="id,treatment,outcome")
+        config = write_config(tmp_path / "run.conf", "\n".join([
+            f"run.party.0.0 = {parties[0]}", f"run.party.0.1 = {parties[1]}",
+            f"run.block.0 = {block}", "run.id_column = id", "reduction.intermediate_dim = 1",
+            "reduction.collaborative_dim = 2", "bootstrap.replicates = 2",
+            f"estimation.benchmark = {effect}",
+        ]) + "\n")
+        code = main(["run", "--config", str(config), "--out", str(tmp_path / "out")])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err == \
+            f"config error: benchmark must be finite, got {float(effect)!r}\n"
         assert not (tmp_path / "out").exists()
 
     def test_non_strict_reduction_of_ingested_parties_is_a_config_error(self, tmp_path, capsys):

@@ -196,6 +196,11 @@ class TestRunScenario:
         small_scenario(analysis="centralized", intermediate_dim=None, collaborative_dim=None,
                        scope=CollaborationScope.single_party(1, 1))
 
+    @pytest.mark.parametrize("effect", [float("inf"), float("-inf"), float("nan")])
+    def test_non_finite_benchmark_rejected_at_construction(self, effect):
+        with pytest.raises(ConfigError, match=f"benchmark must be finite, got {effect!r}"):
+            small_scenario(benchmark=effect)
+
     def test_collaborative_dim_bounded_by_anchor(self):
         data, _ = generate_artificial(ArtificialDataConfig(subjects=80, seed=8))
         with pytest.raises(ConfigError):
