@@ -28,9 +28,11 @@ from dcqe.cli import (
     main,
     parse_config,
 )
-from dcqe.datamodel import CollaborationScope, PartitionSpec
+from dcqe.causal import ESTIMANDS
+from dcqe.datamodel import SCOPE_KINDS, CollaborationScope, PartitionSpec
 from dcqe.errors import ConfigError, IngestionError
-from dcqe.experiments import ArtificialDataConfig, ScenarioConfig, _available_cpus
+from dcqe.experiments import ANALYSIS_MODES, ESTIMATORS, ArtificialDataConfig, ScenarioConfig, \
+    _available_cpus
 from dcqe.tabular import TabularSchema, ingest_csv, load_party_files
 
 
@@ -957,12 +959,50 @@ class TestRunFuzz:
         fuzz_main(tmp, "run", {**lines, **extra})
 
 
+def fuzz_blocks(total):
+    """Up to three positive block sizes that sum to ``total``."""
+    cuts = st.lists(st.integers(1, total - 1), max_size=2, unique=True).map(sorted) \
+        if total > 1 else st.just([])
+    return cuts.map(lambda c: [b - a for a, b in zip([0, *c], [*c, total])])
+
+
+@st.composite
+def fuzz_scenario_lines(draw):
+    """The lines of one consistent ``simulate`` scenario: blocks that sum to the data's
+    sizes, a scope inside the grid and, for DC-QE, widths its parties and anchor allow."""
+    n, m = draw(st.integers(4, 40)), draw(st.integers(1, 6))
+    rows, cols = draw(fuzz_blocks(n)), draw(fuzz_blocks(m))
+    kind = draw(st.sampled_from(SCOPE_KINDS))
+    lines = {"data.subjects": str(n), "data.covariates": str(m), "scope.kind": kind,
+             "partition.row_blocks": ",".join(map(str, rows)),
+             "partition.col_blocks": ",".join(map(str, cols)),
+             "estimation.estimator": draw(st.sampled_from(ESTIMATORS)),
+             "estimation.estimand": draw(st.sampled_from(ESTIMANDS))}
+    if kind == "custom":
+        picks = [draw(st.lists(st.integers(0, len(sizes) - 1), min_size=1, unique=True)
+                      .map(sorted)) for sizes in (rows, cols)]
+        lines["scope.rows"], lines["scope.cols"] = (",".join(map(str, p)) for p in picks)
+        scope = CollaborationScope.custom(*picks)
+    else:
+        scope = CollaborationScope.build(kind, PartitionSpec(tuple(rows), tuple(cols)))
+    smallest = min(cols[l] for l in scope.col_indices)
+    lines["analysis"] = draw(st.sampled_from(
+        ANALYSIS_MODES if smallest > 1 else [a for a in ANALYSIS_MODES if a != "dcqe"]))
+    if lines["analysis"] == "dcqe":
+        anchor = draw(st.integers(1, 2 * n))
+        lines["anchor.subjects"] = str(anchor)
+        lines["reduction.intermediate_dim"] = str(draw(st.integers(1, smallest - 1)))
+        lines["reduction.collaborative_dim"] = str(draw(st.integers(1, anchor)))
+    return lines
+
+
 class TestSimulateFuzz:
-    """``dcqe simulate`` on drawn lines of the keys it reads exits with a code, never a
-    traceback; a small synthetic dataset and two replicates unless a line says otherwise."""
+    """``dcqe simulate`` on drawn lines of the keys it reads, or on the lines of one
+    consistent scenario, exits with a code, never a traceback; a small synthetic dataset
+    and two replicates unless a line says otherwise."""
 
     @settings(max_examples=600, deadline=None)
-    @given(fuzz_config_lines(rows_read_by(*SUITES)))
+    @given(st.one_of(fuzz_config_lines(rows_read_by(*SUITES)), fuzz_scenario_lines()))
     def test_exit_code_without_traceback(self, tmp_path_factory, extra):
         lines = {"data.subjects": "40", "bootstrap.replicates": "2"}
         fuzz_main(tmp_path_factory.mktemp("fuzz"), "simulate", {**lines, **extra})
