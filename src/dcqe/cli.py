@@ -22,7 +22,7 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
-from .datamodel import CollaborationScope, PartitionSpec, scoped_partition
+from .datamodel import CollaborationScope, PartitionSpec
 from .errors import ConfigError, DcqeError, IngestionError
 from .experiments import ScenarioConfig, ScenarioResult, ArtificialDataConfig, \
     generate_artificial, run_experiment_one, run_experiment_two, run_scenario
@@ -95,17 +95,6 @@ def _build_scope(settings: dict, spec: PartitionSpec) -> CollaborationScope:
     return CollaborationScope.custom(rows, cols)
 
 
-def _default_width(settings: dict, mode: str) -> int | None:
-    """Every covariate of the scope; run mode takes ``RUN_COLLABORATIVE_DIM``."""
-    if mode == "run":
-        return RUN_COLLABORATIVE_DIM
-    try:
-        spec = PartitionSpec(settings["partition.row_blocks"], settings["partition.col_blocks"])
-        return scoped_partition(spec, _build_scope(settings, spec)).covariate_count
-    except DcqeError:
-        return None  # ScenarioConfig reports the partition or the scope
-
-
 # What a command runs: ``simulate`` runs its suite, the others themselves.
 MODES = (*SUITES, "evaluate", "run")
 _SCENARIO_MODES = (SCENARIO, "run")
@@ -113,6 +102,8 @@ _SCENARIO_MODES = (SCENARIO, "run")
 # One row per key, in config.txt order: its parser, its default, and the
 # modes that read it; every other mode rejects the key. A callable default
 # gets the settings above it and the mode. ``#`` stands for a block index.
+# An unset size of a DC-QE scenario is None here until ``_scenario`` writes
+# back the value ``ScenarioConfig`` gives it.
 SETTINGS = {
     "suite": (_text, lambda s, mode: EXPERIMENT_TWO if mode == "evaluate" else SCENARIO,
               (*SUITES, "evaluate")),
@@ -129,9 +120,10 @@ SETTINGS = {
     "scope.cols": (_parse_int_tuple, (), (SCENARIO,)),
     "analysis": (_text, "dcqe", (SCENARIO,)),
     "reduction.intermediate_dim": (_parse_int, 2, _SCENARIO_MODES),
-    "reduction.collaborative_dim": (_parse_int, _default_width, _SCENARIO_MODES),
+    "reduction.collaborative_dim": (_parse_int, lambda s, mode: RUN_COLLABORATIVE_DIM
+                                    if mode == "run" else None, _SCENARIO_MODES),
     "anchor.subjects": (_parse_int, lambda s, mode: RUN_ANCHOR_SUBJECTS if mode == "run"
-                        else s["data.subjects"], _SCENARIO_MODES),
+                        else None, _SCENARIO_MODES),
     "estimation.estimator": (_text, "IPW", _SCENARIO_MODES),
     "estimation.estimand": (_text, "ATE", _SCENARIO_MODES),
     "estimation.benchmark": (_parse_float, None, _SCENARIO_MODES),
@@ -259,7 +251,8 @@ def parse_config(path, command: str = "simulate",
 
 def _scenario(settings: dict, spec: PartitionSpec, scope: CollaborationScope,
               analysis: str) -> ScenarioConfig:
-    return ScenarioConfig(
+    """The scenario of the settings; the sizes it holds are written back to the keys read."""
+    scenario = ScenarioConfig(
         partition=spec,
         scope=scope,
         analysis=analysis,
@@ -273,6 +266,11 @@ def _scenario(settings: dict, spec: PartitionSpec, scope: CollaborationScope,
         master_seed=settings["seed"],
         benchmark=settings["estimation.benchmark"],
     )
+    for key, value in (("reduction.collaborative_dim", scenario.collaborative_dim),
+                       ("anchor.subjects", scenario.anchor_size)):
+        if key in settings:
+            settings[key] = value
+    return scenario
 
 
 def _synthetic_scenario(s: dict) -> tuple[ArtificialDataConfig, ScenarioConfig]:
@@ -344,8 +342,8 @@ def _result_row(result: ScenarioResult) -> dict[str, object]:
     row = {
         "estimator": result.estimator,
         "collaboration": result.collaboration,
-        "estimand": result.estimand,
-        "analysis": result.analysis,
+        "estimand": result.config.estimand,
+        "analysis": result.config.analysis,
         "subjects": result.subject_count,
         "estimate_mean": result.estimate_mean,
         "estimate_se": result.estimate_se,
@@ -358,7 +356,7 @@ def _result_row(result: ScenarioResult) -> dict[str, object]:
             row[f"{name}_{stat}"] = None if summary is None else getattr(summary, stat)
     row["collaborative_dim"] = result.collaborative_dim
     row["replicates"] = len(result.bootstrap_estimates)
-    row["master_seed"] = result.master_seed
+    row["master_seed"] = result.config.master_seed
     return row
 
 
@@ -370,7 +368,7 @@ def _mean_se(mean: float | None, se: float | None) -> str:
 
 def format_table(results: list[ScenarioResult]) -> str:
     """Human-readable results with 4-decimal "mean (se)" cells."""
-    estimand = results[0].estimand if results else "ATE"
+    estimand = results[0].config.estimand if results else "ATE"
     headers = ["Estimator", "Collaboration", estimand, "Gap",
                "Inconsistency w/True", "Inconsistency w/CA", "MASMD"]
     rows = []

@@ -161,37 +161,18 @@ class CollaborationScope:
     def single_party(cls, k: int, l: int) -> CollaborationScope:
         return cls("custom", (k,), (l,))
 
-    def validate_for(self, spec: PartitionSpec) -> None:
-        if self.row_indices[-1] >= spec.row_block_count:
-            raise ScopeError(
-                f"scope row block {self.row_indices[-1]} out of range "
-                f"(partition has {spec.row_block_count})"
-            )
-        if self.col_indices[-1] >= spec.col_block_count:
-            raise ScopeError(
-                f"scope column block {self.col_indices[-1]} out of range "
-                f"(partition has {spec.col_block_count})"
-            )
 
-
-def scope_row_indices(spec: PartitionSpec, scope: CollaborationScope) -> np.ndarray:
-    """Global subject indices covered by the scope, in dataset order."""
-    scope.validate_for(spec)
-    parts = [np.arange(spec.row_slice(k).start, spec.row_slice(k).stop) for k in scope.row_indices]
-    return np.concatenate(parts)
-
-
-def scope_col_indices(spec: PartitionSpec, scope: CollaborationScope) -> np.ndarray:
-    """Global covariate indices covered by the scope, in dataset order."""
-    scope.validate_for(spec)
-    parts = [np.arange(spec.col_slice(l).start, spec.col_slice(l).stop) for l in scope.col_indices]
-    return np.concatenate(parts)
-
-
-def scoped_partition(spec: PartitionSpec, scope: CollaborationScope) -> PartitionSpec:
-    """The partition restricted to the scope's blocks."""
-    scope.validate_for(spec)
-    return PartitionSpec(
-        tuple(spec.row_blocks[k] for k in scope.row_indices),
-        tuple(spec.col_blocks[l] for l in scope.col_indices),
-    )
+def scoped_partition(spec: PartitionSpec, scope: CollaborationScope
+                     ) -> tuple[PartitionSpec, np.ndarray, np.ndarray]:
+    """The partition restricted to the scope's blocks, and the global subject and covariate
+    indices the scope covers, in dataset order; a scope outside the grid raises ``ScopeError``.
+    """
+    for axis, last, count in (("row", scope.row_indices[-1], spec.row_block_count),
+                              ("column", scope.col_indices[-1], spec.col_block_count)):
+        if last >= count:
+            raise ScopeError(f"scope {axis} block {last} out of range (partition has {count})")
+    rows = np.r_[tuple(map(spec.row_slice, scope.row_indices))]  # the blocks' ranges, joined
+    cols = np.r_[tuple(map(spec.col_slice, scope.col_indices))]
+    sub_spec = PartitionSpec(tuple(spec.row_blocks[k] for k in scope.row_indices),
+                             tuple(spec.col_blocks[l] for l in scope.col_indices))
+    return sub_spec, rows, cols

@@ -28,7 +28,7 @@ from .causal import ESTIMANDS, _ipw_estimate, estimate_propensity, estimate_psm,
 from .collaboration import assemble_collaborative, fit_integration, generate_anchor, \
     make_intermediate
 from .datamodel import CollaborationScope, Dataset, PartitionSpec, _party_blocks, \
-    scope_col_indices, scope_row_indices, scoped_partition
+    scoped_partition
 from .errors import ConfigError, DcqeError, InvalidDataError
 from .metrics import _smd, gap, inconsistency, smd
 from .numerics import ensure_vector, sigmoid
@@ -108,7 +108,12 @@ def generate_artificial(config: ArtificialDataConfig) -> tuple[Dataset, np.ndarr
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """Everything needed to evaluate one estimator on one collaboration, checked on construction."""
+    """Everything needed to evaluate one estimator on one collaboration, checked on construction.
+
+    A DC-QE config left without sizes gets them from its partition and scope:
+    an anchor of one row per subject of the partition and a collaborative
+    width of every covariate of the scope. Other analyses keep both unset.
+    """
 
     partition: PartitionSpec
     scope: CollaborationScope
@@ -138,25 +143,26 @@ class ScenarioConfig:
             raise ConfigError(f"master seed must be non-negative, got {self.master_seed}")
         if self.benchmark is not None and not np.isfinite(self.benchmark):
             raise ConfigError(f"benchmark must be finite, got {self.benchmark!r}")
-        self.scope.validate_for(self.partition)
+        sub_spec = scoped_partition(self.partition, self.scope)[0]
         if self.analysis != "dcqe":
             return
-        if self.intermediate_dim is None or self.collaborative_dim is None:
-            raise ConfigError(
-                "collaborative analysis needs intermediate and collaborative dimensions")
-        smallest = min(self.partition.col_blocks[l] for l in self.scope.col_indices)
+        if self.intermediate_dim is None:
+            raise ConfigError("collaborative analysis needs an intermediate dimension")
+        if self.anchor_size is None:
+            object.__setattr__(self, "anchor_size", self.partition.subject_count)
+        if self.collaborative_dim is None:
+            object.__setattr__(self, "collaborative_dim", sub_spec.covariate_count)
+        smallest = min(sub_spec.col_blocks)
         if not 1 <= self.intermediate_dim < smallest:
             raise ConfigError(
                 "reduction must be strict: intermediate dimension must be in "
                 f"[1, {smallest - 1}] for this scope, got {self.intermediate_dim}"
             )
-        anchor_size = self.anchor_size if self.anchor_size is not None \
-            else self.partition.subject_count
-        if anchor_size < 1:
-            raise ConfigError(f"anchor size must be positive, got {anchor_size}")
-        if not 1 <= self.collaborative_dim <= anchor_size:
+        if self.anchor_size < 1:
+            raise ConfigError(f"anchor size must be positive, got {self.anchor_size}")
+        if not 1 <= self.collaborative_dim <= self.anchor_size:
             raise ConfigError(
-                f"collaborative dimension must be in [1, {anchor_size}], "
+                f"collaborative dimension must be in [1, {self.anchor_size}], "
                 f"got {self.collaborative_dim}"
             )
 
@@ -176,8 +182,6 @@ class ScenarioResult:
 
     estimator: str
     collaboration: str
-    estimand: str
-    analysis: str
     subject_count: int
     point_estimate: float
     bootstrap_estimates: np.ndarray
@@ -191,7 +195,6 @@ class ScenarioResult:
     inconsistency_ca: MetricSummary
     masmd: MetricSummary
     collaborative_dim: int | None
-    master_seed: int
     config: ScenarioConfig
 
 
@@ -347,9 +350,7 @@ def run_scenario(data: Dataset, config: ScenarioConfig,
     spec = config.partition
     spec.validate_for(data)
 
-    rows = scope_row_indices(spec, config.scope)
-    cols = scope_col_indices(spec, config.scope)
-    sub_spec = scoped_partition(spec, config.scope)
+    sub_spec, rows, cols = scoped_partition(spec, config.scope)
     n_scope = rows.shape[0]
     full_width = cols.shape[0] == data.covariate_count
     in_scope = slice(None) if n_scope == data.subject_count else rows  # all rows: views, no copies
@@ -365,7 +366,6 @@ def run_scenario(data: Dataset, config: ScenarioConfig,
     if is_dcqe:
         anchor_bounds = np.column_stack([data.covariates.min(axis=0)[cols],
                                          data.covariates.max(axis=0)[cols]])
-        anchor_size = config.anchor_size if config.anchor_size is not None else data.subject_count
 
     def run_once(seed_index: int) -> _Replicate:
         rng = np.random.default_rng(np.random.SeedSequence((config.master_seed, seed_index)))
@@ -388,7 +388,7 @@ def run_scenario(data: Dataset, config: ScenarioConfig,
         scoped = ground_truth if full_width else scoped_cov[idx]
 
         if is_dcqe:
-            anchor = generate_anchor(anchor_bounds, anchor_size, anchor_seed)
+            anchor = generate_anchor(anchor_bounds, config.anchor_size, anchor_seed)
             intermediates = [[make_intermediate(block, anchor[:, sub_spec.col_slice(l)],
                                                 config.intermediate_dim)
                               for l, block in enumerate(row)]
@@ -450,14 +450,11 @@ def run_scenario(data: Dataset, config: ScenarioConfig,
     return ScenarioResult(
         estimator=f"DC-QE({config.estimator})" if is_dcqe else config.estimator,
         collaboration=config.collaboration_label or _default_label(config),
-        estimand=config.estimand,
-        analysis=config.analysis,
         subject_count=n_scope,
         bootstrap_estimates=estimates,
         **numbers,
         **summaries,
         collaborative_dim=point.collaborative_dim,
-        master_seed=config.master_seed,
         config=config,
     )
 
@@ -465,23 +462,21 @@ def run_scenario(data: Dataset, config: ScenarioConfig,
 def _run_suite(data: Dataset, spec: PartitionSpec, layout, seed: int, seed_tag: int,
                intermediate_dim: int, true_scores: np.ndarray | None = None,
                **shared) -> list[ScenarioResult]:
-    """Every estimator on every ``(label, analysis, scope, collaborative_dim)`` row of ``layout``.
+    """Every estimator on every ``(label, analysis, scope)`` row of ``layout``.
 
     Scenario ``i`` of the estimator-major order gets the master seed
-    ``derive_seed(seed, seed_tag, i)`` and anchors of one row per subject;
+    ``derive_seed(seed, seed_tag, i)`` and the sizes ``ScenarioConfig`` fills;
     ``shared`` holds the ``ScenarioConfig`` fields every scenario shares.
     """
     results = []
     for estimator in ESTIMATORS:
-        for label, analysis, scope, collab_dim in layout:
+        for label, analysis, scope in layout:
             config = ScenarioConfig(
                 partition=spec,
                 scope=scope,
                 analysis=analysis,
                 estimator=estimator,
                 intermediate_dim=intermediate_dim if analysis == "dcqe" else None,
-                collaborative_dim=collab_dim,
-                anchor_size=data.subject_count,
                 master_seed=derive_seed(seed, seed_tag, len(results)),
                 collaboration_label=label,
                 **shared,
@@ -495,9 +490,9 @@ def run_experiment_one(seed: int, bootstrap_replicates: int = 1000,
     """Synthetic benchmark: both estimators across collaboration scopes.
 
     A 2 x 2 grid of equally sized parties over six correlated covariates,
-    intermediate dimension 2, collaborative dimension 3 for the left-side
-    collaboration and 6 for the top-side and whole collaborations, ATE
-    against the data-generating benchmark of 1.
+    intermediate dimension 2, a collaborative width of every covariate of
+    the scope (3 for the left-side collaboration, 6 for the top-side and
+    whole collaborations), ATE against the data-generating benchmark of 1.
     """
     data, true_scores = generate_artificial(
         ArtificialDataConfig(subjects=subject_count, seed=seed)
@@ -505,11 +500,11 @@ def run_experiment_one(seed: int, bootstrap_replicates: int = 1000,
     half = subject_count // 2
     spec = PartitionSpec((half, subject_count - half), (3, 3))
     layout = [
-        ("IA", "individual", CollaborationScope.single_party(0, 0), None),
-        ("L-clb", "dcqe", CollaborationScope.build("left", spec), 3),
-        ("T-clb", "dcqe", CollaborationScope.build("top", spec), 6),
-        ("W-clb", "dcqe", CollaborationScope.build("whole", spec), 6),
-        ("CA", "centralized", CollaborationScope.build("whole", spec), None),
+        ("IA", "individual", CollaborationScope.single_party(0, 0)),
+        ("L-clb", "dcqe", CollaborationScope.build("left", spec)),
+        ("T-clb", "dcqe", CollaborationScope.build("top", spec)),
+        ("W-clb", "dcqe", CollaborationScope.build("whole", spec)),
+        ("CA", "centralized", CollaborationScope.build("whole", spec)),
     ]
     return _run_suite(data, spec, layout, seed, _SEED_TAG_SYNTHETIC_ROWS, 2, true_scores,
                       estimand="ATE", bootstrap_replicates=bootstrap_replicates, benchmark=1.0)
@@ -557,19 +552,19 @@ def run_experiment_two(data_path, seed: int,
                        bootstrap_replicates: int = 1000) -> list[ScenarioResult]:
     """Job-training benchmark: ATT across individual analyses and collaborations.
 
-    Intermediate dimension 3 throughout, collaborative dimension 4 for the
-    one-sided collaborations and 8 for the top-side and whole collaborations,
-    benchmark 1.794 thousand dollars.
+    Intermediate dimension 3 throughout, a collaborative width of every
+    covariate of the scope (4 for the one-sided collaborations, 8 for the
+    top-side and whole collaborations), benchmark 1.794 thousand dollars.
     """
     data, spec = load_experiment_two_data(data_path, seed)
     layout = [
-        ("L-IA", "individual", CollaborationScope.single_party(0, 0), None),
-        ("R-IA", "individual", CollaborationScope.single_party(0, 1), None),
-        ("L-clb", "dcqe", CollaborationScope.build("left", spec), 4),
-        ("R-clb", "dcqe", CollaborationScope.build("right", spec), 4),
-        ("T-clb", "dcqe", CollaborationScope.build("top", spec), 8),
-        ("W-clb", "dcqe", CollaborationScope.build("whole", spec), 8),
-        ("CA", "centralized", CollaborationScope.build("whole", spec), None),
+        ("L-IA", "individual", CollaborationScope.single_party(0, 0)),
+        ("R-IA", "individual", CollaborationScope.single_party(0, 1)),
+        ("L-clb", "dcqe", CollaborationScope.build("left", spec)),
+        ("R-clb", "dcqe", CollaborationScope.build("right", spec)),
+        ("T-clb", "dcqe", CollaborationScope.build("top", spec)),
+        ("W-clb", "dcqe", CollaborationScope.build("whole", spec)),
+        ("CA", "centralized", CollaborationScope.build("whole", spec)),
     ]
     return _run_suite(data, spec, layout, seed, _SEED_TAG_BENCHMARK_ROWS, 3, estimand="ATT",
                       bootstrap_replicates=bootstrap_replicates, benchmark=NSW_BENCHMARK)

@@ -54,6 +54,16 @@ class TestParseConfig:
         assert config.scenario.collaborative_dim == 6  # scope covariate count
         assert config.scenario.anchor_size == 100
 
+    @pytest.mark.parametrize("kind, width", [("left", 3), ("whole", 6)])
+    def test_effective_config_states_the_sizes_the_scenario_holds(self, tmp_path, kind, width):
+        path = write_config(tmp_path / "c.conf", f"data.subjects = 100\nscope.kind = {kind}\n")
+        config = parse_config(path)
+        assert (config.scenario.collaborative_dim, config.scenario.anchor_size) == (width, 100)
+        lines = format_config(config).splitlines()
+        start = lines.index("reduction.intermediate_dim = 2")
+        assert lines[start + 1:start + 3] == [f"reduction.collaborative_dim = {width}",
+                                              "anchor.subjects = 100"]
+
     def test_unknown_key_rejected_by_name(self, tmp_path):
         path = write_config(tmp_path / "c.conf", "data.subjects = 100\nbogus.key = 3\n")
         with pytest.raises(ConfigError, match="bogus.key"):

@@ -40,11 +40,9 @@ def benchmark_pipeline(seed=3, anchor_seed=77, scope_kind="whole", collaborative
     scope = CollaborationScope.build(scope_kind, spec)
     grid = partition(data, spec)
     blocks = [[grid[k][l] for l in scope.col_indices] for k in scope.row_indices]
-    cols = np.concatenate([np.arange(spec.col_slice(l).start, spec.col_slice(l).stop)
-                           for l in scope.col_indices])
+    sub_spec, _, cols = scoped_partition(spec, scope)
     bounds = np.column_stack([data.covariates[:, cols].min(0), data.covariates[:, cols].max(0)])
     anchor = generate_anchor(bounds, 1000, anchor_seed)
-    sub_spec = scoped_partition(spec, scope)
     reps = [[make_intermediate(block, anchor[:, sub_spec.col_slice(l)], 2)
              for l, block in enumerate(row)] for row in blocks]
     return blocks, reps, collaborative_dim

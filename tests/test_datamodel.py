@@ -6,9 +6,7 @@ from dcqe.datamodel import (
     Dataset,
     PartitionSpec,
     partition,
-    scope_col_indices,
     scoped_partition,
-    scope_row_indices,
 )
 from dcqe.errors import InvalidDataError, PartitionError, ScopeError
 
@@ -82,7 +80,8 @@ class TestPartition:
 
 def scoped_covariates(data, spec, scope):
     """The covariates a collaboration could at best see: its rows and columns of the data."""
-    return data.covariates[np.ix_(scope_row_indices(spec, scope), scope_col_indices(spec, scope))]
+    _, rows, cols = scoped_partition(spec, scope)
+    return data.covariates[np.ix_(rows, cols)]
 
 
 class TestCollaborationScope:
@@ -91,7 +90,7 @@ class TestCollaborationScope:
         spec = PartitionSpec((6, 4), (2, 2))
         scope = CollaborationScope.build("whole", spec)
         np.testing.assert_array_equal(scoped_covariates(data, spec, scope), data.covariates)
-        np.testing.assert_array_equal(scope_row_indices(spec, scope), np.arange(10))
+        np.testing.assert_array_equal(scoped_partition(spec, scope)[1], np.arange(10))
 
     def test_left_scope_keeps_all_subjects_first_columns(self):
         data = make_dataset(10, 5)
@@ -111,15 +110,16 @@ class TestCollaborationScope:
         spec = PartitionSpec((3, 4, 5), (1, 2, 3))
         scope = CollaborationScope.custom((0, 2), (1, 2))
         assert scoped_covariates(data, spec, scope).shape == (3 + 5, 2 + 3)
-        sub = scoped_partition(spec, scope)
+        sub = scoped_partition(spec, scope)[0]
         assert sub.row_blocks == (3, 5)
         assert sub.col_blocks == (2, 3)
 
     def test_row_indices_follow_dataset_order(self):
         spec = PartitionSpec((3, 4, 5), (2, 2))
         scope = CollaborationScope.custom((0, 2), (0,))
-        rows = scope_row_indices(spec, scope)
+        _, rows, cols = scoped_partition(spec, scope)
         np.testing.assert_array_equal(rows, [0, 1, 2, 7, 8, 9, 10, 11])
+        np.testing.assert_array_equal(cols, [0, 1])
 
     def test_named_scopes_cover_expected_parties(self):
         spec = PartitionSpec((2, 2), (2, 2))
@@ -131,8 +131,10 @@ class TestCollaborationScope:
 
     def test_out_of_range_scope_rejected(self):
         spec = PartitionSpec((2, 2), (2, 2))
-        with pytest.raises(ScopeError):
-            CollaborationScope.custom((0, 5), (0,)).validate_for(spec)
+        with pytest.raises(ScopeError, match=r"^scope row block 5 out of range \(partition has 2"):
+            scoped_partition(spec, CollaborationScope.custom((0, 5), (0,)))
+        with pytest.raises(ScopeError, match=r"^scope column block 2 out of range"):
+            scoped_partition(spec, CollaborationScope.custom((0,), (2,)))
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ScopeError):

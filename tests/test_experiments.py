@@ -207,6 +207,33 @@ class TestRunScenario:
             run_scenario(data, small_scenario(collaborative_dim=90))
 
 
+class TestScenarioSizes:
+    """A DC-QE config left without sizes gets them from its partition and scope."""
+
+    SPEC = PartitionSpec((4, 5, 6), (2, 3, 4))
+
+    @pytest.mark.parametrize("scope, width", [
+        (CollaborationScope.build("left", SPEC), 2),
+        (CollaborationScope.build("right", SPEC), 4),
+        (CollaborationScope.build("top", SPEC), 9),
+        (CollaborationScope.build("bottom", SPEC), 9),
+        (CollaborationScope.build("whole", SPEC), 9),
+        (CollaborationScope.custom((0, 2), (1, 2)), 7),
+    ], ids=lambda value: value.kind if isinstance(value, CollaborationScope) else None)
+    def test_unset_sizes_are_the_scope_width_and_the_subject_count(self, scope, width):
+        config = ScenarioConfig(partition=self.SPEC, scope=scope, intermediate_dim=1)
+        assert (config.collaborative_dim, config.anchor_size) == (width, 15)
+        for analysis in ("centralized", "individual"):
+            other = ScenarioConfig(partition=self.SPEC, scope=scope, analysis=analysis)
+            assert (other.collaborative_dim, other.anchor_size) == (None, None)
+
+    def test_set_sizes_are_kept(self):
+        whole = CollaborationScope.build("whole", self.SPEC)
+        config = ScenarioConfig(partition=self.SPEC, scope=whole, intermediate_dim=1,
+                                collaborative_dim=5, anchor_size=12)
+        assert (config.collaborative_dim, config.anchor_size) == (5, 12)
+
+
 class TestReportedNumbersAreFinite:
     """``run_scenario`` checks every number it reports, once, and names the first
     that is not finite; nothing on the way warns."""
@@ -713,7 +740,11 @@ class TestExperimentOne:
             ("IPW", "IA"), ("DC-QE(IPW)", "L-clb"), ("DC-QE(IPW)", "T-clb"),
             ("DC-QE(IPW)", "W-clb"), ("IPW", "CA"),
         ]
-        assert all(r.estimand == "ATE" for r in results)
+        assert all(r.config.estimand == "ATE" for r in results)
+
+    def test_requested_widths_are_the_scope_covariate_counts(self, results):
+        requested = {r.collaboration: r.config.collaborative_dim for r in results}
+        assert requested == {"IA": None, "L-clb": 3, "T-clb": 6, "W-clb": 6, "CA": None}
 
     def test_collaborative_widths(self, results):
         by_label = {(r.estimator, r.collaboration): r for r in results}
@@ -778,7 +809,7 @@ class TestExperimentTwo:
         labels = [r.collaboration for r in results]
         assert labels[:7] == ["L-IA", "R-IA", "L-clb", "R-clb", "T-clb", "W-clb", "CA"]
         assert labels[7:] == labels[:7]
-        assert all(r.estimand == "ATT" for r in results)
+        assert all(r.config.estimand == "ATT" for r in results)
         assert all(r.inconsistency_true is None for r in results)
         # 600 rows trim to two blocks of 300.
         whole = [r for r in results if r.collaboration == "W-clb"][0]
@@ -793,7 +824,9 @@ class TestExperimentTwo:
         assert len(results) == 14
         for i, result in enumerate(results):
             assert result.config.master_seed == derive_seed(0, 303, i)
-            assert result.master_seed == result.config.master_seed
-            expected_dim = 3 if result.analysis == "dcqe" else None
-            assert result.config.intermediate_dim == expected_dim
-            assert result.config.anchor_size == 600
+            dcqe = result.config.analysis == "dcqe"
+            assert result.config.intermediate_dim == (3 if dcqe else None)
+            assert result.config.anchor_size == (600 if dcqe else None)
+        requested = {r.collaboration: r.config.collaborative_dim for r in results}
+        assert requested == {"L-IA": None, "R-IA": None, "L-clb": 4, "R-clb": 4, "T-clb": 8,
+                             "W-clb": 8, "CA": None}
