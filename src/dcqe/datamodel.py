@@ -30,9 +30,9 @@ class Dataset:
         cov = ensure_matrix(self.covariates, "covariates")
         try:
             z = ensure_binary_labels(self.treatments, "treatments", length=cov.shape[0])
+            y = ensure_vector(self.outcomes, "outcomes", length=cov.shape[0])
         except DimensionError as exc:
             raise InvalidDataError(str(exc)) from exc
-        y = ensure_vector(self.outcomes, "outcomes", length=cov.shape[0])
         object.__setattr__(self, "covariates", cov)
         object.__setattr__(self, "treatments", z)
         object.__setattr__(self, "outcomes", y)

@@ -332,11 +332,12 @@ def run_scenario(data: Dataset, config: ScenarioConfig,
 
     Replicate ``b`` draws its own random stream from ``(master_seed, 1 + b)``;
     the no-resample point run uses ``(master_seed, 0)``. Resamples that lose a
-    treatment group are redrawn. With ``resample`` disabled every replicate
-    equals the point run, so the bootstrap mean equals the point estimate.
-    Every number the result reports is checked once, at the end: the first
-    that is not finite, for example an SE that overflows, raises
-    ``InvalidDataError`` naming it.
+    treatment group are redrawn; a scope whose subjects all share one
+    treatment raises ``InvalidDataError`` before any run. With ``resample``
+    disabled every replicate equals the point run, so the bootstrap mean
+    equals the point estimate. Every number the result reports is checked
+    once, at the end: the first that is not finite, for example an SE that
+    overflows, raises ``InvalidDataError`` naming it.
 
     A scope that covers every row, or every column, reads the dataset's
     arrays without copying them. The runs are split over forked workers, one
@@ -358,6 +359,11 @@ def run_scenario(data: Dataset, config: ScenarioConfig,
     scoped_cov = None if full_width else full_cov[:, cols]
     z_all = data.treatments[in_scope]
     y_all = data.outcomes[in_scope]
+    label = config.collaboration_label or _default_label(config)
+    treated = int(z_all.sum())
+    if treated in (0, n_scope):
+        raise InvalidDataError(f"collaboration {label}: the scope's {n_scope} subjects include no "
+                               + ("treated" if treated == 0 else "control") + " subject")
 
     true_sub = None if true_scores is None else \
         ensure_vector(true_scores, "true_scores", length=data.subject_count)[in_scope]
@@ -449,7 +455,7 @@ def run_scenario(data: Dataset, config: ScenarioConfig,
 
     return ScenarioResult(
         estimator=f"DC-QE({config.estimator})" if is_dcqe else config.estimator,
-        collaboration=config.collaboration_label or _default_label(config),
+        collaboration=label,
         subject_count=n_scope,
         bootstrap_estimates=estimates,
         **numbers,

@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .datamodel import Dataset, PartitionSpec
-from .errors import IngestionError
+from .errors import DcqeError, IngestionError
 
 
 @dataclass(frozen=True)
@@ -153,7 +153,7 @@ def ingest_csv(path, schema: TabularSchema) -> tuple[Dataset, list[str] | None]:
     values, treatments, ids = _parse_table(path, header, rows, plain, fields, id_idx)
     try:
         dataset = Dataset(np.ascontiguousarray(values[:, :-1]), treatments, values[:, -1].copy())
-    except Exception as exc:
+    except DcqeError as exc:
         raise IngestionError(f"{path}: {exc}") from exc
     return dataset, ids
 
@@ -162,10 +162,6 @@ def _check_id_alignment(reference: list[str] | None, ids: list[str] | None,
                         reference_path, path) -> None:
     if reference is None or ids is None or reference == ids:
         return
-    if len(reference) != len(ids):
-        raise IngestionError(
-            f"{path}: has {len(ids)} rows, {reference_path} has {len(reference)}"
-        )
     for row, (a, b) in enumerate(zip(reference, ids), start=1):
         if a != b:
             raise IngestionError(
@@ -255,6 +251,6 @@ def load_party_files(party_paths: dict[tuple[int, int], str],
             np.concatenate(treatments_parts),
             np.concatenate(outcomes_parts),
         )
-    except Exception as exc:
+    except DcqeError as exc:
         raise IngestionError(str(exc)) from exc
     return dataset, spec

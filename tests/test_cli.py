@@ -420,6 +420,16 @@ class TestMainExitCodes:
         assert err == f"config error: {caught.value}\n"
         assert not (tmp_path / "out").exists()
 
+    def test_scope_with_one_treatment_group_exits_runtime_naming_it(self, tmp_path, capsys):
+        config = write_config(tmp_path / "c.conf", "data.subjects = 12\n"
+                              "partition.row_blocks = 3,9\nscope.kind = top\n"
+                              "analysis = centralized\nbootstrap.replicates = 2\nseed = 2\n")
+        code = main(["simulate", "--config", str(config), "--out", str(tmp_path / "out")])
+        assert code == EXIT_RUNTIME
+        assert capsys.readouterr().err == \
+            "error: collaboration CA: the scope's 3 subjects include no treated subject\n"
+        assert not (tmp_path / "out").exists()
+
     def test_impossible_size_exits_runtime_without_traceback(self, tmp_path):
         # numpy rejects the shape before it allocates anything.
         config = write_config(tmp_path / "c.conf",

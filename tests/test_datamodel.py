@@ -32,9 +32,13 @@ class TestDataset:
         with pytest.raises(InvalidDataError):
             Dataset(np.ones((3, 2)), [1, 1, 1], [0.0, 1.0, 2.0])
 
-    def test_rejects_length_mismatch(self):
-        with pytest.raises(InvalidDataError):
-            Dataset(np.ones((3, 2)), [0, 1], [0.0, 1.0])
+    @pytest.mark.parametrize("treatments, outcomes, short", [
+        ([0, 1], [0.0, 1.0, 2.0], "treatments"),
+        ([0, 1, 0], [0.0, 1.0], "outcomes"),
+    ], ids=["treatments", "outcomes"])
+    def test_rejects_length_mismatch(self, treatments, outcomes, short):
+        with pytest.raises(InvalidDataError, match=f"^{short} must have length 3, got 2$"):
+            Dataset(np.ones((3, 2)), treatments, outcomes)
 
 
 class TestPartition:

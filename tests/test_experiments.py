@@ -234,6 +234,23 @@ class TestScenarioSizes:
         assert (config.collaborative_dim, config.anchor_size) == (5, 12)
 
 
+class TestScopeWithOneTreatmentGroup:
+    @pytest.mark.parametrize("treatments, missing", [
+        ([1, 1, 1, 0, 1, 0], "control"),
+        ([0, 0, 0, 1, 0, 1], "treated"),
+    ])
+    def test_rejected_before_any_run(self, treatments, missing):
+        rng = np.random.default_rng(0)
+        data = Dataset(rng.normal(size=(6, 2)), treatments, rng.normal(size=6))
+        spec = PartitionSpec((3, 3), (1, 1))
+        config = ScenarioConfig(partition=spec, scope=CollaborationScope.build("top", spec),
+                                analysis="centralized", bootstrap_replicates=2,
+                                collaboration_label="T-top")
+        message = f"^collaboration T-top: the scope's 3 subjects include no {missing} subject$"
+        with pytest.raises(InvalidDataError, match=message):
+            run_scenario(data, config)
+
+
 class TestReportedNumbersAreFinite:
     """``run_scenario`` checks every number it reports, once, and names the first
     that is not finite; nothing on the way warns."""

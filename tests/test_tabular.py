@@ -270,6 +270,45 @@ class TestLoadPartyFilesMatchesCellwise:
                 load_party_files({(0, 0): str(party)}, {0: str(block)}, "id")
 
 
+    @staticmethod
+    def grid_case(tmp_path, case):
+        """Files of one ``load_party_files`` error case: party paths, block paths and the
+        expected message."""
+        labels = str(write(tmp_path, "labels.csv", "id,treatment,outcome",
+                           ["a,0,1.0", "b,1,2.0", "c,0,3.0"]))
+        party = str(write(tmp_path, "party.csv", "id,u", ["a,1", "b,2", "c,3"]))
+        if case == "no-files":
+            return {}, {}, "run mode needs at least one party file and one block file"
+        if case == "column-gap":
+            return ({(0, 0): party, (0, 2): party}, {0: labels},
+                    "party files must cover contiguous block indices starting at 0")
+        if case == "block-rows":
+            return ({(0, 0): party}, {1: labels},
+                    "block files cover row blocks [1], parties cover [0]")
+        if case == "no-covariates":
+            ids_only = str(write(tmp_path, "ids.csv", "id", ["a", "b", "c"]))
+            return {(0, 0): ids_only}, {0: labels}, f"{ids_only}: no covariate columns found"
+        if case == "row-count":
+            short = str(write(tmp_path, "short.csv", "id,u", ["a,1", "b,2"]))
+            return {(0, 0): short}, {0: labels}, f"{short}: has 2 rows, {labels} has 3"
+        if case == "column-width":
+            wide = str(write(tmp_path, "wide.csv", "id,u,v", ["a,1,4", "b,2,5", "c,3,6"]))
+            return ({(0, 0): party, (1, 0): wide}, {0: labels, 1: labels},
+                    f"{wide}: column block 0 has 2 covariates here but 1 in another row block")
+        # "party-ids": the label file has no ids, so the first party's ids are the reference.
+        bare = str(write(tmp_path, "bare.csv", "treatment,outcome", ["0,1.0", "1,2.0", "0,3.0"]))
+        other = str(write(tmp_path, "other.csv", "id,v", ["x,1", "b,2", "c,3"]))
+        return ({(0, 0): party, (0, 1): other}, {0: bare},
+                f"{other}: row 1: id 'x' does not match 'a' in {party}")
+
+    @pytest.mark.parametrize("case", ["no-files", "column-gap", "block-rows", "no-covariates",
+                                      "row-count", "column-width", "party-ids"])
+    def test_grid_error_matches_cellwise(self, tmp_path, case):
+        party_paths, block_paths, message = self.grid_case(tmp_path, case)
+        assert outcome(load_party_files, party_paths, block_paths, "id") == message
+        assert outcome(oracles.cellwise_load_party_files, party_paths, block_paths, "id") == message
+
+
 # Cells numpy's C reader and float() may treat differently: numpy must
 # reject whatever it does not parse to the same double as float(cell.strip()).
 ODD_CELLS = ["1_000.5", "١٢", "\x1c1", "\xa01.5\xa0", " 2 ", "1d5", "0x1p3",
