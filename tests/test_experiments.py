@@ -191,6 +191,8 @@ class TestRunScenario:
             small_scenario(intermediate_dim=3)
         with pytest.raises(ConfigError, match=r"\[1, 80\], got 81"):
             small_scenario(anchor_size=None, collaborative_dim=81)
+        with pytest.raises(ConfigError, match="^collaborative analysis needs an intermediate"):
+            small_scenario(intermediate_dim=None)
         with pytest.raises(ScopeError, match="column block 2 out of range"):
             small_scenario(scope=CollaborationScope.custom((0,), (2,)))
         small_scenario(analysis="centralized", intermediate_dim=None, collaborative_dim=None,
@@ -238,7 +240,7 @@ class TestScopeWithOneTreatmentGroup:
     @pytest.mark.parametrize("treatments, missing", [
         ([1, 1, 1, 0, 1, 0], "control"),
         ([0, 0, 0, 1, 0, 1], "treated"),
-    ])
+    ], ids=["no-control", "no-treated"])
     def test_rejected_before_any_run(self, treatments, missing):
         rng = np.random.default_rng(0)
         data = Dataset(rng.normal(size=(6, 2)), treatments, rng.normal(size=6))
