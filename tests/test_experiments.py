@@ -229,12 +229,6 @@ class TestScenarioSizes:
             other = ScenarioConfig(partition=self.SPEC, scope=scope, analysis=analysis)
             assert (other.collaborative_dim, other.anchor_size) == (None, None)
 
-    def test_set_sizes_are_kept(self):
-        whole = CollaborationScope.build("whole", self.SPEC)
-        config = ScenarioConfig(partition=self.SPEC, scope=whole, intermediate_dim=1,
-                                collaborative_dim=5, anchor_size=12)
-        assert (config.collaborative_dim, config.anchor_size) == (5, 12)
-
 
 class TestScopeWithOneTreatmentGroup:
     @pytest.mark.parametrize("treatments, missing", [
