@@ -156,7 +156,7 @@ def _ipw_estimate(weights, treatments, outcomes) -> float:
     wt = np.where(treated, weights, 0.0)
     wc = np.where(treated, 0.0, weights)
     with np.errstate(over="ignore", invalid="ignore"):
-        return float((wt @ y) / wt.sum() - (wc @ y) / wc.sum())
+        return float((wt * y).sum() / wt.sum() - (wc * y).sum() / wc.sum())
 
 
 def matched_sample(matching: MatchingResult, estimand: str) -> tuple[np.ndarray, np.ndarray]:

@@ -344,9 +344,11 @@ def run_scenario(data: Dataset, config: ScenarioConfig,
     fork and one pipe per CPU in the affinity mask, unless this process is
     pinned to one CPU, runs other threads or has a pipeline function rebound.
     Every worker is reaped before this returns or raises; one that dies
-    raises ``DcqeError``. For a fixed BLAS thread count results do not depend
-    on the worker count; set ``OPENBLAS_NUM_THREADS=1`` (or the variable of
-    your BLAS) so the workers do not oversubscribe the CPUs.
+    raises ``DcqeError``. Results depend neither on the worker count nor on
+    the BLAS thread count: the effect and balance sum over the subjects with
+    numpy, not with BLAS dot products, which OpenBLAS splits across threads.
+    Set ``OPENBLAS_NUM_THREADS=1`` (or the variable of your BLAS) only so that
+    the workers do not oversubscribe the CPUs.
     """
     spec = config.partition
     spec.validate_for(data)

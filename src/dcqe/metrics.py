@@ -43,7 +43,7 @@ def _group_moments(cols: np.ndarray, weights: np.ndarray | None) -> tuple[np.nda
             raise InvalidDataError("balance needs at least two subjects per group")
         return cols.mean(axis=1), cols.var(axis=1, ddof=1)
     total = weights.sum()
-    denom = total * total - float(weights @ weights)
+    denom = total * total - float((weights * weights).sum())
     if denom <= 0:
         raise InvalidDataError("weighted balance needs effective group size above one")
     mean = (cols * weights).sum(axis=1) / total

@@ -129,6 +129,46 @@ def test_results_match_golden(golden, generated):
                       "to the golden file")
 
 
+# A 16k-subject DC-QE IPW scenario: OpenBLAS splits a dot product this long
+# across its threads, so a sum over the subjects left to BLAS moves the bits.
+THREAD_CASE = """\
+data.subjects = 16000
+partition.row_blocks = 8000,8000
+partition.col_blocks = 3,3
+scope.kind = whole
+analysis = dcqe
+reduction.intermediate_dim = 2
+reduction.collaborative_dim = 4
+anchor.subjects = 1000
+estimation.estimator = IPW
+estimation.estimand = ATE
+estimation.benchmark = 1.0
+bootstrap.replicates = 4
+seed = 0
+output.formats = csv
+"""
+
+
+def test_results_do_not_depend_on_the_blas_thread_count(tmp_path):
+    config = tmp_path / "threads.conf"
+    config.write_text(THREAD_CASE, encoding="utf-8")
+    running = {}
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+        args = [sys.executable, "-m", "dcqe.cli", "simulate", "--config", str(config),
+                "--out", str(tmp_path / threads)]
+        running[threads] = subprocess.Popen(args, stdout=subprocess.DEVNULL,
+                                            stderr=subprocess.PIPE, text=True, env=env)
+    for threads, proc in running.items():
+        _, stderr = proc.communicate(timeout=120)
+        assert proc.returncode == 0, f"{threads} threads: exit code {proc.returncode}: {stderr}"
+    one, two = ((tmp_path / threads / "results.csv").read_text(encoding="utf-8").splitlines()
+                for threads in running)
+    assert one == two, "results.csv differs between 1 and 2 BLAS threads: " + " vs ".join(
+        line for pair in zip(one, two) if pair[0] != pair[1] for line in pair)
+
+
 def test_mismatches_names_a_moved_cell_and_a_relabel(tmp_path):
     golden = GOLDEN / "scenario.csv"
     with golden.open(newline="", encoding="utf-8") as handle:
