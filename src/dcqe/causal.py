@@ -15,18 +15,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidDataError
-from .numerics import ensure_binary_labels, ensure_vector, logistic_fit, sigmoid
+from .numerics import _counts, ensure_binary_labels, ensure_vector, logistic_fit, sigmoid
 
 PROPENSITY_CLIP = (1e-6, 1.0 - 1e-6)
 ESTIMANDS = ("ATE", "ATT")
 
 
-def estimate_propensity(features, treatments) -> np.ndarray:
+def estimate_propensity(features, treatments, counts=None) -> np.ndarray:
     """Fit a logistic model with constant term and return the clipped probabilities.
 
-    ``logistic_fit`` checks the features and the treatments.
+    ``logistic_fit`` checks the features and treatments and weighs each row by its count.
     """
-    model = logistic_fit(features, treatments)
+    model = logistic_fit(features, treatments, counts)
     probs = sigmoid(model.intercept + np.asarray(features, dtype=float) @ model.coefficients)
     return np.clip(probs, *PROPENSITY_CLIP)
 
@@ -97,12 +97,13 @@ def match_pairs(scores, treatments) -> MatchingResult:
     return MatchingResult(pairs=pairs, treated=treated, control=control)
 
 
-def estimate_psm(matching: MatchingResult, outcomes, estimand: str) -> float:
+def estimate_psm(matching: MatchingResult, outcomes, estimand: str, counts=None) -> float:
     """Average matched outcome differences, in outcome units.
 
     ATT averages ``y_i - y_pair(i)`` over treated subjects. ATE additionally
     averages ``y_pair(i) - y_i`` over controls and divides by the full subject
-    count, so multiply-matched subjects count once per occurrence.
+    count, so multiply-matched subjects count once per occurrence. Subject
+    ``i`` counts ``counts[i]`` times (once each by default).
 
     The bootstrap SE of this estimator, which matches with replacement, is
     known to be unreliable (Abadie & Imbens 2008, Econometrica). A value
@@ -112,13 +113,13 @@ def estimate_psm(matching: MatchingResult, outcomes, estimand: str) -> float:
         raise InvalidDataError(f"unknown estimand {estimand!r}")
     count = matching.pairs.shape[0]
     y = ensure_vector(outcomes, "outcomes", length=count)
-    t, c = matching.treated, matching.control
+    t, c, n = matching.treated, matching.control, _counts(counts, count)
     with np.errstate(over="ignore", invalid="ignore"):
-        treated_diffs = y[t] - y[matching.pairs[t]]
+        treated_diffs = n[t] * (y[t] - y[matching.pairs[t]])
         if estimand == "ATT":
-            return float(np.mean(treated_diffs))
-        control_diffs = y[matching.pairs[c]] - y[c]
-        return float((treated_diffs.sum() + control_diffs.sum()) / count)
+            return float(treated_diffs.sum() / n[t].sum())
+        control_diffs = n[c] * (y[matching.pairs[c]] - y[c])
+        return float((treated_diffs.sum() + control_diffs.sum()) / n.sum())
 
 
 def ipw_weights(scores, treatments, estimand: str) -> np.ndarray:
@@ -149,28 +150,31 @@ def estimate_ipw(scores, treatments, outcomes, estimand: str) -> float:
     return _ipw_estimate(ipw_weights(scores, treatments, estimand), treatments, outcomes)
 
 
-def _ipw_estimate(weights, treatments, outcomes) -> float:
-    """``estimate_ipw`` from the weights ``ipw_weights`` computed and the treatments it checked."""
+def _ipw_estimate(weights, treatments, outcomes, counts=None) -> float:
+    """``estimate_ipw`` from ``ipw_weights``' weights and checked treatments, and row counts."""
     treated = np.asarray(treatments) == 1
     y = ensure_vector(outcomes, "outcomes", length=weights.shape[0])
+    weights = weights * _counts(counts, weights.shape[0])
     wt = np.where(treated, weights, 0.0)
     wc = np.where(treated, 0.0, weights)
     with np.errstate(over="ignore", invalid="ignore"):
         return float((wt * y).sum() / wt.sum() - (wc * y).sum() / wc.sum())
 
 
-def matched_sample(matching: MatchingResult, estimand: str) -> tuple[np.ndarray, np.ndarray]:
+def matched_sample(matching: MatchingResult, estimand: str,
+                   counts=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Subject indices (with multiplicity) forming the matched sample.
 
     Returns the treated-side and control-side index arrays: for ATT the
     treated subjects and their matched controls; for ATE every subject plus
-    its match, each occurrence kept.
+    its match, each occurrence kept. The third array holds how often each
+    pair occurs: the count of the subject that chose it (once by default).
     """
     if estimand not in ESTIMANDS:
         raise InvalidDataError(f"unknown estimand {estimand!r}")
-    t, c = matching.treated, matching.control
+    t, c, n = matching.treated, matching.control, _counts(counts, matching.pairs.shape[0])
     if estimand == "ATT":
-        return t.copy(), matching.pairs[t].copy()
+        return t.copy(), matching.pairs[t].copy(), n[t]
     treated_rows = np.concatenate([t, matching.pairs[c]])
     control_rows = np.concatenate([matching.pairs[t], c])
-    return treated_rows, control_rows
+    return treated_rows, control_rows, n[np.concatenate([t, c])]

@@ -53,7 +53,7 @@ Intermediate = tuple[np.ndarray, np.ndarray]
 
 
 def make_intermediate(covariates: np.ndarray, anchor_block: np.ndarray,
-                      target_dim: int) -> Intermediate:
+                      target_dim: int, counts=None) -> Intermediate:
     """Reduce one party's block and its anchor columns with a shared PCA fit.
 
     Returns ``(data_image, anchor_image)``. The PCA (including
@@ -61,7 +61,8 @@ def make_intermediate(covariates: np.ndarray, anchor_block: np.ndarray,
     both the data and the anchor block, so the anchor image lives in the
     same reduced space. Reduction must be strict: ``target_dim`` has to be
     smaller than the block's covariate count. Both blocks are checked here;
-    the party block is standardized only once.
+    the party block is standardized only once. Row ``i`` of the party block is
+    fitted as ``counts[i]`` equal rows (one each by default) and imaged once.
     """
     block = ensure_matrix(anchor_block, "anchor_block")
     covariates = ensure_matrix(covariates, "party covariates")
@@ -72,7 +73,7 @@ def make_intermediate(covariates: np.ndarray, anchor_block: np.ndarray,
         raise DimensionError(
             f"reduction must be strict: target_dim must be in [1, {width - 1}], got {target_dim}"
         )
-    model, standardized = _pca(covariates, target_dim, "party covariates")
+    model, standardized = _pca(covariates, target_dim, "party covariates", counts)
     return standardized.T @ model.components, _project(model, block)
 
 

@@ -371,6 +371,7 @@ def run_scenario(data: Dataset, config: ScenarioConfig,
         ensure_vector(true_scores, "true_scores", length=data.subject_count)[in_scope]
 
     is_dcqe = config.analysis == "dcqe"
+    bounds = np.cumsum((0,) + sub_spec.row_blocks) if is_dcqe else (0, n_scope)
     if is_dcqe:
         anchor_bounds = np.column_stack([data.covariates.min(axis=0)[cols],
                                          data.covariates.max(axis=0)[cols]])
@@ -390,48 +391,63 @@ def run_scenario(data: Dataset, config: ScenarioConfig,
                 raise DcqeError("bootstrap resampling kept losing a treatment group")
         else:
             idx = np.arange(n_scope)
-        z = z_all[idx]
-        y = y_all[idx]
-        ground_truth = full_cov[idx]
-        scoped = ground_truth if full_width else scoped_cov[idx]
+        # The run's units: its distinct (row block, subject) pairs, in block and
+        # then subject order, each counted as often as that block drew the subject.
+        drawn = [np.bincount(idx[a:b], minlength=n_scope) for a, b in zip(bounds, bounds[1:])]
+        held = [np.flatnonzero(block > 0) for block in drawn]
+        units = np.concatenate(held)
+        counts = np.concatenate([block[h] for block, h in zip(drawn, held)]).astype(float)
+        z = z_all[units]
+        y = y_all[units]
+        ground_truth = full_cov[units]
+        scoped = ground_truth if full_width else scoped_cov[units]
 
         if is_dcqe:
             anchor = generate_anchor(anchor_bounds, config.anchor_size, anchor_seed)
+            unit_spec = PartitionSpec(tuple(h.shape[0] for h in held), sub_spec.col_blocks)
             intermediates = [[make_intermediate(block, anchor[:, sub_spec.col_slice(l)],
-                                                config.intermediate_dim)
+                                                config.intermediate_dim,
+                                                counts[unit_spec.row_slice(k)])
                               for l, block in enumerate(row)]
-                             for row in _party_blocks(scoped, sub_spec)]
+                             for k, row in enumerate(_party_blocks(scoped, unit_spec))]
             collab = assemble_collaborative(
                 intermediates, fit_integration(intermediates, config.collaborative_dim))
-            scores = estimate_propensity(collab, z)
+            scores = estimate_propensity(collab, z, counts)
             effective_dim = collab.shape[1]
         else:
-            scores = estimate_propensity(scoped, z)
+            scores = estimate_propensity(scoped, z, counts)
             effective_dim = None
 
         if config.estimator == "PSM":
             matching = match_pairs(scores, z)
-            estimate = estimate_psm(matching, y, config.estimand)
-            t_rows, c_rows = matched_sample(matching, config.estimand)
+            estimate = estimate_psm(matching, y, config.estimand, counts)
+            t_rows, c_rows, pair_counts = matched_sample(matching, config.estimand, counts)
             truth = np.ascontiguousarray(ground_truth.T)  # variables-major
-            smds = _smd(truth.take(t_rows, axis=1), truth.take(c_rows, axis=1))
+            smds = _smd(truth.take(t_rows, axis=1), truth.take(c_rows, axis=1),
+                        pair_counts, pair_counts)
         else:
             weights = ipw_weights(scores, z, config.estimand)
-            estimate = _ipw_estimate(weights, z, y)
-            smds = smd(ground_truth, z, weights=weights)
+            estimate = _ipw_estimate(weights, z, y, counts)
+            smds = smd(ground_truth, z, weights=weights, counts=counts)
         masmd = float(np.max(np.abs(smds)))
 
         # Centralized reference: the same subjects with every covariate. When
         # the scenario itself already is that analysis, its scores are reused,
-        # which makes the self-inconsistency structurally zero.
+        # which makes the self-inconsistency structurally zero. It sees no row
+        # blocks, so it is fitted once per distinct subject and read per unit.
         if not is_dcqe and full_width:
             reference = scores
         else:
-            reference = estimate_propensity(ground_truth, z)
-        inc_ca = inconsistency(scores, reference)
+            total = sum(drawn)
+            subjects = np.flatnonzero(total > 0)
+            reference = np.empty(n_scope)
+            reference[subjects] = estimate_propensity(full_cov[subjects], z_all[subjects],
+                                                      total[subjects].astype(float))
+            reference = reference[units]
+        inc_ca = inconsistency(scores, reference, counts)
         inc_true = None
         if true_sub is not None:
-            inc_true = inconsistency(scores, true_sub[idx])
+            inc_true = inconsistency(scores, true_sub[units], counts)
         return _Replicate(estimate, inc_true, inc_ca, masmd, effective_dim)
 
     runs = _run_all(run_once, 1 + config.bootstrap_replicates if config.resample else 1)

@@ -16,6 +16,12 @@ Kernels that reduce over the subjects copy their tall subjects x variables
 input once into a C-contiguous variables x subjects array and reduce along
 its rows: an ``axis=0`` reduction walks a row-major array one short row at
 a time, several times slower, and its bits depend on the input's layout.
+
+Kernels that fit to rows take optional row counts: row ``i`` stands for
+``counts[i]`` equal rows, one each by default. A bootstrap replicate runs on
+its distinct rows with the counts it drew, equal in exact arithmetic to the
+run on the repeated rows; a count of 1.0 multiplies exactly, so unit counts
+give the plain rows' result bit for bit.
 """
 
 from __future__ import annotations
@@ -81,6 +87,14 @@ def ensure_binary_labels(labels, name: str = "labels", length: int | None = None
     return out
 
 
+def _counts(counts, n: int) -> np.ndarray:
+    """Float row counts of ``n`` rows, one each when ``counts`` is None."""
+    c = np.ones(n) if counts is None else np.asarray(counts, dtype=float)
+    if c.shape != (n,):
+        raise DimensionError(f"counts must have length {n}, got shape {c.shape}")
+    return c
+
+
 def sigmoid(eta) -> np.ndarray:
     """Numerically stable logistic function 1 / (1 + exp(-eta))."""
     eta = np.asarray(eta, dtype=float)
@@ -125,27 +139,33 @@ def pca_fit(data: Matrix, target_dim: int) -> PcaModel:
     return _pca(ensure_matrix(data), target_dim)[0]
 
 
-def _pca(arr: np.ndarray, target_dim: int, name: str = "data") -> tuple[PcaModel, np.ndarray]:
-    """``pca_fit`` of a checked matrix called ``name``, and the standardized matrix,
-    variables-major."""
+def _pca(arr: np.ndarray, target_dim: int, name: str = "data",
+         counts=None) -> tuple[PcaModel, np.ndarray]:
+    """``pca_fit`` of a checked matrix called ``name`` with row counts, and the
+    standardized matrix, variables-major."""
     n, m = arr.shape
-    if n < 2:
+    c = _counts(counts, n)
+    total = c.sum()
+    if total < 2:
         raise InvalidDataError("pca_fit needs at least two rows")
     if not 1 <= target_dim <= m:
         raise DimensionError(f"target_dim must be in [1, {m}], got {target_dim}")
     cols = np.ascontiguousarray(arr.T)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported just below
-        means = cols.mean(axis=1)
-        stddevs = cols.std(axis=1, ddof=1)
+        means = (cols * c).sum(axis=1) / total
+        centered = cols - means[:, None]
+        stddevs = np.sqrt((centered * centered * c).sum(axis=1) / (total - 1))
     overflowing = np.flatnonzero(~(np.isfinite(means) & np.isfinite(stddevs)))
     if overflowing.size:
         raise InvalidDataError(f"{name} column {overflowing[0]}: its mean or standard deviation "
                                "overflows a double")
     stddevs = np.where(stddevs < DEGENERATE_STDDEV, 1.0, stddevs)
-    standardized = (cols - means[:, None]) / stddevs[:, None]
+    standardized = centered / stddevs[:, None]
     # A tall block's R factor has its singular values and right vectors; gesdd
     # takes that route itself once n >= 11m/6, so there only forming U is saved.
-    factor = np.linalg.qr(standardized.T, mode="r") if n > m else standardized.T
+    # Scaling row i by sqrt(c_i) gives the Gram matrix of the repeated rows.
+    weighted = (standardized * np.sqrt(c)).T
+    factor = np.linalg.qr(weighted, mode="r") if n > m else weighted
     vt = np.linalg.svd(factor, full_matrices=target_dim > min(n, m))[2]
     components = vt[:target_dim].T.copy()
     _orient_columns(components)
@@ -222,12 +242,13 @@ class LogisticModel:
 
 
 def _linear_and_loglik(design_t: np.ndarray, labels: np.ndarray, theta: np.ndarray,
-                       penalty: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+                       penalty: np.ndarray, counts: np.ndarray
+                       ) -> tuple[np.ndarray, np.ndarray, float]:
     """``eta = theta @ design_t``, ``exp(-|eta|)`` and the penalized log-likelihood,
     whose softplus ``log(1 + exp(eta))`` is ``max(eta, 0) + log1p(exp(-|eta|))``."""
     eta = theta @ design_t
     ex = np.exp(-np.abs(eta))
-    ll = float(np.sum(labels * eta - (np.maximum(eta, 0.0) + np.log1p(ex))))
+    ll = float(np.sum(counts * (labels * eta - (np.maximum(eta, 0.0) + np.log1p(ex)))))
     return eta, ex, ll - 0.5 * float(penalty @ (theta * theta))
 
 
@@ -235,7 +256,7 @@ _FIT_OVERFLOWS = "features too large: the logistic fit overflows a double"
 
 
 @np.errstate(over="ignore", invalid="ignore")  # an overflow raises InvalidDataError instead
-def logistic_fit(features: Matrix, labels) -> LogisticModel:
+def logistic_fit(features: Matrix, labels, counts=None) -> LogisticModel:
     """Fit a ridge-penalized logistic regression by reweighted least squares.
 
     The Bernoulli log-likelihood with an L2 penalty of ``LOGISTIC_RIDGE`` on
@@ -243,7 +264,9 @@ def logistic_fit(features: Matrix, labels) -> LogisticModel:
     step halving, which keeps the recorded likelihood trace non-decreasing.
     Convergence is declared when the largest parameter change drops below
     ``LOGISTIC_TOL``; after ``LOGISTIC_MAX_ITER`` iterations the best iterate
-    is returned with ``converged`` set to False.
+    is returned with ``converged`` set to False. Row ``i``'s gradient, Hessian
+    and likelihood terms are scaled by its count ``counts[i]`` (one each by
+    default), which fits it as that many equal rows.
 
     Each evaluated candidate costs one matrix-vector product, one ``exp``
     and one ``log1p``; the accepted candidate's linear predictor and
@@ -254,6 +277,7 @@ def logistic_fit(features: Matrix, labels) -> LogisticModel:
     x = ensure_matrix(features, "features")
     y = ensure_binary_labels(labels, "labels", length=x.shape[0]).astype(float)
     n, m = x.shape
+    c = _counts(counts, n)
     design_t = np.ones((m + 1, n))  # variables-major, whatever the layout of x
     design_t[1:] = x.T
     penalty = np.full(m + 1, LOGISTIC_RIDGE)
@@ -262,14 +286,14 @@ def logistic_fit(features: Matrix, labels) -> LogisticModel:
     diagonal = np.diag_indices(m + 1)
 
     theta = np.zeros(m + 1)
-    eta, ex, value = _linear_and_loglik(design_t, y, theta, penalty)
+    eta, ex, value = _linear_and_loglik(design_t, y, theta, penalty, c)
     trace = [value]
     converged = False
     iterations = 0
     for iterations in range(1, LOGISTIC_MAX_ITER + 1):
         prob = np.maximum(ex, eta >= 0) / (1.0 + ex)  # sigmoid(eta)
-        weight = prob * (1.0 - prob)
-        grad = design_t @ (y - prob) - penalty * theta
+        weight = c * (prob * (1.0 - prob))
+        grad = design_t @ (c * (y - prob)) - penalty * theta
         hess = (design_t * weight) @ design_t.T
         hess[diagonal] += penalty
         if not np.isfinite(hess).all():  # the gradient overflows only where this does
@@ -281,11 +305,11 @@ def logistic_fit(features: Matrix, labels) -> LogisticModel:
 
         step = 1.0
         candidate = theta + delta
-        eta, ex, value = _linear_and_loglik(design_t, y, candidate, penalty)
+        eta, ex, value = _linear_and_loglik(design_t, y, candidate, penalty, c)
         while value < trace[-1] - 1e-12 and step > 1e-12:
             step *= 0.5
             candidate = theta + step * delta
-            eta, ex, value = _linear_and_loglik(design_t, y, candidate, penalty)
+            eta, ex, value = _linear_and_loglik(design_t, y, candidate, penalty, c)
 
         change = float(np.max(np.abs(candidate - theta)))
         theta = candidate

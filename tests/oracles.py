@@ -474,7 +474,8 @@ def reference_run(data: Dataset, config, true_scores, run: int) -> dict:
     """One run of ``run_scenario``'s pipeline, from the method's steps.
 
     Returns the effect estimate, the masmd on the ground-truth covariates, the
-    two inconsistencies, and the propensity scores and PSM pairs behind them.
+    two inconsistencies, and the propensity scores and PSM pairs behind them,
+    with the resample's scope positions.
     """
     spec, scope = config.partition, config.scope
     row_offsets = np.cumsum((0,) + spec.row_blocks)
@@ -532,6 +533,7 @@ def reference_run(data: Dataset, config, true_scores, run: int) -> dict:
         _rms(scores - np.asarray(true_scores)[subjects]),
         "scores": scores,
         "pairs": pairs,
+        "positions": idx,
     }
 
 

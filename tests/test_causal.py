@@ -189,13 +189,19 @@ class TestPsmEstimates:
         scores = np.array([0.2, 0.8, 0.4, 0.6])
         z = np.array([1, 1, 0, 0])
         result = match_pairs(scores, z)
-        t_att, c_att = matched_sample(result, "ATT")
+        t_att, c_att, n_att = matched_sample(result, "ATT")
         np.testing.assert_array_equal(t_att, [0, 1])
         np.testing.assert_array_equal(c_att, result.pairs[[0, 1]])
-        t_ate, c_ate = matched_sample(result, "ATE")
+        np.testing.assert_array_equal(n_att, [1.0, 1.0])
+        t_ate, c_ate, n_ate = matched_sample(result, "ATE")
         assert t_ate.shape[0] == 4 and c_ate.shape[0] == 4
         np.testing.assert_array_equal(t_ate[:2], [0, 1])
         np.testing.assert_array_equal(c_ate[2:], [2, 3])
+        np.testing.assert_array_equal(n_ate, np.ones(4))
+        # Each pair occurs as often as the subject that chose it.
+        counts = np.array([2.0, 1.0, 3.0, 4.0])
+        np.testing.assert_array_equal(matched_sample(result, "ATT", counts)[2], [2.0, 1.0])
+        np.testing.assert_array_equal(matched_sample(result, "ATE", counts)[2], counts)
 
 
 class TestIpwEstimates:

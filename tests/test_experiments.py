@@ -19,7 +19,8 @@ import oracles
 from dcqe import experiments
 from dcqe.causal import estimate_ipw, estimate_propensity
 from dcqe.collaboration import fit_integration, generate_anchor, make_intermediate
-from dcqe.datamodel import CollaborationScope, Dataset, PartitionSpec, partition
+from dcqe.datamodel import CollaborationScope, Dataset, PartitionSpec, partition, \
+    scoped_partition
 from dcqe.errors import ConfigError, DcqeError, DimensionError, InvalidDataError, ScopeError
 from dcqe.experiments import (
     ArtificialDataConfig,
@@ -295,9 +296,12 @@ class TestReferenceScenario:
     ``logaddexp`` IRLS fit, brute-force matching and loop or rational formulas.
 
     Every reported number must agree within ``BOUND``, relative to the larger of
-    1 and its size; the largest gap measured on these cases is 7.8e-16. A PSM
-    match that differs between the package's and the oracle's scores is
-    reported by name: none does on these cases.
+    1 and its size; the largest gap measured on these cases is 1.0e-15. The
+    oracle runs on the resampled rows and the package on their distinct (row
+    block, subject) units with counts, so matches are compared per resample
+    position, each mapped to its unit. A PSM match that differs is reported
+    by name: none does on these cases. The whole, left and right cases draw
+    subjects into both row blocks, which gives them two units each.
     """
 
     BOUND = 1e-10
@@ -314,6 +318,13 @@ class TestReferenceScenario:
         ("individual", "PSM", "ATT", CollaborationScope.single_party(1, 0), None),
         ("individual", "IPW", "ATT", CollaborationScope.single_party(0, 1), None),
     ]
+
+    @staticmethod
+    def unit_index(positions, row_blocks):
+        """The package's unit of each resample position: (row block, subject) pairs,
+        ordered by block and then by subject."""
+        block = np.repeat(np.arange(len(row_blocks)), row_blocks)
+        return np.unique(block * (positions.max() + 1) + positions, return_inverse=True)[1]
 
     @staticmethod
     def numbers(result):
@@ -340,7 +351,7 @@ class TestReferenceScenario:
 
         match_pairs = experiments.match_pairs
         monkeypatch.setattr(experiments, "match_pairs", recorded)
-        gaps, moved = {}, []
+        gaps, moved, shared = {}, [], 0
         for case, (analysis, estimator, estimand, scope, width) in enumerate(self.CASES):
             config = ScenarioConfig(
                 partition=self.SPEC, scope=scope, analysis=analysis, estimator=estimator,
@@ -349,15 +360,23 @@ class TestReferenceScenario:
             package_pairs.clear()
             result = run_scenario(data, config, true_scores)
             reference = oracles.reference_scenario(data, config, true_scores)
-            for run, (ours, theirs) in enumerate(zip(package_pairs, reference["runs"])):
-                moved += [f"case {case} run {run} subject {i}: {ours[i]} vs {theirs['pairs'][i]}"
-                          for i in np.flatnonzero(ours != theirs["pairs"])]
+            sub_spec = scoped_partition(self.SPEC, scope)[0]
+            blocks = sub_spec.row_blocks if analysis == "dcqe" else (sub_spec.subject_count,)
+            for run, theirs in enumerate(reference["runs"]):
+                positions = theirs["positions"]
+                unit = self.unit_index(positions, blocks)
+                shared += np.intersect1d(positions[:blocks[0]], positions[blocks[0]:]).size
+                if estimator == "PSM":
+                    ours, expected = package_pairs[run][unit], unit[theirs["pairs"]]
+                    moved += [f"case {case} run {run} position {i}: unit {ours[i]} vs {expected[i]}"
+                              for i in np.flatnonzero(ours != expected)]
             expected = self.numbers(reference)
             for name, value in self.numbers(result).items():
                 gaps[f"case {case} {name}"] = abs(value - expected[name]) / max(1.0, abs(value))
         largest = max(gaps, key=gaps.get)
         print(f"largest gap {gaps[largest]:.1e} at {largest}; bound {self.BOUND:g}; "
-              f"{len(moved)} PSM matches differ")
+              f"{len(moved)} PSM matches differ; {shared} subjects drawn into both row blocks")
+        assert shared > 0, "no case draws a subject into both row blocks"
         assert not moved, "PSM matches differ: " + "; ".join(moved[:10])
         assert gaps[largest] <= self.BOUND, f"{largest}: gap {gaps[largest]:.3g}"
 
