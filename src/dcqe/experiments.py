@@ -331,7 +331,9 @@ def run_scenario(data: Dataset, config: ScenarioConfig,
     """Evaluate one scenario with the full-pipeline bootstrap.
 
     Replicate ``b`` draws its own random stream from ``(master_seed, 1 + b)``;
-    the no-resample point run uses ``(master_seed, 0)``. Resamples that lose a
+    the no-resample point run uses ``(master_seed, 0)``. A run works on its
+    distinct (row block, subject) units, each weighted by how often its block
+    drew it, and the point run has one unit per row. Resamples that lose a
     treatment group are redrawn; a scope whose subjects all share one
     treatment raises ``InvalidDataError`` before any run. With ``resample``
     disabled every replicate equals the point run, so the bootstrap mean
@@ -393,10 +395,10 @@ def run_scenario(data: Dataset, config: ScenarioConfig,
             idx = np.arange(n_scope)
         # The run's units: its distinct (row block, subject) pairs, in block and
         # then subject order, each counted as often as that block drew the subject.
-        drawn = [np.bincount(idx[a:b], minlength=n_scope) for a, b in zip(bounds, bounds[1:])]
-        held = [np.flatnonzero(block > 0) for block in drawn]
+        tallies = [np.bincount(idx[a:b], minlength=n_scope) for a, b in zip(bounds, bounds[1:])]
+        held = [np.flatnonzero(tally > 0) for tally in tallies]
         units = np.concatenate(held)
-        counts = np.concatenate([block[h] for block, h in zip(drawn, held)]).astype(float)
+        counts = np.concatenate([tally[h] for tally, h in zip(tallies, held)]).astype(float)
         z = z_all[units]
         y = y_all[units]
         ground_truth = full_cov[units]
@@ -438,7 +440,7 @@ def run_scenario(data: Dataset, config: ScenarioConfig,
         if not is_dcqe and full_width:
             reference = scores
         else:
-            total = sum(drawn)
+            total = sum(tallies)
             subjects = np.flatnonzero(total > 0)
             reference = np.empty(n_scope)
             reference[subjects] = estimate_propensity(full_cov[subjects], z_all[subjects],

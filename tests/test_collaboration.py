@@ -319,6 +319,41 @@ class TestRotatedPartyKeepsPropensities:
         assert np.max(np.abs(scores[0] - scores[1])) <= 1e-12
 
 
+class TestInvertibleMapOnOnePartyKeepsPropensities:
+    """A party that applies a general invertible map to its reduced space keeps the
+    DC-QE propensities when the collaborative width covers the combined anchor image.
+
+    Right-multiplying one party's data and anchor images by an invertible,
+    non-orthogonal A changes the combined anchor image by a block-diagonal
+    invertible factor. Its column space stays, so a width that keeps every
+    column of it (8: four parties of width 2) gives a shared basis that
+    differs only by an orthogonal factor, which the ridge-penalized fit does
+    not see; that party's row block's pseudoinverse absorbs A^-1. A smaller
+    width keeps leading singular vectors, which A does move: measured on this
+    case, the propensities change by 1.2e-4 at width 6 and 7.3e-4 at width 4.
+    At width 8 they change by 3.3e-16, against a bound of 1e-12.
+    """
+
+    MAP = np.array([[2.0, 1.0], [0.5, 1.5]])  # condition number 2.6
+
+    def propensity_change(self, width):
+        _, reps, _ = benchmark_pipeline(seed=5, anchor_seed=13)
+        z = generate_artificial(ArtificialDataConfig(seed=5))[0].treatments
+        mapped = [list(row) for row in reps]
+        data_image, anchor_image = reps[1][1]
+        mapped[1][1] = data_image @ self.MAP, anchor_image @ self.MAP
+        scores = [estimate_propensity(assemble_collaborative(grid, fit_integration(grid, width)), z)
+                  for grid in (reps, mapped)]
+        return np.max(np.abs(scores[0] - scores[1]))
+
+    def test_full_width_keeps_the_propensities(self):
+        assert self.propensity_change(8) <= 1e-12
+
+    @pytest.mark.parametrize("width", [4, 6])
+    def test_truncated_width_moves_them(self, width):
+        assert self.propensity_change(width) > 1e-6
+
+
 def protocol_propensities(blocks, anchor_blocks, z, width=6):
     """DC-QE propensities from grids of party blocks and of their anchor blocks."""
     reps = [[make_intermediate(block, anchor_block, 2)
