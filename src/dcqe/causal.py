@@ -134,7 +134,7 @@ def ipw_weights(scores, treatments, estimand: str) -> np.ndarray:
     e = ensure_vector(scores, "scores")
     if np.any(e <= 0.0) or np.any(e >= 1.0):
         raise InvalidDataError("propensity scores must lie strictly inside (0, 1)")
-    z, _, _ = _treatment_groups(treatments, e.shape[0])
+    z = ensure_binary_labels(treatments, "treatments", length=e.shape[0])
     if estimand == "ATE":
         return np.where(z == 1, 1.0 / e, 1.0 / (1.0 - e))
     return np.where(z == 1, 1.0, e / (1.0 - e))

@@ -46,10 +46,6 @@ class Dataset:
         return self.covariates.shape[1]
 
 
-def _block_offsets(sizes: tuple[int, ...]) -> np.ndarray:
-    return np.concatenate([[0], np.cumsum(sizes)])
-
-
 @dataclass(frozen=True)
 class PartitionSpec:
     """Sizes of the row blocks and column blocks of the party grid."""
@@ -82,12 +78,12 @@ class PartitionSpec:
         return len(self.col_blocks)
 
     def row_slice(self, k: int) -> slice:
-        offsets = _block_offsets(self.row_blocks)
-        return slice(int(offsets[k]), int(offsets[k + 1]))
+        start = sum(self.row_blocks[:k])
+        return slice(start, start + self.row_blocks[k])
 
     def col_slice(self, l: int) -> slice:
-        offsets = _block_offsets(self.col_blocks)
-        return slice(int(offsets[l]), int(offsets[l + 1]))
+        start = sum(self.col_blocks[:l])
+        return slice(start, start + self.col_blocks[l])
 
     def validate_for(self, data: Dataset) -> None:
         if self.subject_count != data.subject_count or self.covariate_count != data.covariate_count:

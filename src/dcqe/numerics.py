@@ -79,7 +79,7 @@ def ensure_binary_labels(labels, name: str = "labels", length: int | None = None
     if length is not None and arr.shape[0] != length:
         raise DimensionError(f"{name} must have length {length}, got {arr.shape[0]}")
     values = arr.astype(float)
-    if not np.all(np.isin(values, (0.0, 1.0))):
+    if not np.all((values == 0.0) | (values == 1.0)):
         raise InvalidDataError(f"{name} must contain only 0 and 1")
     out = values.astype(np.int64)
     if out.min() == out.max():
