@@ -47,7 +47,7 @@ def assert_close(actual, expected):
     assert actual.shape == expected.shape and np.max(gap, initial=0.0) <= BOUND, np.max(gap)
 
 
-def scores_of(x, z):
+def scores_of(x):
     """Propensity-like scores strictly inside (0, 1), distinct with probability one."""
     return 1.0 / (1.0 + np.exp(-(x[:, 0] - x[:, -1]) / 3))
 
@@ -143,7 +143,7 @@ class TestEffects:
     @given(counted_rows(), st.sampled_from(["ATE", "ATT"]))
     def test_ipw_counts_match_repeated_rows(self, case, estimand):
         x, z, y, counts = case
-        weights = ipw_weights(scores_of(x, z), z, estimand)
+        weights = ipw_weights(scores_of(x), z, estimand)
         expanded = repeated(counts, weights, z, y)
         assert_close(_ipw_estimate(weights, z, y, counts), _ipw_estimate(*expanded))
 
@@ -151,7 +151,7 @@ class TestEffects:
     @given(counted_rows(), st.sampled_from(["ATE", "ATT"]))
     def test_ipw_unit_counts_are_bitwise_the_plain_sums(self, case, estimand):
         x, z, y, _ = case
-        w = ipw_weights(scores_of(x, z), z, estimand)
+        w = ipw_weights(scores_of(x), z, estimand)
         wt, wc = np.where(z == 1, w, 0.0), np.where(z == 1, 0.0, w)
         previous = float((wt * y).sum() / wt.sum() - (wc * y).sum() / wc.sum())
         assert _ipw_estimate(w, z, y, np.ones(z.shape[0])) == previous
@@ -160,7 +160,7 @@ class TestEffects:
     @given(counted_rows(), st.sampled_from(["ATE", "ATT"]))
     def test_psm_counts_match_repeated_rows(self, case, estimand):
         x, z, y, counts = case
-        scores = scores_of(x, z)
+        scores = scores_of(x)
         ours = estimate_psm(match_pairs(scores, z), y, estimand, counts)
         e, zz, yy = repeated(counts, scores, z, y)
         assert_close(ours, estimate_psm(match_pairs(e, zz), yy, estimand))
@@ -169,7 +169,7 @@ class TestEffects:
     @given(counted_rows(), st.sampled_from(["ATE", "ATT"]))
     def test_psm_unit_counts_are_bitwise_the_plain_means(self, case, estimand):
         x, z, y, _ = case
-        matching = match_pairs(scores_of(x, z), z)
+        matching = match_pairs(scores_of(x), z)
         t, c, pairs = matching.treated, matching.control, matching.pairs
         treated_diffs, control_diffs = y[t] - y[pairs[t]], y[pairs[c]] - y[c]
         previous = float(np.mean(treated_diffs)) if estimand == "ATT" else \
@@ -182,7 +182,7 @@ class TestBalance:
     @given(counted_rows(), st.sampled_from(["ATE", "ATT"]), st.booleans())
     def test_counts_match_repeated_rows(self, case, estimand, weighted):
         x, z, _, counts = case
-        w = ipw_weights(scores_of(x, z), z, estimand) if weighted else None
+        w = ipw_weights(scores_of(x), z, estimand) if weighted else None
         xx, zz = repeated(counts, x, z)
         ww = None if w is None else repeated(counts, w)[0]
         assert_close(smd(x, z, weights=w, counts=counts), smd(xx, zz, weights=ww))
@@ -191,7 +191,7 @@ class TestBalance:
     @given(counted_rows(), st.sampled_from(["ATE", "ATT"]))
     def test_matched_sample_counts_match_repeated_rows(self, case, estimand):
         x, z, _, counts = case
-        scores = scores_of(x, z)
+        scores = scores_of(x)
         t_rows, c_rows, pair_counts = matched_sample(match_pairs(scores, z), estimand, counts)
         truth = np.ascontiguousarray(x.T)
         ours = _smd(truth[:, t_rows], truth[:, c_rows], pair_counts, pair_counts)
@@ -204,7 +204,7 @@ class TestBalance:
     @given(counted_rows(), st.sampled_from(["ATE", "ATT"]), st.booleans())
     def test_unit_counts_are_bitwise_the_plain_moments(self, case, estimand, weighted):
         x, z, _, _ = case
-        w = ipw_weights(scores_of(x, z), z, estimand) if weighted else None
+        w = ipw_weights(scores_of(x), z, estimand) if weighted else None
         cols = np.ascontiguousarray(x.T)
         groups = [cols.compress(z == 1, axis=1), cols.compress(z == 0, axis=1)]
         weights = [None, None] if w is None else [w[z == 1], w[z == 0]]
@@ -229,13 +229,13 @@ class TestInconsistency:
     @given(counted_rows())
     def test_counts_match_repeated_rows(self, case):
         x, z, _, counts = case
-        a, b = scores_of(x, z), 1.0 / (1.0 + np.exp(-x[:, 1]))
+        a, b = scores_of(x), 1.0 / (1.0 + np.exp(-x[:, 1]))
         assert_close(inconsistency(a, b, counts), inconsistency(*repeated(counts, a, b)))
 
     @settings(max_examples=40, deadline=None)
     @given(counted_rows())
     def test_unit_counts_are_bitwise_the_plain_rms(self, case):
         x, z, _, _ = case
-        a, b = scores_of(x, z), 1.0 / (1.0 + np.exp(-x[:, 1]))
+        a, b = scores_of(x), 1.0 / (1.0 + np.exp(-x[:, 1]))
         previous = float(np.sqrt(np.mean((a - b) ** 2)))
         assert inconsistency(a, b, np.ones(a.shape[0])) == previous

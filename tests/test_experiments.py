@@ -300,8 +300,8 @@ class TestReferenceScenario:
     oracle runs on the resampled rows and the package on their distinct (row
     block, subject) units with counts, so matches are compared per resample
     position, each mapped to its unit. A PSM match that differs is reported
-    by name: none does on these cases. The whole, left and right cases draw
-    subjects into both row blocks, which gives them two units each.
+    by name: none does on these cases. In the whole, left and right cases some
+    subjects are drawn into both row blocks, so each of them is two units.
     """
 
     BOUND = 1e-10
