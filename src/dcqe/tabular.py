@@ -5,16 +5,19 @@ reals, and no quoting of numerics. Validation is strict: every cell must
 parse, treatments must be exactly "0" or "1", and errors carry the row and
 column they were found at (rows counted from 1, excluding the header).
 
-A plain file (valid UTF-8 without quotes, carriage returns, NULs or blank
-lines, every line with the header's cell count and within
-``csv.field_size_limit()``) has its real columns parsed by numpy's C reader
-and its id and treatment cells split out at once. Other files, and plain ones
-with a cell numpy rejects or a value that is not finite, are read by
-``csv.reader`` and parsed cell by cell; numpy rejects every cell that
-``float(cell.strip())`` would not turn into the same double, so the two paths
+A file is read once, as bytes, and its newline and comma positions, found
+with numpy, tell whether it is plain: valid UTF-8 without quotes, carriage
+returns, NULs or blank lines, every line with the header's cell count and
+within ``csv.field_size_limit()``. A plain file has its real columns parsed
+by numpy's C reader and its id and treatment cells cut out as byte runs; in
+an ASCII file without whitespace bytes a treatment cell must be the one byte
+"0" or "1", in other plain files cells are stripped first. Other files, and
+plain ones with a cell numpy rejects or a value that is not finite, are read
+by ``csv.reader`` and parsed cell by cell; numpy rejects every cell that
+``float(cell.strip())`` would not turn into the same double, so the paths
 agree cell for cell. Errors are those of a row-by-row reader: a ragged row
 before any cell is parsed, then the first bad cell in file order (row by row,
-then left to right over the columns a loader reads).
+then left to right over the columns a loader reads), whichever worker reads it.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import runner
 from .datamodel import Dataset, PartitionSpec
 from .errors import DcqeError, IngestionError
 
@@ -39,21 +43,28 @@ class TabularSchema:
     id_column: str | None = None
 
 
-def _read_table(path) -> tuple[list[str], list, bool]:
-    """Stripped header, data rows, and whether the file is plain (its rows are then its lines)."""
+def _read_table(path) -> tuple[list[str], list, bool, tuple | None]:
+    """Stripped header, data rows, whether the file is plain (its rows are then its lines) and
+    a plain file's byte index: its bytes, where each cell ends, the header's cell count and
+    whether a cell may need ``str.strip`` (the file has non-ASCII or whitespace bytes)."""
     path = Path(path)
     if not path.is_file():
         raise IngestionError(f"input file not found: {path}")
-    text = path.read_bytes().decode("utf-8", "replace")  # csv.reader names a bad byte
-    lines = text.split("\n")  # not splitlines(): csv.reader ends rows only at "\n" here
-    if lines[-1] == "":
-        lines.pop()  # after the final newline
-    commas = lines[0].count(",") if lines else -1
+    raw = path.read_bytes().removesuffix(b"\n") + b"\n"
+    data = np.frombuffer(raw, np.uint8)
+    ends = np.flatnonzero((data == 44) | (data == 10))  # the comma or newline after each cell
+    newlines = ends[data[ends] == 10]
+    width, sizes = int(np.argmax(data[ends] == 10)) + 1, np.diff(newlines, prepend=-1) - 1
+    text = raw.decode("utf-8", "replace")  # csv.reader names a bad byte
     # No line longer than the field size limit, so no cell longer than it.
-    if (len(lines) > 1 and not any(char in text for char in '"\r\0\ufffd') and "" not in lines
-            and max(map(len, lines)) <= csv.field_size_limit()
-            and all(line.count(",") == commas for line in lines)):
-        return [name.strip() for name in lines[0].split(",")], lines[1:], True
+    if (newlines.size > 1 and not any(byte in raw for byte in b'\0\r"')
+            and "\ufffd" not in text and sizes.min() > 0 and sizes.max() <= csv.field_size_limit()
+            and ends.size == newlines.size * width and (data[ends[width - 1::width]] == 10).all()):
+        lines = text.split("\n")
+        # The ASCII bytes str.strip removes, but for the line ends no cell of a plain file holds.
+        strip = not raw.isascii() or any(byte in raw for byte in b" \t\x0b\x0c\x1c\x1d\x1e\x1f")
+        index = data, ends, width, strip
+        return [name.strip() for name in lines[0].split(",")], lines[1:-1], True, index
     with path.open(newline="", encoding="utf-8") as handle:
         reader = csv.reader(handle)
         header, rows, failure = [], [], None
@@ -71,7 +82,25 @@ def _read_table(path) -> tuple[list[str], list, bool]:
         raise IngestionError(f"{path}: row {number} has {len(row)} cells, header has {len(header)}")
     if failure is not None:
         raise IngestionError(f"{path}: line {reader.line_num}: {failure}") from failure
-    return header, rows, False
+    return header, rows, False, None
+
+
+def _column(index, idx: int) -> bytes:
+    """Cell ``idx`` of each data row of a plain file, stripped if need be, each followed by a
+    newline: the run of bytes the cells span, cut out with numpy."""
+    data, ends, width, strip = index
+    first = ends[width + idx - 1:-1:width] + 1
+    sizes = ends[width + idx::width] + 1 - first  # a cell and the byte after it
+    stops = np.cumsum(sizes)
+    run = data[np.arange(stops[-1]) - np.repeat(stops - sizes - first, sizes)]
+    run[stops - 1] = 10
+    run = run.tobytes()
+    return "\n".join(map(str.strip, run.decode().split("\n"))).encode() if strip else run
+
+
+def _id_list(ids):
+    """Ids as a list of strings; a plain file gives them as one byte string of lines."""
+    return ids.decode().split("\n")[:-1] if isinstance(ids, bytes) else ids
 
 
 def _column_index(header: list[str], name: str, path) -> int:
@@ -106,11 +135,12 @@ def _parse_treatment(cell: str, row: int, column: str, path) -> int:
     )
 
 
-def _parse_table(path, header: list[str], rows: list, plain: bool,
-                 fields: list[tuple[int, object]], id_idx: int | None = None):
-    """The real ``fields`` as a C-ordered n x k matrix in their order, the treatment or None,
-    and the stripped ids or None. ``fields`` pairs a column index with ``_parse_real`` or
-    ``_parse_treatment``, which name the first bad cell, row by row in ``fields`` order."""
+def _parse_table(path, table, fields: list[tuple[int, object]], id_idx: int | None = None):
+    """The real ``fields`` of a ``_read_table`` result as a C-ordered n x k matrix in their
+    order, the treatment or None, and the stripped ids or None. ``fields`` pairs a column
+    index with ``_parse_real`` or ``_parse_treatment``, which name the first bad cell, row by
+    row in ``fields`` order."""
+    header, rows, plain, index = table
     reals = [idx for idx, parse in fields if parse is _parse_real]
     z_idx = next((idx for idx, parse in fields if parse is _parse_treatment), None)
     if plain:
@@ -119,13 +149,14 @@ def _parse_table(path, header: list[str], rows: list, plain: bool,
                                 quotechar=None, dtype=float, ndmin=2)
         except ValueError:
             values = None
-        cells = ",".join(rows).split(",") if (z_idx, id_idx) != (None, None) else []
-        labels, ids = (None if idx is None else list(map(str.strip, cells[idx::len(header)]))
-                       for idx in (z_idx, id_idx))
+        labels, ids = (None if idx is None else _column(index, idx) for idx in (z_idx, id_idx))
+        # Each treatment cell is one byte, "0" or "1", when every odd byte is a newline.
         # loadtxt may skip a whitespace-only line, so the row count is checked.
         if (values is not None and values.shape[0] == len(rows) and np.isfinite(values).all()
-                and set(labels or ()) <= {"0", "1"}):
-            treatments = None if labels is None else np.fromiter(map("1".__eq__, labels), np.int64)
+                and (labels is None or (labels[1::2] == b"\n" * len(rows)
+                                        and not labels[::2].translate(None, b"01")))):
+            treatments = None if labels is None else \
+                (np.frombuffer(labels[::2], np.uint8) == ord("1")).astype(np.int64)
             return values, treatments, ids
         rows = [line.split(",") for line in rows]
     parsed = [[parse(row[idx].strip(), number, header[idx], path) for idx, parse in fields]
@@ -140,7 +171,7 @@ def _parse_table(path, header: list[str], rows: list, plain: bool,
 
 def ingest_csv(path, schema: TabularSchema) -> tuple[Dataset, list[str] | None]:
     """Read a dataset CSV against a schema; returns the dataset and the ids."""
-    header, rows, plain = _read_table(path)
+    header, rows, _, _ = table = _read_table(path)
     if len(rows) < 2:
         raise IngestionError(f"{path}: need at least 2 data rows, found {len(rows)}")
     cov_idx = [_column_index(header, name, path) for name in schema.covariates]
@@ -150,34 +181,55 @@ def ingest_csv(path, schema: TabularSchema) -> tuple[Dataset, list[str] | None]:
 
     fields = [(idx, _parse_real) for idx in cov_idx]
     fields += [(z_idx, _parse_treatment), (y_idx, _parse_real)]
-    values, treatments, ids = _parse_table(path, header, rows, plain, fields, id_idx)
+    values, treatments, ids = _parse_table(path, table, fields, id_idx)
     try:
         dataset = Dataset(np.ascontiguousarray(values[:, :-1]), treatments, values[:, -1].copy())
     except DcqeError as exc:
         raise IngestionError(f"{path}: {exc}") from exc
-    return dataset, ids
+    return dataset, _id_list(ids)
 
 
-def _check_id_alignment(reference: list[str] | None, ids: list[str] | None,
-                        reference_path, path) -> None:
+def _check_id_alignment(reference, ids, reference_path, path) -> None:
     if reference is None or ids is None or reference == ids:
         return
-    for row, (a, b) in enumerate(zip(reference, ids), start=1):
+    for row, (a, b) in enumerate(zip(_id_list(reference), _id_list(ids)), start=1):
         if a != b:
             raise IngestionError(
                 f"{path}: row {row}: id {b!r} does not match {a!r} in {reference_path}"
             )
 
 
-def _read_label_table(path, id_column: str | None):
-    """Read a row block's treatment/outcome CSV plus optional ids."""
-    header, rows, plain = _read_table(path)
-    z_idx = _column_index(header, "treatment", path)
-    y_idx = _column_index(header, "outcome", path)
-    id_idx = header.index(id_column) if id_column and id_column in header else None
-    values, treatments, ids = _parse_table(
-        path, header, rows, plain, [(z_idx, _parse_treatment), (y_idx, _parse_real)], id_idx)
-    return treatments, values[:, 0], ids
+def _read_row_block(label_path, party_paths: list, id_column: str | None):
+    """A row block's treatments, outcomes and party covariate blocks, read in order up to the
+    first error, each block checked for its row count and ids but not its width; that error."""
+    treatments, outcomes, blocks = None, None, []
+    try:
+        header = (table := _read_table(label_path))[0]
+        z_idx = _column_index(header, "treatment", label_path)
+        y_idx = _column_index(header, "outcome", label_path)
+        id_idx = header.index(id_column) if id_column and id_column in header else None
+        values, treatments, reference_ids = _parse_table(
+            label_path, table, [(z_idx, _parse_treatment), (y_idx, _parse_real)], id_idx)
+        outcomes, reference_path = values[:, 0], label_path
+        for path in party_paths:
+            header = (table := _read_table(path))[0]
+            id_idx = header.index(id_column) if id_column and id_column in header else None
+            cov_cols = [i for i in range(len(header)) if i != id_idx]
+            if not cov_cols:
+                raise IngestionError(f"{path}: no covariate columns found")
+            data, _, ids = _parse_table(path, table, [(i, _parse_real) for i in cov_cols], id_idx)
+            if data.shape[0] != treatments.shape[0]:
+                raise IngestionError(
+                    f"{path}: has {data.shape[0]} rows, {label_path} has {treatments.shape[0]}"
+                )
+            if reference_ids is None and ids is not None:
+                reference_ids, reference_path = ids, path
+            else:
+                _check_id_alignment(reference_ids, ids, reference_path, path)
+            blocks.append(data)
+    except Exception as exc:  # raised by the caller in file order
+        return treatments, outcomes, blocks, exc
+    return treatments, outcomes, blocks, None
 
 
 def load_party_files(party_paths: dict[tuple[int, int], str],
@@ -189,6 +241,7 @@ def load_party_files(party_paths: dict[tuple[int, int], str],
     non-id columns are all covariates. ``block_paths`` maps each row block to
     a CSV with ``treatment`` and ``outcome`` columns. When an id column is
     present in several files of the same row block it must agree row by row.
+    Row blocks are read in ``runner._run_all`` workers; errors come in serial file order.
     """
     if not party_paths or not block_paths:
         raise IngestionError("run mode needs at least one party file and one block file")
@@ -204,53 +257,24 @@ def load_party_files(party_paths: dict[tuple[int, int], str],
             f"block files cover row blocks {sorted(block_paths)}, parties cover {row_ids}"
         )
 
+    reads = runner._run_all(lambda k: _read_row_block(
+        block_paths[k], [party_paths[(k, l)] for l in col_ids], id_column), len(row_ids))
     col_widths: dict[int, int] = {}
-    row_sizes: dict[int, int] = {}
-    block_rows = []
-    treatments_parts, outcomes_parts = [], []
-    for k in row_ids:
-        z_col, y_col, label_ids = _read_label_table(block_paths[k], id_column)
-        reference_ids, reference_path = label_ids, block_paths[k]
-        row_parts = []
-        for l in col_ids:
-            path = party_paths[(k, l)]
-            header, rows, plain = _read_table(path)
-            id_idx = header.index(id_column) if id_column and id_column in header else None
-            cov_cols = [i for i in range(len(header)) if i != id_idx]
-            if not cov_cols:
-                raise IngestionError(f"{path}: no covariate columns found")
-            data, _, ids = _parse_table(
-                path, header, rows, plain, [(i, _parse_real) for i in cov_cols], id_idx)
-            if data.shape[0] != z_col.shape[0]:
-                raise IngestionError(
-                    f"{path}: has {data.shape[0]} rows, {block_paths[k]} has {z_col.shape[0]}"
-                )
-            if reference_ids is None and ids is not None:
-                reference_ids, reference_path = ids, path
-            else:
-                _check_id_alignment(reference_ids, ids, reference_path, path)
+    for k, (_, _, blocks, error) in enumerate(reads):
+        for l, data in enumerate(blocks):
             width = col_widths.setdefault(l, data.shape[1])
             if width != data.shape[1]:
                 raise IngestionError(
-                    f"{path}: column block {l} has {data.shape[1]} covariates here "
-                    f"but {width} in another row block"
+                    f"{party_paths[(k, l)]}: column block {l} has {data.shape[1]} covariates "
+                    f"here but {width} in another row block"
                 )
-            row_parts.append(data)
-        row_sizes[k] = z_col.shape[0]
-        block_rows.append(np.hstack(row_parts))
-        treatments_parts.append(z_col)
-        outcomes_parts.append(y_col)
-
-    spec = PartitionSpec(
-        tuple(row_sizes[k] for k in row_ids),
-        tuple(col_widths[l] for l in col_ids),
-    )
+        if error is not None:
+            raise error
+    treatments, outcomes, blocks, _ = zip(*reads)
+    spec = PartitionSpec(tuple(z.shape[0] for z in treatments), tuple(col_widths.values()))
     try:
-        dataset = Dataset(
-            np.vstack(block_rows),
-            np.concatenate(treatments_parts),
-            np.concatenate(outcomes_parts),
-        )
+        dataset = Dataset(np.vstack([np.hstack(row) for row in blocks]),
+                          np.concatenate(treatments), np.concatenate(outcomes))
     except DcqeError as exc:
         raise IngestionError(str(exc)) from exc
     return dataset, spec

@@ -31,8 +31,8 @@ from dcqe.cli import (
 from dcqe.causal import ESTIMANDS
 from dcqe.datamodel import SCOPE_KINDS, CollaborationScope, PartitionSpec
 from dcqe.errors import ConfigError, IngestionError
-from dcqe.experiments import ANALYSIS_MODES, ESTIMATORS, ArtificialDataConfig, ScenarioConfig, \
-    _available_cpus
+from dcqe.experiments import ANALYSIS_MODES, ESTIMATORS, ArtificialDataConfig, ScenarioConfig
+from dcqe.runner import _available_cpus
 from dcqe.tabular import TabularSchema, ingest_csv, load_party_files
 
 
@@ -682,10 +682,10 @@ class TestRunCommand:
         # The worker's entry point dies; only workers call it.
         script = "\n".join([
             "import os, sys",
-            "from dcqe import cli, experiments",
+            "from dcqe import cli, runner",
             "def dying(*args):",
             "    os._exit(1)",
-            "experiments._serve_range = dying",
+            "runner._serve_range = dying",
             "sys.exit(cli.main(sys.argv[1:]))",
         ])
         src = Path(dcqe.__file__).resolve().parent.parent
@@ -696,8 +696,48 @@ class TestRunCommand:
             env=dict(os.environ, PYTHONPATH=str(src)),
         )
         assert done.returncode == EXIT_RUNTIME
-        assert "a bootstrap worker process died" in done.stderr
+        assert "a worker process died" in done.stderr
         assert "Traceback" not in done.stderr
+
+    @pytest.mark.skipif(_available_cpus() < 2 or not hasattr(os, "fork"),
+                        reason="row-block readers need 2 CPUs and fork")
+    def test_dead_row_block_reader_exits_runtime_without_traceback(self, tmp_path):
+        files, blocks = write_party_grid(tmp_path)
+        config = write_config(tmp_path / "run.conf", "\n".join(
+            [f"run.party.{k}.{l} = {path}" for (k, l), path in files.items()]
+            + [f"run.block.{k} = {path}" for k, path in blocks.items()]
+            + ["run.id_column = id", "reduction.intermediate_dim = 1",
+               "bootstrap.replicates = 3"]) + "\n")
+        # The reader of row block 1 dies in its worker; the parent reports
+        # whether any child is left once the command has returned.
+        script = "\n".join([
+            "import os, sys",
+            "from dcqe import cli, tabular",
+            "parent, read = os.getpid(), tabular._read_row_block",
+            "def dying(label_path, *args):",
+            "    if os.getpid() != parent and label_path.endswith('block_1.csv'):",
+            "        os._exit(1)",
+            "    return read(label_path, *args)",
+            "tabular._read_row_block = dying",
+            "code = cli.main(sys.argv[1:])",
+            "try:",
+            "    print('child left:', os.waitpid(-1, os.WNOHANG))",
+            "except ChildProcessError:",
+            "    print('no child left')",
+            "sys.exit(code)",
+        ])
+        src = Path(dcqe.__file__).resolve().parent.parent
+        done = subprocess.run(
+            [sys.executable, "-c", script, "run", "--config", str(config),
+             "--out", str(tmp_path / "out")],
+            capture_output=True, text=True, timeout=120,
+            env=dict(os.environ, PYTHONPATH=str(src)),
+        )
+        assert done.returncode == EXIT_RUNTIME
+        assert "a worker process died: exit code 1" in done.stderr
+        assert "Traceback" not in done.stderr
+        assert done.stdout.splitlines()[-1] == "no child left"
+        assert not (tmp_path / "out" / "results.csv").exists()
 
 
 # The keys each mode reads, written out here rather than taken from

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import oracles
-from dcqe import experiments
+from dcqe import experiments, runner
 from dcqe.causal import estimate_ipw, estimate_propensity
 from dcqe.collaboration import fit_integration, generate_anchor, make_intermediate
 from dcqe.datamodel import CollaborationScope, Dataset, PartitionSpec, partition, \
@@ -381,7 +381,7 @@ class TestReferenceScenario:
         assert gaps[largest] <= self.BOUND, f"{largest}: gap {gaps[largest]:.3g}"
 
 
-CPUS = experiments._available_cpus()
+CPUS = runner._available_cpus()
 CAN_FORK = hasattr(os, "fork")
 needs_workers = pytest.mark.skipif(CPUS < 2 or not CAN_FORK,
                                    reason="parallel replicates need 2 CPUs and fork")
@@ -429,8 +429,8 @@ def _dead_worker_error(death):
     previous = signal.signal(signal.SIGALRM, _raise_alarm)
     signal.alarm(120)
     try:
-        with pytest.raises(DcqeError, match="bootstrap worker process died") as caught:
-            experiments._run_all(dying, 4)
+        with pytest.raises(DcqeError, match="a worker process died") as caught:
+            runner._run_all(dying, 4)
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
@@ -480,7 +480,7 @@ class TestParallelReplicates:
     @needs_workers
     def test_runs_are_made_in_workers_one_range_each_in_index_order(self):
         count = 2 * CPUS + 1
-        runs = experiments._run_all(lambda i: (i, os.getpid()), count)
+        runs = runner._run_all(lambda i: (i, os.getpid()), count)
         assert [i for i, _ in runs] == list(range(count))
         # Any idle worker may take a range, but a range stays in one worker.
         bounds = [count * k // CPUS for k in range(CPUS + 1)]
@@ -500,7 +500,7 @@ class TestParallelReplicates:
             return os.getpid(), resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
 
         assert experiments._worker_count(CPUS) == CPUS
-        runs = experiments._run_all(faults, CPUS)
+        runs = runner._run_all(faults, CPUS)
         assert os.getpid() not in {pid for pid, _ in runs}
         assert max(count for _, count in runs) < 2000, runs
 
@@ -508,22 +508,22 @@ class TestParallelReplicates:
     def test_dead_worker_raises_instead_of_hanging(self):
         error = _dead_worker_error(lambda: os._exit(1))
         # The message gives the worker's wait status.
-        assert str(error) == "a bootstrap worker process died: exit code 1"
+        assert str(error) == "a worker process died: exit code 1"
         assert_no_child_left()
 
     @needs_workers
     def test_killed_worker_raises_instead_of_hanging(self):
         error = _dead_worker_error(lambda: os.kill(os.getpid(), signal.SIGKILL))
-        assert str(error) == f"a bootstrap worker process died: killed by signal {signal.SIGKILL:d}"
+        assert str(error) == f"a worker process died: killed by signal {signal.SIGKILL:d}"
         assert_no_child_left()
 
     @needs_workers
     def test_every_worker_is_reaped_on_return_and_on_raise(self):
         count = 2 * CPUS + 1
-        assert experiments._run_all(lambda i: i, count) == list(range(count))
+        assert runner._run_all(lambda i: i, count) == list(range(count))
         assert_no_child_left()
         with pytest.raises(DimensionError, match="run 1 failed"):
-            experiments._run_all(_failing_run, count)
+            runner._run_all(_failing_run, count)
         assert_no_child_left()
 
     @needs_workers
@@ -532,12 +532,12 @@ class TestParallelReplicates:
         # of the parent's stdout buffer again.
         code = "\n".join([
             "import sys",
-            "from dcqe import experiments",
+            "from dcqe import experiments, runner",
             "assert experiments._worker_count(4) > 1",
             "sys.stdout.write('buffered before the fork\\n')",
-            "assert experiments._run_all(lambda i: i, 4) == [0, 1, 2, 3]",
+            "assert runner._run_all(lambda i: i, 4) == [0, 1, 2, 3]",
             "try:",
-            "    experiments._run_all(lambda i: 1 / i, 4)",
+            "    runner._run_all(lambda i: 1 / i, 4)",
             "except ZeroDivisionError:",
             "    pass",
         ])
@@ -555,7 +555,7 @@ class TestParallelReplicates:
         other.start()
         try:
             assert experiments._worker_count(4) == 1
-            runs = experiments._run_all(lambda i: os.getpid(), 4)
+            runs = runner._run_all(lambda i: os.getpid(), 4)
         finally:
             release.set()
             other.join(60)
@@ -568,7 +568,7 @@ class TestParallelReplicates:
         assert experiments._worker_count(count) == CPUS
         errors = []
         for run in (lambda: [_failing_run(i) for i in range(count)],
-                    lambda: experiments._run_all(_failing_run, count)):
+                    lambda: runner._run_all(_failing_run, count)):
             with pytest.raises(DimensionError) as caught:
                 run()
             errors.append((type(caught.value), str(caught.value)))
@@ -635,13 +635,13 @@ class TestParallelReplicates:
         spec = PartitionSpec((2000, 2000), (3, 3))
         config = small_scenario(partition=spec, scope=CollaborationScope.build("whole", spec),
                                 anchor_size=100, bootstrap_replicates=1, resample=False)
-        original, held = experiments._run_all, []
+        original, held = runner._run_all, []
 
-        def measured(run, count):
+        def measured(run, count, workers):
             held.append(tracemalloc.get_traced_memory()[0] - baseline)
-            return original(run, count)
+            return original(run, count, workers)
 
-        monkeypatch.setattr(experiments, "_run_all", measured)
+        monkeypatch.setattr(runner, "_run_all", measured)
         tracemalloc.start()
         try:
             baseline = tracemalloc.get_traced_memory()[0]

@@ -5,8 +5,12 @@ either way the result must be the same arrays bit for bit, the same ids,
 and, for a bad file, the same error message naming the same cell.
 """
 
+import multiprocessing
+import os
 import random
 import tempfile
+import threading
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +18,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from dcqe import tabular
+from dcqe import runner, tabular
+from dcqe.datamodel import PartitionSpec
 from dcqe.errors import IngestionError
 from dcqe.tabular import TabularSchema, ingest_csv, load_party_files
 
@@ -380,3 +385,177 @@ class TestPlainFileReader:
         assert_same_dataset(plain_dataset[0], quoted_dataset[0])
         assert plain_dataset[1] == quoted_dataset[1] == ids
         assert np.array_equal(plain_dataset[0].covariates, values[:, :2])
+
+
+# ODD_CELLS that pass the ASCII, no-whitespace gate, and treatment cells numpy
+# would read as 0 or 1 but the loaders must reject.
+ODD_ASCII_CELLS = [cell for cell in ODD_CELLS if cell.isascii() and cell and cell == cell.strip()]
+ODD_TREATMENTS = ["0.0", "01", "1.0", "2"]
+
+
+def ascii_lines(rng, kinds, ids, bad_rate):
+    """Rows of a file that passes the ASCII, no-whitespace gate: column 0 holds ``ids``; a
+    cell is one of ODD_ASCII_CELLS or ODD_TREATMENTS with probability ``bad_rate``."""
+    lines = []
+    for subject in ids:
+        row = [subject]
+        for kind in kinds[1:]:
+            if rng.random() < bad_rate:
+                row.append(rng.choice(ODD_TREATMENTS if kind == "z" else ODD_ASCII_CELLS))
+            elif kind == "z":
+                row.append(rng.choice("01"))
+            else:
+                value = rng.gauss(0.0, 1.0) * 10.0 ** rng.randint(-300, 300)
+                row.append(rng.choice([repr(value), f"{value:.17g}", f"{value:e}",
+                                       str(rng.randint(-10**6, 10**6))]))
+        lines.append(",".join(row))
+    return lines
+
+
+class TestAsciiRoute:
+    @pytest.mark.parametrize("fault", [None, "wide", "short", "swapped"])
+    @settings(max_examples=15, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.lists(st.integers(2, 300), min_size=1, max_size=3),
+           st.lists(st.integers(1, 3), min_size=1, max_size=2),
+           st.sampled_from([0.0, 0.0, 0.0005, 0.005]))
+    def test_same_arrays_ids_or_message(self, fault, seed, blocks, widths, bad_rate):
+        rng = random.Random(seed)
+        with tempfile.TemporaryDirectory() as directory:
+            party_paths, block_paths = write_grid(
+                directory, lambda kinds, ids: (ascii_lines(rng, kinds, ids, bad_rate),),
+                blocks, widths)
+            # One party file of the last row block is one column wider, one row
+            # shorter, or has two ids swapped.
+            target = Path(party_paths[(len(blocks) - 1, len(widths) - 1)])
+            header, *lines = target.read_text().splitlines()
+            if fault == "wide":
+                header, lines = header + ",extra", [line + ",1.5" for line in lines]
+            elif fault == "short" and len(lines) > 1:
+                lines = lines[:-1]
+            elif fault == "swapped" and len(lines) > 1:
+                lines[0], lines[-1] = lines[-1], lines[0]
+            write(directory, target.name, header, lines)
+            dataset = write(directory, "d.csv", HEADER,
+                            ascii_lines(rng, ["id", "x", "z", "x", "x"],
+                                        [f"s{i}" for i in range(blocks[0])], bad_rate))
+            for path in [dataset, *party_paths.values(), *block_paths.values()]:
+                assert tabular._read_table(path)[3][3] is False  # the ASCII route
+            results = [(outcome(load_party_files, party_paths, block_paths, "id"),
+                        outcome(oracles.cellwise_load_party_files, party_paths, block_paths,
+                                "id")),
+                       (outcome(ingest_csv, dataset, SCHEMA),
+                        outcome(oracles.cellwise_ingest_csv, dataset, SCHEMA))]
+        for new, old in results:
+            if isinstance(old, str):
+                assert new == old
+            else:
+                assert_same_dataset(new[0], old[0])
+                assert new[1] == old[1]
+
+
+
+def small_grid(directory):
+    """Two row blocks of three rows and two column blocks of widths 2 and 1, with ids."""
+    party_paths, block_paths = {}, {}
+    for k in (0, 1):
+        ids = [f"s{3 * k + i}" for i in range(3)]
+        block_paths[k] = str(write(directory, f"labels_{k}.csv", "id,treatment,outcome",
+                                   [f"{s},{i % 2},{i}.5" for i, s in enumerate(ids)]))
+        for l, width in enumerate((2, 1)):
+            names = ",".join(f"x{l}_{j}" for j in range(width))
+            lines = [",".join([s] + [f"{i + j}.25" for j in range(width)])
+                     for i, s in enumerate(ids)]
+            party_paths[(k, l)] = str(write(directory, f"party_{k}_{l}.csv", f"id,{names}",
+                                            lines))
+    return party_paths, block_paths
+
+
+def replace_cell(path, row, column, text):
+    """Set cell (``row``, ``column``) of a file written by ``write``, rows counted from 1."""
+    header, *lines = Path(path).read_text().splitlines()
+    cells = lines[row - 1].split(",")
+    cells[column] = text
+    lines[row - 1] = ",".join(cells)
+    write(Path(path).parent, Path(path).name, header, lines)
+
+
+CPUS = runner._available_cpus()
+
+
+def _pinned_read(*args):
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+    return runner._worker_count(2), load_party_files(*args)
+
+
+class TestRowBlockReaders:
+    @pytest.mark.parametrize("case", ["cells-in-both-blocks", "width-then-cell",
+                                      "labels-then-cell"])
+    def test_error_is_the_first_of_a_serial_read(self, tmp_path, case):
+        party_paths, block_paths = small_grid(tmp_path)
+        if case == "cells-in-both-blocks":
+            replace_cell(party_paths[(0, 1)], 2, 1, "oops")
+            replace_cell(party_paths[(1, 0)], 1, 2, "bad")
+            message = (f"{party_paths[(0, 1)]}: row 2, column 'x1_0': cannot parse 'oops' "
+                       "as a real number")
+        elif case == "width-then-cell":
+            write(tmp_path, "party_1_0.csv", "id,x0_0,x0_1,x0_2",
+                  [f"s{i},1,2,3" for i in range(3, 6)])
+            replace_cell(party_paths[(1, 1)], 1, 1, "bad")
+            message = (f"{party_paths[(1, 0)]}: column block 0 has 3 covariates here "
+                       "but 2 in another row block")
+        else:
+            replace_cell(block_paths[1], 3, 1, "2")
+            replace_cell(party_paths[(0, 1)], 3, 1, "nan")
+            message = f"{party_paths[(0, 1)]}: row 3, column 'x1_0': value 'nan' is not finite"
+        assert outcome(load_party_files, party_paths, block_paths, "id") == message
+        assert outcome(oracles.cellwise_load_party_files, party_paths, block_paths,
+                       "id") == message
+
+    @pytest.mark.skipif(CPUS < 2 or not hasattr(os, "fork"),
+                        reason="row-block readers need 2 CPUs and fork")
+    def test_row_blocks_are_read_in_other_processes(self, tmp_path, monkeypatch):
+        party_paths, block_paths = small_grid(tmp_path)
+        unpatched = load_party_files(party_paths, block_paths, "id")
+        original, pids = runner._run_all, []
+
+        def recording(run, count, workers=None):
+            results = original(lambda k: (run(k), os.getpid()), count, workers)
+            pids.extend(pid for _, pid in results)
+            return [result for result, _ in results]
+
+        monkeypatch.setattr(runner, "_run_all", recording)
+        data, spec = load_party_files(party_paths, block_paths, "id")
+        assert len(set(pids)) == len(pids) == 2
+        assert os.getpid() not in pids
+        assert_same_dataset(data, unpatched[0])
+        assert spec == unpatched[1]
+
+    @pytest.mark.skipif(not hasattr(os, "fork") or not hasattr(os, "sched_setaffinity"),
+                        reason="a pinned child needs fork and sched_setaffinity")
+    def test_read_equals_a_read_pinned_to_one_cpu_bit_for_bit(self, tmp_path):
+        # The benchmark's 16k layout: an id column and %.17g reals.
+        rng = np.random.default_rng(0)
+        party_paths, block_paths = {}, {}
+        for k in (0, 1):
+            ids = np.arange(8000 * k, 8000 * (k + 1))
+            for l in (0, 1):
+                path = tmp_path / f"party_{k}_{l}.csv"
+                np.savetxt(path, np.column_stack([ids, rng.standard_normal((8000, 3))]),
+                           fmt=["%d"] + ["%.17g"] * 3, delimiter=",", comments="",
+                           header=",".join(["id"] + [f"x{3 * l + j}" for j in range(3)]))
+                party_paths[(k, l)] = str(path)
+            path = tmp_path / f"labels_{k}.csv"
+            np.savetxt(path, np.column_stack([ids, ids % 2, rng.standard_normal(8000)]),
+                       fmt=["%d", "%d", "%.17g"], delimiter=",", comments="",
+                       header="id,treatment,outcome")
+            block_paths[k] = str(path)
+        with ProcessPoolExecutor(1, multiprocessing.get_context("fork")) as pool:
+            workers, pinned = pool.submit(_pinned_read, party_paths, block_paths,
+                                          "id").result(timeout=300)
+        assert workers == 1
+        assert threading.active_count() == 1  # nothing keeps the call below serial
+        data, spec = load_party_files(party_paths, block_paths, "id")
+        assert_same_dataset(data, pinned[0])
+        assert spec == pinned[1] == PartitionSpec((8000, 8000), (3, 3))
+        assert_same_dataset(data, oracles.cellwise_load_party_files(
+            party_paths, block_paths, "id")[0])
