@@ -150,7 +150,7 @@ def _parse_table(path, table, fields: list[tuple[int, object]], id_idx: int | No
         except ValueError:
             values = None
         labels, ids = (None if idx is None else _column(index, idx) for idx in (z_idx, id_idx))
-        # Each treatment cell is one byte, "0" or "1", when every odd byte is a newline.
+        # Treatment cells are one byte each, "0" or "1": every odd byte of the run is a newline.
         # loadtxt may skip a whitespace-only line, so the row count is checked.
         if (values is not None and values.shape[0] == len(rows) and np.isfinite(values).all()
                 and (labels is None or (labels[1::2] == b"\n" * len(rows)
@@ -227,7 +227,7 @@ def _read_row_block(label_path, party_paths: list, id_column: str | None):
             else:
                 _check_id_alignment(reference_ids, ids, reference_path, path)
             blocks.append(data)
-    except Exception as exc:  # raised by the caller in file order
+    except (DcqeError, OSError) as exc:  # raised by the caller in file order
         return treatments, outcomes, blocks, exc
     return treatments, outcomes, blocks, None
 
