@@ -5,19 +5,19 @@ reals, and no quoting of numerics. Validation is strict: every cell must
 parse, treatments must be exactly "0" or "1", and errors carry the row and
 column they were found at (rows counted from 1, excluding the header).
 
-A file is read once, as bytes, and its newline and comma positions, found
-with numpy, tell whether it is plain: valid UTF-8 without quotes, carriage
-returns, NULs or blank lines, every line with the header's cell count and
-within ``csv.field_size_limit()``. A plain file has its real columns parsed
-by numpy's C reader and its id and treatment cells cut out as byte runs; in
-an ASCII file without whitespace bytes a treatment cell must be the one byte
-"0" or "1", in other plain files cells are stripped first. Other files, and
-plain ones with a cell numpy rejects or a value that is not finite, are read
-by ``csv.reader`` and parsed cell by cell; numpy rejects every cell that
-``float(cell.strip())`` would not turn into the same double, so the paths
-agree cell for cell. Errors are those of a row-by-row reader: a ragged row
-before any cell is parsed, then the first bad cell in file order (row by row,
-then left to right over the columns a loader reads), whichever worker reads it.
+A file is read once, as bytes; numpy finds its newlines and commas, which
+tell whether it is plain: valid UTF-8 without quotes, carriage returns, NULs
+or blank lines, every line with the header's cell count and within
+``csv.field_size_limit()``. A plain file has its reals parsed by numpy's C
+reader and its id and treatment cells cut out as byte runs (in an ASCII file
+without whitespace a treatment cell must be the byte "0" or "1"; other plain
+files strip their cells). Other files, and plain ones with a cell numpy
+rejects or a value that is not finite, go cell by cell through
+``csv.reader`` and ``float(cell.strip())``, which numpy matches on every
+cell it accepts. ``load_party_files`` reads each row block in a worker of the
+fork runner; errors are those of a serial row-by-row read: a ragged row
+before any cell is parsed, then the first bad cell in file order (row by
+row, then left to right over the columns a loader reads).
 """
 
 from __future__ import annotations

@@ -387,8 +387,8 @@ class TestPlainFileReader:
         assert np.array_equal(plain_dataset[0].covariates, values[:, :2])
 
 
-# ODD_CELLS that pass the ASCII, no-whitespace gate, and treatment cells numpy
-# would read as 0 or 1 but the loaders must reject.
+# ODD_CELLS that pass the ASCII, no-whitespace gate, and treatment cells that
+# numpy parses as numbers but the loaders must reject.
 ODD_ASCII_CELLS = [cell for cell in ODD_CELLS if cell.isascii() and cell and cell == cell.strip()]
 ODD_TREATMENTS = ["0.0", "01", "1.0", "2"]
 
@@ -451,7 +451,6 @@ class TestAsciiRoute:
             else:
                 assert_same_dataset(new[0], old[0])
                 assert new[1] == old[1]
-
 
 
 def small_grid(directory):
