@@ -5,19 +5,19 @@ reals, and no quoting of numerics. Validation is strict: every cell must
 parse, treatments must be exactly "0" or "1", and errors carry the row and
 column they were found at (rows counted from 1, excluding the header).
 
-A file is read once, as bytes; numpy finds its newlines and commas, which
-tell whether it is plain: valid UTF-8 without quotes, carriage returns, NULs
-or blank lines, every line with the header's cell count and within
-``csv.field_size_limit()``. A plain file has its reals parsed by numpy's C
-reader and its id and treatment cells cut out as byte runs (in an ASCII file
-without whitespace a treatment cell must be the byte "0" or "1"; other plain
-files strip their cells). Other files, and plain ones with a cell numpy
-rejects or a value that is not finite, go cell by cell through
-``csv.reader`` and ``float(cell.strip())``, which numpy matches on every
-cell it accepts. ``load_party_files`` reads each row block in a worker of the
-fork runner; errors are those of a serial row-by-row read: a ragged row
-before any cell is parsed, then the first bad cell in file order (row by
-row, then left to right over the columns a loader reads).
+A file is read once, as bytes. One without quotes, carriage returns, NULs
+or invalid UTF-8 is indexed with numpy: its newlines and commas tell whether
+it is plain, that is without blank lines, every line with the header's cell
+count and within ``csv.field_size_limit()``. A plain file has its reals
+parsed by numpy's C reader and its id and treatment cells cut out as byte
+runs (in an ASCII file without whitespace a treatment cell must be the byte
+"0" or "1"; other plain files strip their cells). Other files, and plain
+ones with a cell numpy rejects or a value that is not finite, go cell by
+cell through ``csv.reader`` and ``float(cell.strip())``, which numpy
+matches on every cell it accepts. ``load_party_files`` reads each row block
+in a worker of the fork runner; errors are those of a serial row-by-row
+read: a ragged row before any cell is parsed, then the first bad cell in
+file order (row by row, then left to right over the columns a loader reads).
 """
 
 from __future__ import annotations
@@ -51,20 +51,22 @@ def _read_table(path) -> tuple[list[str], list, bool, tuple | None]:
     if not path.is_file():
         raise IngestionError(f"input file not found: {path}")
     raw = path.read_bytes().removesuffix(b"\n") + b"\n"
-    data = np.frombuffer(raw, np.uint8)
-    ends = np.flatnonzero((data == 44) | (data == 10))  # the comma or newline after each cell
-    newlines = ends[data[ends] == 10]
-    width, sizes = int(np.argmax(data[ends] == 10)) + 1, np.diff(newlines, prepend=-1) - 1
     text = raw.decode("utf-8", "replace")  # csv.reader names a bad byte
-    # No line longer than the field size limit, so no cell longer than it.
-    if (newlines.size > 1 and not any(byte in raw for byte in b'\0\r"')
-            and "\ufffd" not in text and sizes.min() > 0 and sizes.max() <= csv.field_size_limit()
-            and ends.size == newlines.size * width and (data[ends[width - 1::width]] == 10).all()):
-        lines = text.split("\n")
-        # The ASCII bytes str.strip removes, but for the line ends no cell of a plain file holds.
-        strip = not raw.isascii() or any(byte in raw for byte in b" \t\x0b\x0c\x1c\x1d\x1e\x1f")
-        index = data, ends, width, strip
-        return [name.strip() for name in lines[0].split(",")], lines[1:-1], True, index
+    # The cheap checks first: a file they send to csv.reader is not indexed.
+    if not any(byte in raw for byte in b'\0\r"') and "\ufffd" not in text:
+        data = np.frombuffer(raw, np.uint8)
+        ends = np.flatnonzero((data == 44) | (data == 10))  # the comma or newline after each cell
+        newlines = ends[data[ends] == 10]
+        width, sizes = int(np.argmax(data[ends] == 10)) + 1, np.diff(newlines, prepend=-1) - 1
+        # No line longer than the field size limit, so no cell longer than it.
+        if (newlines.size > 1 and sizes.min() > 0 and sizes.max() <= csv.field_size_limit()
+                and ends.size == newlines.size * width
+                and (data[ends[width - 1::width]] == 10).all()):
+            lines = text.split("\n")
+            # The ASCII bytes str.strip removes, but for the line ends no plain cell holds.
+            strip = not raw.isascii() or any(byte in raw for byte in b" \t\v\f\x1c\x1d\x1e\x1f")
+            index = data, ends, width, strip
+            return [name.strip() for name in lines[0].split(",")], lines[1:-1], True, index
     with path.open(newline="", encoding="utf-8") as handle:
         reader = csv.reader(handle)
         header, rows, failure = [], [], None
