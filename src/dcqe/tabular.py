@@ -50,7 +50,9 @@ def _read_table(path) -> tuple[list[str], list, bool, tuple | None]:
     path = Path(path)
     if not path.is_file():
         raise IngestionError(f"input file not found: {path}")
-    raw = path.read_bytes().removesuffix(b"\n") + b"\n"
+    raw = path.read_bytes()
+    if not raw.endswith(b"\n"):  # a copy only here: a file's bytes are held while it is read
+        raw += b"\n"
     text = raw.decode("utf-8", "replace")  # csv.reader names a bad byte
     # The cheap checks first: a file they send to csv.reader is not indexed.
     if not any(byte in raw for byte in b'\0\r"') and "\ufffd" not in text:
