@@ -5,19 +5,17 @@ reals, and no quoting of numerics. Validation is strict: every cell must
 parse, treatments must be exactly "0" or "1", and errors carry the row and
 column they were found at (rows counted from 1, excluding the header).
 
-A file is read once, as bytes. One without quotes, carriage returns, NULs
-or invalid UTF-8 is indexed with numpy: its newlines and commas tell whether
-it is plain, that is without blank lines, every line with the header's cell
-count and within ``csv.field_size_limit()``. A plain file has its reals
-parsed by numpy's C reader and its id and treatment cells cut out as byte
-runs (in an ASCII file without whitespace a treatment cell must be the byte
-"0" or "1"; other plain files strip their cells). Other files, and plain
-ones with a cell numpy rejects or a value that is not finite, go cell by
-cell through ``csv.reader`` and ``float(cell.strip())``, which numpy
-matches on every cell it accepts. ``load_party_files`` reads each row block
-in a worker of the fork runner; errors are those of a serial row-by-row
-read: a ragged row before any cell is parsed, then the first bad cell in
-file order (row by row, then left to right over the columns a loader reads).
+A file is read once, as bytes. One without quotes, carriage returns, NULs or
+invalid UTF-8 is indexed with numpy: its newlines and commas tell whether it is
+plain, with no blank line, every line of the header's cell count and within
+``csv.field_size_limit()``. A plain file's reals go through numpy's C reader,
+and its id and treatment cells are cut out as byte runs, stripped only in a file
+with non-ASCII or whitespace bytes. Other files, and plain ones with a cell numpy
+rejects or a non-finite value, go cell by cell through ``csv.reader`` and
+``float(cell.strip())``, which numpy matches on every cell it accepts. Each row
+block of ``load_party_files`` is read in a fork-runner worker; errors are those
+of a serial read: a ragged row before any cell is parsed, then the first bad cell
+in file order (row by row, then left to right over the columns a loader reads).
 """
 
 from __future__ import annotations
@@ -50,9 +48,8 @@ def _read_table(path) -> tuple[list[str], list, bool, tuple | None]:
     path = Path(path)
     if not path.is_file():
         raise IngestionError(f"input file not found: {path}")
-    raw = path.read_bytes()
-    if not raw.endswith(b"\n"):  # a copy only here: a file's bytes are held while it is read
-        raw += b"\n"
+    raw = path.read_bytes()  # copied only to end its last line: it is held while it is read
+    raw = raw if raw.endswith(b"\n") else raw + b"\n"
     text = raw.decode("utf-8", "replace")  # csv.reader names a bad byte
     # The cheap checks first: a file they send to csv.reader is not indexed.
     if not any(byte in raw for byte in b'\0\r"') and "\ufffd" not in text:
