@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .datamodel import CollaborationScope, PartitionSpec
-from .errors import ConfigError, DcqeError, IngestionError
+from .errors import ConfigError, DcqeError, IngestionError, InvalidDataError
 from .experiments import ScenarioConfig, ScenarioResult, ArtificialDataConfig, \
     generate_artificial, run_experiment_one, run_experiment_two, run_scenario
 from .tabular import load_party_files
@@ -285,9 +285,7 @@ def _synthetic_scenario(s: dict) -> tuple[ArtificialDataConfig, ScenarioConfig]:
     try:
         spec = PartitionSpec(s["partition.row_blocks"], s["partition.col_blocks"])
         scenario = _scenario(s, spec, _build_scope(s, spec), s["analysis"])
-    except ConfigError:
-        raise
-    except DcqeError as exc:
+    except InvalidDataError as exc:
         raise ConfigError(f"scope: {exc}") from exc
     return data, scenario
 

@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import AnchorError, CollaborationError, DimensionError
+from .errors import InvalidDataError
 from .numerics import _pca, _project, ensure_matrix, pseudoinverse, svd_truncated
 
 
@@ -31,20 +31,20 @@ def generate_anchor(col_ranges: Sequence[tuple[float, float]], r: int, seed: int
     """The ``r`` x m anchor matrix, its column j uniform on the range ``col_ranges[j]``."""
     ranges = np.asarray(col_ranges, dtype=float)
     if ranges.ndim != 2 or ranges.shape[0] < 1 or ranges.shape[1] != 2:
-        raise AnchorError("col_ranges must be a non-empty sequence of (min, max) pairs")
+        raise InvalidDataError("col_ranges must be a non-empty sequence of (min, max) pairs")
     if not np.all(np.isfinite(ranges)):
-        raise AnchorError("anchor bounds must be finite")
+        raise InvalidDataError("anchor bounds must be finite")
     lows, highs = ranges[:, 0], ranges[:, 1]
     if np.any(lows > highs):
-        raise AnchorError("every anchor range needs min <= max")
+        raise InvalidDataError("every anchor range needs min <= max")
     with np.errstate(over="ignore"):  # an overflowing width is reported just below
         too_wide = np.flatnonzero(~np.isfinite(highs - lows))
     if too_wide.size:
         j = too_wide[0]
-        raise AnchorError(f"anchor range {j} [{lows[j]:g}, {highs[j]:g}] is too wide: "
-                          "its max - min overflows")
+        raise InvalidDataError(f"anchor range {j} [{lows[j]:g}, {highs[j]:g}] is too wide: "
+                               "its max - min overflows")
     if r < 1:
-        raise AnchorError(f"anchor size must be positive, got {r}")
+        raise InvalidDataError(f"anchor size must be positive, got {r}")
     return np.random.default_rng(seed).uniform(lows, highs, size=(int(r), ranges.shape[0]))
 
 
@@ -68,9 +68,9 @@ def make_intermediate(covariates: np.ndarray, anchor_block: np.ndarray,
     covariates = ensure_matrix(covariates, "party covariates")
     width = covariates.shape[1]
     if block.shape[1] != width:
-        raise DimensionError(f"anchor block has {block.shape[1]} columns, party holds {width}")
+        raise InvalidDataError(f"anchor block has {block.shape[1]} columns, party holds {width}")
     if not 1 <= target_dim < width:
-        raise DimensionError(
+        raise InvalidDataError(
             f"reduction must be strict: target_dim must be in [1, {width - 1}], got {target_dim}"
         )
     model, standardized = _pca(covariates, target_dim, "party covariates", counts)
@@ -80,16 +80,16 @@ def make_intermediate(covariates: np.ndarray, anchor_block: np.ndarray,
 def _check_grid(intermediates: Sequence[Sequence[Intermediate]]) -> None:
     """Reject an empty or ragged party grid, or anchor images of different heights."""
     if not intermediates or not intermediates[0]:
-        raise CollaborationError("no intermediate representations supplied")
+        raise InvalidDataError("no intermediate representations supplied")
     parties = len(intermediates[0])
     for k, row in enumerate(intermediates):
         if len(row) != parties:
-            raise CollaborationError(
+            raise InvalidDataError(
                 f"incomplete collaboration: row block {k} supplies {len(row)} column blocks, "
                 f"row block 0 supplies {parties}"
             )
     if len({anchor.shape[0] for row in intermediates for _, anchor in row}) != 1:
-        raise CollaborationError("anchor images disagree on their row count")
+        raise InvalidDataError("anchor images disagree on their row count")
 
 
 def fit_integration(intermediates: Sequence[Sequence[Intermediate]],
@@ -106,9 +106,9 @@ def fit_integration(intermediates: Sequence[Sequence[Intermediate]],
     _check_grid(intermediates)
     images = [anchor for row in intermediates for _, anchor in row]
     if collaborative_dim < 1:
-        raise DimensionError(f"collaborative dimension must be positive, got {collaborative_dim}")
+        raise InvalidDataError(f"collaborative dimension must be positive, got {collaborative_dim}")
     if collaborative_dim > images[0].shape[0]:
-        raise DimensionError(
+        raise InvalidDataError(
             f"collaborative dimension {collaborative_dim} exceeds anchor size {images[0].shape[0]}"
         )
     combined = np.empty((images[0].shape[0], sum(image.shape[1] for image in images)), order="F")
@@ -119,7 +119,7 @@ def fit_integration(intermediates: Sequence[Sequence[Intermediate]],
     # width is reported by the returned matrices.
     basis = svd_truncated(r, min(collaborative_dim, combined.shape[1])).u
     if basis.shape[1] == 0:
-        raise CollaborationError(
+        raise InvalidDataError(
             "the combined anchor image has numerical rank 0, so there is no shared basis; "
             "constant party columns are a likely cause"
         )
@@ -136,16 +136,16 @@ def assemble_collaborative(intermediates: Sequence[Sequence[Intermediate]],
     """
     _check_grid(intermediates)
     if len(maps) != len(intermediates):
-        raise CollaborationError(
+        raise InvalidDataError(
             f"{len(maps)} integration maps for {len(intermediates)} row blocks")
     if len({m.shape[1] for m in maps}) != 1:
-        raise CollaborationError("integration maps disagree on the collaborative dimension")
+        raise InvalidDataError("integration maps disagree on the collaborative dimension")
 
     blocks = []
     for k, (row, m) in enumerate(zip(intermediates, maps)):
         stacked = np.hstack([data for data, _ in row])
         if stacked.shape[1] != m.shape[0]:
-            raise CollaborationError(
+            raise InvalidDataError(
                 f"row block {k}: representation width {stacked.shape[1]} does not match "
                 f"integration input width {m.shape[0]}"
             )

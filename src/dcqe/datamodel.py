@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, InvalidDataError, PartitionError, ScopeError
+from .errors import InvalidDataError
 from .numerics import ensure_binary_labels, ensure_matrix, ensure_vector
 
 SCOPE_KINDS = ("left", "right", "top", "bottom", "whole", "custom")
@@ -28,11 +28,8 @@ class Dataset:
 
     def __post_init__(self):
         cov = ensure_matrix(self.covariates, "covariates")
-        try:
-            z = ensure_binary_labels(self.treatments, "treatments", length=cov.shape[0])
-            y = ensure_vector(self.outcomes, "outcomes", length=cov.shape[0])
-        except DimensionError as exc:
-            raise InvalidDataError(str(exc)) from exc
+        z = ensure_binary_labels(self.treatments, "treatments", length=cov.shape[0])
+        y = ensure_vector(self.outcomes, "outcomes", length=cov.shape[0])
         object.__setattr__(self, "covariates", cov)
         object.__setattr__(self, "treatments", z)
         object.__setattr__(self, "outcomes", y)
@@ -57,9 +54,9 @@ class PartitionSpec:
         object.__setattr__(self, "row_blocks", tuple(int(v) for v in self.row_blocks))
         object.__setattr__(self, "col_blocks", tuple(int(v) for v in self.col_blocks))
         if not self.row_blocks or not self.col_blocks:
-            raise PartitionError("partition needs at least one row block and one column block")
+            raise InvalidDataError("partition needs at least one row block and one column block")
         if any(v < 1 for v in self.row_blocks) or any(v < 1 for v in self.col_blocks):
-            raise PartitionError("every partition block must be non-empty")
+            raise InvalidDataError("every partition block must be non-empty")
 
     @property
     def subject_count(self) -> int:
@@ -87,7 +84,7 @@ class PartitionSpec:
 
     def validate_for(self, data: Dataset) -> None:
         if self.subject_count != data.subject_count or self.covariate_count != data.covariate_count:
-            raise PartitionError(
+            raise InvalidDataError(
                 f"partition covers {self.subject_count} x {self.covariate_count}, "
                 f"dataset is {data.subject_count} x {data.covariate_count}"
             )
@@ -122,13 +119,13 @@ class CollaborationScope:
 
     def __post_init__(self):
         if self.kind not in SCOPE_KINDS:
-            raise ScopeError(f"unknown scope kind {self.kind!r}")
+            raise InvalidDataError(f"unknown scope kind {self.kind!r}")
         rows = tuple(sorted(set(int(v) for v in self.row_indices)))
         cols = tuple(sorted(set(int(v) for v in self.col_indices)))
         if not rows or not cols:
-            raise ScopeError("scope must include at least one row and one column block")
+            raise InvalidDataError("scope must include at least one row and one column block")
         if any(v < 0 for v in rows) or any(v < 0 for v in cols):
-            raise ScopeError("scope indices must be non-negative")
+            raise InvalidDataError("scope indices must be non-negative")
         object.__setattr__(self, "row_indices", rows)
         object.__setattr__(self, "col_indices", cols)
 
@@ -146,8 +143,9 @@ class CollaborationScope:
             return cls(kind, (c - 1,), tuple(range(d)))
         if kind == "whole":
             return cls(kind, tuple(range(c)), tuple(range(d)))
-        raise ScopeError("scope kind 'custom' needs explicit indices" if kind == "custom" else
-                         f"unknown scope kind {kind!r}, expected one of {', '.join(SCOPE_KINDS)}")
+        raise InvalidDataError(
+            "scope kind 'custom' needs explicit indices" if kind == "custom" else
+            f"unknown scope kind {kind!r}, expected one of {', '.join(SCOPE_KINDS)}")
 
     @classmethod
     def custom(cls, rows, cols) -> CollaborationScope:
@@ -161,12 +159,13 @@ class CollaborationScope:
 def scoped_partition(spec: PartitionSpec, scope: CollaborationScope
                      ) -> tuple[PartitionSpec, np.ndarray, np.ndarray]:
     """The partition restricted to the scope's blocks, and the global subject and covariate
-    indices the scope covers, in dataset order; a scope outside the grid raises ``ScopeError``.
+    indices the scope covers, in dataset order; a scope outside the grid is invalid data.
     """
     for axis, last, count in (("row", scope.row_indices[-1], spec.row_block_count),
                               ("column", scope.col_indices[-1], spec.col_block_count)):
         if last >= count:
-            raise ScopeError(f"scope {axis} block {last} out of range (partition has {count})")
+            raise InvalidDataError(
+                f"scope {axis} block {last} out of range (partition has {count})")
     rows = np.r_[tuple(map(spec.row_slice, scope.row_indices))]  # the blocks' ranges, joined
     cols = np.r_[tuple(map(spec.col_slice, scope.col_indices))]
     sub_spec = PartitionSpec(tuple(spec.row_blocks[k] for k in scope.row_indices),

@@ -1,4 +1,5 @@
-"""Exception hierarchy for the dcqe package."""
+"""The package's four exception classes. ``dcqe`` exits 2 on a ``ConfigError``, 3 on an
+``IngestionError`` and 4 on any other ``DcqeError``, such as an ``InvalidDataError``."""
 
 from __future__ import annotations
 
@@ -8,35 +9,7 @@ class DcqeError(Exception):
 
 
 class InvalidDataError(DcqeError):
-    """Input data is malformed: wrong rank, empty, or non-finite."""
-
-
-class DimensionError(DcqeError):
-    """Shapes or requested dimensions are inconsistent."""
-
-
-class DegenerateLabelsError(InvalidDataError):
-    """Binary labels hold a single class; an ``InvalidDataError`` like any other bad labels."""
-
-
-class PartitionError(DcqeError):
-    """A partition specification does not match the dataset."""
-
-
-class ScopeError(DcqeError):
-    """A collaboration scope is invalid for its partition."""
-
-
-class AnchorError(DcqeError):
-    """Anchor-data generation received invalid bounds or sizes."""
-
-
-class CollaborationError(DcqeError):
-    """Intermediate representations cannot be integrated or assembled."""
-
-
-class InfiniteImbalanceError(DcqeError):
-    """A covariate has zero variance in both groups but unequal means."""
+    """Arrays, partitions, scopes or sizes the method cannot run on; the message names the rule."""
 
 
 class ConfigError(DcqeError):

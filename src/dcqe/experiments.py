@@ -353,8 +353,12 @@ def run_scenario(data: Dataset, config: ScenarioConfig,
             total = sum(tallies)
             subjects = np.flatnonzero(total > 0)
             reference = np.empty(n_scope)
-            reference[subjects] = estimate_propensity(full_cov[subjects], z_all[subjects],
-                                                      total[subjects].astype(float))
+            try:
+                reference[subjects] = estimate_propensity(full_cov[subjects], z_all[subjects],
+                                                          total[subjects].astype(float))
+            except InvalidDataError as exc:
+                raise InvalidDataError(
+                    f"collaboration {label}: centralized reference fit: {exc}") from exc
             reference = reference[units]
         inc_ca = inconsistency(scores, reference, counts)
         inc_true = None

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionError, InfiniteImbalanceError, InvalidDataError
+from .errors import InvalidDataError
 from .numerics import DEGENERATE_STDDEV, _counts, ensure_binary_labels, ensure_matrix, \
     ensure_vector
 
@@ -31,7 +31,7 @@ def inconsistency(scores_a, scores_b, counts=None) -> float:
     a = ensure_vector(scores_a, "scores_a")
     b = ensure_vector(scores_b, "scores_b")
     if a.shape[0] != b.shape[0]:
-        raise DimensionError(
+        raise InvalidDataError(
             f"score vectors differ in length: {a.shape[0]} vs {b.shape[0]}"
         )
     c = _counts(counts, a.shape[0])
@@ -108,7 +108,7 @@ def _smd(treated: np.ndarray, control: np.ndarray, counts_t: np.ndarray, counts_
     values[regular] = diff[regular] / np.sqrt(pooled[regular])
     bad = degenerate & (np.abs(diff) > DEGENERATE_STDDEV * scale)
     if bad.any():
-        raise InfiniteImbalanceError(
+        raise InvalidDataError(
             f"covariate {int(np.flatnonzero(bad)[0])} has zero variance but unequal group means"
         )
     return values

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateLabelsError, DimensionError, InvalidDataError
+from .errors import InvalidDataError
 
 # Type alias used throughout the package for 2-d float arrays.
 Matrix = np.ndarray
@@ -67,7 +67,7 @@ def ensure_vector(data, name: str = "data", length: int | None = None) -> np.nda
     if not np.all(np.isfinite(arr)):
         raise InvalidDataError(f"{name} contains non-finite entries")
     if length is not None and arr.shape[0] != length:
-        raise DimensionError(f"{name} must have length {length}, got {arr.shape[0]}")
+        raise InvalidDataError(f"{name} must have length {length}, got {arr.shape[0]}")
     return arr
 
 
@@ -77,13 +77,13 @@ def ensure_binary_labels(labels, name: str = "labels", length: int | None = None
     if arr.ndim != 1:
         raise InvalidDataError(f"{name} must be 1-dimensional")
     if length is not None and arr.shape[0] != length:
-        raise DimensionError(f"{name} must have length {length}, got {arr.shape[0]}")
+        raise InvalidDataError(f"{name} must have length {length}, got {arr.shape[0]}")
     values = arr.astype(float)
     if not np.all((values == 0.0) | (values == 1.0)):
         raise InvalidDataError(f"{name} must contain only 0 and 1")
     out = values.astype(np.int64)
     if out.min() == out.max():
-        raise DegenerateLabelsError(f"{name} contain a single class")
+        raise InvalidDataError(f"{name} contain a single class")
     return out
 
 
@@ -91,7 +91,7 @@ def _counts(counts, n: int) -> np.ndarray:
     """Float row counts of ``n`` rows, one each when ``counts`` is None."""
     c = np.ones(n) if counts is None else np.asarray(counts, dtype=float)
     if c.shape != (n,):
-        raise DimensionError(f"counts must have length {n}, got shape {c.shape}")
+        raise InvalidDataError(f"counts must have length {n}, got shape {c.shape}")
     return c
 
 
@@ -149,7 +149,7 @@ def _pca(arr: np.ndarray, target_dim: int, name: str = "data",
     if total < 2:
         raise InvalidDataError("pca_fit needs at least two rows")
     if not 1 <= target_dim <= m:
-        raise DimensionError(f"target_dim must be in [1, {m}], got {target_dim}")
+        raise InvalidDataError(f"target_dim must be in [1, {m}], got {target_dim}")
     cols = np.ascontiguousarray(arr.T)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported just below
         means = (cols * c).sum(axis=1) / total
@@ -203,7 +203,7 @@ def svd_truncated(data: Matrix, rank: int) -> TruncatedSvd:
     arr = ensure_matrix(data)
     n, m = arr.shape
     if not 1 <= rank <= min(n, m):
-        raise DimensionError(f"rank must be in [1, {min(n, m)}], got {rank}")
+        raise InvalidDataError(f"rank must be in [1, {min(n, m)}], got {rank}")
     u, s, vt = np.linalg.svd(arr, full_matrices=False)
     positive = int(np.count_nonzero(s > SINGULAR_VALUE_CUTOFF * s[0])) if s[0] > 0 else 0
     keep = min(rank, positive)

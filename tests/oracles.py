@@ -34,7 +34,7 @@ from typing import Sequence
 import numpy as np
 
 from dcqe.datamodel import Dataset, PartitionSpec
-from dcqe.errors import CollaborationError, DimensionError, IngestionError
+from dcqe.errors import IngestionError, InvalidDataError
 from dcqe.numerics import (
     LOGISTIC_MAX_ITER,
     LOGISTIC_RIDGE,
@@ -384,9 +384,9 @@ def _shared_basis(images: list[np.ndarray], collaborative_dim: int) -> np.ndarra
     """The shared basis of the row blocks' anchor images, in row-block order."""
     anchor_rows = images[0].shape[0]
     if collaborative_dim < 1:
-        raise DimensionError(f"collaborative dimension must be positive, got {collaborative_dim}")
+        raise InvalidDataError(f"collaborative dimension must be positive, got {collaborative_dim}")
     if collaborative_dim > anchor_rows:
-        raise DimensionError(
+        raise InvalidDataError(
             f"collaborative dimension {collaborative_dim} exceeds anchor size {anchor_rows}"
         )
     combined = np.hstack(images)
@@ -396,7 +396,7 @@ def _shared_basis(images: list[np.ndarray], collaborative_dim: int) -> np.ndarra
     rank = min(collaborative_dim, combined.shape[1])
     basis = svd_truncated(combined, rank).u
     if basis.shape[1] == 0:
-        raise CollaborationError(
+        raise InvalidDataError(
             "the combined anchor image has numerical rank 0, so there is no shared basis; "
             "constant party columns are a likely cause"
         )

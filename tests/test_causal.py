@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -14,7 +15,7 @@ from dcqe.causal import (
     match_pairs,
     matched_sample,
 )
-from dcqe.errors import DegenerateLabelsError
+from dcqe.errors import InvalidDataError
 from dcqe.experiments import ArtificialDataConfig, generate_artificial
 
 
@@ -50,7 +51,8 @@ class TestPropensity:
         np.testing.assert_allclose(scores, np.clip(expected, 1e-6, 1 - 1e-6), atol=1e-4)
 
     def test_single_class_raises(self):
-        with pytest.raises(DegenerateLabelsError):
+        message = "labels contain a single class"
+        with pytest.raises(InvalidDataError, match=f"^{re.escape(message)}$"):
             estimate_propensity(np.ones((4, 2)), [1, 1, 1, 1])
 
 
@@ -147,7 +149,8 @@ class TestMatching:
         np.testing.assert_array_equal(result.pairs, oracles.blocked_nearest_pairs(scores, z))
 
     def test_needs_both_groups(self):
-        with pytest.raises(DegenerateLabelsError):
+        message = "treatments contain a single class"
+        with pytest.raises(InvalidDataError, match=f"^{re.escape(message)}$"):
             match_pairs(np.array([0.5, 0.6]), np.array([1, 1]))
 
 

@@ -597,6 +597,33 @@ class TestRunCommand:
                        "overflows a double\n")
         assert "SVD did not converge" not in err
 
+    def test_overflowing_reference_fit_exits_runtime_naming_it(self, tmp_path, capsys):
+        # Column b of the left parties is near 1.5e154: each party standardizes it
+        # fine, but the centralized reference fits the raw covariates and overflows.
+        rng = np.random.default_rng(0)
+        lines = ["run.id_column = id", "reduction.intermediate_dim = 2",
+                 "reduction.collaborative_dim = 4", "bootstrap.replicates = 2"]
+        for k in (0, 1):
+            ids = range(20 * k, 20 * k + 20)
+            for l in (0, 1):
+                rows = [f"{i},{rng.normal()!r},"
+                        f"{1.5e154 + 1e150 * rng.normal() if l == 0 else rng.normal()!r},"
+                        f"{rng.normal()!r}" for i in ids]
+                party = write_rows(tmp_path / f"p{k}{l}.csv", rows, header="id,a,b,c")
+                lines.append(f"run.party.{k}.{l} = {party}")
+            block = write_rows(tmp_path / f"b{k}.csv",
+                               [f"{i},{i % 2},{rng.normal()!r}" for i in ids],
+                               header="id,treatment,outcome")
+            lines.append(f"run.block.{k} = {block}")
+        config = write_config(tmp_path / "run.conf", "\n".join(lines) + "\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["run", "--config", str(config), "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == EXIT_RUNTIME
+        assert err == ("error: collaboration W-clb: centralized reference fit: features too "
+                       "large: the logistic fit overflows a double\n")
+
     def test_overflowing_effect_exits_runtime_and_writes_nothing(self, tmp_path, capsys):
         # Outcomes of +-1e308 by treatment group: every estimate overflows.
         rng = np.random.default_rng(1)

@@ -1,4 +1,5 @@
 import inspect
+import re
 import warnings
 
 import numpy as np
@@ -13,7 +14,7 @@ from dcqe.collaboration import (
     make_intermediate,
 )
 from dcqe.datamodel import CollaborationScope, Dataset, PartitionSpec, partition, scoped_partition
-from dcqe.errors import AnchorError, CollaborationError, DimensionError, InvalidDataError
+from dcqe.errors import InvalidDataError
 from dcqe.experiments import ArtificialDataConfig, generate_artificial
 
 
@@ -80,19 +81,19 @@ class TestGenerateAnchor:
         assert np.array_equal(first, second)
 
     def test_invalid_inputs(self):
-        with pytest.raises(AnchorError):
-            generate_anchor([], 5, seed=0)
-        with pytest.raises(AnchorError):
-            generate_anchor([(1.0, 0.0)], 5, seed=0)
-        with pytest.raises(AnchorError):
-            generate_anchor([(0.0, 1.0)], 0, seed=0)
+        for ranges, size, message in (
+                ([], 5, "col_ranges must be a non-empty sequence of (min, max) pairs"),
+                ([(1.0, 0.0)], 5, "every anchor range needs min <= max"),
+                ([(0.0, 1.0)], 0, "anchor size must be positive, got 0")):
+            with pytest.raises(InvalidDataError, match=f"^{re.escape(message)}$"):
+                generate_anchor(ranges, size, seed=0)
 
     def test_range_wider_than_the_largest_double_rejected_without_warning(self):
         # max - min overflows although both bounds are finite; numpy's uniform
         # would raise OverflowError on it.
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(AnchorError, match=r"anchor range 1 \[-1e\+308, 1e\+308\]"):
+            with pytest.raises(InvalidDataError, match=r"anchor range 1 \[-1e\+308, 1e\+308\]"):
                 generate_anchor([(0.0, 1.0), (-1e308, 1e308)], 5, seed=0)
             assert generate_anchor([(-1e308, 0.0), (0.0, 1e308)], 5, seed=0).shape == (5, 2)
 
@@ -133,13 +134,14 @@ class TestMakeIntermediate:
 
     def test_reduction_must_be_strict(self):
         block = make_block(20, 3)
-        with pytest.raises(DimensionError):
-            make_intermediate(block, np.zeros((5, 3)), 3)
-        with pytest.raises(DimensionError):
-            make_intermediate(block, np.zeros((5, 3)), 0)
+        for target_dim in (3, 0):
+            message = f"reduction must be strict: target_dim must be in [1, 2], got {target_dim}"
+            with pytest.raises(InvalidDataError, match=f"^{re.escape(message)}$"):
+                make_intermediate(block, np.zeros((5, 3)), target_dim)
 
     def test_anchor_width_must_match(self):
-        with pytest.raises(DimensionError):
+        message = "anchor block has 2 columns, party holds 3"
+        with pytest.raises(InvalidDataError, match=f"^{re.escape(message)}$"):
             make_intermediate(make_block(20, 3), np.zeros((5, 2)), 1)
 
     def test_overflowing_column_named_without_warning(self):
@@ -214,28 +216,28 @@ class TestFitIntegration:
 
     def test_width_beyond_anchor_rows_rejected(self):
         _, reps, _ = benchmark_pipeline()
-        with pytest.raises(DimensionError):
-            fit_integration(reps, 1001)
-        with pytest.raises(DimensionError):
-            fit_integration(reps, 0)
+        for width, message in ((1001, "collaborative dimension 1001 exceeds anchor size 1000"),
+                               (0, "collaborative dimension must be positive, got 0")):
+            with pytest.raises(InvalidDataError, match=f"^{re.escape(message)}$"):
+                fit_integration(reps, width)
 
     def test_ragged_grid_rejected_naming_the_row_block(self):
         _, reps, _ = benchmark_pipeline()
         reps[1] = reps[1][:-1]
-        with pytest.raises(CollaborationError, match="row block 1 supplies 1 column blocks, "
-                                                     "row block 0 supplies 2"):
+        with pytest.raises(InvalidDataError, match="row block 1 supplies 1 column blocks, "
+                                                   "row block 0 supplies 2"):
             fit_integration(reps, 4)
 
     def test_empty_grid_rejected(self):
         for reps in ([], [[]]):
-            with pytest.raises(CollaborationError, match="no intermediate representations"):
+            with pytest.raises(InvalidDataError, match="no intermediate representations"):
                 fit_integration(reps, 4)
 
     def test_anchor_images_of_different_heights_rejected(self):
         _, reps, _ = benchmark_pipeline()
         data_image, anchor_image = reps[1][1]
         reps[1][1] = data_image, anchor_image[:-1]
-        with pytest.raises(CollaborationError, match="anchor images disagree on their row count"):
+        with pytest.raises(InvalidDataError, match="anchor images disagree on their row count"):
             fit_integration(reps, 4)
 
     def test_rank_zero_anchor_image_named(self):
@@ -245,7 +247,7 @@ class TestFitIntegration:
         bounds = np.column_stack([block.min(0), block.max(0)])
         anchor = generate_anchor(bounds, 50, seed=1)
         rep = make_intermediate(block, anchor, 2)
-        with pytest.raises(CollaborationError, match="numerical rank 0.*constant party columns"):
+        with pytest.raises(InvalidDataError, match="numerical rank 0.*constant party columns"):
             fit_integration([[rep]], 2)
 
 
@@ -419,6 +421,45 @@ class TestMetamorphicProtocol:
         assert np.max(np.abs(restored - before)) <= self.BOUND
 
 
+class TestLosslessIntermediates:
+    """Intermediates that keep every standardized column give back the centralized fit.
+
+    ``make_intermediate`` refuses full width, so each party's pair is built by
+    hand: its block standardized with its own means and SDs (ddof=1), and its
+    anchor block standardized the same way. With one row block the combined
+    anchor image has full column rank 6, so width 6 maps the stacked blocks by
+    an invertible linear map, which the logistic fit sees only through its
+    ridge: measured gap 2.3e-6, against a bound of 1e-5. With two row blocks
+    each block is standardized with its own means, which no single linear map
+    undoes: the gap is 2.53e-3 on this draw, pinned to 1%. A basis one column
+    short moves the propensities by about 0.09, and row block 0's map used for
+    both blocks gives a gap of 9.8e-3.
+    """
+
+    @staticmethod
+    def lossless_pair(block, anchor_block):
+        means, sds = block.mean(axis=0), block.std(axis=0, ddof=1)
+        return (block - means) / sds, (anchor_block - means) / sds
+
+    def gap_to_the_centralized_fit(self, blocks, anchor_blocks, z):
+        grid = [[self.lossless_pair(block, anchor_block)
+                 for block, anchor_block in zip(row, anchor_row)]
+                for row, anchor_row in zip(blocks, anchor_blocks)]
+        scores = estimate_propensity(assemble_collaborative(grid, fit_integration(grid, 6)), z)
+        central = estimate_propensity(np.vstack([np.hstack(row) for row in blocks]), z)
+        return np.max(np.abs(scores - central))
+
+    def test_one_row_block_matches_the_centralized_fit(self):
+        blocks, anchor_blocks, z = protocol_inputs()
+        joined = [[np.vstack([blocks[0][l], blocks[1][l]]) for l in range(2)]]
+        assert self.gap_to_the_centralized_fit(joined, anchor_blocks[:1], z) <= 1e-5
+
+    def test_two_row_blocks_keep_their_standardization_gap(self):
+        blocks, anchor_blocks, z = protocol_inputs()
+        gap = self.gap_to_the_centralized_fit(blocks, anchor_blocks, z)
+        assert gap == pytest.approx(2.53e-3, rel=0.01)
+
+
 def assemble_benchmark(scope_kind, collaborative_dim, seed=3, anchor_seed=77):
     _, reps, _ = benchmark_pipeline(seed=seed, anchor_seed=anchor_seed, scope_kind=scope_kind,
                                     collaborative_dim=collaborative_dim)
@@ -462,7 +503,7 @@ class TestAssemble:
     def test_mismatched_integrations_rejected(self):
         _, reps, _ = benchmark_pipeline()
         maps = fit_integration(reps, 6)
-        with pytest.raises(CollaborationError, match="1 integration maps for 2 row blocks"):
+        with pytest.raises(InvalidDataError, match="1 integration maps for 2 row blocks"):
             assemble_collaborative(reps, maps[:1])
 
     def test_data_image_narrower_than_its_anchor_image_rejected(self):
@@ -470,8 +511,8 @@ class TestAssemble:
         maps = fit_integration(reps, 6)
         data_image, anchor_image = reps[1][0]
         reps[1][0] = data_image[:, :1], anchor_image
-        with pytest.raises(CollaborationError, match="row block 1: representation width 3 does "
-                                                     "not match integration input width 4"):
+        with pytest.raises(InvalidDataError, match="row block 1: representation width 3 does "
+                                                   "not match integration input width 4"):
             assemble_collaborative(reps, maps)
 
 

@@ -14,7 +14,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 import oracles
 from dcqe.causal import _ipw_estimate, estimate_psm, ipw_weights, match_pairs, matched_sample
-from dcqe.errors import DimensionError, InvalidDataError
+from dcqe.errors import InvalidDataError
 from dcqe.metrics import _smd, inconsistency, smd
 from dcqe.numerics import _orient_columns, _pca, logistic_fit
 
@@ -114,7 +114,7 @@ class TestPca:
         assert np.array_equal(model.means, one_row[0])
 
     def test_counts_of_the_wrong_length_are_rejected(self):
-        with pytest.raises(DimensionError, match="counts must have length 3"):
+        with pytest.raises(InvalidDataError, match="counts must have length 3"):
             _pca(np.eye(3), 1, counts=[1.0, 2.0])
 
 

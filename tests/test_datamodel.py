@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,7 @@ from dcqe.datamodel import (
     partition,
     scoped_partition,
 )
-from dcqe.errors import InvalidDataError, PartitionError, ScopeError
+from dcqe.errors import InvalidDataError
 
 
 def make_dataset(n, m, seed=0):
@@ -74,11 +76,13 @@ class TestPartition:
 
     def test_inconsistent_spec_rejected(self):
         data = make_dataset(10, 4)
-        with pytest.raises(PartitionError):
+        message = "partition covers 9 x 4, dataset is 10 x 4"
+        with pytest.raises(InvalidDataError, match=f"^{re.escape(message)}$"):
             partition(data, PartitionSpec((5, 4), (2, 2)))
 
     def test_empty_block_rejected(self):
-        with pytest.raises(PartitionError):
+        message = "every partition block must be non-empty"
+        with pytest.raises(InvalidDataError, match=f"^{re.escape(message)}$"):
             PartitionSpec((5, 0), (2, 2))
 
 
@@ -135,11 +139,12 @@ class TestCollaborationScope:
 
     def test_out_of_range_scope_rejected(self):
         spec = PartitionSpec((2, 2), (2, 2))
-        with pytest.raises(ScopeError, match=r"^scope row block 5 out of range \(partition has 2"):
+        with pytest.raises(InvalidDataError, match=r"^scope row block 5 out of range \(partition has 2"):
             scoped_partition(spec, CollaborationScope.custom((0, 5), (0,)))
-        with pytest.raises(ScopeError, match=r"^scope column block 2 out of range"):
+        with pytest.raises(InvalidDataError, match=r"^scope column block 2 out of range"):
             scoped_partition(spec, CollaborationScope.custom((0,), (2,)))
 
     def test_unknown_kind_rejected(self):
-        with pytest.raises(ScopeError):
+        message = "unknown scope kind 'diagonal'"
+        with pytest.raises(InvalidDataError, match=f"^{re.escape(message)}$"):
             CollaborationScope("diagonal", (0,), (0,))

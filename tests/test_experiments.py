@@ -21,7 +21,7 @@ from dcqe.causal import estimate_ipw, estimate_propensity
 from dcqe.collaboration import fit_integration, generate_anchor, make_intermediate
 from dcqe.datamodel import CollaborationScope, Dataset, PartitionSpec, partition, \
     scoped_partition
-from dcqe.errors import ConfigError, DcqeError, DimensionError, InvalidDataError, ScopeError
+from dcqe.errors import ConfigError, DcqeError, InvalidDataError
 from dcqe.experiments import (
     ArtificialDataConfig,
     ScenarioConfig,
@@ -194,7 +194,7 @@ class TestRunScenario:
             small_scenario(anchor_size=None, collaborative_dim=81)
         with pytest.raises(ConfigError, match="^collaborative analysis needs an intermediate"):
             small_scenario(intermediate_dim=None)
-        with pytest.raises(ScopeError, match="column block 2 out of range"):
+        with pytest.raises(InvalidDataError, match="column block 2 out of range"):
             small_scenario(scope=CollaborationScope.custom((0,), (2,)))
         small_scenario(analysis="centralized", intermediate_dim=None, collaborative_dim=None,
                        scope=CollaborationScope.single_party(1, 1))
@@ -441,7 +441,7 @@ def _dead_worker_error(death):
 def _failing_run(index):
     # Every run but the first fails, so more than one worker raises.
     if index >= 1:
-        raise DimensionError(f"run {index} failed")
+        raise InvalidDataError(f"run {index} failed")
     return index
 
 
@@ -522,7 +522,7 @@ class TestParallelReplicates:
         count = 2 * CPUS + 1
         assert runner._run_all(lambda i: i, count) == list(range(count))
         assert_no_child_left()
-        with pytest.raises(DimensionError, match="run 1 failed"):
+        with pytest.raises(InvalidDataError, match="run 1 failed"):
             runner._run_all(_failing_run, count)
         assert_no_child_left()
 
@@ -569,10 +569,10 @@ class TestParallelReplicates:
         errors = []
         for run in (lambda: [_failing_run(i) for i in range(count)],
                     lambda: runner._run_all(_failing_run, count)):
-            with pytest.raises(DimensionError) as caught:
+            with pytest.raises(InvalidDataError, match="^run 1 failed$") as caught:
                 run()
             errors.append((type(caught.value), str(caught.value)))
-        assert errors[0] == errors[1] == (DimensionError, "run 1 failed")
+        assert errors[0] == errors[1] == (InvalidDataError, "run 1 failed")
 
     def test_rebound_pipeline_function_keeps_runs_in_this_process(self, monkeypatch):
         # A tracer or a mock that records calls must see every run.

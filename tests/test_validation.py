@@ -20,7 +20,7 @@ from dcqe import experiments, numerics
 from dcqe.causal import estimate_ipw, estimate_propensity, ipw_weights, match_pairs
 from dcqe.collaboration import make_intermediate
 from dcqe.datamodel import CollaborationScope, Dataset, PartitionSpec
-from dcqe.errors import DegenerateLabelsError, InvalidDataError
+from dcqe.errors import InvalidDataError
 from dcqe.metrics import smd
 from dcqe.numerics import logistic_fit, pca_fit, pseudoinverse, svd_truncated
 
@@ -91,9 +91,9 @@ LABEL_ENTRY_POINTS = {
     "smd": lambda z: smd(X5, z),
 }
 BAD_LABELS = {
-    "two": ([0, 1, 0, 1, 2], InvalidDataError),
-    "half": ([0, 1, 0, 1, 0.5], InvalidDataError),
-    "single": ([1, 1, 1, 1, 1], DegenerateLabelsError),
+    "two": ([0, 1, 0, 1, 2], "must contain only 0 and 1"),
+    "half": ([0, 1, 0, 1, 0.5], "must contain only 0 and 1"),
+    "single": ([1, 1, 1, 1, 1], "contain a single class"),
 }
 
 
@@ -102,13 +102,9 @@ BAD_LABELS = {
     for entry in LABEL_ENTRY_POINTS for bad in BAD_LABELS
 ])
 def test_entry_point_rejects_bad_labels(entry, bad):
-    labels, error = BAD_LABELS[bad]
-    with pytest.raises(error):
+    labels, message = BAD_LABELS[bad]
+    with pytest.raises(InvalidDataError, match=message):
         LABEL_ENTRY_POINTS[entry](np.array(labels))
-
-
-def test_single_class_is_invalid_data():
-    assert issubclass(DegenerateLabelsError, InvalidDataError)
 
 
 # The checks one run makes of each kind: matrices, vectors and 0/1 labels.
