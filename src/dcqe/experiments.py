@@ -27,7 +27,7 @@ from .datamodel import CollaborationScope, Dataset, PartitionSpec, _party_blocks
 from .errors import ConfigError, DcqeError, InvalidDataError
 from .metrics import _smd, gap, inconsistency, smd
 from .numerics import ensure_vector, sigmoid
-from .tabular import TabularSchema, ingest_csv
+from .tabular import ingest_csv
 
 # The package functions and classes this module calls by name, as bound at
 # import; ``_worker_count`` compares them with the bindings of the moment.
@@ -451,14 +451,11 @@ def run_experiment_one(seed: int, bootstrap_replicates: int = 1000,
                       estimand="ATE", bootstrap_replicates=bootstrap_replicates, benchmark=1.0)
 
 
-# Column layout of the job-training benchmark file. The partition puts the
+# Covariate columns of the job-training benchmark file, read in this order
+# beside its "treatment" and "re78" (outcome) columns. The partition puts the
 # demographic and education variables with the left-side parties and the
 # race and prior-earnings variables with the right-side parties.
-NSW_PSID_SCHEMA = TabularSchema(
-    covariates=("age", "education", "married", "nodegree", "black", "hispanic", "re74", "re75"),
-    treatment="treatment",
-    outcome="re78",
-)
+NSW_COVARIATES = ("age", "education", "married", "nodegree", "black", "hispanic", "re74", "re75")
 _LEFT_COLUMNS = ("age", "married", "education", "nodegree")
 _RIGHT_COLUMNS = ("hispanic", "black", "re74", "re75")
 
@@ -476,8 +473,8 @@ def load_experiment_two_data(data_path, seed: int) -> tuple[Dataset, PartitionSp
     (1337 each when the file is large enough); outcomes are converted to
     thousand-dollar units.
     """
-    raw, _ = ingest_csv(data_path, NSW_PSID_SCHEMA)
-    order = [NSW_PSID_SCHEMA.covariates.index(name) for name in _LEFT_COLUMNS + _RIGHT_COLUMNS]
+    raw = ingest_csv(data_path, NSW_COVARIATES, "treatment", "re78")
+    order = [NSW_COVARIATES.index(name) for name in _LEFT_COLUMNS + _RIGHT_COLUMNS]
     block = min(_BENCHMARK_BLOCK, raw.subject_count // 2)
     rng = np.random.default_rng(np.random.SeedSequence((int(seed), _SEED_TAG_SHUFFLE)))
     keep = rng.permutation(raw.subject_count)[: 2 * block]

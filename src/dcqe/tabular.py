@@ -8,10 +8,11 @@ column they were found at (rows counted from 1, excluding the header).
 A file is read once, as bytes. One without quotes, carriage returns, NULs or
 invalid UTF-8 is indexed with numpy: its newlines and commas tell whether it is
 plain, with no blank line, every line of the header's cell count and within
-``csv.field_size_limit()``. A plain file's reals go through numpy's C reader,
-and its id and treatment cells are cut out as byte runs, stripped only in a file
-with non-ASCII or whitespace bytes. Other files, and plain ones with a cell numpy
-rejects or a non-finite value, go cell by cell through ``csv.reader`` and
+``csv.field_size_limit()``; ``_read_table`` keeps the byte index of a plain file
+only. A plain file's reals go through numpy's C reader, and its id and treatment
+cells are cut out as byte runs, stripped only in a file with non-ASCII or
+whitespace bytes. Other files, and plain ones with a cell numpy rejects or a
+non-finite value, go cell by cell through ``csv.reader`` and
 ``float(cell.strip())``, which numpy matches on every cell it accepts. Each row
 block of ``load_party_files`` is read in a fork-runner worker; errors are those
 of a serial read: a ragged row before any cell is parsed, then the first bad cell
@@ -21,7 +22,6 @@ in file order (row by row, then left to right over the columns a loader reads).
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -31,20 +31,10 @@ from .datamodel import Dataset, PartitionSpec
 from .errors import DcqeError, IngestionError
 
 
-@dataclass(frozen=True)
-class TabularSchema:
-    """Expected columns of a dataset CSV."""
-
-    covariates: tuple[str, ...]
-    treatment: str
-    outcome: str
-    id_column: str | None = None
-
-
-def _read_table(path) -> tuple[list[str], list, bool, tuple | None]:
-    """Stripped header, data rows, whether the file is plain (its rows are then its lines) and
-    a plain file's byte index: its bytes, where each cell ends, the header's cell count and
-    whether a cell may need ``str.strip`` (the file has non-ASCII or whitespace bytes)."""
+def _read_table(path) -> tuple[list[str], list, tuple | None]:
+    """Stripped header, data rows and, for a plain file only (its rows are then its lines), its
+    byte index: its bytes, where each cell ends, the header's cell count and whether a cell may
+    need ``str.strip`` (the file has non-ASCII or whitespace bytes)."""
     path = Path(path)
     if not path.is_file():
         raise IngestionError(f"input file not found: {path}")
@@ -65,7 +55,7 @@ def _read_table(path) -> tuple[list[str], list, bool, tuple | None]:
             # The ASCII bytes str.strip removes, but for the line ends no plain cell holds.
             strip = not raw.isascii() or any(byte in raw for byte in b" \t\v\f\x1c\x1d\x1e\x1f")
             index = data, ends, width, strip
-            return [name.strip() for name in lines[0].split(",")], lines[1:-1], True, index
+            return [name.strip() for name in lines[0].split(",")], lines[1:-1], index
     with path.open(newline="", encoding="utf-8") as handle:
         reader = csv.reader(handle)
         header, rows, failure = [], [], None
@@ -83,7 +73,7 @@ def _read_table(path) -> tuple[list[str], list, bool, tuple | None]:
         raise IngestionError(f"{path}: row {number} has {len(row)} cells, header has {len(header)}")
     if failure is not None:
         raise IngestionError(f"{path}: line {reader.line_num}: {failure}") from failure
-    return header, rows, False, None
+    return header, rows, None
 
 
 def _column(index, idx: int) -> bytes:
@@ -141,10 +131,10 @@ def _parse_table(path, table, fields: list[tuple[int, object]], id_idx: int | No
     order, the treatment or None, and the stripped ids or None. ``fields`` pairs a column
     index with ``_parse_real`` or ``_parse_treatment``, which name the first bad cell, row by
     row in ``fields`` order."""
-    header, rows, plain, index = table
+    header, rows, index = table
     reals = [idx for idx, parse in fields if parse is _parse_real]
     z_idx = next((idx for idx, parse in fields if parse is _parse_treatment), None)
-    if plain:
+    if index is not None:
         try:
             values = np.loadtxt(rows, delimiter=",", usecols=reals, comments=None,
                                 quotechar=None, dtype=float, ndmin=2)
@@ -170,24 +160,23 @@ def _parse_table(path, table, fields: list[tuple[int, object]], id_idx: int | No
     return values.T.copy(), treatments, ids
 
 
-def ingest_csv(path, schema: TabularSchema) -> tuple[Dataset, list[str] | None]:
-    """Read a dataset CSV against a schema; returns the dataset and the ids."""
-    header, rows, _, _ = table = _read_table(path)
+def ingest_csv(path, covariates: tuple[str, ...], treatment: str, outcome: str) -> Dataset:
+    """Read a dataset CSV: its ``covariates`` columns in that order, and its ``treatment`` and
+    ``outcome`` columns; other columns are not read."""
+    header, rows, _ = table = _read_table(path)
     if len(rows) < 2:
         raise IngestionError(f"{path}: need at least 2 data rows, found {len(rows)}")
-    cov_idx = [_column_index(header, name, path) for name in schema.covariates]
-    z_idx = _column_index(header, schema.treatment, path)
-    y_idx = _column_index(header, schema.outcome, path)
-    id_idx = _column_index(header, schema.id_column, path) if schema.id_column else None
+    cov_idx = [_column_index(header, name, path) for name in covariates]
+    z_idx = _column_index(header, treatment, path)
+    y_idx = _column_index(header, outcome, path)
 
     fields = [(idx, _parse_real) for idx in cov_idx]
     fields += [(z_idx, _parse_treatment), (y_idx, _parse_real)]
-    values, treatments, ids = _parse_table(path, table, fields, id_idx)
+    values, treatments, _ = _parse_table(path, table, fields)
     try:
-        dataset = Dataset(np.ascontiguousarray(values[:, :-1]), treatments, values[:, -1].copy())
+        return Dataset(np.ascontiguousarray(values[:, :-1]), treatments, values[:, -1].copy())
     except DcqeError as exc:
         raise IngestionError(f"{path}: {exc}") from exc
-    return dataset, _id_list(ids)
 
 
 def _check_id_alignment(reference, ids, reference_path, path) -> None:

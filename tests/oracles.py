@@ -623,32 +623,28 @@ def _parse_treatment(cell: str, row: int, column: str, path) -> int:
     )
 
 
-def cellwise_ingest_csv(path, schema) -> tuple[Dataset, list[str] | None]:
-    """Read a dataset CSV against a schema; returns the dataset and the ids."""
+def cellwise_ingest_csv(path, covariates, treatment: str, outcome: str) -> Dataset:
+    """Read a dataset CSV's ``covariates`` columns in that order and its treatment and
+    outcome columns."""
     header, rows = _read_rows(path)
     if len(rows) < 2:
         raise IngestionError(f"{path}: need at least 2 data rows, found {len(rows)}")
-    cov_idx = [_column_index(header, name, path) for name in schema.covariates]
-    z_idx = _column_index(header, schema.treatment, path)
-    y_idx = _column_index(header, schema.outcome, path)
-    id_idx = _column_index(header, schema.id_column, path) if schema.id_column else None
+    cov_idx = [_column_index(header, name, path) for name in covariates]
+    z_idx = _column_index(header, treatment, path)
+    y_idx = _column_index(header, outcome, path)
 
-    covariates = np.empty((len(rows), len(cov_idx)))
+    x = np.empty((len(rows), len(cov_idx)))
     treatments = np.empty(len(rows), dtype=np.int64)
     outcomes = np.empty(len(rows))
-    ids = [] if id_idx is not None else None
     for number, row in enumerate(rows, start=1):
         for j, idx in enumerate(cov_idx):
-            covariates[number - 1, j] = _parse_real(row[idx], number, header[idx], path)
-        treatments[number - 1] = _parse_treatment(row[z_idx], number, schema.treatment, path)
-        outcomes[number - 1] = _parse_real(row[y_idx], number, schema.outcome, path)
-        if ids is not None:
-            ids.append(row[id_idx])
+            x[number - 1, j] = _parse_real(row[idx], number, header[idx], path)
+        treatments[number - 1] = _parse_treatment(row[z_idx], number, treatment, path)
+        outcomes[number - 1] = _parse_real(row[y_idx], number, outcome, path)
     try:
-        dataset = Dataset(covariates, treatments, outcomes)
+        return Dataset(x, treatments, outcomes)
     except Exception as exc:
         raise IngestionError(f"{path}: {exc}") from exc
-    return dataset, ids
 
 
 def _check_id_alignment(reference: list[str] | None, ids: list[str] | None,

@@ -33,7 +33,7 @@ from dcqe.datamodel import SCOPE_KINDS, CollaborationScope, PartitionSpec
 from dcqe.errors import ConfigError, IngestionError
 from dcqe.experiments import ANALYSIS_MODES, ESTIMATORS, ArtificialDataConfig, ScenarioConfig
 from dcqe.runner import _available_cpus
-from dcqe.tabular import TabularSchema, ingest_csv, load_party_files
+from dcqe.tabular import ingest_csv, load_party_files
 
 
 def write_config(path, text):
@@ -152,11 +152,9 @@ def write_rows(path, rows, header=NSW_HEADER):
     return path
 
 
-SCHEMA = TabularSchema(
-    covariates=("age", "education", "married", "nodegree", "black", "hispanic", "re74", "re75"),
-    treatment="treatment",
-    outcome="re78",
-)
+# ingest_csv's covariates, treatment and outcome for NSW_HEADER files
+COLUMNS = (("age", "education", "married", "nodegree", "black", "hispanic", "re74", "re75"),
+           "treatment", "re78")
 
 
 class TestIngestCsv:
@@ -166,9 +164,8 @@ class TestIngestCsv:
             "0,38,9,1,1,0,0,12000.0,13000.0,14000.0",
             "0,44,16,1,0,0,1,9000.0,9500.0,9800.0",
         ])
-        data, ids = ingest_csv(path, SCHEMA)
+        data = ingest_csv(path, *COLUMNS)
         assert data.covariates.shape == (3, 8)
-        assert ids is None
         np.testing.assert_array_equal(data.treatments, [1, 0, 0])
         assert data.outcomes[0] == 4000.25
 
@@ -178,12 +175,12 @@ class TestIngestCsv:
             "2,38,9,1,1,0,0,12000.0,13000.0,14000.0",
         ])
         with pytest.raises(IngestionError, match="row 2"):
-            ingest_csv(path, SCHEMA)
+            ingest_csv(path, *COLUMNS)
 
     def test_missing_column_named(self, tmp_path):
         path = write_rows(tmp_path / "d.csv", ["1,2,3", "0,4,5"], header="treatment,age,re78")
         with pytest.raises(IngestionError, match="education"):
-            ingest_csv(path, SCHEMA)
+            ingest_csv(path, *COLUMNS)
 
     def test_unparseable_cell_reports_coordinates(self, tmp_path):
         path = write_rows(tmp_path / "d.csv", [
@@ -191,7 +188,7 @@ class TestIngestCsv:
             "0,38,not-a-number,1,1,0,0,12000.0,13000.0,14000.0",
         ])
         with pytest.raises(IngestionError, match="row 2.*education"):
-            ingest_csv(path, SCHEMA)
+            ingest_csv(path, *COLUMNS)
 
     def test_nan_cell_rejected(self, tmp_path):
         path = write_rows(tmp_path / "d.csv", [
@@ -199,7 +196,7 @@ class TestIngestCsv:
             "0,38,9,1,1,0,0,nan,13000.0,14000.0",
         ])
         with pytest.raises(IngestionError, match="row 2"):
-            ingest_csv(path, SCHEMA)
+            ingest_csv(path, *COLUMNS)
 
     def test_ragged_row_rejected(self, tmp_path):
         path = write_rows(tmp_path / "d.csv", [
@@ -207,16 +204,16 @@ class TestIngestCsv:
             "0,38,9,1,1",
         ])
         with pytest.raises(IngestionError, match="row 2"):
-            ingest_csv(path, SCHEMA)
+            ingest_csv(path, *COLUMNS)
 
     def test_single_row_rejected(self, tmp_path):
         path = write_rows(tmp_path / "d.csv", ["1,25,12,0,0,1,0,0.0,1500.5,4000.25"])
         with pytest.raises(IngestionError, match="at least 2"):
-            ingest_csv(path, SCHEMA)
+            ingest_csv(path, *COLUMNS)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(IngestionError, match="not found"):
-            ingest_csv(tmp_path / "absent.csv", SCHEMA)
+            ingest_csv(tmp_path / "absent.csv", *COLUMNS)
 
 
 def write_party_grid(tmp_path, permute_ids=False):
@@ -486,8 +483,7 @@ class TestIngestionFidelity:
         rows = [f"1,{values[0]!r},{values[1]!r},3000.5",
                 f"0,{values[2]!r},{values[3]!r},{values[4]!r}"]
         path = write_rows(tmp_path / "d.csv", rows, header="treatment,a,b,re78")
-        schema = TabularSchema(covariates=("a", "b"), treatment="treatment", outcome="re78")
-        data, _ = ingest_csv(path, schema)
+        data = ingest_csv(path, ("a", "b"), "treatment", "re78")
         assert data.covariates[0, 0] == values[0]
         assert data.covariates[0, 1] == values[1]
         assert data.covariates[1, 0] == values[2]

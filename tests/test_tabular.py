@@ -1,8 +1,8 @@
 """The CSV reader, on both of its paths, against the cell-by-cell loaders.
 
 A plain file is parsed by numpy's C reader and any other file cell by cell;
-either way the result must be the same arrays bit for bit, the same ids,
-and, for a bad file, the same error message naming the same cell.
+either way the result must be the same arrays bit for bit and, for a bad
+file, the same error message naming the same cell.
 """
 
 import multiprocessing
@@ -21,10 +21,9 @@ import oracles
 from dcqe import runner, tabular
 from dcqe.datamodel import PartitionSpec
 from dcqe.errors import IngestionError
-from dcqe.tabular import TabularSchema, ingest_csv, load_party_files
+from dcqe.tabular import ingest_csv, load_party_files
 
-SCHEMA = TabularSchema(covariates=("b", "a"), treatment="treatment", outcome="y",
-                       id_column="id")
+COLUMNS = (("b", "a"), "treatment", "y")  # ingest_csv's covariates, treatment and outcome
 HEADER = "id,a,treatment,b,y"
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
@@ -104,6 +103,17 @@ def assert_same_dataset(new, old):
     assert_same_array(new.outcomes, old.outcomes)
 
 
+def assert_same_outcome(new, old):
+    """The same message, or the same dataset and, from ``load_party_files``, the same spec."""
+    if isinstance(old, str):
+        assert new == old
+    elif isinstance(old, tuple):
+        assert_same_dataset(new[0], old[0])
+        assert new[1] == old[1]
+    else:
+        assert_same_dataset(new, old)
+
+
 def write(directory, name, header, lines, layout=("\n", True)):
     ending, final = layout
     path = Path(directory) / name
@@ -115,18 +125,14 @@ def write(directory, name, header, lines, layout=("\n", True)):
 class TestIngestCsvMatchesCellwise:
     @settings(max_examples=150, deadline=None)
     @given(st.data(), st.integers(1, 12), st.sampled_from([0.0, 0.02, 0.1]))
-    def test_same_arrays_ids_or_message(self, data, n, bad_rate):
+    def test_same_arrays_or_message(self, data, n, bad_rate):
         ids = [f"s{i}" for i in range(n)]
         lines, layout = data.draw(csv_files(["id", "a", "z", "b", "y"], ids, bad_rate))
         with tempfile.TemporaryDirectory() as directory:
             path = write(directory, "d.csv", HEADER, lines, layout)
-            new = outcome(ingest_csv, path, SCHEMA)
-            old = outcome(oracles.cellwise_ingest_csv, path, SCHEMA)
-        if isinstance(old, str):
-            assert new == old
-        else:
-            assert_same_dataset(new[0], old[0])
-            assert new[1] == old[1]
+            new = outcome(ingest_csv, path, *COLUMNS)
+            old = outcome(oracles.cellwise_ingest_csv, path, *COLUMNS)
+        assert_same_outcome(new, old)
 
     def test_fast_path_parses_every_form(self, tmp_path):
         path = write(tmp_path, "d.csv", HEADER, [
@@ -134,10 +140,9 @@ class TestIngestCsvMatchesCellwise:
             'q,\t2.5E-3,0,  1_000  ,"+7"',
             'r,4.9e-324, 1 ,-1e308,1e-320',
         ])
-        new, old = ingest_csv(path, SCHEMA), oracles.cellwise_ingest_csv(path, SCHEMA)
-        assert_same_dataset(new[0], old[0])
-        assert new[1] == old[1] == ["p", "q", "r"]
-        assert np.signbit(new[0].covariates[0, 1])  # "-0" kept its sign
+        new, old = ingest_csv(path, *COLUMNS), oracles.cellwise_ingest_csv(path, *COLUMNS)
+        assert_same_dataset(new, old)
+        assert np.signbit(new.covariates[0, 1])  # "-0" kept its sign
 
     def test_first_bad_cell_in_row_order_is_reported(self, tmp_path):
         # Row 1 is bad in column b, row 2 in column a. Schema order reads b
@@ -147,12 +152,11 @@ class TestIngestCsvMatchesCellwise:
             "p,1,0,1,oops",
             "q,bad,1,2,3",
         ])
-        schema = TabularSchema(covariates=("a", "b"), treatment="treatment", outcome="y")
         message = "row 1, column 'b': cannot parse 'oops'"
         with pytest.raises(IngestionError, match=message):
-            ingest_csv(path, schema)
+            ingest_csv(path, ("a", "b"), "treatment", "y")
         with pytest.raises(IngestionError, match=message):
-            oracles.cellwise_ingest_csv(path, schema)
+            oracles.cellwise_ingest_csv(path, ("a", "b"), "treatment", "y")
 
     @pytest.mark.parametrize("rows, message", [
         (["p,1,0,2,inf", "q,1,1,2,3"], "row 1, column 'y': value 'inf' is not finite"),
@@ -163,10 +167,9 @@ class TestIngestCsvMatchesCellwise:
     ])
     def test_error_cases_match_cellwise(self, tmp_path, rows, message):
         path = write(tmp_path, "d.csv", "id,a,treatment,b,y", rows)
-        schema = TabularSchema(covariates=("a", "b"), treatment="treatment", outcome="y")
         for load in (ingest_csv, oracles.cellwise_ingest_csv):
             with pytest.raises(IngestionError) as caught:
-                load(path, schema)
+                load(path, ("a", "b"), "treatment", "y")
             assert message in str(caught.value)
 
 
@@ -202,11 +205,7 @@ class TestLoadPartyFilesMatchesCellwise:
                 blocks, widths, permute=permute and data.draw(st.booleans()))
             new = outcome(load_party_files, party_paths, block_paths, "id")
             old = outcome(oracles.cellwise_load_party_files, party_paths, block_paths, "id")
-        if isinstance(old, str):
-            assert new == old
-        else:
-            assert_same_dataset(new[0], old[0])
-            assert new[1] == old[1]
+        assert_same_outcome(new, old)
 
     def test_party_file_reports_row_major_first_bad_cell(self, tmp_path):
         # Column u's bad cell (row 3) comes first column by column.
@@ -247,18 +246,16 @@ class TestLoadPartyFilesMatchesCellwise:
             load_party_files({(0, 0): str(party)}, {0: str(block)}, "id")
         header = write(tmp_path, "header.csv", "treatment," + "x" * 140_000, ["0,1"])
         with pytest.raises(IngestionError, match=f"{header}: line 1: field larger than"):
-            ingest_csv(header, TabularSchema(covariates=(), treatment="treatment",
-                                             outcome="y"))
+            ingest_csv(header, (), "treatment", "y")
 
     def test_ragged_row_before_an_over_long_cell_is_reported_first(self, tmp_path):
         lines = [f"{i},1,2" for i in range(50)]
         lines[3] = "3,1"
         lines[7] = "7," + "1" * 140_000 + ",2"
         path = write(tmp_path, "d.csv", "id,treatment,y", lines)
-        schema = TabularSchema(covariates=(), treatment="treatment", outcome="y")
         for load in (ingest_csv, oracles.cellwise_ingest_csv):
             with pytest.raises(IngestionError, match=f"^{path}: row 4 has 2 cells, header has 3"):
-                load(path, schema)
+                load(path, (), "treatment", "y")
 
     @pytest.mark.parametrize("bad", ["party", "labels", "dataset"])
     def test_file_that_is_not_utf8_names_the_file(self, tmp_path, bad):
@@ -269,8 +266,7 @@ class TestLoadPartyFilesMatchesCellwise:
         target.write_bytes(target.read_bytes().replace(b"2", b"\xff", 1))
         with pytest.raises(IngestionError, match=f"^{target}: 'utf-8' codec can't decode"):
             if bad == "dataset":
-                ingest_csv(dataset, TabularSchema(covariates=("u",), treatment="treatment",
-                                                  outcome="y"))
+                ingest_csv(dataset, ("u",), "treatment", "y")
             else:
                 load_party_files({(0, 0): str(party)}, {0: str(block)}, "id")
 
@@ -329,22 +325,15 @@ class TestPlainFileReader:
         party = write(tmp_path, "party.csv", "id,u,v", [f"a,{cell},2", "b,4,5", "c,7,8"])
         dataset = write(tmp_path, "d.csv", "u,treatment,y,id", ["1,0,2,a", f"{cell},1,3,b"])
         for path in (block, party, dataset):
-            assert tabular._read_table(path)[2]  # a plain file
-        schema = TabularSchema(covariates=("u",), treatment="treatment", outcome="y",
-                               id_column="id")
+            assert tabular._read_table(path)[2] is not None  # a plain file
         for load, oracle, args in [
             (load_party_files, oracles.cellwise_load_party_files,
              ({(0, 0): str(party)}, {0: str(block)}, "id")),
             (load_party_files, oracles.cellwise_load_party_files,
              ({(0, 0): str(party)}, {0: str(block)})),
-            (ingest_csv, oracles.cellwise_ingest_csv, (dataset, schema)),
+            (ingest_csv, oracles.cellwise_ingest_csv, (dataset, ("u",), "treatment", "y")),
         ]:
-            new, old = outcome(load, *args), outcome(oracle, *args)
-            if isinstance(old, str):
-                assert new == old
-            else:
-                assert_same_dataset(new[0], old[0])
-                assert new[1] == old[1]
+            assert_same_outcome(outcome(load, *args), outcome(oracle, *args))
 
     @pytest.mark.parametrize("blank", [" ", "\t", ""])
     def test_blank_line_in_a_one_column_file_matches_cellwise(self, tmp_path, blank):
@@ -371,20 +360,17 @@ class TestPlainFileReader:
             rows = [f'{head},"{last}"' if quote else party[0]] + party[1:]
             party_path = write(directory, "party.csv", "id,u,v", rows, layout)
             block_path = write(directory, "labels.csv", "id,treatment,outcome", labels, layout)
-            assert tabular._read_table(party_path)[2] is (not quote and layout[0] == "\n")
+            plain = tabular._read_table(party_path)[2] is not None
+            assert plain is (not quote and layout[0] == "\n")
             results.append(load_party_files({(0, 0): str(party_path)}, {0: str(block_path)},
                                             "id"))
-            schema = TabularSchema(covariates=("u", "v"), treatment="treatment",
-                                   outcome="outcome", id_column="id")
             merged = [f"{p},{l.split(',', 1)[1]}" for p, l in zip(rows, labels)]
             results.append(ingest_csv(write(directory, "d.csv", "id,u,v,treatment,outcome",
-                                            merged, layout), schema))
+                                            merged, layout), ("u", "v"), "treatment", "outcome"))
         plain_party, plain_dataset, quoted_party, quoted_dataset = results
-        assert_same_dataset(plain_party[0], quoted_party[0])
-        assert plain_party[1] == quoted_party[1]
-        assert_same_dataset(plain_dataset[0], quoted_dataset[0])
-        assert plain_dataset[1] == quoted_dataset[1] == ids
-        assert np.array_equal(plain_dataset[0].covariates, values[:, :2])
+        assert_same_outcome(plain_party, quoted_party)
+        assert_same_dataset(plain_dataset, quoted_dataset)
+        assert np.array_equal(plain_dataset.covariates, values[:, :2])
 
 
 # ODD_CELLS that pass the ASCII, no-whitespace gate, and treatment cells that
@@ -439,18 +425,14 @@ class TestAsciiRoute:
                             ascii_lines(rng, ["id", "x", "z", "x", "x"],
                                         [f"s{i}" for i in range(blocks[0])], bad_rate))
             for path in [dataset, *party_paths.values(), *block_paths.values()]:
-                assert tabular._read_table(path)[3][3] is False  # the ASCII route
+                assert tabular._read_table(path)[2][3] is False  # the ASCII route
             results = [(outcome(load_party_files, party_paths, block_paths, "id"),
                         outcome(oracles.cellwise_load_party_files, party_paths, block_paths,
                                 "id")),
-                       (outcome(ingest_csv, dataset, SCHEMA),
-                        outcome(oracles.cellwise_ingest_csv, dataset, SCHEMA))]
+                       (outcome(ingest_csv, dataset, *COLUMNS),
+                        outcome(oracles.cellwise_ingest_csv, dataset, *COLUMNS))]
         for new, old in results:
-            if isinstance(old, str):
-                assert new == old
-            else:
-                assert_same_dataset(new[0], old[0])
-                assert new[1] == old[1]
+            assert_same_outcome(new, old)
 
 
 def small_grid(directory):
