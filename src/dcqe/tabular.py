@@ -8,11 +8,10 @@ column they were found at (rows counted from 1, excluding the header).
 A file is read once, as bytes. One without quotes, carriage returns, NULs or
 invalid UTF-8 is indexed with numpy: its newlines and commas tell whether it is
 plain, with no blank line, every line of the header's cell count and within
-``csv.field_size_limit()``; ``_read_table`` keeps the byte index of a plain file
-only. A plain file's reals go through numpy's C reader, and its id and treatment
-cells are cut out as byte runs, stripped only in a file with non-ASCII or
-whitespace bytes. Other files, and plain ones with a cell numpy rejects or a
-non-finite value, go cell by cell through ``csv.reader`` and
+``csv.field_size_limit()``. A plain file's reals go through numpy's C reader,
+and its id and treatment cells are cut out as byte runs, stripped only in a file
+with non-ASCII or whitespace bytes. Other files, and plain ones with a cell numpy
+rejects or a non-finite value, go cell by cell through ``csv.reader`` and
 ``float(cell.strip())``, which numpy matches on every cell it accepts. Each row
 block of ``load_party_files`` is read in a fork-runner worker; errors are those
 of a serial read: a ragged row before any cell is parsed, then the first bad cell
@@ -87,11 +86,6 @@ def _column(index, idx: int) -> bytes:
     run[stops - 1] = 10
     run = run.tobytes()
     return "\n".join(map(str.strip, run.decode().split("\n"))).encode() if strip else run
-
-
-def _id_list(ids):
-    """Ids as a list of strings; a plain file gives them as one byte string of lines."""
-    return ids.decode().split("\n")[:-1] if isinstance(ids, bytes) else ids
 
 
 def _column_index(header: list[str], name: str, path) -> int:
@@ -180,9 +174,11 @@ def ingest_csv(path, covariates: tuple[str, ...], treatment: str, outcome: str) 
 
 
 def _check_id_alignment(reference, ids, reference_path, path) -> None:
+    """Ids are lists of strings; a plain file gives them as one byte string of lines."""
     if reference is None or ids is None or reference == ids:
         return
-    for row, (a, b) in enumerate(zip(_id_list(reference), _id_list(ids)), start=1):
+    lists = [x.decode().split("\n")[:-1] if isinstance(x, bytes) else x for x in (reference, ids)]
+    for row, (a, b) in enumerate(zip(*lists), start=1):
         if a != b:
             raise IngestionError(
                 f"{path}: row {row}: id {b!r} does not match {a!r} in {reference_path}"
