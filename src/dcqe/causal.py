@@ -147,18 +147,19 @@ def estimate_ipw(scores, treatments, outcomes, estimand: str) -> float:
     over all subjects, with zero weight on the other group. A value that
     overflows is returned without a warning.
     """
-    return _ipw_estimate(ipw_weights(scores, treatments, estimand), treatments, outcomes)
+    weights = ipw_weights(scores, treatments, estimand)
+    return _ipw_estimate(weights, treatments,
+                         ensure_vector(outcomes, "outcomes", length=weights.shape[0]))
 
 
 def _ipw_estimate(weights, treatments, outcomes, counts=None) -> float:
-    """``estimate_ipw`` from ``ipw_weights``' weights and checked treatments, and row counts."""
+    """``estimate_ipw`` from ``ipw_weights``' weights, checked treatments and outcomes, counts."""
     treated = np.asarray(treatments) == 1
-    y = ensure_vector(outcomes, "outcomes", length=weights.shape[0])
     weights = weights * _counts(counts, weights.shape[0])
     wt = np.where(treated, weights, 0.0)
     wc = np.where(treated, 0.0, weights)
     with np.errstate(over="ignore", invalid="ignore"):
-        return float((wt * y).sum() / wt.sum() - (wc * y).sum() / wc.sum())
+        return float((wt * outcomes).sum() / wt.sum() - (wc * outcomes).sum() / wc.sum())
 
 
 def matched_sample(matching: MatchingResult, estimand: str,

@@ -25,7 +25,8 @@ from pathlib import Path
 from .datamodel import CollaborationScope, PartitionSpec
 from .errors import ConfigError, DcqeError, IngestionError, InvalidDataError
 from .experiments import ScenarioConfig, ScenarioResult, ArtificialDataConfig, \
-    generate_artificial, run_experiment_one, run_experiment_two, run_scenario
+    check_replicates_and_seed, generate_artificial, run_experiment_one, run_experiment_two, \
+    run_scenario
 from .tabular import load_party_files
 
 EXIT_OK = 0
@@ -239,13 +240,8 @@ def parse_config(path, command: str = "simulate",
         raise ConfigError(f"suite: dcqe evaluate runs {EXPERIMENT_TWO}, got {settings['suite']!r}")
     if mode == "run" and not {"run.party.#.#", "run.block.#"} <= set(map(_row, settings)):
         raise ConfigError("run command needs run.party.<k>.<l> and run.block.<k> keys")
-    # ScenarioConfig's rules for the two values every mode reads; the other
-    # modes build their scenarios only after generating or reading data.
-    if settings["bootstrap.replicates"] < 1:
-        raise ConfigError("bootstrap replicate count must be at least 1, "
-                          f"got {settings['bootstrap.replicates']}")
-    if settings["seed"] < 0:
-        raise ConfigError(f"master seed must be non-negative, got {settings['seed']}")
+    # Every mode reads these two; most build their ScenarioConfig only after reading data.
+    check_replicates_and_seed(settings["bootstrap.replicates"], settings["seed"])
     return RunConfig(command, mode, settings, data, scenario)
 
 

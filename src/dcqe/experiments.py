@@ -51,6 +51,14 @@ def derive_seed(*parts: int) -> int:
     return int(seq.generate_state(1, np.uint64)[0])
 
 
+def check_replicates_and_seed(replicates: int, seed: int) -> None:
+    """The rules of a bootstrap replicate count and a master seed; ``ConfigError`` if broken."""
+    if replicates < 1:
+        raise ConfigError(f"bootstrap replicate count must be at least 1, got {replicates}")
+    if seed < 0:
+        raise ConfigError(f"master seed must be non-negative, got {seed}")
+
+
 @dataclass(frozen=True)
 class ArtificialDataConfig:
     """Settings for the synthetic benchmark generator; invalid ones raise ``ConfigError``."""
@@ -131,11 +139,7 @@ class ScenarioConfig:
             raise ConfigError(f"unknown estimator {self.estimator!r}")
         if self.estimand not in ESTIMANDS:
             raise ConfigError(f"unknown estimand {self.estimand!r}")
-        if self.bootstrap_replicates < 1:
-            raise ConfigError(
-                f"bootstrap replicate count must be at least 1, got {self.bootstrap_replicates}")
-        if self.master_seed < 0:
-            raise ConfigError(f"master seed must be non-negative, got {self.master_seed}")
+        check_replicates_and_seed(self.bootstrap_replicates, self.master_seed)
         if self.benchmark is not None and not np.isfinite(self.benchmark):
             raise ConfigError(f"benchmark must be finite, got {self.benchmark!r}")
         sub_spec = scoped_partition(self.partition, self.scope)[0]
@@ -227,6 +231,11 @@ def _default_label(config: ScenarioConfig) -> str:
     return _SCOPE_LABELS[config.scope.kind]
 
 
+def _two_per_group(treated: int, count: int) -> bool:
+    """Whether a sample can be run: balance needs two subjects in each treatment group."""
+    return 2 <= treated <= count - 2
+
+
 def _worker_count(count: int) -> int:
     """Bootstrap workers: ``runner._worker_count(count)``, but one while a caller has rebound
     a function a run calls by name (a tracer or a mock: its records would stay in a worker)."""
@@ -241,13 +250,13 @@ def run_scenario(data: Dataset, config: ScenarioConfig,
     Replicate ``b`` draws its own random stream from ``(master_seed, 1 + b)``;
     the no-resample point run uses ``(master_seed, 0)``. A run works on its
     distinct (row block, subject) units, each weighted by how often its block
-    drew it, and the point run has one unit per row. Resamples that lose a
-    treatment group are redrawn; a scope whose subjects all share one
-    treatment raises ``InvalidDataError`` before any run. With ``resample``
-    disabled every replicate equals the point run, so the bootstrap mean
-    equals the point estimate. Every number the result reports is checked
-    once, at the end: the first that is not finite, for example an SE that
-    overflows, raises ``InvalidDataError`` naming it.
+    drew it, and the point run has one unit per row. The scope and every
+    resample need two subjects in each treatment group: a scope without them
+    raises ``InvalidDataError`` before any run, and such a resample is
+    redrawn. With ``resample`` disabled every replicate equals the point run,
+    so the bootstrap mean equals the point estimate. Every number the result
+    reports is checked once, at the end: the first that is not finite, for
+    example an SE that overflows, raises ``InvalidDataError`` naming it.
 
     A scope that covers every row, or every column, reads the dataset's
     arrays without copying them. The runs are split over forked workers, one
@@ -275,9 +284,11 @@ def run_scenario(data: Dataset, config: ScenarioConfig,
     y_all = data.outcomes[in_scope]
     label = config.collaboration_label or _default_label(config)
     treated = int(z_all.sum())
-    if treated in (0, n_scope):
-        raise InvalidDataError(f"collaboration {label}: the scope's {n_scope} subjects include no "
-                               + ("treated" if treated == 0 else "control") + " subject")
+    if not _two_per_group(treated, n_scope):
+        size = min(treated, n_scope - treated)
+        group = "treated" if size == treated else "control"
+        raise InvalidDataError(f"collaboration {label}: the scope's {n_scope} subjects include "
+                               f"{'only one' if size else 'no'} {group} subject")
 
     true_sub = None if true_scores is None else \
         ensure_vector(true_scores, "true_scores", length=data.subject_count)[in_scope]
@@ -292,15 +303,13 @@ def run_scenario(data: Dataset, config: ScenarioConfig,
         rng = np.random.default_rng(np.random.SeedSequence((config.master_seed, seed_index)))
         anchor_seed = int(rng.integers(0, 2**63))
         if seed_index > 0:  # a bootstrap replicate; run 0 is the point run
-            # Redraw when a group vanishes; a single-subject group is also
-            # rejected because group variances (balance) are undefined there.
             for _ in range(_MAX_REDRAWS):
                 idx = rng.integers(0, n_scope, size=n_scope)
-                drawn = int(z_all[idx].sum())
-                if 2 <= drawn <= n_scope - 2:
+                if _two_per_group(int(z_all[idx].sum()), n_scope):
                     break
             else:
-                raise DcqeError("bootstrap resampling kept losing a treatment group")
+                raise DcqeError(f"collaboration {label}: bootstrap resampling kept drawing fewer "
+                                "than two subjects of a treatment group")
         else:
             idx = np.arange(n_scope)
         # The run's units: its distinct (row block, subject) pairs, in block and

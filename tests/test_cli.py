@@ -427,6 +427,24 @@ class TestMainExitCodes:
             "error: collaboration CA: the scope's 3 subjects include no treated subject\n"
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("seed, group", [(0, "treated"), (1, "control")])
+    @pytest.mark.parametrize("extra", ["", "estimation.estimator = PSM\n",
+                                       "estimation.estimator = PSM\nbootstrap.resample = false\n"],
+                             ids=["ipw", "psm", "psm-without-resampling"])
+    def test_scope_with_one_subject_in_a_group_exits_runtime_naming_it(self, tmp_path, capsys,
+                                                                       seed, group, extra):
+        # Every resample needs two subjects per group, and so does the scope, even
+        # when no resample is drawn.
+        config = write_config(tmp_path / "c.conf", "data.subjects = 12\n"
+                              "partition.row_blocks = 3,9\nscope.kind = top\n"
+                              f"analysis = centralized\nbootstrap.replicates = 2\nseed = {seed}\n"
+                              + extra)
+        code = main(["simulate", "--config", str(config), "--out", str(tmp_path / "out")])
+        assert code == EXIT_RUNTIME
+        assert capsys.readouterr().err == \
+            f"error: collaboration CA: the scope's 3 subjects include only one {group} subject\n"
+        assert not (tmp_path / "out").exists()
+
     def test_impossible_size_exits_runtime_without_traceback(self, tmp_path):
         # numpy rejects the shape before it allocates anything.
         config = write_config(tmp_path / "c.conf",

@@ -247,6 +247,30 @@ class TestScopeWithOneTreatmentGroup:
         with pytest.raises(InvalidDataError, match=message):
             run_scenario(data, config)
 
+    @pytest.mark.parametrize("treatments, group", [
+        ([1, 0, 1, 0, 1, 0], "control"),
+        ([0, 1, 0, 1, 0, 1], "treated"),
+    ], ids=["one-control", "one-treated"])
+    def test_one_subject_in_a_group_rejected_even_without_resampling(self, treatments, group):
+        # A resample needs two subjects per group, and so does the scope.
+        rng = np.random.default_rng(0)
+        data = Dataset(rng.normal(size=(6, 2)), treatments, rng.normal(size=6))
+        spec = PartitionSpec((3, 3), (1, 1))
+        config = ScenarioConfig(partition=spec, scope=CollaborationScope.build("top", spec),
+                                analysis="centralized", estimator="PSM", resample=False,
+                                collaboration_label="T-top")
+        message = f"^collaboration T-top: the scope's 3 subjects include only one {group} subject$"
+        with pytest.raises(InvalidDataError, match=message):
+            run_scenario(data, config)
+
+    def test_redraw_cap_names_the_collaboration_and_the_rule(self, monkeypatch):
+        monkeypatch.setattr(experiments, "_MAX_REDRAWS", 0)  # no resample is kept
+        data, _ = generate_artificial(ArtificialDataConfig(subjects=80, seed=4))
+        message = ("^collaboration W-all: bootstrap resampling kept drawing fewer than two "
+                   "subjects of a treatment group$")
+        with pytest.raises(DcqeError, match=message):
+            run_scenario(data, small_scenario(bootstrap_replicates=1, collaboration_label="W-all"))
+
 
 class TestReportedNumbersAreFinite:
     """``run_scenario`` checks every number it reports, once, and names the first
@@ -344,13 +368,14 @@ class TestReferenceScenario:
         data, true_scores = generate_artificial(ArtificialDataConfig(subjects=200, seed=0))
         package_pairs = []
 
-        def recorded(scores, treatments):  # rebinding keeps the runs in this process, in order
+        def recorded(scores, treatments):
             matching = match_pairs(scores, treatments)
             package_pairs.append(matching.pairs)
             return matching
 
         match_pairs = experiments.match_pairs
         monkeypatch.setattr(experiments, "match_pairs", recorded)
+        monkeypatch.setattr(runner, "_available_cpus", lambda: 1)  # runs here, in order
         gaps, moved, shared = {}, [], 0
         for case, (analysis, estimator, estimand, scope, width) in enumerate(self.CASES):
             config = ScenarioConfig(
@@ -360,6 +385,7 @@ class TestReferenceScenario:
             package_pairs.clear()
             result = run_scenario(data, config, true_scores)
             reference = oracles.reference_scenario(data, config, true_scores)
+            assert len(package_pairs) == (len(reference["runs"]) if estimator == "PSM" else 0)
             sub_spec = scoped_partition(self.SPEC, scope)[0]
             blocks = sub_spec.row_blocks if analysis == "dcqe" else (sub_spec.subject_count,)
             for run, theirs in enumerate(reference["runs"]):
@@ -601,6 +627,7 @@ class TestParallelReplicates:
             return original(*args)
 
         monkeypatch.setattr(experiments, "ipw_weights", counting)
+        monkeypatch.setattr(runner, "_available_cpus", lambda: 1)  # the runs record here
         run_scenario(data, small_scenario(bootstrap_replicates=3))
         assert len(calls) == 4
 
@@ -702,12 +729,13 @@ class TestAlignmentRank:
             shapes.append(np.shape(a))
             return svd(a, *args, **kwargs)
 
-        def recording_fit(reps, collaborative_dim):  # a rebound name also keeps the runs serial
+        def recording_fit(reps, collaborative_dim):
             widths.append(sum(anchor.shape[1] for row in reps for _, anchor in row))
             return fit(reps, collaborative_dim)
 
         monkeypatch.setattr(np.linalg, "svd", recording_svd)
         monkeypatch.setattr(experiments, "fit_integration", recording_fit)
+        monkeypatch.setattr(runner, "_available_cpus", lambda: 1)  # the runs record here
         data, true_scores = generate_artificial(ArtificialDataConfig(subjects=4000, seed=2))
         spec = PartitionSpec((2000, 2000), (3, 3))
         config = ScenarioConfig(partition=spec, scope=CollaborationScope.build("whole", spec),
@@ -720,7 +748,8 @@ class TestAlignmentRank:
 
 class TestPublicProtocolIsThePipeline:
     def test_hand_built_grid_matches_the_run_bit_for_bit(self, monkeypatch):
-        # Rebinding the two names records what a run passes and also keeps it serial.
+        # Rebinding the two names records what the one run passes: with ``resample`` off
+        # the point run is the only run, made here whatever the worker count.
         anchors, assembled = [], []
         anchor_fn, assemble_fn = experiments.generate_anchor, experiments.assemble_collaborative
 
