@@ -428,9 +428,9 @@ class TestMainExitCodes:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("seed, group", [(0, "treated"), (1, "control")])
-    @pytest.mark.parametrize("extra", ["", "estimation.estimator = PSM\n",
-                                       "estimation.estimator = PSM\nbootstrap.resample = false\n"],
-                             ids=["ipw", "psm", "psm-without-resampling"])
+    @pytest.mark.parametrize("extra", [
+        "", "estimation.estimator = PSM\nbootstrap.resample = false\n",
+    ], ids=["ipw", "psm-without-resampling"])
     def test_scope_with_one_subject_in_a_group_exits_runtime_naming_it(self, tmp_path, capsys,
                                                                        seed, group, extra):
         # Every resample needs two subjects per group, and so does the scope, even

@@ -233,9 +233,11 @@ class TestScenarioSizes:
 
 class TestScopeWithOneTreatmentGroup:
     @pytest.mark.parametrize("treatments, missing", [
-        ([1, 1, 1, 0, 1, 0], "control"),
-        ([0, 0, 0, 1, 0, 1], "treated"),
-    ], ids=["no-control", "no-treated"])
+        ([1, 1, 1, 0, 1, 0], "no control"),
+        ([0, 0, 0, 1, 0, 1], "no treated"),
+        ([1, 0, 1, 0, 1, 0], "only one control"),  # balance needs two subjects per group
+        ([0, 1, 0, 1, 0, 1], "only one treated"),
+    ], ids=["no-control", "no-treated", "one-control", "one-treated"])
     def test_rejected_before_any_run(self, treatments, missing):
         rng = np.random.default_rng(0)
         data = Dataset(rng.normal(size=(6, 2)), treatments, rng.normal(size=6))
@@ -243,23 +245,7 @@ class TestScopeWithOneTreatmentGroup:
         config = ScenarioConfig(partition=spec, scope=CollaborationScope.build("top", spec),
                                 analysis="centralized", bootstrap_replicates=2,
                                 collaboration_label="T-top")
-        message = f"^collaboration T-top: the scope's 3 subjects include no {missing} subject$"
-        with pytest.raises(InvalidDataError, match=message):
-            run_scenario(data, config)
-
-    @pytest.mark.parametrize("treatments, group", [
-        ([1, 0, 1, 0, 1, 0], "control"),
-        ([0, 1, 0, 1, 0, 1], "treated"),
-    ], ids=["one-control", "one-treated"])
-    def test_one_subject_in_a_group_rejected_even_without_resampling(self, treatments, group):
-        # A resample needs two subjects per group, and so does the scope.
-        rng = np.random.default_rng(0)
-        data = Dataset(rng.normal(size=(6, 2)), treatments, rng.normal(size=6))
-        spec = PartitionSpec((3, 3), (1, 1))
-        config = ScenarioConfig(partition=spec, scope=CollaborationScope.build("top", spec),
-                                analysis="centralized", estimator="PSM", resample=False,
-                                collaboration_label="T-top")
-        message = f"^collaboration T-top: the scope's 3 subjects include only one {group} subject$"
+        message = f"^collaboration T-top: the scope's 3 subjects include {missing} subject$"
         with pytest.raises(InvalidDataError, match=message):
             run_scenario(data, config)
 
