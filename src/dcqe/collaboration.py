@@ -24,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InvalidDataError
-from .numerics import _pca, _project, ensure_matrix, pseudoinverse, svd_truncated
+from .numerics import _columns, _pca, _project, pseudoinverse, svd_truncated
 
 
 def generate_anchor(col_ranges: Sequence[tuple[float, float]], r: int, seed: int) -> np.ndarray:
@@ -45,7 +45,9 @@ def generate_anchor(col_ranges: Sequence[tuple[float, float]], r: int, seed: int
                                "its max - min overflows")
     if r < 1:
         raise InvalidDataError(f"anchor size must be positive, got {r}")
-    return np.random.default_rng(seed).uniform(lows, highs, size=(int(r), ranges.shape[0]))
+    anchor = np.random.default_rng(seed).random((int(r), ranges.shape[0]))
+    # numpy's uniform(lows, highs), bit for bit: lows + (highs - lows) * random(), in place.
+    return np.add(np.multiply(anchor, highs - lows, out=anchor), lows, out=anchor)
 
 
 # A party's shared pair: its reduced data block and the reduced image of its anchor block.
@@ -60,20 +62,20 @@ def make_intermediate(covariates: np.ndarray, anchor_block: np.ndarray,
     standardization) is fitted on the party's own data only, then applied to
     both the data and the anchor block, so the anchor image lives in the
     same reduced space. Reduction must be strict: ``target_dim`` has to be
-    smaller than the block's covariate count. Both blocks are checked here;
-    the party block is standardized only once. Row ``i`` of the party block is
+    smaller than the block's covariate count. Each block is copied once; the
+    copy is checked and standardized in place. Row ``i`` of the party block is
     fitted as ``counts[i]`` equal rows (one each by default) and imaged once.
     """
-    block = ensure_matrix(anchor_block, "anchor_block")
-    covariates = ensure_matrix(covariates, "party covariates")
-    width = covariates.shape[1]
-    if block.shape[1] != width:
-        raise InvalidDataError(f"anchor block has {block.shape[1]} columns, party holds {width}")
+    block = _columns(anchor_block, "anchor_block")
+    party = _columns(covariates, "party covariates")
+    width = party.shape[0]
+    if block.shape[0] != width:
+        raise InvalidDataError(f"anchor block has {block.shape[0]} columns, party holds {width}")
     if not 1 <= target_dim < width:
         raise InvalidDataError(
             f"reduction must be strict: target_dim must be in [1, {width - 1}], got {target_dim}"
         )
-    model, standardized = _pca(covariates, target_dim, "party covariates", counts)
+    model, standardized = _pca(party, target_dim, "party covariates", counts)
     return standardized.T @ model.components, _project(model, block)
 
 

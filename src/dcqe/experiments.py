@@ -20,8 +20,8 @@ import numpy as np
 from . import runner
 from .causal import ESTIMANDS, _ipw_estimate, estimate_propensity, estimate_psm, \
     ipw_weights, match_pairs, matched_sample
-from .collaboration import assemble_collaborative, fit_integration, generate_anchor, \
-    make_intermediate
+from .collaboration import Intermediate, assemble_collaborative, fit_integration, \
+    generate_anchor, make_intermediate
 from .datamodel import CollaborationScope, Dataset, PartitionSpec, _party_blocks, \
     scoped_partition
 from .errors import ConfigError, DcqeError, InvalidDataError
@@ -299,6 +299,14 @@ def run_scenario(data: Dataset, config: ScenarioConfig,
         anchor_bounds = np.column_stack([data.covariates.min(axis=0)[cols],
                                          data.covariates.max(axis=0)[cols]])
 
+    def reduce_party(k: int, l: int, block, anchor_block, counts) -> Intermediate:
+        """``make_intermediate`` of the scope's party (k, l), a failure named by its grid place."""
+        try:
+            return make_intermediate(block, anchor_block, config.intermediate_dim, counts)
+        except InvalidDataError as exc:
+            raise InvalidDataError(f"collaboration {label}: party ({config.scope.row_indices[k]}, "
+                                   f"{config.scope.col_indices[l]}): {exc}") from exc
+
     def run_once(seed_index: int) -> _Replicate:
         rng = np.random.default_rng(np.random.SeedSequence((config.master_seed, seed_index)))
         anchor_seed = int(rng.integers(0, 2**63))
@@ -326,13 +334,13 @@ def run_scenario(data: Dataset, config: ScenarioConfig,
         if is_dcqe:
             anchor = generate_anchor(anchor_bounds, config.anchor_size, anchor_seed)
             unit_spec = PartitionSpec(tuple(h.shape[0] for h in held), sub_spec.col_blocks)
-            intermediates = [[make_intermediate(block, anchor[:, sub_spec.col_slice(l)],
-                                                config.intermediate_dim,
-                                                counts[unit_spec.row_slice(k)])
+            intermediates = [[reduce_party(k, l, block, anchor[:, sub_spec.col_slice(l)],
+                                           counts[unit_spec.row_slice(k)])
                               for l, block in enumerate(row)]
                              for k, row in enumerate(_party_blocks(scoped, unit_spec))]
             collab = assemble_collaborative(
                 intermediates, fit_integration(intermediates, config.collaborative_dim))
+            del anchor, intermediates  # not needed past here: free them before the fits
             scores = estimate_propensity(collab, z, counts)
             effective_dim = collab.shape[1]
         else:

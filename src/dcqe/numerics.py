@@ -16,6 +16,8 @@ Kernels that reduce over the subjects copy their tall subjects x variables
 input once into a C-contiguous variables x subjects array and reduce along
 its rows: an ``axis=0`` reduction walks a row-major array one short row at
 a time, several times slower, and its bits depend on the input's layout.
+The PCA kernels check that copy (``_columns``), not the caller's strided
+view, and standardize it in place: it is the check and the buffer both.
 
 Kernels that fit to rows take optional row counts: row ``i`` stands for
 ``counts[i]`` equal rows, one each by default. A bootstrap replicate runs on
@@ -136,46 +138,53 @@ def pca_fit(data: Matrix, target_dim: int) -> PcaModel:
     ``DEGENERATE_STDDEV`` get a divisor of 1.0; a column whose mean or
     standard deviation overflows raises ``InvalidDataError``.
     """
-    return _pca(ensure_matrix(data), target_dim)[0]
+    return _pca(_columns(data), target_dim)[0]
 
 
-def _pca(arr: np.ndarray, target_dim: int, name: str = "data",
+def _columns(data, name: str = "data") -> np.ndarray:
+    """``data`` checked by ``ensure_matrix``, as a new C-contiguous variables-major copy."""
+    cols = np.array(np.asarray(data, dtype=float).T, order="C")
+    ensure_matrix(cols.T, name)
+    return cols
+
+
+def _pca(cols: np.ndarray, target_dim: int, name: str = "data",
          counts=None) -> tuple[PcaModel, np.ndarray]:
-    """``pca_fit`` of a checked matrix called ``name`` with row counts, and the
-    standardized matrix, variables-major."""
-    n, m = arr.shape
+    """``pca_fit`` of ``_columns``' copy of a matrix called ``name``, with row counts;
+    returns the model and ``cols``, standardized in place."""
+    m, n = cols.shape
     c = _counts(counts, n)
     total = c.sum()
     if total < 2:
         raise InvalidDataError("pca_fit needs at least two rows")
     if not 1 <= target_dim <= m:
         raise InvalidDataError(f"target_dim must be in [1, {m}], got {target_dim}")
-    cols = np.ascontiguousarray(arr.T)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported just below
         means = (cols * c).sum(axis=1) / total
-        centered = cols - means[:, None]
-        stddevs = np.sqrt((centered * centered * c).sum(axis=1) / (total - 1))
+        cols -= means[:, None]
+        stddevs = np.sqrt((cols * cols * c).sum(axis=1) / (total - 1))
     overflowing = np.flatnonzero(~(np.isfinite(means) & np.isfinite(stddevs)))
     if overflowing.size:
         raise InvalidDataError(f"{name} column {overflowing[0]}: its mean or standard deviation "
                                "overflows a double")
     stddevs = np.where(stddevs < DEGENERATE_STDDEV, 1.0, stddevs)
-    standardized = centered / stddevs[:, None]
+    cols /= stddevs[:, None]
     # A tall block's R factor has its singular values and right vectors; gesdd
     # takes that route itself once n >= 11m/6, so there only forming U is saved.
     # Scaling row i by sqrt(c_i) gives the Gram matrix of the repeated rows.
-    weighted = (standardized * np.sqrt(c)).T
+    weighted = (cols * np.sqrt(c)).T
     factor = np.linalg.qr(weighted, mode="r") if n > m else weighted
     vt = np.linalg.svd(factor, full_matrices=target_dim > min(n, m))[2]
     components = vt[:target_dim].T.copy()
     _orient_columns(components)
-    return PcaModel(means, stddevs, components), standardized
+    return PcaModel(means, stddevs, components), cols
 
 
-def _project(model: PcaModel, arr: np.ndarray) -> np.ndarray:
-    """``make_intermediate``'s image of a checked matrix of the model's width."""
-    cols = np.ascontiguousarray(arr.T)
-    return ((cols - model.means[:, None]) / model.stddevs[:, None]).T @ model.components
+def _project(model: PcaModel, cols: np.ndarray) -> np.ndarray:
+    """``make_intermediate``'s image of ``_columns``' copy ``cols``, standardized in place."""
+    cols -= model.means[:, None]
+    cols /= model.stddevs[:, None]
+    return cols.T @ model.components
 
 
 @dataclass(frozen=True, eq=False)

@@ -11,7 +11,8 @@ Some references are earlier versions of package code, kept verbatim so that
 a rewrite for speed can be required to give bit-identical results: the
 variables-major softplus IRLS fit (``softplus_logistic_fit``) and the
 cell-by-cell CSV loaders (``cellwise_ingest_csv``,
-``cellwise_load_party_files``). The masked-branch IRLS fit with
+``cellwise_load_party_files``), and the anchor drawn by numpy's ``uniform``
+(``uniform_anchor``). The masked-branch IRLS fit with
 ``logaddexp`` (``masked_sigmoid``, ``reference_logistic_fit``) is the fit
 before that one; the package's fit stays within a stated bound of it. The
 alignment that decomposes the anchor-tall combined image and pseudo-inverts
@@ -470,6 +471,13 @@ def _propensity(features: np.ndarray, treatments: np.ndarray) -> np.ndarray:
                    *_PROPENSITY_CLIP)
 
 
+def uniform_anchor(col_ranges, r: int, seed: int) -> np.ndarray:
+    """The r x m anchor as numpy's ``uniform`` draws it, column j on ``col_ranges[j]``."""
+    ranges = np.asarray(col_ranges, dtype=float)
+    return np.random.default_rng(seed).uniform(ranges[:, 0], ranges[:, 1],
+                                               size=(r, ranges.shape[0]))
+
+
 def reference_run(data: Dataset, config, true_scores, run: int) -> dict:
     """One run of ``run_scenario``'s pipeline, from the method's steps.
 
@@ -494,8 +502,7 @@ def reference_run(data: Dataset, config, true_scores, run: int) -> dict:
     if config.analysis == "dcqe":
         lows, highs = data.covariates.min(axis=0)[cols], data.covariates.max(axis=0)[cols]
         anchor_rows = config.anchor_size or data.subject_count
-        anchor = np.random.default_rng(anchor_seed).uniform(lows, highs,
-                                                            size=(anchor_rows, cols.shape[0]))
+        anchor = uniform_anchor(np.column_stack([lows, highs]), anchor_rows, anchor_seed)
         sub_spec = PartitionSpec(tuple(spec.row_blocks[k] for k in scope.row_indices),
                                  tuple(spec.col_blocks[l] for l in scope.col_indices))
         scores = _propensity(_collaborative(scoped, sub_spec, config, anchor), z)

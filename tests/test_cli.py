@@ -607,8 +607,8 @@ class TestRunCommand:
             code = main(["run", "--config", str(config), "--out", str(tmp_path / "out")])
         err = capsys.readouterr().err
         assert code == EXIT_RUNTIME
-        assert err == ("error: party covariates column 1: its mean or standard deviation "
-                       "overflows a double\n")
+        assert err == ("error: collaboration W-clb: party (0, 0): party covariates column 1: "
+                       "its mean or standard deviation overflows a double\n")
         assert "SVD did not converge" not in err
 
     def test_overflowing_reference_fit_exits_runtime_naming_it(self, tmp_path, capsys):

@@ -1,5 +1,6 @@
 import inspect
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -16,6 +17,7 @@ from dcqe.collaboration import (
 from dcqe.datamodel import CollaborationScope, Dataset, PartitionSpec, partition, scoped_partition
 from dcqe.errors import InvalidDataError
 from dcqe.experiments import ArtificialDataConfig, generate_artificial
+from dcqe.numerics import pca_fit
 
 
 def row_anchor_image(row):
@@ -88,6 +90,23 @@ class TestGenerateAnchor:
             with pytest.raises(InvalidDataError, match=f"^{re.escape(message)}$"):
                 generate_anchor(ranges, size, seed=0)
 
+    @pytest.mark.parametrize("seed", range(30))
+    def test_bitwise_numpy_uniform(self, seed):
+        # Columns mix fixed edge ranges (zero-width, negative, +-1e300, subnormal)
+        # with random ones whose sizes span 600 orders of magnitude.
+        edges = [(0.0, 0.0), (-5.0, -5.0), (-7.5, -0.25), (-3.0, 2.0), (1e-300, 3e-300),
+                 (-1e300, 1e300), (1e300, 1e300), (-1e300, -1e299), (5e-324, 1.0)]
+        rng = np.random.default_rng(seed)
+        ranges = []
+        for _ in range(int(rng.integers(1, 9))):
+            if rng.random() < 0.5:
+                ranges.append(edges[int(rng.integers(len(edges)))])
+            else:
+                ranges.append(tuple(np.sort(rng.normal(size=2) * 10.0 ** rng.integers(-300, 300))))
+        size = int(rng.integers(1, 300))
+        ours = generate_anchor(ranges, size, seed)
+        assert ours.tobytes() == oracles.uniform_anchor(ranges, size, seed).tobytes()
+
     def test_range_wider_than_the_largest_double_rejected_without_warning(self):
         # max - min overflows although both bounds are finite; numpy's uniform
         # would raise OverflowError on it.
@@ -152,6 +171,45 @@ class TestMakeIntermediate:
             warnings.simplefilter("error")
             with pytest.raises(InvalidDataError, match="party covariates column 1: .* overflows"):
                 make_intermediate(block, np.zeros((5, 2)), 1)
+
+
+def laid_out(matrix, layout):
+    """``matrix`` as a C-ordered or F-ordered array, or as a strided view of a larger one."""
+    if layout == "strided":
+        base = np.zeros((2 * matrix.shape[0], 3 * matrix.shape[1]))
+        base[::2, 1::3] = matrix
+        return base[::2, 1::3]
+    return np.asarray(matrix, order=layout).copy(order=layout)
+
+
+class TestInputsLeftUnchanged:
+    """The kernels standardize a copy in place; the caller's arrays are never written."""
+
+    @pytest.mark.parametrize("layout", ["C", "F", "strided"])
+    def test_make_intermediate_and_pca_fit(self, layout):
+        party = laid_out(make_block(200, 3, seed=11), layout)
+        anchor_block = laid_out(make_block(300, 3, seed=12), layout)
+        party_before, anchor_before = party.copy(), anchor_block.copy()
+        make_intermediate(party, anchor_block, 2, counts=np.arange(200) % 3 + 1.0)
+        pca_fit(party, 2)
+        pca_fit(anchor_block, 3)
+        assert party.tobytes() == party_before.tobytes()
+        assert anchor_block.tobytes() == anchor_before.tobytes()
+
+    def test_one_call_allocates_about_one_copy_of_its_inputs(self):
+        # A replicate's party and anchor blocks are column views of wider arrays.
+        rng = np.random.default_rng(13)
+        party = make_block(6000, 6, seed=14)[:, :3]
+        anchor_block = rng.uniform(-3, 3, size=(16000, 6))[:, 3:]
+        counts = rng.integers(1, 4, size=6000).astype(float)
+        tracemalloc.start()
+        try:
+            data_image, anchor_image = make_intermediate(party, anchor_block, 2, counts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        inputs = party.nbytes + anchor_block.nbytes
+        assert peak - data_image.nbytes - anchor_image.nbytes <= 1.25 * inputs
 
 
 class TestFitIntegration:

@@ -82,8 +82,8 @@ class TestPca:
     def test_counts_match_repeated_rows(self, case):
         x, _, _, counts = case
         dim = x.shape[1] - 1
-        model, standardized = _pca(x, dim, counts=counts)
-        expanded, expanded_standardized = _pca(*repeated(counts, x), dim)
+        model, standardized = _pca(x.T.copy(), dim, counts=counts)
+        expanded, expanded_standardized = _pca(repeated(counts, x)[0].T.copy(), dim)
         # Components are defined only up to a gap in the spectrum below them, and
         # their signs only where one entry leads in magnitude.
         sv = np.linalg.svd(expanded_standardized, compute_uv=False)
@@ -100,7 +100,7 @@ class TestPca:
     @given(counted_rows(min_rows=2))
     def test_unit_counts_are_bitwise_the_plain_rows(self, case):
         x = case[0]
-        model, standardized = _pca(x, 1, counts=np.ones(x.shape[0]))
+        model, standardized = _pca(x.T.copy(), 1, counts=np.ones(x.shape[0]))
         means, stddevs, components, previous = previous_pca(x, 1)
         for ours, theirs in [(model.means, means), (model.stddevs, stddevs),
                              (model.components, components), (standardized, previous)]:
@@ -109,13 +109,13 @@ class TestPca:
     def test_row_count_rule_counts_the_repeated_rows(self):
         one_row = np.array([[1.0, 2.0, 3.0]])
         with pytest.raises(InvalidDataError, match="at least two rows"):
-            _pca(one_row, 1)
-        model, _ = _pca(one_row, 1, counts=[2.0])
+            _pca(one_row.T.copy(), 1)
+        model, _ = _pca(one_row.T.copy(), 1, counts=[2.0])
         assert np.array_equal(model.means, one_row[0])
 
     def test_counts_of_the_wrong_length_are_rejected(self):
         with pytest.raises(InvalidDataError, match="counts must have length 3"):
-            _pca(np.eye(3), 1, counts=[1.0, 2.0])
+            _pca(np.eye(3).T.copy(), 1, counts=[1.0, 2.0])
 
 
 class TestLogistic:
