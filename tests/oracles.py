@@ -502,7 +502,8 @@ def reference_run(data: Dataset, config, true_scores, run: int) -> dict:
     if config.analysis == "dcqe":
         lows, highs = data.covariates.min(axis=0)[cols], data.covariates.max(axis=0)[cols]
         anchor_rows = config.anchor_size or data.subject_count
-        anchor = uniform_anchor(np.column_stack([lows, highs]), anchor_rows, anchor_seed)
+        anchor = np.random.default_rng(anchor_seed).uniform(lows, highs,
+                                                            size=(anchor_rows, cols.shape[0]))
         sub_spec = PartitionSpec(tuple(spec.row_blocks[k] for k in scope.row_indices),
                                  tuple(spec.col_blocks[l] for l in scope.col_indices))
         scores = _propensity(_collaborative(scoped, sub_spec, config, anchor), z)
