@@ -179,7 +179,7 @@ def laid_out(matrix, layout):
         base = np.zeros((2 * matrix.shape[0], 3 * matrix.shape[1]))
         base[::2, 1::3] = matrix
         return base[::2, 1::3]
-    return np.asarray(matrix, order=layout).copy(order=layout)
+    return matrix.copy(order=layout)
 
 
 class TestInputsLeftUnchanged:
