@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import re
 import sys
@@ -24,7 +25,7 @@ from pathlib import Path
 
 from .datamodel import CollaborationScope, PartitionSpec
 from .errors import ConfigError, DcqeError, IngestionError, InvalidDataError
-from .experiments import ScenarioConfig, ScenarioResult, ArtificialDataConfig, \
+from .experiments import METRICS, ScenarioConfig, ScenarioResult, ArtificialDataConfig, \
     check_replicates_and_seed, generate_artificial, run_experiment_one, run_experiment_two, \
     run_scenario
 from .tabular import load_party_files
@@ -157,8 +158,9 @@ def _unread_because(row: str, settings: dict) -> str | None:
 
 
 def _row(key: str) -> str:
-    """The ``SETTINGS`` row of a key: ``run.party.0.1`` is a ``run.party.#.#``."""
-    return re.sub(r"\.\d+", ".#", key)
+    """The ``SETTINGS`` row of a key: ``run.party.0.1`` is a ``run.party.#.#``. An index is
+    written canonically, in ASCII digits without leading zeros; ``run.party.01.1`` has no row."""
+    return re.sub(r"\.(0|[1-9][0-9]*)(?=\.|$)", ".#", key)
 
 
 def _indices(key: str) -> tuple[int, ...]:
@@ -280,6 +282,9 @@ def _synthetic_scenario(s: dict) -> tuple[ArtificialDataConfig, ScenarioConfig]:
             raise ConfigError(f"partition.{axis}_blocks: sum {sum(blocks)} != data.{key} {total}")
     try:
         spec = PartitionSpec(s["partition.row_blocks"], s["partition.col_blocks"])
+    except InvalidDataError as exc:
+        raise ConfigError(f"partition: {exc}") from exc
+    try:
         scenario = _scenario(s, spec, _build_scope(s, spec), s["analysis"])
     except InvalidDataError as exc:
         raise ConfigError(f"scope: {exc}") from exc
@@ -333,31 +338,17 @@ def execute(config: RunConfig) -> list[ScenarioResult]:
 
 def _result_row(result: ScenarioResult) -> dict[str, object]:
     """One result: a results.json entry, and a results.csv row whose columns are its keys."""
-    row = {
+    return {
         "estimator": result.estimator,
         "collaboration": result.collaboration,
         "estimand": result.config.estimand,
         "analysis": result.config.analysis,
         "subjects": result.subject_count,
-        "estimate_mean": result.estimate_mean,
-        "estimate_se": result.estimate_se,
-        "point_estimate": result.point_estimate,
-        "gap": result.gap,
+        **result.numbers(),
+        "collaborative_dim": result.collaborative_dim,
+        "replicates": len(result.bootstrap_estimates),
+        "master_seed": result.config.master_seed,
     }
-    for name in ("inconsistency_true", "inconsistency_ca", "masmd"):
-        summary = getattr(result, name)
-        for stat in ("mean", "se", "point"):
-            row[f"{name}_{stat}"] = None if summary is None else getattr(summary, stat)
-    row["collaborative_dim"] = result.collaborative_dim
-    row["replicates"] = len(result.bootstrap_estimates)
-    row["master_seed"] = result.config.master_seed
-    return row
-
-
-def _mean_se(mean: float | None, se: float | None) -> str:
-    if mean is None:
-        return "n/a"
-    return f"{mean:.4f} ({se:.4f})"
 
 
 def format_table(results: list[ScenarioResult]) -> str:
@@ -367,22 +358,24 @@ def format_table(results: list[ScenarioResult]) -> str:
                "Inconsistency w/True", "Inconsistency w/CA", "MASMD"]
     rows = []
     for r in results:
-        true_summary = r.inconsistency_true
-        rows.append([
-            r.estimator,
-            r.collaboration,
-            _mean_se(r.estimate_mean, r.estimate_se),
-            "n/a" if r.gap is None else f"{r.gap:.4f}",
-            "n/a" if true_summary is None else _mean_se(true_summary.mean, true_summary.se),
-            _mean_se(r.inconsistency_ca.mean, r.inconsistency_ca.se),
-            _mean_se(r.masmd.mean, r.masmd.se),
-        ])
-    widths = [max(len(h), *(len(row[i]) for row in rows)) if rows else len(h)
-              for i, h in enumerate(headers)]
+        n = r.numbers()
+        cells = ["n/a" if n[f"{name}_mean"] is None
+                 else f"{n[f'{name}_mean']:.4f} ({n[f'{name}_se']:.4f})"
+                 for name in ("estimate", *METRICS)]
+        gap = "n/a" if n["gap"] is None else f"{n['gap']:.4f}"
+        rows.append([r.estimator, r.collaboration, cells[0], gap, *cells[1:]])
+    widths = [max([len(h)] + [len(row[i]) for row in rows]) for i, h in enumerate(headers)]
     lines = ["  ".join(h.ljust(widths[i]) for i, h in enumerate(headers)),
              "  ".join("-" * w for w in widths)]
     lines.extend("  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)) for row in rows)
     return "\n".join(lines) + "\n"
+
+
+def _csv(rows) -> str:
+    """The text of a CSV file of these rows, each line ended by a newline alone."""
+    text = io.StringIO()
+    csv.writer(text, lineterminator="\n").writerows(rows)
+    return text.getvalue()
 
 
 def emit_report(results: list[ScenarioResult], config: RunConfig) -> list[Path]:
@@ -396,47 +389,30 @@ def emit_report(results: list[ScenarioResult], config: RunConfig) -> list[Path]:
     except OSError as exc:
         raise DcqeError(f"cannot create output directory {out_dir}: {exc}") from exc
 
-    written = []
-    config_path = out_dir / "config.txt"
-    config_path.write_text(format_config(config), encoding="utf-8")
-    written.append(config_path)
     rows = [_result_row(result) for result in results]
-
+    files = {"config.txt": format_config(config)}
     if "csv" in settings["output.formats"]:
-        path = out_dir / "results.csv"
-        with path.open("w", newline="", encoding="utf-8") as handle:
-            writer = csv.writer(handle, lineterminator="\n")
-            writer.writerow(rows[0])
-            writer.writerows([_render(value) for value in row.values()] for row in rows)
-        written.append(path)
-
+        files["results.csv"] = _csv([rows[0], *([_render(value) for value in row.values()]
+                                                 for row in rows)])
     if "json" in settings["output.formats"]:
-        path = out_dir / "results.json"
         payload = {
             "command": config.command,
             "seed": settings["seed"],
             "config": _rendered(settings),
             "results": rows,
         }
-        path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
-        written.append(path)
-
+        files["results.json"] = json.dumps(payload, indent=2) + "\n"
     if "table" in settings["output.formats"]:
-        path = out_dir / "results.txt"
         header = f"# command: {config.command}  seed: {settings['seed']}\n"
-        path.write_text(header + format_table(results), encoding="utf-8")
-        written.append(path)
-
+        files["results.txt"] = header + format_table(results)
     if settings["output.dump_bootstrap"]:
-        path = out_dir / "bootstrap_estimates.csv"
-        with path.open("w", newline="", encoding="utf-8") as handle:
-            writer = csv.writer(handle, lineterminator="\n")
-            writer.writerow(["estimator", "collaboration", "replicate", "estimate"])
-            for result in results:
-                for b, est in enumerate(result.bootstrap_estimates):
-                    writer.writerow([result.estimator, result.collaboration, b, repr(float(est))])
-        written.append(path)
-    return written
+        files["bootstrap_estimates.csv"] = _csv([
+            ["estimator", "collaboration", "replicate", "estimate"],
+            *([r.estimator, r.collaboration, b, repr(float(est))]
+              for r in results for b, est in enumerate(r.bootstrap_estimates))])
+    for name, text in files.items():
+        (out_dir / name).write_text(text, encoding="utf-8", newline="")
+    return [out_dir / name for name in files]
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -36,6 +36,8 @@ _PIPELINE = {name: value for name, value in globals().items()
 
 ANALYSIS_MODES = ("dcqe", "centralized", "individual")
 ESTIMATORS = ("PSM", "IPW")
+# The metrics a scenario reports beside its effect estimate, in report order.
+METRICS = ("inconsistency_true", "inconsistency_ca", "masmd")
 
 _MAX_REDRAWS = 100
 
@@ -196,6 +198,14 @@ class ScenarioResult:
     collaborative_dim: int | None
     config: ScenarioConfig
 
+    def numbers(self) -> dict[str, float | None]:
+        """Every reported number under its ``results.csv`` column name, in column order;
+        None where the scenario has none (a gap without benchmark, or no true scores)."""
+        summaries = {f"{name}_{stat}": getattr(getattr(self, name), stat, None)
+                     for name in METRICS for stat in ("mean", "se", "point")}
+        return {"estimate_mean": self.estimate_mean, "estimate_se": self.estimate_se,
+                "point_estimate": self.point_estimate, "gap": self.gap, **summaries}
+
 
 @dataclass(frozen=True, eq=False)
 class _Replicate:
@@ -254,9 +264,10 @@ def run_scenario(data: Dataset, config: ScenarioConfig,
     resample need two subjects in each treatment group: a scope without them
     raises ``InvalidDataError`` before any run, and such a resample is
     redrawn. With ``resample`` disabled every replicate equals the point run,
-    so the bootstrap mean equals the point estimate. Every number the result
-    reports is checked once, at the end: the first that is not finite, for
-    example an SE that overflows, raises ``InvalidDataError`` naming it.
+    so the bootstrap mean equals the point estimate. The result's
+    ``numbers()`` are checked once, at the end: the first that is not finite,
+    for example an SE that overflows, raises ``InvalidDataError`` naming its
+    column.
 
     A scope that covers every row, or every column, reads the dataset's
     arrays without copying them. The runs are split over forked workers, one
@@ -390,31 +401,23 @@ def run_scenario(data: Dataset, config: ScenarioConfig,
 
     estimates = ensure_vector([r.estimate for r in replicates], "estimates")
     with np.errstate(over="ignore", invalid="ignore"):  # a number that overflows is named below
-        numbers = {
-            "point_estimate": point.estimate,
-            "estimate_mean": float(estimates.mean()),
-            "estimate_se": _sample_se(estimates),
-            "gap": gap(estimates, config.benchmark) if config.benchmark is not None else None,
-        }
-        summaries = {name: _summary(name, point, replicates)
-                     for name in ("inconsistency_true", "inconsistency_ca", "masmd")}
-    checked = dict(numbers, **{f"{name}.{stat}": getattr(summary, stat)
-                               for name, summary in summaries.items() if summary is not None
-                               for stat in ("point", "mean", "se")})
-    for name, value in checked.items():
+        result = ScenarioResult(
+            estimator=f"DC-QE({config.estimator})" if is_dcqe else config.estimator,
+            collaboration=label,
+            subject_count=n_scope,
+            point_estimate=point.estimate,
+            bootstrap_estimates=estimates,
+            estimate_mean=float(estimates.mean()),
+            estimate_se=_sample_se(estimates),
+            gap=gap(estimates, config.benchmark) if config.benchmark is not None else None,
+            **{name: _summary(name, point, replicates) for name in METRICS},
+            collaborative_dim=point.collaborative_dim,
+            config=config,
+        )
+    for name, value in result.numbers().items():
         if value is not None and not np.isfinite(value):
             raise InvalidDataError(f"{name} is not finite: {value!r}")
-
-    return ScenarioResult(
-        estimator=f"DC-QE({config.estimator})" if is_dcqe else config.estimator,
-        collaboration=label,
-        subject_count=n_scope,
-        bootstrap_estimates=estimates,
-        **numbers,
-        **summaries,
-        collaborative_dim=point.collaborative_dim,
-        config=config,
-    )
+    return result
 
 
 def _run_suite(data: Dataset, spec: PartitionSpec, layout, seed: int, seed_tag: int,

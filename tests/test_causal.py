@@ -287,3 +287,18 @@ class TestOverflowingOutcomes:
                 lambda e: estimate_ipw(self.SCORES, self.Z, y, e),
                 lambda e: estimate_psm(matching, y, e))]
         assert not np.any(np.isfinite(values))
+
+
+class TestUnknownEstimand:
+    """Every estimand-taking function names an estimand it does not know."""
+
+    MATCHING = match_pairs(np.array([0.2, 0.4, 0.6, 0.8]), np.array([1, 0, 1, 0]))
+
+    @pytest.mark.parametrize("call", [
+        lambda m: estimate_psm(m, np.zeros(4), "ATC"),
+        lambda m: ipw_weights(np.full(4, 0.5), np.array([1, 0, 1, 0]), "ATC"),
+        lambda m: matched_sample(m, "ATC"),
+    ], ids=["estimate_psm", "ipw_weights", "matched_sample"])
+    def test_rejected_by_name(self, call):
+        with pytest.raises(InvalidDataError, match="^unknown estimand 'ATC'$"):
+            call(self.MATCHING)

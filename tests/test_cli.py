@@ -30,7 +30,7 @@ from dcqe.cli import (
 )
 from dcqe.causal import ESTIMANDS
 from dcqe.datamodel import SCOPE_KINDS, CollaborationScope, PartitionSpec
-from dcqe.errors import ConfigError, IngestionError
+from dcqe.errors import ConfigError, DcqeError, IngestionError
 from dcqe.experiments import ANALYSIS_MODES, ESTIMATORS, ArtificialDataConfig, ScenarioConfig
 from dcqe.runner import _available_cpus
 from dcqe.tabular import ingest_csv, load_party_files
@@ -309,6 +309,22 @@ class TestEmitReport:
         lines = sidecar.read_text().splitlines()
         assert len(lines) == 1 + len(results[0].bootstrap_estimates)
 
+    def test_csv_columns_between_identity_and_tail_are_the_result_numbers(self, single_result):
+        results, config = single_result
+        paths = emit_report(results, config)
+        csv_path = [p for p in paths if p.name == "results.csv"][0]
+        header, row = csv.reader(csv_path.read_text(encoding="utf-8").splitlines())
+        start, end = header.index("subjects") + 1, header.index("collaborative_dim")
+        numbers = results[0].numbers()
+        assert header[start:end] == list(numbers)
+        assert row[start:end] == [repr(value) for value in numbers.values()]
+
+    def test_no_results_is_a_runtime_error(self, single_result):
+        _, config = single_result
+        with pytest.raises(DcqeError, match="^no results to report$"):
+            emit_report([], config)
+        assert not Path(config.settings["output.dir"]).exists()
+
     def test_table_uses_four_decimals(self, single_result):
         results, _ = single_result
         table = format_table(results)
@@ -461,6 +477,36 @@ class TestMainExitCodes:
         assert "Traceback" not in done.stderr
 
 
+class TestRejectionMessages:
+    @pytest.mark.parametrize("command, text, extra, message", [
+        ("simulate", "data.subjects = 60\npartition.row_blocks = 0,60\n", [],
+         "partition: every partition block must be non-empty"),
+        ("simulate", "data.subjects = 60\npartition.col_blocks = 6,0\n", [],
+         "partition: every partition block must be non-empty"),
+        ("simulate", "output.formats = ,\n", [], "output.formats: needs at least one format"),
+        ("simulate", "suite = experiment-two\n", [],
+         "suite experiment-two requires the evaluate command with --data"),
+        ("evaluate", "", [], "evaluate command needs a data path (--data or evaluate.data)"),
+        ("run", "run.block.0 = b.csv\n", [],
+         "run command needs run.party.<k>.<l> and run.block.<k> keys"),
+        ("run", "run.party.0.0 = p.csv\n", [],
+         "run command needs run.party.<k>.<l> and run.block.<k> keys"),
+    ], ids=["empty-row-block", "empty-col-block", "no-format", "experiment-two-simulated",
+            "evaluate-without-data", "run-without-party",
+            "run-without-block"])
+    def test_exits_config_with_message(self, tmp_path, capsys, command, text, extra, message):
+        config = write_config(tmp_path / "c.conf", text)
+        code = main([command, "--config", str(config), "--out", str(tmp_path / "out")] + extra)
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_unknown_command_is_named(self, tmp_path):
+        config = write_config(tmp_path / "c.conf", "")
+        with pytest.raises(ConfigError, match="^unknown command 'bogus'$"):
+            parse_config(config, "bogus")
+
+
 def _library_scenario(**overrides):
     """The ScenarioConfig the command line builds for 60 synthetic subjects."""
     spec = PartitionSpec((30, 30), (3, 3))
@@ -525,6 +571,28 @@ class TestRunCommand:
         assert payload["results"][0]["subjects"] == 8
         assert parse_config(tmp_path / "out" / "config.txt", "run") == \
             parse_config(config, "run", {"output.dir": str(tmp_path / "out")})
+
+    @pytest.mark.parametrize("alias", ["run.party.01.0", "run.party.\u0661.0", "run.party.1.00",
+                                       "run.block.01", "run.block.\uff11"])
+    def test_index_spelled_other_than_canonically_is_an_unknown_key(self, tmp_path, capsys,
+                                                                     alias):
+        # Otherwise it would name the same party or block as its canonical key.
+        files, blocks = write_party_grid(tmp_path)
+        lines = ["run.id_column = id", f"{alias} = {tmp_path / 'bad.csv'}"]
+        lines += [f"run.party.{k}.{l} = {p}" for (k, l), p in files.items()]
+        lines += [f"run.block.{k} = {p}" for k, p in blocks.items()]
+        config = write_config(tmp_path / "run.conf", "\n".join(lines) + "\n")
+        code = main(["run", "--config", str(config), "--out", str(tmp_path / "out")])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err == f"config error: line 2: unknown key {alias!r}\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_canonical_indices_of_several_digits_name_their_parties(self, tmp_path):
+        keys = ["run.party.0.0", "run.party.10.0", "run.party.0.10", "run.block.0", "run.block.10"]
+        path = write_config(tmp_path / "c.conf", "".join(f"{key} = {key}.csv\n" for key in keys))
+        settings = parse_config(path, "run").settings
+        assert [key for key in settings if key.startswith(("run.party", "run.block"))] == \
+            ["run.party.0.0", "run.party.0.10", "run.party.10.0", "run.block.0", "run.block.10"]
 
     def test_party_file_that_is_not_utf8_exits_ingestion_naming_the_file(self, tmp_path, capsys):
         files, blocks = write_party_grid(tmp_path)

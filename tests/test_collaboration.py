@@ -597,3 +597,21 @@ class TestDeterminism:
         first = assemble_benchmark("whole", 6, seed=4, anchor_seed=21)
         second = assemble_benchmark("whole", 6, seed=4, anchor_seed=21)
         assert np.array_equal(first, second)
+
+
+def _maps_of_two_widths():
+    _, reps, _ = benchmark_pipeline()
+    maps = fit_integration(reps, 6)
+    return reps, [maps[0], maps[1][:, :5]]
+
+
+class TestRejectionMessages:
+    @pytest.mark.parametrize("call, message", [
+        (lambda: generate_anchor([(0.0, np.inf)], 5, 0), "anchor bounds must be finite"),
+        (lambda: generate_anchor([(np.nan, 1.0)], 5, 0), "anchor bounds must be finite"),
+        (lambda: assemble_collaborative(*_maps_of_two_widths()),
+         "integration maps disagree on the collaborative dimension"),
+    ], ids=["infinite-bound", "nan-bound", "map-widths"])
+    def test_rejected_with_message(self, call, message):
+        with pytest.raises(InvalidDataError, match=f"^{re.escape(message)}$"):
+            call()

@@ -148,3 +148,23 @@ class TestCollaborationScope:
         message = "unknown scope kind 'diagonal'"
         with pytest.raises(InvalidDataError, match=f"^{re.escape(message)}$"):
             CollaborationScope("diagonal", (0,), (0,))
+
+
+class TestRejectionMessages:
+    @pytest.mark.parametrize("build, message", [
+        (lambda: PartitionSpec((), (3,)),
+         "partition needs at least one row block and one column block"),
+        (lambda: PartitionSpec((3,), ()),
+         "partition needs at least one row block and one column block"),
+        (lambda: CollaborationScope("custom", (), (0,)),
+         "scope must include at least one row and one column block"),
+        (lambda: CollaborationScope("custom", (0,), ()),
+         "scope must include at least one row and one column block"),
+        (lambda: CollaborationScope("custom", (-1,), (0,)), "scope indices must be non-negative"),
+        (lambda: CollaborationScope("custom", (0,), (0, -2)),
+         "scope indices must be non-negative"),
+    ], ids=["no-row-block", "no-col-block", "scope-no-row", "scope-no-col", "scope-negative-row",
+            "scope-negative-col"])
+    def test_rejected_with_message(self, build, message):
+        with pytest.raises(InvalidDataError, match=f"^{re.escape(message)}$"):
+            build()

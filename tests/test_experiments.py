@@ -23,6 +23,7 @@ from dcqe.datamodel import CollaborationScope, Dataset, PartitionSpec, partition
     scoped_partition
 from dcqe.errors import ConfigError, DcqeError, InvalidDataError
 from dcqe.experiments import (
+    METRICS,
     ArtificialDataConfig,
     ScenarioConfig,
     derive_seed,
@@ -231,6 +232,18 @@ class TestScenarioSizes:
             assert (other.collaborative_dim, other.anchor_size) == (None, None)
 
 
+class TestConfigRejections:
+    @pytest.mark.parametrize("build, message", [
+        (lambda: generate_artificial(ArtificialDataConfig(
+            covariate_count=6, correlation=float(np.nextafter(-0.2, 1)))),
+         "covariance matrix is not positive definite"),
+        (lambda: small_scenario(anchor_size=0), "anchor size must be positive, got 0"),
+    ], ids=["correlation-at-the-bound", "empty-anchor"])
+    def test_rejected_with_message(self, build, message):
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            build()
+
+
 class TestScopeWithOneTreatmentGroup:
     @pytest.mark.parametrize("treatments, missing", [
         ([1, 1, 1, 0, 1, 0], "no control"),
@@ -287,6 +300,18 @@ class TestReportedNumbersAreFinite:
                                 bootstrap_replicates=20, master_seed=0, benchmark=None)
         with pytest.raises(InvalidDataError, match="^estimate_se is not finite: inf$"):
             self.run_without_warnings(Dataset(data.covariates, data.treatments, y), config, scores)
+
+    def test_numbers_are_named_in_report_order(self):
+        data, _ = generate_artificial(ArtificialDataConfig(subjects=80, seed=2))
+        result = run_scenario(data, small_scenario(bootstrap_replicates=3, benchmark=None))
+        numbers = result.numbers()
+        assert list(numbers) == ["estimate_mean", "estimate_se", "point_estimate", "gap"] + [
+            f"{name}_{stat}" for name in METRICS for stat in ("mean", "se", "point")]
+        assert numbers["gap"] is None and result.inconsistency_true is None
+        assert all(numbers[f"inconsistency_true_{stat}"] is None
+                   for stat in ("mean", "se", "point"))
+        assert numbers["masmd_se"] == result.masmd.se
+        assert numbers["point_estimate"] == result.point_estimate
 
     def test_finite_run_reports_plain_numbers(self):
         data, scores = generate_artificial(ArtificialDataConfig(subjects=80, seed=2))
@@ -414,13 +439,8 @@ def in_pinned_child(fn, *args):
 
 def result_numbers(result):
     """Every number of a ScenarioResult, as bytes, for bit-for-bit comparison."""
-    summaries = [result.inconsistency_ca, result.masmd]
-    if result.inconsistency_true is not None:
-        summaries.append(result.inconsistency_true)
-    values = [result.point_estimate, result.estimate_mean, result.estimate_se,
-              np.nan if result.gap is None else result.gap,
-              result.subject_count, result.collaborative_dim or 0]
-    values += [x for s in summaries for x in (s.point, s.mean, s.se)]
+    values = [np.nan if value is None else value for value in result.numbers().values()]
+    values += [result.subject_count, result.collaborative_dim or 0]
     return np.array(values, dtype=float).tobytes(), result.bootstrap_estimates.tobytes()
 
 

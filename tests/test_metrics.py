@@ -146,3 +146,13 @@ class TestSmd:
         x, z = grouped_covariates(seed=36, n=12)
         with pytest.raises(InvalidDataError):
             smd(x, z, weights=np.zeros(12))
+
+
+class TestRejectionMessages:
+    @pytest.mark.parametrize("treatments", [[1, 0, 0, 0, 0], [0, 1, 1, 1, 1]],
+                             ids=["one-treated", "one-control"])
+    def test_weighted_smd_with_a_one_subject_group(self, treatments):
+        x = np.random.default_rng(0).normal(size=(5, 2))
+        with pytest.raises(InvalidDataError,
+                           match="^weighted balance needs effective group size above one$"):
+            smd(x, treatments, weights=np.ones(5))

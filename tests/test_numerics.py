@@ -15,6 +15,8 @@ from dcqe.metrics import smd
 from dcqe.numerics import (
     LOGISTIC_RIDGE,
     LOGISTIC_TOL,
+    ensure_binary_labels,
+    ensure_matrix,
     logistic_fit,
     pca_fit,
     pseudoinverse,
@@ -510,3 +512,15 @@ class TestLayoutIndependence:
         for w in (None, weights):
             got = [bits(smd(view, z, weights=w)) for view in layouts(x)]
             assert got[1] == got[0] and got[2] == got[0]
+
+
+class TestRejectionMessages:
+    @pytest.mark.parametrize("call, message", [
+        (lambda: ensure_matrix(np.zeros((0, 3))), "data must be non-empty, got shape (0, 3)"),
+        (lambda: ensure_matrix(np.zeros((2, 0)), "x"), "x must be non-empty, got shape (2, 0)"),
+        (lambda: ensure_binary_labels(np.zeros((2, 2))), "labels must be 1-dimensional"),
+        (lambda: ensure_binary_labels(0, "z"), "z must be 1-dimensional"),
+    ], ids=["no-rows", "no-columns", "2-d-labels", "0-d-labels"])
+    def test_rejected_with_message(self, call, message):
+        with pytest.raises(InvalidDataError, match=f"^{re.escape(message)}$"):
+            call()

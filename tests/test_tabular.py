@@ -172,6 +172,15 @@ class TestIngestCsvMatchesCellwise:
                 load(path, ("a", "b"), "treatment", "y")
             assert message in str(caught.value)
 
+    def test_empty_file_is_named(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_bytes(b"")
+        message = f"{path}: file is empty, a header row is required"
+        for load in (ingest_csv, oracles.cellwise_ingest_csv):
+            with pytest.raises(IngestionError) as caught:
+                load(path, ("a", "b"), "treatment", "y")
+            assert str(caught.value) == message
+
 
 def write_grid(directory, draw_lines, blocks, widths, permute=False):
     """Party and label files for a grid; ``draw_lines(kinds, ids)`` makes the rows
