@@ -45,12 +45,6 @@ class MatchingResult:
     control: np.ndarray
 
 
-def _treatment_groups(treatments, length: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Checked 0/1 treatments of the scores' length, and the treated and control indices."""
-    z = ensure_binary_labels(treatments, "treatments", length=length)
-    return z, np.flatnonzero(z == 1), np.flatnonzero(z == 0)
-
-
 def _nearest(queries: np.ndarray, candidates: np.ndarray, values: np.ndarray) -> np.ndarray:
     """The candidate with the smallest computed ``|q - values[c]|`` per query.
 
@@ -89,7 +83,8 @@ def match_pairs(scores, treatments) -> MatchingResult:
     Any finite 1-d scores will do.
     """
     values = ensure_vector(scores, "scores")
-    _, treated, control = _treatment_groups(treatments, values.shape[0])
+    z = ensure_binary_labels(treatments, "treatments", length=values.shape[0])
+    treated, control = np.flatnonzero(z == 1), np.flatnonzero(z == 0)
     by_t, by_c = treated[np.argsort(values[treated])], control[np.argsort(values[control])]
     pairs = np.empty(values.shape[0], dtype=np.intp)
     pairs[by_t] = _nearest(values[by_t], by_c, values)

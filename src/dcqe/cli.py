@@ -18,6 +18,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import re
 import sys
 from dataclasses import dataclass
@@ -39,10 +40,9 @@ SUITES = ("scenario", "experiment-one", "experiment-two")
 SCENARIO, EXPERIMENT_ONE, EXPERIMENT_TWO = SUITES
 FORMATS = ("csv", "json", "table")
 
-# Run mode's anchor size and collaborative width when the config sets none:
-# the synthetic defaults, not taken from the ingested partition.
+# Run mode's anchor size when the config sets none: the synthetic default, not
+# the ingested partition's subject count (ROADMAP item 1 replaces it).
 RUN_ANCHOR_SUBJECTS = 1000
-RUN_COLLABORATIVE_DIM = 6
 
 
 def _text(value: str, key: str) -> str:
@@ -122,8 +122,7 @@ SETTINGS = {
     "scope.cols": (_parse_int_tuple, (), (SCENARIO,)),
     "analysis": (_text, "dcqe", (SCENARIO,)),
     "reduction.intermediate_dim": (_parse_int, 2, _SCENARIO_MODES),
-    "reduction.collaborative_dim": (_parse_int, lambda s, mode: RUN_COLLABORATIVE_DIM
-                                    if mode == "run" else None, _SCENARIO_MODES),
+    "reduction.collaborative_dim": (_parse_int, None, _SCENARIO_MODES),
     "anchor.subjects": (_parse_int, lambda s, mode: RUN_ANCHOR_SUBJECTS if mode == "run"
                         else None, _SCENARIO_MODES),
     "estimation.estimator": (_text, "IPW", _SCENARIO_MODES),
@@ -410,8 +409,14 @@ def emit_report(results: list[ScenarioResult], config: RunConfig) -> list[Path]:
             ["estimator", "collaboration", "replicate", "estimate"],
             *([r.estimator, r.collaboration, b, repr(float(est))]
               for r in results for b, est in enumerate(r.bootstrap_estimates))])
+    # Each file is overwritten in place, then cut to length: on ext4 (auto_da_alloc),
+    # closing a file that was opened with O_TRUNC flushes it to disk, which costs
+    # far more than the write.
     for name, text in files.items():
-        (out_dir / name).write_text(text, encoding="utf-8", newline="")
+        fd = os.open(out_dir / name, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666)
+        with os.fdopen(fd, "wb") as handle:
+            handle.write(text.encode("utf-8"))
+            handle.truncate()
     return [out_dir / name for name in files]
 
 

@@ -66,14 +66,6 @@ class PartitionSpec:
     def covariate_count(self) -> int:
         return sum(self.col_blocks)
 
-    @property
-    def row_block_count(self) -> int:
-        return len(self.row_blocks)
-
-    @property
-    def col_block_count(self) -> int:
-        return len(self.col_blocks)
-
     def row_slice(self, k: int) -> slice:
         start = sum(self.row_blocks[:k])
         return slice(start, start + self.row_blocks[k])
@@ -101,8 +93,8 @@ def partition(data: Dataset, spec: PartitionSpec) -> list[list[np.ndarray]]:
 
 def _party_blocks(covariates: np.ndarray, spec: PartitionSpec) -> list[list[np.ndarray]]:
     """``partition`` of covariates already checked and sized to ``spec``, without copies."""
-    return [[covariates[spec.row_slice(k), spec.col_slice(l)] for l in range(spec.col_block_count)]
-            for k in range(spec.row_block_count)]
+    return [[covariates[spec.row_slice(k), spec.col_slice(l)] for l in range(len(spec.col_blocks))]
+            for k in range(len(spec.row_blocks))]
 
 
 @dataclass(frozen=True)
@@ -132,7 +124,7 @@ class CollaborationScope:
     @classmethod
     def build(cls, kind: str, spec: PartitionSpec) -> CollaborationScope:
         """Construct a named scope (left/right/top/bottom/whole) for a grid."""
-        c, d = spec.row_block_count, spec.col_block_count
+        c, d = len(spec.row_blocks), len(spec.col_blocks)
         if kind == "left":
             return cls(kind, tuple(range(c)), (0,))
         if kind == "right":
@@ -161,8 +153,8 @@ def scoped_partition(spec: PartitionSpec, scope: CollaborationScope
     """The partition restricted to the scope's blocks, and the global subject and covariate
     indices the scope covers, in dataset order; a scope outside the grid is invalid data.
     """
-    for axis, last, count in (("row", scope.row_indices[-1], spec.row_block_count),
-                              ("column", scope.col_indices[-1], spec.col_block_count)):
+    for axis, last, count in (("row", scope.row_indices[-1], len(spec.row_blocks)),
+                              ("column", scope.col_indices[-1], len(spec.col_blocks))):
         if last >= count:
             raise InvalidDataError(
                 f"scope {axis} block {last} out of range (partition has {count})")

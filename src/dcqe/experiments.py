@@ -229,16 +229,9 @@ def _summary(name: str, point: _Replicate, replicates: list[_Replicate]) -> Metr
                          se=_sample_se(values))
 
 
-_SCOPE_LABELS = {"left": "L-clb", "right": "R-clb", "top": "T-clb",
-                 "bottom": "B-clb", "whole": "W-clb", "custom": "clb"}
-
-
-def _default_label(config: ScenarioConfig) -> str:
-    if config.analysis == "centralized":
-        return "CA"
-    if config.analysis == "individual":
-        return "IA"
-    return _SCOPE_LABELS[config.scope.kind]
+# The label of a scenario given none: by its analysis, or by its scope kind for DC-QE.
+_LABELS = {"centralized": "CA", "individual": "IA", "left": "L-clb", "right": "R-clb",
+           "top": "T-clb", "bottom": "B-clb", "whole": "W-clb", "custom": "clb"}
 
 
 def _two_per_group(treated: int, count: int) -> bool:
@@ -293,7 +286,8 @@ def run_scenario(data: Dataset, config: ScenarioConfig,
     scoped_cov = None if full_width else full_cov[:, cols]
     z_all = data.treatments[in_scope]
     y_all = data.outcomes[in_scope]
-    label = config.collaboration_label or _default_label(config)
+    is_dcqe = config.analysis == "dcqe"
+    label = config.collaboration_label or _LABELS[config.scope.kind if is_dcqe else config.analysis]
     treated = int(z_all.sum())
     if not _two_per_group(treated, n_scope):
         size = min(treated, n_scope - treated)
@@ -304,7 +298,6 @@ def run_scenario(data: Dataset, config: ScenarioConfig,
     true_sub = None if true_scores is None else \
         ensure_vector(true_scores, "true_scores", length=data.subject_count)[in_scope]
 
-    is_dcqe = config.analysis == "dcqe"
     bounds = np.cumsum((0,) + sub_spec.row_blocks) if is_dcqe else (0, n_scope)
     if is_dcqe:
         anchor_bounds = np.column_stack([data.covariates.min(axis=0)[cols],
@@ -475,7 +468,6 @@ def run_experiment_one(seed: int, bootstrap_replicates: int = 1000,
 # beside its "treatment" and "re78" (outcome) columns. The partition puts the
 # demographic and education variables with the left-side parties and the
 # race and prior-earnings variables with the right-side parties.
-NSW_COVARIATES = ("age", "education", "married", "nodegree", "black", "hispanic", "re74", "re75")
 _LEFT_COLUMNS = ("age", "married", "education", "nodegree")
 _RIGHT_COLUMNS = ("hispanic", "black", "re74", "re75")
 
@@ -493,13 +485,12 @@ def load_experiment_two_data(data_path, seed: int) -> tuple[Dataset, PartitionSp
     (1337 each when the file is large enough); outcomes are converted to
     thousand-dollar units.
     """
-    raw = ingest_csv(data_path, NSW_COVARIATES, "treatment", "re78")
-    order = [NSW_COVARIATES.index(name) for name in _LEFT_COLUMNS + _RIGHT_COLUMNS]
+    raw = ingest_csv(data_path, _LEFT_COLUMNS + _RIGHT_COLUMNS, "treatment", "re78")
     block = min(_BENCHMARK_BLOCK, raw.subject_count // 2)
     rng = np.random.default_rng(np.random.SeedSequence((int(seed), _SEED_TAG_SHUFFLE)))
     keep = rng.permutation(raw.subject_count)[: 2 * block]
     data = Dataset(
-        covariates=raw.covariates[np.ix_(keep, order)],
+        covariates=raw.covariates[keep],
         treatments=raw.treatments[keep],
         outcomes=raw.outcomes[keep] / 1000.0,
     )

@@ -34,9 +34,6 @@ import numpy as np
 
 from .errors import InvalidDataError
 
-# Type alias used throughout the package for 2-d float arrays.
-Matrix = np.ndarray
-
 # Relative cutoff below which singular values are treated as zero.
 SINGULAR_VALUE_CUTOFF = 1e-12
 
@@ -128,7 +125,7 @@ class PcaModel:
     components: np.ndarray
 
 
-def pca_fit(data: Matrix, target_dim: int) -> PcaModel:
+def pca_fit(data: np.ndarray, target_dim: int) -> PcaModel:
     """Fit a PCA with ``target_dim`` components on standardized ``data``.
 
     Components are the top right singular vectors of the standardized matrix
@@ -203,7 +200,7 @@ class TruncatedSvd:
         return (self.u * self.sigma) @ self.v.T
 
 
-def svd_truncated(data: Matrix, rank: int) -> TruncatedSvd:
+def svd_truncated(data: np.ndarray, rank: int) -> TruncatedSvd:
     """Best rank-``rank`` singular value decomposition of ``data``.
 
     Singular values at or below ``SINGULAR_VALUE_CUTOFF`` times the largest
@@ -222,7 +219,7 @@ def svd_truncated(data: Matrix, rank: int) -> TruncatedSvd:
     return TruncatedSvd(u1, s[:keep].copy(), v1)
 
 
-def pseudoinverse(data: Matrix) -> np.ndarray:
+def pseudoinverse(data: np.ndarray) -> np.ndarray:
     """Moore-Penrose inverse via SVD with a relative singular-value cutoff."""
     arr = ensure_matrix(data)
     u, s, vt = np.linalg.svd(arr, full_matrices=False)
@@ -265,7 +262,7 @@ _FIT_OVERFLOWS = "features too large: the logistic fit overflows a double"
 
 
 @np.errstate(over="ignore", invalid="ignore")  # an overflow raises InvalidDataError instead
-def logistic_fit(features: Matrix, labels, counts=None) -> LogisticModel:
+def logistic_fit(features: np.ndarray, labels, counts=None) -> LogisticModel:
     """Fit a ridge-penalized logistic regression by reweighted least squares.
 
     The Bernoulli log-likelihood with an L2 penalty of ``LOGISTIC_RIDGE`` on

@@ -319,6 +319,28 @@ class TestEmitReport:
         assert header[start:end] == list(numbers)
         assert row[start:end] == [repr(value) for value in numbers.values()]
 
+    def test_rewritten_reports_equal_those_of_a_fresh_directory(self, tmp_path):
+        out = tmp_path / "out"
+
+        def report(replicates):
+            config = write_config(tmp_path / "c.conf", "data.subjects = 60\n"
+                                  f"bootstrap.replicates = {replicates}\n"
+                                  "output.dump_bootstrap = true\n")
+            with redirect_stdout(io.StringIO()):
+                assert main(["simulate", "--config", str(config), "--out", str(out)]) == EXIT_OK
+            return {p.name: (p.read_bytes(), p.stat().st_ino) for p in out.iterdir()}
+
+        first = report(4)
+        rewritten = report(2)
+        assert {name: ino for name, (_, ino) in rewritten.items()} == \
+            {name: ino for name, (_, ino) in first.items()}  # overwritten in place
+        for path in out.iterdir():
+            path.unlink()
+        fresh = report(2)
+        assert {name: data for name, (data, _) in rewritten.items()} == \
+            {name: data for name, (data, _) in fresh.items()}
+        assert len(fresh["bootstrap_estimates.csv"][0]) < len(first["bootstrap_estimates.csv"][0])
+
     def test_no_results_is_a_runtime_error(self, single_result):
         _, config = single_result
         with pytest.raises(DcqeError, match="^no results to report$"):
@@ -569,8 +591,23 @@ class TestRunCommand:
         payload = json.loads((tmp_path / "out" / "results.json").read_text())
         assert payload["results"][0]["analysis"] == "dcqe"
         assert payload["results"][0]["subjects"] == 8
+        # The width, unset, is written back as every covariate of the grid.
+        given = {"output.dir": str(tmp_path / "out"), "reduction.collaborative_dim": "4"}
         assert parse_config(tmp_path / "out" / "config.txt", "run") == \
-            parse_config(config, "run", {"output.dir": str(tmp_path / "out")})
+            parse_config(config, "run", given)
+
+    def test_run_without_a_width_writes_every_covariate_of_the_grid(self, tmp_path):
+        files, blocks = write_party_grid(tmp_path)
+        lines = ["bootstrap.replicates = 2", "reduction.intermediate_dim = 1",
+                 "run.id_column = id"]
+        lines += [f"run.party.{k}.{l} = {p}" for (k, l), p in files.items()]
+        lines += [f"run.block.{k} = {p}" for k, p in blocks.items()]
+        config = write_config(tmp_path / "run.conf", "\n".join(lines) + "\n")
+        assert main(["run", "--config", str(config), "--out", str(tmp_path / "out")]) == EXIT_OK
+        written = (tmp_path / "out" / "config.txt").read_text(encoding="utf-8").splitlines()
+        assert "reduction.collaborative_dim = 4" in written
+        payload = json.loads((tmp_path / "out" / "results.json").read_text())
+        assert payload["results"][0]["collaborative_dim"] == 4
 
     @pytest.mark.parametrize("alias", ["run.party.01.0", "run.party.\u0661.0", "run.party.1.00",
                                        "run.block.01", "run.block.\uff11"])
@@ -979,11 +1016,12 @@ class TestKeysPerCommand:
         assert not any(line.startswith(("reduction.", "anchor.", "scope.rows", "scope.cols"))
                        for line in format_config(config).splitlines())
 
-    def test_run_mode_writes_its_fixed_anchor_and_width(self, tmp_path):
+    def test_run_mode_writes_its_fixed_anchor_and_leaves_the_width_to_the_run(self, tmp_path):
         config = parse_config(mode_config(tmp_path / "c.conf", ("run", None), []), "run")
         lines = format_config(config).splitlines()
         assert "anchor.subjects = 1000" in lines
-        assert "reduction.collaborative_dim = 6" in lines
+        assert config.settings["reduction.collaborative_dim"] is None
+        assert not any(line.startswith("reduction.collaborative_dim") for line in lines)
 
     def test_run_files_are_written_in_block_order(self, tmp_path):
         keys = [f"run.party.{k}.{l}" for k in (10, 2, 0) for l in (1, 0)]
