@@ -20,8 +20,8 @@ import numpy as np
 from . import runner
 from .causal import ESTIMANDS, _ipw_estimate, estimate_propensity, estimate_psm, \
     ipw_weights, match_pairs, matched_sample
-from .collaboration import Intermediate, assemble_collaborative, fit_integration, \
-    generate_anchor, make_intermediate
+from .collaboration import Intermediate, anchor_ranges, assemble_collaborative, \
+    fit_integration, generate_anchor, make_intermediate
 from .datamodel import CollaborationScope, Dataset, PartitionSpec, _party_blocks, \
     scoped_partition
 from .errors import ConfigError, DcqeError, InvalidDataError
@@ -257,10 +257,11 @@ def run_scenario(data: Dataset, config: ScenarioConfig,
     resample need two subjects in each treatment group: a scope without them
     raises ``InvalidDataError`` before any run, and such a resample is
     redrawn. With ``resample`` disabled every replicate equals the point run,
-    so the bootstrap mean equals the point estimate. The result's
-    ``numbers()`` are checked once, at the end: the first that is not finite,
-    for example an SE that overflows, raises ``InvalidDataError`` naming its
-    column.
+    so the bootstrap mean equals the point estimate. A DC-QE scenario reads
+    the anchor's ranges once, over the dataset, and a run factors its anchor
+    draws once. The result's ``numbers()`` are checked once, at the end: the
+    first that is not finite, for example an SE that overflows, raises
+    ``InvalidDataError`` naming its column.
 
     A scope that covers every row, or every column, reads the dataset's
     arrays without copying them. The runs are split over forked workers, one
@@ -299,14 +300,15 @@ def run_scenario(data: Dataset, config: ScenarioConfig,
         ensure_vector(true_scores, "true_scores", length=data.subject_count)[in_scope]
 
     bounds = np.cumsum((0,) + sub_spec.row_blocks) if is_dcqe else (0, n_scope)
-    if is_dcqe:
-        anchor_bounds = np.column_stack([data.covariates.min(axis=0)[cols],
-                                         data.covariates.max(axis=0)[cols]])
+    if is_dcqe:  # each column's range over the dataset, read down its strided column
+        ranges = anchor_ranges([(x.min(), x.max()) for x in (data.covariates[:, j] for j in cols)])
 
-    def reduce_party(k: int, l: int, block, anchor_block, counts) -> Intermediate:
+    def reduce_party(k: int, l: int, block, factor, counts) -> Intermediate:
         """``make_intermediate`` of the scope's party (k, l), a failure named by its grid place."""
+        own = sub_spec.col_slice(l)
         try:
-            return make_intermediate(block, anchor_block, config.intermediate_dim, counts)
+            return make_intermediate(block, factor[:, np.r_[0, 1 + own.start:1 + own.stop]],
+                                     ranges[own], config.intermediate_dim, counts)
         except InvalidDataError as exc:
             raise InvalidDataError(f"collaboration {label}: party ({config.scope.row_indices[k]}, "
                                    f"{config.scope.col_indices[l]}): {exc}") from exc
@@ -336,15 +338,14 @@ def run_scenario(data: Dataset, config: ScenarioConfig,
         scoped = ground_truth if full_width else scoped_cov[units]
 
         if is_dcqe:
-            anchor = generate_anchor(anchor_bounds, config.anchor_size, anchor_seed)
+            factor = generate_anchor(cols.shape[0], config.anchor_size, anchor_seed)
             unit_spec = PartitionSpec(tuple(h.shape[0] for h in held), sub_spec.col_blocks)
-            intermediates = [[reduce_party(k, l, block, anchor[:, sub_spec.col_slice(l)],
-                                           counts[unit_spec.row_slice(k)])
+            intermediates = [[reduce_party(k, l, block, factor, counts[unit_spec.row_slice(k)])
                               for l, block in enumerate(row)]
                              for k, row in enumerate(_party_blocks(scoped, unit_spec))]
             collab = assemble_collaborative(
                 intermediates, fit_integration(intermediates, config.collaborative_dim))
-            del anchor, intermediates  # not needed past here: free them before the fits
+            del intermediates  # not needed past here: free them before the fits
             scores = estimate_propensity(collab, z, counts)
             effective_dim = collab.shape[1]
         else:

@@ -177,13 +177,6 @@ def _pca(cols: np.ndarray, target_dim: int, name: str = "data",
     return PcaModel(means, stddevs, components), cols
 
 
-def _project(model: PcaModel, cols: np.ndarray) -> np.ndarray:
-    """``make_intermediate``'s image of ``_columns``' copy ``cols``, standardized in place."""
-    cols -= model.means[:, None]
-    cols /= model.stddevs[:, None]
-    return cols.T @ model.components
-
-
 @dataclass(frozen=True, eq=False)
 class TruncatedSvd:
     """Leading singular triplets of a matrix, zeros removed."""

@@ -18,7 +18,8 @@ import pytest
 import oracles
 from dcqe import experiments, runner
 from dcqe.causal import estimate_ipw, estimate_propensity
-from dcqe.collaboration import fit_integration, generate_anchor, make_intermediate
+from dcqe.collaboration import anchor_ranges, fit_integration, generate_anchor, \
+    make_intermediate
 from dcqe.datamodel import CollaborationScope, Dataset, PartitionSpec, partition, \
     scoped_partition
 from dcqe.errors import ConfigError, DcqeError, InvalidDataError
@@ -209,6 +210,17 @@ class TestRunScenario:
         data, _ = generate_artificial(ArtificialDataConfig(subjects=80, seed=8))
         with pytest.raises(ConfigError):
             run_scenario(data, small_scenario(collaborative_dim=90))
+
+    def test_width_beyond_the_anchor_directions_runs_at_their_count(self):
+        # Four width-2 parties of a 6-covariate scope image seven anchor directions,
+        # the ones column and six covariates: a width of 10 on a 200-row anchor runs
+        # at 7. Only the anchor size bounds the width that may be asked for.
+        data, scores = generate_artificial(ArtificialDataConfig(subjects=200, seed=4))
+        spec = PartitionSpec((100, 100), (3, 3))
+        config = ScenarioConfig(partition=spec, scope=CollaborationScope.build("whole", spec),
+                                intermediate_dim=2, collaborative_dim=10, anchor_size=200,
+                                bootstrap_replicates=2)
+        assert run_scenario(data, config, scores).collaborative_dim == 7
 
 
 class TestScenarioSizes:
@@ -711,16 +723,23 @@ class TestBootstrapRate:
         assert 1.6 <= ratio <= 2.4
 
 
+def party_share(factor, ranges, l, spec):
+    """Party (k, l)'s share of the anchor: the factor's ones column and its own
+    columns, and their (low, width) ranges."""
+    columns = spec.col_slice(l)
+    return factor[:, np.r_[0, 1 + columns.start:1 + columns.stop]], ranges[columns]
+
+
 class TestAlignmentRank:
     def test_shared_basis_tail_error_is_monotone_in_rank(self):
         data, _ = generate_artificial(ArtificialDataConfig(seed=19))
         spec = PartitionSpec((500, 500), (3, 3))
-        bounds = np.column_stack([data.covariates.min(0), data.covariates.max(0)])
-        anchor = generate_anchor(bounds, 1000, 23)
-        combined = np.hstack([make_intermediate(block, anchor[:, spec.col_slice(l)], 2)[1]
+        ranges = anchor_ranges(np.column_stack([data.covariates.min(0), data.covariates.max(0)]))
+        factor = generate_anchor(6, 1000, 23)
+        combined = np.hstack([make_intermediate(block, *party_share(factor, ranges, l, spec), 2)[1]
                               for row in partition(data, spec) for l, block in enumerate(row)])
         errors = []
-        for rank in range(1, combined.shape[1] + 1):
+        for rank in range(1, min(combined.shape) + 1):
             truncated = svd_truncated(combined, rank)
             errors.append(np.linalg.norm(combined - truncated.reconstruct()))
         assert all(b <= a + 1e-9 for a, b in zip(errors, errors[1:]))
@@ -751,6 +770,40 @@ class TestAlignmentRank:
         assert widths == [8, 8, 8]
         assert shapes and max(rows for rows, _ in shapes) <= 8, shapes
 
+    def test_one_anchor_tall_qr_per_run_and_an_alignment_qr_of_seven_rows(self, monkeypatch):
+        # The anchor's draws are factored once per run; the parties ship 7-row
+        # images (the ones column and six covariates), so the alignment factors a
+        # 7 x 8 combined image. The other QR inputs are the parties' unit blocks.
+        shapes = {"fit": [], "other": []}
+        stage = ["other"]
+        qr, fit = np.linalg.qr, experiments.fit_integration
+
+        def recording_qr(a, *args, **kwargs):
+            shapes[stage[0]].append(np.shape(a))
+            return qr(a, *args, **kwargs)
+
+        def recording_fit(reps, collaborative_dim):
+            stage[0] = "fit"
+            try:
+                return fit(reps, collaborative_dim)
+            finally:
+                stage[0] = "other"
+
+        monkeypatch.setattr(np.linalg, "qr", recording_qr)
+        monkeypatch.setattr(experiments, "fit_integration", recording_fit)
+        monkeypatch.setattr(runner, "_available_cpus", lambda: 1)  # the runs record here
+        data, true_scores = generate_artificial(ArtificialDataConfig(subjects=4000, seed=2))
+        spec = PartitionSpec((2000, 2000), (3, 3))
+        config = ScenarioConfig(partition=spec, scope=CollaborationScope.build("whole", spec),
+                                analysis="dcqe", estimator="PSM", intermediate_dim=2,
+                                collaborative_dim=6, anchor_size=3000, bootstrap_replicates=2,
+                                master_seed=3)
+        run_scenario(data, config, true_scores)
+        assert shapes["fit"] == [(7, 8)] * 3
+        assert [s for s in shapes["other"] if s[0] > 2000] == [(3000, 7)] * 3
+        assert len(shapes["other"]) == 3 * 5
+        assert all(cols == 3 for rows, cols in shapes["other"] if rows <= 2000)
+
 
 class TestPublicProtocolIsThePipeline:
     def test_hand_built_grid_matches_the_run_bit_for_bit(self, monkeypatch):
@@ -776,9 +829,11 @@ class TestPublicProtocolIsThePipeline:
                                 collaborative_dim=6, bootstrap_replicates=2, resample=False)
         run_scenario(data, config)
         assert len(anchors) == len(assembled) == 1
-        (anchor,), ((run_grid, run_maps, run_collab),) = anchors, assembled
+        (factor,), ((run_grid, run_maps, run_collab),) = anchors, assembled
+        assert factor.shape == (7, 7)
 
-        grid = [[make_intermediate(block, anchor[:, spec.col_slice(l)], 2)
+        ranges = anchor_ranges(np.column_stack([data.covariates.min(0), data.covariates.max(0)]))
+        grid = [[make_intermediate(block, *party_share(factor, ranges, l, spec), 2)
                  for l, block in enumerate(row)] for row in partition(data, spec)]
         maps = fit_integration(grid, 6)
         assert [len(row) for row in run_grid] == [2, 2]

@@ -34,8 +34,14 @@ def random_matrices(max_rows=20, max_cols=20):
 
 
 def reduce_party(data, target_dim, anchor_block=None):
-    """``make_intermediate`` of one party holding ``data``, with ``data`` as its anchor block."""
-    return make_intermediate(data, data if anchor_block is None else anchor_block, target_dim)
+    """``make_intermediate`` of one party holding ``data``, with ``data`` as its anchor block.
+
+    The anchor block goes in uncompressed: its factor is ``[1, anchor_block]``
+    and every column's range is (0, 1), so the anchor image is its own.
+    """
+    anchor_block = data if anchor_block is None else anchor_block
+    factor = np.column_stack([np.ones(anchor_block.shape[0]), anchor_block])
+    return make_intermediate(data, factor, np.tile([0.0, 1.0], (data.shape[1], 1)), target_dim)
 
 
 def jacobi_variances(data, count):

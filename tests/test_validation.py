@@ -30,6 +30,9 @@ Y = np.zeros(8)
 NAN = GOOD.copy()
 NAN[2, 1] = np.nan
 FLAT = GOOD[:, 0]
+# GOOD as its own anchor block, uncompressed: the factor [1, GOOD] and unit ranges.
+FACTOR = np.column_stack([np.ones(8), GOOD])
+RANGES = np.tile([0.0, 1.0], (3, 1))
 
 ENTRY_POINTS = {
     "Dataset": lambda x: Dataset(x, Z, Y),
@@ -38,8 +41,9 @@ ENTRY_POINTS = {
     "pseudoinverse": pseudoinverse,
     "logistic_fit": lambda x: logistic_fit(x, Z),
     "estimate_propensity": lambda x: estimate_propensity(x, Z),
-    "make_intermediate-party": lambda x: make_intermediate(x, GOOD, 2),
-    "make_intermediate-anchor": lambda x: make_intermediate(GOOD, x, 2),
+    "make_intermediate-party": lambda x: make_intermediate(x, FACTOR, RANGES, 2),
+    "make_intermediate-anchor": lambda x: make_intermediate(GOOD, x, RANGES, 2),
+    "make_intermediate-ranges": lambda x: make_intermediate(GOOD, FACTOR, x, 2),
     "smd": lambda x: smd(x, Z),
 }
 
@@ -109,8 +113,8 @@ def test_entry_point_rejects_bad_labels(entry, bad):
 
 # The checks one run makes of each kind: matrices, vectors and 0/1 labels.
 CHECKS_PER_RUN = {
-    ("dcqe", "IPW"): {"ensure_matrix": 14, "ensure_vector": 8, "ensure_binary_labels": 4},
-    ("dcqe", "PSM"): {"ensure_matrix": 13, "ensure_vector": 8, "ensure_binary_labels": 3},
+    ("dcqe", "IPW"): {"ensure_matrix": 18, "ensure_vector": 8, "ensure_binary_labels": 4},
+    ("dcqe", "PSM"): {"ensure_matrix": 17, "ensure_vector": 8, "ensure_binary_labels": 3},
     ("centralized", "IPW"): {"ensure_matrix": 2, "ensure_vector": 8, "ensure_binary_labels": 3},
     ("centralized", "PSM"): {"ensure_matrix": 1, "ensure_vector": 8, "ensure_binary_labels": 2},
 }
