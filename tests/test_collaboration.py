@@ -93,7 +93,8 @@ class TestGenerateAnchor:
     def test_uniform_moments(self):
         # R^T R = [1, U]^T [1, U]: the anchor size, the column sums and the sums of squares.
         size = 10_000
-        gram = (lambda r: r.T @ r)(generate_anchor(2, size, seed=9)) / size
+        factor = generate_anchor(2, size, seed=9)
+        gram = factor.T @ factor / size
         assert gram[0, 0] == pytest.approx(1.0, rel=1e-12)
         for j in (1, 2):
             assert abs(gram[0, j] - 0.5) < 4.0 / np.sqrt(12.0 * size)
@@ -427,7 +428,8 @@ class TestCompressedAnchorImage:
     and the r-row image is the uncompressed route's: numpy's uniform anchor,
     standardized and projected by the party. Measured gap on these cases: at
     most 4e-15 of the largest image entry, against a bound of 1e-12, and 2.1e-14
-    of the largest collaborative entry.
+    of the largest collaborative entry. Zero-width ranges on a constant party
+    give an image of exact zeros: its bound, 1e-12 times zero, admits no other.
     """
 
     @pytest.mark.parametrize("block,col_ranges,size,columns", compressed_cases())
@@ -444,12 +446,6 @@ class TestCompressedAnchorImage:
         assert np.all(np.isfinite(image))
         largest = np.max(np.abs(tall))
         assert np.max(np.abs(anchor_basis(m, size, 7) @ image - tall)) <= 1e-12 * largest
-
-    def test_zero_width_ranges_on_a_constant_party_give_exact_zeros(self):
-        block = np.tile([1.0, 2.0, 3.0], (50, 1))
-        share = party_share(generate_anchor(3, 200, 7), anchor_ranges([(1, 1), (2, 2), (3, 3)]),
-                            slice(0, 3))
-        assert not make_intermediate(block, *share, 2)[1].any()
 
     def test_collaborative_matrix_matches_the_tall_route(self):
         _, reps, width = benchmark_pipeline(seed=8, anchor_seed=3)

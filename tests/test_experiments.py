@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 import oracles
+from test_collaboration import party_share
 from dcqe import experiments, runner
 from dcqe.causal import estimate_ipw, estimate_propensity
 from dcqe.collaboration import anchor_ranges, fit_integration, generate_anchor, \
@@ -723,21 +724,15 @@ class TestBootstrapRate:
         assert 1.6 <= ratio <= 2.4
 
 
-def party_share(factor, ranges, l, spec):
-    """Party (k, l)'s share of the anchor: the factor's ones column and its own
-    columns, and their (low, width) ranges."""
-    columns = spec.col_slice(l)
-    return factor[:, np.r_[0, 1 + columns.start:1 + columns.stop]], ranges[columns]
-
-
 class TestAlignmentRank:
     def test_shared_basis_tail_error_is_monotone_in_rank(self):
         data, _ = generate_artificial(ArtificialDataConfig(seed=19))
         spec = PartitionSpec((500, 500), (3, 3))
         ranges = anchor_ranges(np.column_stack([data.covariates.min(0), data.covariates.max(0)]))
         factor = generate_anchor(6, 1000, 23)
-        combined = np.hstack([make_intermediate(block, *party_share(factor, ranges, l, spec), 2)[1]
-                              for row in partition(data, spec) for l, block in enumerate(row)])
+        combined = np.hstack([
+            make_intermediate(block, *party_share(factor, ranges, spec.col_slice(l)), 2)[1]
+            for row in partition(data, spec) for l, block in enumerate(row)])
         errors = []
         for rank in range(1, min(combined.shape) + 1):
             truncated = svd_truncated(combined, rank)
@@ -833,7 +828,7 @@ class TestPublicProtocolIsThePipeline:
         assert factor.shape == (7, 7)
 
         ranges = anchor_ranges(np.column_stack([data.covariates.min(0), data.covariates.max(0)]))
-        grid = [[make_intermediate(block, *party_share(factor, ranges, l, spec), 2)
+        grid = [[make_intermediate(block, *party_share(factor, ranges, spec.col_slice(l)), 2)
                  for l, block in enumerate(row)] for row in partition(data, spec)]
         maps = fit_integration(grid, 6)
         assert [len(row) for row in run_grid] == [2, 2]
