@@ -5,7 +5,9 @@ raw covariates or collaborative representations, as a plain vector clipped
 strictly inside (0, 1). Effects, plain floats, come from one-to-one
 nearest-neighbor matching with replacement (PSM), which takes any finite
 scores, or from self-normalized inverse-probability weighting (IPW), which
-divides by them and so needs them strictly inside (0, 1).
+divides by them and so needs them strictly inside (0, 1). For the covariate
+balance both weigh the subjects: IPW by its weights, PSM by how often each
+subject occurs in the matched sample (``matched_sample``).
 """
 
 from __future__ import annotations
@@ -157,20 +159,20 @@ def _ipw_estimate(weights, treatments, outcomes, counts=None) -> float:
         return float((wt * outcomes).sum() / wt.sum() - (wc * outcomes).sum() / wc.sum())
 
 
-def matched_sample(matching: MatchingResult, estimand: str,
-                   counts=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Subject indices (with multiplicity) forming the matched sample.
+def matched_sample(matching: MatchingResult, estimand: str, counts=None) -> np.ndarray:
+    """How often each subject occurs in the matched sample, one float per subject.
 
-    Returns the treated-side and control-side index arrays: for ATT the
-    treated subjects and their matched controls; for ATE every subject plus
-    its match, each occurrence kept. The third array holds how often each
-    pair occurs: the count of the subject that chose it (once by default).
+    Subject ``i`` counts ``counts[i]`` times (once each by default); K(i) sums
+    the counts of the subjects that chose it as their match. For ATE subject
+    ``i`` occurs ``counts[i] + K(i)`` times; for ATT a treated subject occurs
+    ``counts[i]`` times and a control K(i) times, from treated choices only
+    (the weights of matching with replacement, Abadie & Imbens 2006).
     """
     if estimand not in ESTIMANDS:
         raise InvalidDataError(f"unknown estimand {estimand!r}")
-    t, c, n = matching.treated, matching.control, _counts(counts, matching.pairs.shape[0])
-    if estimand == "ATT":
-        return t.copy(), matching.pairs[t].copy(), n[t]
-    treated_rows = np.concatenate([t, matching.pairs[c]])
-    control_rows = np.concatenate([matching.pairs[t], c])
-    return treated_rows, control_rows, n[np.concatenate([t, c])]
+    pairs, t, n = matching.pairs, matching.treated, _counts(counts, matching.pairs.shape[0])
+    if estimand == "ATE":
+        return n + np.bincount(pairs, weights=n, minlength=n.shape[0])
+    sample = np.bincount(pairs[t], weights=n[t], minlength=n.shape[0])
+    sample[t] = n[t]
+    return sample

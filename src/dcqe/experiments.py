@@ -25,7 +25,7 @@ from .collaboration import Intermediate, anchor_ranges, assemble_collaborative, 
 from .datamodel import CollaborationScope, Dataset, PartitionSpec, _party_blocks, \
     scoped_partition
 from .errors import ConfigError, DcqeError, InvalidDataError
-from .metrics import _smd, gap, inconsistency, smd
+from .metrics import _smd, gap, inconsistency
 from .numerics import ensure_vector, sigmoid
 from .tabular import ingest_csv
 
@@ -355,14 +355,11 @@ def run_scenario(data: Dataset, config: ScenarioConfig,
         if config.estimator == "PSM":
             matching = match_pairs(scores, z)
             estimate = estimate_psm(matching, y, config.estimand, counts)
-            t_rows, c_rows, pair_counts = matched_sample(matching, config.estimand, counts)
-            truth = np.ascontiguousarray(ground_truth.T)  # variables-major
-            smds = _smd(truth.take(t_rows, axis=1), truth.take(c_rows, axis=1),
-                        pair_counts, pair_counts)
+            smds = _smd(ground_truth, z == 1, matched_sample(matching, config.estimand, counts))
         else:
             weights = ipw_weights(scores, z, config.estimand)
             estimate = _ipw_estimate(weights, z, y, counts)
-            smds = smd(ground_truth, z, weights=weights, counts=counts)
+            smds = _smd(ground_truth, z == 1, counts, weights)
         masmd = float(np.max(np.abs(smds)))
 
         # Centralized reference: the same subjects with every covariate. When

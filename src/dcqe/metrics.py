@@ -38,26 +38,26 @@ def inconsistency(scores_a, scores_b, counts=None) -> float:
     return float(np.sqrt((c * (a - b) ** 2).sum() / c.sum()))
 
 
-def _group_moments(cols: np.ndarray, counts: np.ndarray,
-                   weights: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
-    """Mean and variance of each row of a variables x subjects array, subject ``i``
-    counted ``counts[i]`` times; the weighted variant uses the frequency-weight bias
-    correction sum(cw) / (sum(cw)^2 - sum(cw^2)), summed over the counted subjects."""
+def _group_moments(cols: np.ndarray, counts: np.ndarray, weights: np.ndarray | None
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Mean, variance and largest magnitude of each row of a variables x subjects array,
+    subject ``i`` counted ``counts[i]`` times; the weighted variant uses the frequency-weight
+    bias correction sum(cw) / (sum(cw)^2 - sum(cw^2)), summed over the counted subjects."""
+    largest = np.maximum(cols.max(axis=1, initial=0.0), -cols.min(axis=1, initial=0.0))
     if weights is None:
         total = counts.sum()
         if total < 2:
             raise InvalidDataError("balance needs at least two subjects per group")
         mean = (cols * counts).sum(axis=1) / total
         centered = cols - mean[:, None]
-        return mean, (centered * centered * counts).sum(axis=1) / (total - 1)
+        return mean, (centered * centered * counts).sum(axis=1) / (total - 1), largest
     counted = counts * weights
     total = counted.sum()
     denom = total * total - float((counted * weights).sum())
     if denom <= 0:
         raise InvalidDataError("weighted balance needs effective group size above one")
     mean = (cols * counted).sum(axis=1) / total
-    var = total / denom * ((cols - mean[:, None]) ** 2 * counted).sum(axis=1)
-    return mean, var
+    return mean, total / denom * ((cols - mean[:, None]) ** 2 * counted).sum(axis=1), largest
 
 
 def smd(covariates, treatments, weights=None, counts=None) -> np.ndarray:
@@ -71,30 +71,30 @@ def smd(covariates, treatments, weights=None, counts=None) -> np.ndarray:
     """
     x = ensure_matrix(covariates, "covariates")
     z = ensure_binary_labels(treatments, "treatments", length=x.shape[0])
-    treated = z == 1
-    control = z == 0
-    w = None
     if weights is not None:
-        w = ensure_vector(weights, "weights", length=x.shape[0])
-        if np.any(w <= 0):
+        weights = ensure_vector(weights, "weights", length=x.shape[0])
+        if np.any(weights <= 0):
             raise InvalidDataError("weights must be strictly positive")
-    cols, c = np.ascontiguousarray(x.T), _counts(counts, x.shape[0])
-    return _smd(cols.compress(treated, axis=1), cols.compress(control, axis=1),
-                c[treated], c[control], None if w is None else w[treated],
-                None if w is None else w[control])
+    return _smd(x, z == 1, _counts(counts, x.shape[0]), weights)
 
 
-def _smd(treated: np.ndarray, control: np.ndarray, counts_t: np.ndarray, counts_c: np.ndarray,
-         weights_t: np.ndarray | None = None, weights_c: np.ndarray | None = None) -> np.ndarray:
-    """``smd`` of checked groups given variables-major, with their counts and checked weights.
+def _smd(x: np.ndarray, treated: np.ndarray, counts: np.ndarray,
+         weights: np.ndarray | None = None) -> np.ndarray:
+    """``smd`` of a checked subjects x variables matrix, given the treated mask, the
+    checked counts and weights; rows of count 0 are left out, also of the zero-variance
+    cut-off's scale, the largest magnitude in either group.
 
     A covariate whose group means or variances overflow a double raises
     ``InvalidDataError`` naming it.
     """
-    scale = np.maximum(np.maximum(np.abs(treated).max(axis=1), np.abs(control).max(axis=1)), 1.0)
+    held = counts > 0
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported just below
-        mean_t, var_t = _group_moments(treated, counts_t, weights_t)
-        mean_c, var_c = _group_moments(control, counts_c, weights_c)
+        # Each group's rows, copied variables-major: reductions along rows are faster.
+        (mean_t, var_t, max_t), (mean_c, var_c, max_c) = [
+            _group_moments(np.ascontiguousarray(x.compress(rows, axis=0).T), counts.compress(rows),
+                           None if weights is None else weights.compress(rows))
+            for rows in (treated & held, ~treated & held)]
+        scale = np.maximum(np.maximum(max_t, max_c), 1.0)
         pooled = (var_t + var_c) / 2.0
         diff = mean_t - mean_c
         # A cut-off that overflows is inf; a finite pooled variance is then below it anyway.
@@ -103,9 +103,7 @@ def _smd(treated: np.ndarray, control: np.ndarray, counts_t: np.ndarray, counts_
     if overflowing.size:
         raise InvalidDataError(
             f"covariate {overflowing[0]}: its group means or variances overflow a double")
-    values = np.zeros(treated.shape[0])
-    regular = ~degenerate
-    values[regular] = diff[regular] / np.sqrt(pooled[regular])
+    values = np.where(degenerate, 0.0, diff / np.sqrt(np.where(degenerate, 1.0, pooled)))
     bad = degenerate & (np.abs(diff) > DEGENERATE_STDDEV * scale)
     if bad.any():
         raise InvalidDataError(

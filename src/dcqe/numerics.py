@@ -20,10 +20,11 @@ The PCA kernels check that copy (``_columns``), not the caller's strided
 view, and standardize it in place: it is the check and the buffer both.
 
 Kernels that fit to rows take optional row counts: row ``i`` stands for
-``counts[i]`` equal rows, one each by default. A bootstrap replicate runs on
-its distinct rows with the counts it drew, equal in exact arithmetic to the
-run on the repeated rows; a count of 1.0 multiplies exactly, so unit counts
-give the plain rows' result bit for bit.
+``counts[i]`` equal rows, one each by default; counts must be finite and
+non-negative with a positive sum, and a count of 0 leaves its row out. A
+bootstrap replicate runs on its distinct rows with the counts it drew, equal
+in exact arithmetic to the run on the repeated rows; a count of 1.0
+multiplies exactly, so unit counts give the plain rows' result bit for bit.
 """
 
 from __future__ import annotations
@@ -87,10 +88,12 @@ def ensure_binary_labels(labels, name: str = "labels", length: int | None = None
 
 
 def _counts(counts, n: int) -> np.ndarray:
-    """Float row counts of ``n`` rows, one each when ``counts`` is None."""
+    """Float row counts of ``n`` rows, one each when ``counts`` is None, checked."""
     c = np.ones(n) if counts is None else np.asarray(counts, dtype=float)
     if c.shape != (n,):
         raise InvalidDataError(f"counts must have length {n}, got shape {c.shape}")
+    if not (np.isfinite(c).all() and (c >= 0.0).all() and c.sum() > 0.0):
+        raise InvalidDataError("counts must be finite and non-negative, with a positive sum")
     return c
 
 

@@ -18,7 +18,9 @@ before that one; the package's fit stays within a stated bound of it. The
 alignment that decomposes the anchor-tall combined image and pseudo-inverts
 each row block's anchor image (``fit_integration``, ``_shared_basis``) is
 the one before the R-factor alignment; the package's maps stay within a
-stated bound of its maps.
+stated bound of its maps. The matched sample as index arrays with
+multiplicity (``matched_rows``, ``matched_smd``) is the one before the
+per-subject counts of ``causal.matched_sample``.
 
 ``reference_scenario`` composes these references into a whole scenario:
 every number ``run_scenario`` reports, recomputed one run at a time from the
@@ -246,6 +248,32 @@ def smd_formula(covariates, treatments, weights=None) -> list[float]:
         pooled = (stats[1][1] + stats[0][1]) / 2.0
         out.append((stats[1][0] - stats[0][0]) / pooled ** 0.5)
     return out
+
+
+def matched_rows(pairs, treatments, estimand: str, counts=None):
+    """The matched sample as subject indices with multiplicity.
+
+    Returns the treated-side and control-side index arrays: for ATT the
+    treated subjects and their matched controls; for ATE every subject plus
+    its match, each occurrence kept. The third array holds how often each
+    pair occurs: the count of the subject that chose it (once by default).
+    This is ``causal.matched_sample`` before it returned one count per subject.
+    """
+    z = np.asarray(treatments)
+    t, c = np.flatnonzero(z == 1), np.flatnonzero(z == 0)
+    n = np.ones(z.shape[0]) if counts is None else np.asarray(counts, dtype=float)
+    if estimand == "ATT":
+        return t, pairs[t], n[t]
+    return np.r_[t, pairs[c]], np.r_[pairs[t], c], n[np.r_[t, c]]
+
+
+def matched_smd(covariates, pairs, treatments, estimand: str, counts=None) -> list[float]:
+    """``smd_formula`` of the matched sample's rows, each pair repeated as often as it occurs."""
+    t_rows, c_rows, times = matched_rows(pairs, treatments, estimand, counts)
+    reps = times.astype(np.int64)
+    rows = np.r_[np.repeat(t_rows, reps), np.repeat(c_rows, reps)]
+    labels = np.r_[np.ones(reps.sum()), np.zeros(reps.sum())]
+    return smd_formula(np.asarray(covariates)[rows], labels)
 
 
 # -- IRLS with the masked two-branch sigmoid, one matvec per use --------------
@@ -514,15 +542,7 @@ def reference_run(data: Dataset, config, true_scores, run: int) -> dict:
     if config.estimator == "PSM":
         pairs = brute_force_pairs(scores, z)
         estimate = psm_formula(pairs, z, y, config.estimand)
-        treated = np.flatnonzero(z == 1)
-        control = np.flatnonzero(z == 0)
-        if config.estimand == "ATT":
-            t_rows, c_rows = treated, pairs[treated]
-        else:
-            t_rows = np.concatenate([treated, pairs[control]])
-            c_rows = np.concatenate([pairs[treated], control])
-        labels = np.r_[np.ones(t_rows.shape[0]), np.zeros(c_rows.shape[0])]
-        balance = smd_formula(np.vstack([truth[t_rows], truth[c_rows]]), labels)
+        balance = matched_smd(truth, pairs, z, config.estimand)
     else:
         estimate = ipw_formula(scores, z, y, config.estimand)
         if config.estimand == "ATE":

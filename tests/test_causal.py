@@ -17,6 +17,7 @@ from dcqe.causal import (
 )
 from dcqe.errors import InvalidDataError
 from dcqe.experiments import ArtificialDataConfig, generate_artificial
+from dcqe.metrics import _smd
 
 
 def random_instance(rng, max_n=200, tie_grid=None):
@@ -188,23 +189,43 @@ class TestPsmEstimates:
         assert estimate_psm(result, y, "ATE") == 0.5
         assert estimate_psm(result, y, "ATT") == 0.5
 
-    def test_matched_sample_composition(self):
-        scores = np.array([0.2, 0.8, 0.4, 0.6])
+
+class TestMatchedSample:
+    """The matched sample as one count per subject, against the index route it replaced."""
+
+    def test_composition(self):
+        scores = np.array([0.2, 0.3, 0.4, 0.9])
         z = np.array([1, 1, 0, 0])
         result = match_pairs(scores, z)
-        t_att, c_att, n_att = matched_sample(result, "ATT")
-        np.testing.assert_array_equal(t_att, [0, 1])
-        np.testing.assert_array_equal(c_att, result.pairs[[0, 1]])
-        np.testing.assert_array_equal(n_att, [1.0, 1.0])
-        t_ate, c_ate, n_ate = matched_sample(result, "ATE")
-        assert t_ate.shape[0] == 4 and c_ate.shape[0] == 4
-        np.testing.assert_array_equal(t_ate[:2], [0, 1])
-        np.testing.assert_array_equal(c_ate[2:], [2, 3])
-        np.testing.assert_array_equal(n_ate, np.ones(4))
-        # Each pair occurs as often as the subject that chose it.
+        np.testing.assert_array_equal(result.pairs, [2, 2, 1, 1])
+        np.testing.assert_array_equal(matched_sample(result, "ATT"), [1.0, 1.0, 2.0, 0.0])
+        np.testing.assert_array_equal(matched_sample(result, "ATE"), [1.0, 3.0, 3.0, 1.0])
+        # Each choice adds the count of the subject that made it.
         counts = np.array([2.0, 1.0, 3.0, 4.0])
-        np.testing.assert_array_equal(matched_sample(result, "ATT", counts)[2], [2.0, 1.0])
-        np.testing.assert_array_equal(matched_sample(result, "ATE", counts)[2], counts)
+        np.testing.assert_array_equal(matched_sample(result, "ATT", counts), [2.0, 1.0, 3.0, 0.0])
+        np.testing.assert_array_equal(matched_sample(result, "ATE", counts), [2.0, 8.0, 6.0, 4.0])
+
+    @pytest.mark.parametrize("estimand", ["ATE", "ATT"])
+    @pytest.mark.parametrize("tie_grid", [None, 6], ids=["distinct", "tied"])
+    @pytest.mark.parametrize("counted", [False, True], ids=["unit", "counted"])
+    @pytest.mark.parametrize("seed", range(10))
+    def test_balance_equals_the_index_route(self, seed, counted, tie_grid, estimand):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(6, 61))
+        z = (rng.permutation(n) < rng.integers(2, n - 1)).astype(int)
+        scores = rng.random(n)
+        if tie_grid:
+            scores = np.round(scores * tie_grid) / tie_grid
+        x = rng.normal(size=(n, 3)) @ rng.normal(size=(3, 3))
+        counts = None
+        if counted:  # 0 to 3, with two counted subjects in each group
+            counts = rng.integers(0, 4, size=n).astype(float)
+            counts[np.flatnonzero(z == 1)[:2]] = 1.0
+            counts[np.flatnonzero(z == 0)[:2]] = 1.0
+        matching = match_pairs(scores, z)
+        ours = _smd(x, z == 1, matched_sample(matching, estimand, counts))
+        theirs = np.asarray(oracles.matched_smd(x, matching.pairs, z, estimand, counts))
+        assert np.max(np.abs(ours - theirs) / np.maximum(1.0, np.abs(theirs))) <= 1e-12
 
 
 class TestIpwEstimates:

@@ -192,13 +192,9 @@ class TestBalance:
     def test_matched_sample_counts_match_repeated_rows(self, case, estimand):
         x, z, _, counts = case
         scores = scores_of(x)
-        t_rows, c_rows, pair_counts = matched_sample(match_pairs(scores, z), estimand, counts)
-        truth = np.ascontiguousarray(x.T)
-        ours = _smd(truth[:, t_rows], truth[:, c_rows], pair_counts, pair_counts)
+        ours = _smd(x, z == 1, matched_sample(match_pairs(scores, z), estimand, counts))
         xx, e, zz = repeated(counts, x, scores, z)
-        t_all, c_all, ones = matched_sample(match_pairs(e, zz), estimand)
-        wide = np.ascontiguousarray(xx.T)
-        assert_close(ours, _smd(wide[:, t_all], wide[:, c_all], ones, ones))
+        assert_close(ours, _smd(xx, zz == 1, matched_sample(match_pairs(e, zz), estimand)))
 
     @settings(max_examples=40, deadline=None)
     @given(counted_rows(), st.sampled_from(["ATE", "ATT"]), st.booleans())
@@ -217,11 +213,21 @@ class TestBalance:
         z = np.array([1, 0, 0, 1])
         counts = np.array([2.0, 1.0, 1.0, 1.0])
         # One treated unit counted twice against the same unit twice over.
-        np.testing.assert_allclose(_smd(x[[0]].T, x[[1, 2]].T, counts[[0]], counts[[1, 2]]),
-                                   _smd(x[[0, 0]].T, x[[1, 2]].T, np.ones(2), np.ones(2)))
+        np.testing.assert_allclose(_smd(x[:3], z[:3] == 1, counts[:3]),
+                                   _smd(x[[0, 0, 1, 2]], z[[0, 0, 1, 2]] == 1, np.ones(4)))
         with pytest.raises(InvalidDataError, match="at least two subjects per group"):
-            _smd(x[[0]].T, x[[1, 2]].T, np.ones(1), np.ones(2))
+            _smd(x[:3], z[:3] == 1, np.ones(3))
         assert smd(x, z, counts=counts).shape == (1,)
+
+    def test_a_count_of_zero_leaves_its_row_out(self):
+        step = 1e-6 * np.array([0, 1, 0, 1, 0])
+        x = np.vstack([np.column_stack([np.arange(5.0), 5.0 + step]), [1e9, -1e9]])
+        z = np.array([1, 0, 0, 1, 1, 0])
+        ours = smd(x, z, counts=[1, 1, 1, 1, 1, 0])
+        assert np.array_equal(ours, smd(x[:5], z[:5]))
+        # Counted, the last row would scale the zero-variance cut-off past the
+        # second column's spread, and its difference would read 0.
+        assert ours[1] != 0.0
 
 
 class TestInconsistency:

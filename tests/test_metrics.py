@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -7,8 +8,9 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 import oracles
+from dcqe.causal import match_pairs, matched_sample
 from dcqe.errors import InvalidDataError
-from dcqe.metrics import gap, inconsistency, smd
+from dcqe.metrics import _smd, gap, inconsistency, smd
 
 unit_floats = st.floats(0.01, 0.99, allow_nan=False, allow_infinity=False)
 
@@ -146,6 +148,32 @@ class TestSmd:
         x, z = grouped_covariates(seed=36, n=12)
         with pytest.raises(InvalidDataError):
             smd(x, z, weights=np.zeros(12))
+
+
+class TestPsmBalanceAllocation:
+    """The PSM balance step of a replicate, ``matched_sample`` and then ``_smd`` on the
+    subjects' own rows, on a counted 16 000 x 6 sample. Its tracemalloc peak, in blocks
+    the size of the ground truth, measured 2.37 for ATE and ATT (numpy 2.4); the bound
+    leaves 0.6 of a block. Building the matched sample's rows, a variables-major copy of
+    the ground truth and two gathers of it, peaked at 6.50 (ATE) and 3.80 (ATT) blocks.
+    """
+
+    BOUND = 3.0
+
+    @pytest.mark.parametrize("estimand", ["ATE", "ATT"])
+    def test_peak_in_ground_truth_blocks(self, estimand):
+        rng = np.random.default_rng(0)
+        x = rng.standard_normal((16000, 6))
+        z = (rng.random(16000) < 1.0 / (1.0 + np.exp(-x[:, 0]))).astype(np.int64)
+        matching = match_pairs(1.0 / (1.0 + np.exp(-(x[:, 0] + 0.5 * x[:, 1]))), z)
+        counts = rng.integers(1, 4, size=16000).astype(float)
+        tracemalloc.start()
+        try:
+            _smd(x, z == 1, matched_sample(matching, estimand, counts))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / x.nbytes <= self.BOUND
 
 
 class TestRejectionMessages:

@@ -7,7 +7,8 @@ takes propensity scores rejects a NaN or 2-d score vector; those that divide
 by the scores also reject a score outside the open interval (0, 1). A
 pipeline run still calls public entry points, which the benchmark's tracer
 times by name, on arrays it built itself, so it checks some arrays again;
-the number of checks per run is bounded.
+the number of checks per run is bounded. Every public function that takes
+row counts rejects counts that are not finite, are negative or sum to zero.
 """
 
 import sys
@@ -17,11 +18,12 @@ import numpy as np
 import pytest
 
 from dcqe import experiments, numerics
-from dcqe.causal import estimate_ipw, estimate_propensity, ipw_weights, match_pairs
+from dcqe.causal import estimate_ipw, estimate_propensity, estimate_psm, ipw_weights, \
+    match_pairs, matched_sample
 from dcqe.collaboration import make_intermediate
 from dcqe.datamodel import CollaborationScope, Dataset, PartitionSpec
 from dcqe.errors import InvalidDataError
-from dcqe.metrics import smd
+from dcqe.metrics import inconsistency, smd
 from dcqe.numerics import logistic_fit, pca_fit, pseudoinverse, svd_truncated
 
 GOOD = np.random.default_rng(0).normal(size=(8, 3))
@@ -111,11 +113,45 @@ def test_entry_point_rejects_bad_labels(entry, bad):
         LABEL_ENTRY_POINTS[entry](np.array(labels))
 
 
+# Row counts for the eight subjects of Z, through every public function that takes them.
+MATCHING = match_pairs(SCORES, Z)
+COUNT_ENTRY_POINTS = {
+    "logistic_fit": lambda c: logistic_fit(GOOD, Z, c),
+    "estimate_propensity": lambda c: estimate_propensity(GOOD, Z, c),
+    "make_intermediate": lambda c: make_intermediate(GOOD, FACTOR, RANGES, 2, c),
+    "estimate_psm": lambda c: estimate_psm(MATCHING, Y, "ATE", c),
+    "matched_sample": lambda c: matched_sample(MATCHING, "ATE", c),
+    "smd": lambda c: smd(GOOD, Z, counts=c),
+    "inconsistency": lambda c: inconsistency(SCORES, SCORES[::-1], c),
+}
+ONES = np.ones(8)
+BAD_COUNTS = {
+    "nan": (np.where(np.arange(8) == 2, np.nan, ONES), "finite and non-negative"),
+    "inf": (np.where(np.arange(8) == 2, np.inf, ONES), "finite and non-negative"),
+    "negative": (np.where(np.arange(8) == 2, -1.0, ONES), "finite and non-negative"),
+    "zero-sum": (np.zeros(8), "with a positive sum"),
+    "short": (ONES[:7], "must have length 8"),
+    "2d": (ONES.reshape(8, 1), "must have length 8"),
+}
+
+
+@pytest.mark.parametrize("entry,bad", [
+    pytest.param(entry, bad, id=f"{entry}-counts-{bad}")
+    for entry in COUNT_ENTRY_POINTS for bad in BAD_COUNTS
+])
+def test_entry_point_rejects_bad_counts(entry, bad):
+    counts, message = BAD_COUNTS[bad]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidDataError, match=message):
+            COUNT_ENTRY_POINTS[entry](counts)
+
+
 # The checks one run makes of each kind: matrices, vectors and 0/1 labels.
 CHECKS_PER_RUN = {
-    ("dcqe", "IPW"): {"ensure_matrix": 18, "ensure_vector": 8, "ensure_binary_labels": 4},
+    ("dcqe", "IPW"): {"ensure_matrix": 17, "ensure_vector": 7, "ensure_binary_labels": 3},
     ("dcqe", "PSM"): {"ensure_matrix": 17, "ensure_vector": 8, "ensure_binary_labels": 3},
-    ("centralized", "IPW"): {"ensure_matrix": 2, "ensure_vector": 8, "ensure_binary_labels": 3},
+    ("centralized", "IPW"): {"ensure_matrix": 1, "ensure_vector": 7, "ensure_binary_labels": 2},
     ("centralized", "PSM"): {"ensure_matrix": 1, "ensure_vector": 8, "ensure_binary_labels": 2},
 }
 
