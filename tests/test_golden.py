@@ -22,9 +22,13 @@ After a change that is meant to move the numbers, rewrite the golden files
 with
 
     PYTHONPATH=src python tests/test_golden.py
+
+which prints, for each golden file, the rows and cells that moved, the
+largest relative change and the sha256 prefixes of the old and new file.
 """
 
 import csv
+import hashlib
 import math
 import os
 import re
@@ -33,6 +37,7 @@ import subprocess
 import sys
 import tempfile
 import warnings
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -94,12 +99,14 @@ def _real(cell: str) -> float | None:
         return None
 
 
+def _rows(path: Path) -> list[list[str]]:
+    with path.open(newline="", encoding="utf-8") as handle:
+        return list(csv.reader(handle))
+
+
 def mismatches(expected_path: Path, actual_path: Path) -> list[str]:
     """Every cell of ``actual_path`` that differs from ``expected_path`` beyond ``RTOL``."""
-    with expected_path.open(newline="", encoding="utf-8") as handle:
-        expected = list(csv.reader(handle))
-    with actual_path.open(newline="", encoding="utf-8") as handle:
-        actual = list(csv.reader(handle))
+    expected, actual = _rows(expected_path), _rows(actual_path)
     if expected[0] != actual[0] or len(expected) != len(actual):
         return [f"header or row count differs: {len(actual) - 1} rows, "
                 f"expected {len(expected) - 1}; header {actual[0]}"]
@@ -112,6 +119,31 @@ def mismatches(expected_path: Path, actual_path: Path) -> list[str]:
             if x is None or y is None or not math.isclose(x, y, rel_tol=RTOL, abs_tol=0.0):
                 problems.append(f"row {number} {column}: {b!r}, expected {a!r}")
     return problems
+
+
+def moves(expected_path: Path, actual_path: Path) -> str:
+    """What a rewrite of golden file ``expected_path`` with ``actual_path`` moves: the rows,
+    by their first two cells, and the cells that differ, the largest relative change of a
+    real cell (inf for any other cell), and the sha256 prefixes of the two files."""
+    old, new = (hashlib.sha256(path.read_bytes()).hexdigest()[:12]
+                for path in (expected_path, actual_path))
+    expected, actual = _rows(expected_path), _rows(actual_path)
+    if expected[0] != actual[0] or len(expected) != len(actual):
+        return f"{expected_path.name}: header or row count changed; sha256 {old} -> {new}"
+    rows, cells, largest = Counter(), 0, 0.0
+    for want, got in zip(expected[1:], actual[1:]):
+        changed = [(_real(a), _real(b)) for a, b in zip(want, got) if a != b]
+        if changed:
+            rows[" ".join(got[:2])] += 1
+            cells += len(changed)
+        for x, y in changed:
+            largest = max(largest, math.inf if x is None or y is None or x == 0.0
+                          else abs(y - x) / abs(x))
+    if not cells:
+        return f"{expected_path.name}: unchanged; sha256 {old}"
+    labels = ", ".join(f"{label} x{count}" for label, count in rows.items())
+    return (f"{expected_path.name}: {rows.total()} of {len(expected) - 1} rows ({labels}) and "
+            f"{cells} cells moved, largest relative change {largest:.2g}; sha256 {old} -> {new}")
 
 
 @pytest.fixture(scope="module")
@@ -189,9 +221,31 @@ def test_mismatches_names_a_moved_cell_and_a_relabel(tmp_path):
     assert variant("label.csv", [rows[1][0], "clb", *rows[1][2:]]) != []
 
 
+def test_moves_counts_rows_cells_and_the_largest_change(tmp_path):
+    golden = GOLDEN / "experiment_one.csv"
+    rows = _rows(golden)
+    columns = [rows[0].index(name) for name in ("estimate_mean", "masmd_se")]
+    moved = [row[:] for row in rows]
+    for number, scale in ((2, 1 + 1e-12), (5, 1 - 3e-15)):
+        for column in columns:
+            moved[number][column] = repr(float(rows[number][column]) * scale)
+    path = tmp_path / golden.name
+    with path.open("w", newline="", encoding="utf-8") as handle:
+        csv.writer(handle, lineterminator="\n").writerows(moved)
+    old, new = (hashlib.sha256(p.read_bytes()).hexdigest()[:12] for p in (golden, path))
+    labels = ", ".join(f"{' '.join(moved[number][:2])} x1" for number in (2, 5))
+    assert moves(golden, path) == (
+        f"experiment_one.csv: 2 of {len(rows) - 1} rows ({labels}) and 4 cells moved, "
+        f"largest relative change 1e-12; sha256 {old} -> {new}")
+    shutil.copyfile(golden, path)
+    assert moves(golden, path) == f"experiment_one.csv: unchanged; sha256 {old}"
+
+
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     with tempfile.TemporaryDirectory() as scratch:
         for golden, path in generate(Path(scratch)).items():
+            if (GOLDEN / golden).exists():
+                print(moves(GOLDEN / golden, path))
             shutil.copyfile(path, GOLDEN / golden)
             print(f"wrote {GOLDEN / golden}")
