@@ -9,12 +9,11 @@ images its anchor columns from the ones column and its columns of ``R_U``:
 it ships ``Q_U^T`` times their r x d image, (m + 1) x d. The analyst gets
 the pairs as the party grid ``intermediates[k][l]``, row block ``k`` and
 column block ``l``, and aligns the row blocks' reduced spaces onto the
-leading left singular vectors of the concatenated anchor images. Row block
-k's map comes from the R factor of that combined image, the same for images
-premultiplied by ``Q_U``: with ``combined = Q R``, ``pinv(Q R_k) @ (Q U_R)
-= pinv(R_k) @ U_R`` is its pseudoinverse map in exact arithmetic. The maps
-are plain matrices in row-block order; the collaborative representation
-they assemble has one row per subject.
+leading left singular vectors of the concatenated anchor images. Those maps
+do not change when every image is premultiplied by one matrix with
+orthonormal columns, so the shipped images give the maps of the r-row ones.
+The maps are plain matrices in row-block order; the collaborative
+representation they assemble has one row per subject.
 
 Analyst-side functions take only reduced images and the maps fitted from
 them; no covariates, treatments or outcomes cross that boundary.
@@ -116,22 +115,21 @@ def fit_integration(intermediates: Sequence[Sequence[Intermediate]],
     side by side across row blocks, and the leading ``collaborative_dim``
     left singular vectors of the result become the shared basis. Row block
     ``k``'s map, item ``k`` of the result, is the pseudoinverse of its own
-    anchor image times that basis, computed from the block's columns of the
-    combined image's R factor.
+    anchor images times that basis.
     """
     _check_grid(intermediates)
     if collaborative_dim < 1:
         raise InvalidDataError(f"collaborative dimension must be positive, got {collaborative_dim}")
-    r = np.linalg.qr(np.hstack([image for row in intermediates for _, image in row]), mode="r")
+    images = [np.hstack([image for _, image in row]) for row in intermediates]
+    combined = np.hstack(images)
     # The shared basis cannot be wider or taller than the combined anchor image;
     # requests beyond that (or beyond numerical rank) shrink silently and the
     # effective width is reported by the returned matrices.
-    basis = svd_truncated(r, min(collaborative_dim, *r.shape)).u
+    basis = svd_truncated(combined, min(collaborative_dim, *combined.shape)).u
     if basis.shape[1] == 0:
         raise InvalidDataError("the combined anchor image has numerical rank 0, so there is no "
                                "shared basis; constant party columns are a likely cause")
-    widths = [sum(anchor.shape[1] for _, anchor in row) for row in intermediates]
-    return [pseudoinverse(r_k) @ basis for r_k in np.split(r, np.cumsum(widths)[:-1], axis=1)]
+    return [pseudoinverse(image) @ basis for image in images]
 
 
 def assemble_collaborative(intermediates: Sequence[Sequence[Intermediate]],

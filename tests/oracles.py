@@ -17,8 +17,11 @@ cell-by-cell CSV loaders (``cellwise_ingest_csv``,
 before that one; the package's fit stays within a stated bound of it. The
 alignment that decomposes the anchor-tall combined image and pseudo-inverts
 each row block's anchor image (``fit_integration``, ``_shared_basis``) is
-the one before the R-factor alignment; the package's maps stay within a
-stated bound of its maps. The matched sample as index arrays with
+the whole-scenario reference's alignment, taken on the anchor-tall images.
+The alignment through the R factor of the combined anchor image
+(``r_factor_fit_integration``) is the one before the package aligned the
+images directly; the package's maps stay within a stated bound of its maps.
+The matched sample as index arrays with
 multiplicity (``matched_rows``, ``matched_smd``) is the one before the
 per-subject counts of ``causal.matched_sample``.
 
@@ -407,7 +410,7 @@ def softplus_logistic_fit(features, labels) -> LogisticModel:
     )
 
 
-# -- Alignment through the anchor-tall SVD and one pseudoinverse per row block
+# -- Alignment: pseudoinverses of the anchor-tall images, and the R factor ----
 
 def _shared_basis(images: list[np.ndarray], collaborative_dim: int) -> np.ndarray:
     """The shared basis of the row blocks' anchor images, in row-block order."""
@@ -444,6 +447,21 @@ def fit_integration(intermediates: Sequence[Sequence[tuple[np.ndarray, np.ndarra
     images = [np.hstack([anchor for _, anchor in row]) for row in intermediates]
     basis = _shared_basis(images, collaborative_dim)
     return [pseudoinverse(image) @ basis for image in images]
+
+
+def r_factor_fit_integration(intermediates: Sequence[Sequence[tuple[np.ndarray, np.ndarray]]],
+                             collaborative_dim: int) -> list[np.ndarray]:
+    """One alignment map per row block from the R factor of the combined anchor image.
+
+    With ``combined = Q R``, ``pinv(Q R_k) @ (Q U_R) = pinv(R_k) @ U_R``: row
+    block ``k``'s map is the pseudoinverse of its columns of R times the
+    leading left singular vectors of R, its pseudoinverse map in exact
+    arithmetic.
+    """
+    r = np.linalg.qr(np.hstack([image for row in intermediates for _, image in row]), mode="r")
+    basis = svd_truncated(r, min(collaborative_dim, *r.shape)).u
+    widths = [sum(anchor.shape[1] for _, anchor in row) for row in intermediates]
+    return [pseudoinverse(r_k) @ basis for r_k in np.split(r, np.cumsum(widths)[:-1], axis=1)]
 
 
 # -- A whole scenario, recomputed serially from the method's steps -----------

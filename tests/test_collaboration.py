@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import oracles
 from dcqe.causal import estimate_propensity
@@ -268,11 +268,9 @@ class TestFitIntegration:
 
         reps = [[(data, anchor_image)], [(data, anchor_image)]]
         maps = fit_integration(reps, 3)
-        # The two row blocks own different columns of the combined image's R
-        # factor, which agree only up to rounding, so the maps agree within a
-        # few ulps of their largest entry rather than bit for bit.
-        largest = np.max(np.abs(maps[0]))
-        assert np.max(np.abs(maps[0] - maps[1])) <= 8 * np.spacing(largest)
+        # Each map is the pseudoinverse of the row block's own images times the
+        # shared basis, so equal images give equal maps, bit for bit.
+        assert maps[0].tobytes() == maps[1].tobytes()
         basis = shared_anchor_basis(reps, 3)
         np.testing.assert_allclose(anchor_image @ maps[0], basis, atol=1e-8)
 
@@ -356,7 +354,7 @@ def random_reps(rng, anchor_images):
 
 
 def oracle_cases():
-    """Inputs for the pseudoinverse oracle: representations and a requested width."""
+    """Hand-built inputs for the R-factor oracle: representations and a requested width."""
     rng = np.random.default_rng(21)
     a, b, col = rng.normal(size=(40, 2)), rng.normal(size=(40, 2)), rng.normal(size=(40, 1))
     return [
@@ -372,29 +370,81 @@ def oracle_cases():
             [np.hstack([col, 2.0 * col]), rng.normal(size=(40, 2))],
             [rng.normal(size=(40, 2)), rng.normal(size=(40, 2))]]), 6,
             id="rank-deficient-row-block"),
-        # Five anchor rows against a combined width of 8: R is 5 x 8.
+        # Five anchor rows against a combined width of 8.
         pytest.param(random_reps(rng, [[rng.normal(size=(5, 2)) for l in range(2)]
                                        for k in range(2)]), 5,
                      id="fewer-anchor-rows-than-combined-width"),
     ]
 
 
-class TestAlignmentMatchesPseudoinverseOracle:
-    """The R-factor maps against the anchor-tall SVD and pseudoinverse maps.
+def protocol_grid(seed, row_blocks, col_widths, dim, anchor_rows, constant, counted):
+    """A grid of ``make_intermediate`` pairs on random party blocks, ``row_blocks`` rows
+    and ``col_widths`` covariates, each party reduced to ``dim`` (at most its width less
+    one), with the shipped (m + 1)-row anchor images of an ``anchor_rows``-row anchor.
+    With ``constant`` covariate 0 holds one value; with ``counted`` each subject is fitted
+    as 1 to 3 equal rows."""
+    rng = np.random.default_rng(seed)
+    data = rng.normal(size=(sum(row_blocks), sum(col_widths))) * rng.uniform(0.1, 10.0)
+    if constant:
+        data[:, 0] = 3.0
+    spec = PartitionSpec(tuple(row_blocks), tuple(col_widths))
+    counts = rng.integers(1, 4, size=data.shape[0]).astype(float) if counted else None
+    factor = generate_anchor(data.shape[1], anchor_rows, seed)
+    ranges = anchor_ranges(np.column_stack([data.min(0), data.max(0)]))
+    dim = min(dim, min(col_widths) - 1)
+    return [[make_intermediate(data[spec.row_slice(k), spec.col_slice(l)],
+                               *party_share(factor, ranges, spec.col_slice(l)), dim,
+                               None if counts is None else counts[spec.row_slice(k)])
+             for l in range(len(col_widths))] for k in range(len(row_blocks))]
 
-    The two are equal in exact arithmetic; measured, they differ by at most
-    6e-15 of the largest map entry on these cases and at 16 000 anchor rows.
+
+class TestAlignmentMatchesRFactorOracle:
+    """The maps against ``oracles.r_factor_fit_integration``, which aligns through the R
+    factor of the combined anchor image, as the package did before it took the images
+    directly. The two are equal in exact arithmetic. On the hand-built cases they
+    differ by at most 2.1e-15 of the largest map entry. The drawn grids are the same
+    on every run; over 400 draws of their kind (188 with a constant covariate) the maps
+    and the collaborative matrices they assemble were within 3.9e-14 of their largest
+    entry (median 5.5e-16), against a bound of 1e-12, and the widths always agreed.
     """
+
+    @staticmethod
+    def assert_close(got, want):
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
     @pytest.mark.parametrize("reps,width", oracle_cases())
     def test_maps_within_bound(self, reps, width):
         new = fit_integration(reps, width)
-        old = oracles.fit_integration(reps, width)
+        old = oracles.r_factor_fit_integration(reps, width)
         assert len(new) == len(old) == len(reps)
         for got, want in zip(new, old):
-            assert got.shape == want.shape
-            largest = np.max(np.abs(want))
-            assert np.max(np.abs(got - want)) <= 1e-13 * largest
+            self.assert_close(got, want)
+
+    # One row block: a 7 x 4 combined image, taller than wide.
+    @example(seed=1, row_blocks=[60], col_widths=[3, 3], dim=2, anchor_rows=1000,
+             constant=False, counted=False, width=6)
+    # Experiment two's shape: four parties of four covariates reduced to 3, 9 x 12.
+    @example(seed=2, row_blocks=[70, 50], col_widths=[4, 4], dim=3, anchor_rows=300,
+             constant=False, counted=True, width=8)
+    # A constant covariate: the combined image has rank 6 of 7, so width 7 gives 6.
+    @example(seed=3, row_blocks=[40, 40], col_widths=[3, 3], dim=2, anchor_rows=200,
+             constant=True, counted=False, width=7)
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           row_blocks=st.lists(st.integers(10, 80), min_size=1, max_size=3),
+           col_widths=st.lists(st.integers(2, 4), min_size=1, max_size=2),
+           dim=st.integers(1, 3), anchor_rows=st.integers(9, 300), constant=st.booleans(),
+           counted=st.booleans(), width=st.integers(1, 12))
+    def test_maps_and_collaborative_matrix_within_bound(self, seed, row_blocks, col_widths, dim,
+                                                        anchor_rows, constant, counted, width):
+        reps = protocol_grid(seed, row_blocks, col_widths, dim, anchor_rows, constant, counted)
+        new = fit_integration(reps, width)
+        old = oracles.r_factor_fit_integration(reps, width)
+        assert len(new) == len(old) == len(row_blocks)
+        for got, want in zip(new, old):
+            self.assert_close(got, want)
+        self.assert_close(assemble_collaborative(reps, new), assemble_collaborative(reps, old))
 
 
 def tall_anchor_image(block, col_ranges, r, seed, columns, target_dim):
@@ -461,10 +511,10 @@ class TestCompressedAnchorImage:
 
 
 class TestOrthogonalPremultiplicationKeepsTheMaps:
-    """``fit_integration`` reads the combined anchor image only through its R factor,
-    so premultiplying every anchor image by one matrix with orthonormal columns,
-    square or taller, leaves the maps alone: the identity behind the compressed
-    anchor. The examples are drawn the same way on every run. Measured change
+    """Premultiplying every anchor image by one matrix Q with orthonormal columns, square
+    or taller, leaves the maps alone: the combined image's left singular vectors become
+    Q times its own, and ``pinv(Q A_k) = pinv(A_k) Q^T``. It is the identity behind the
+    compressed anchor. The examples are drawn the same way on every run. Measured change
     on them: at most 3.7e-14 of the largest map entry, against a bound of 1e-12;
     on 4000 draws of the same kind, at most 4.3e-13.
     """

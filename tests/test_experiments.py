@@ -832,10 +832,10 @@ class TestAlignmentRank:
         assert widths == [8, 8, 8]
         assert shapes and max(rows for rows, _ in shapes) <= 8, shapes
 
-    def test_one_anchor_tall_qr_per_run_and_an_alignment_qr_of_seven_rows(self, monkeypatch):
+    def test_one_anchor_tall_qr_per_run_and_none_in_the_alignment(self, monkeypatch):
         # The anchor's draws are factored once per run; the parties ship 7-row
-        # images (the ones column and six covariates), so the alignment factors a
-        # 7 x 8 combined image. The other QR inputs are the parties' unit blocks.
+        # images (the ones column and six covariates), which the alignment
+        # decomposes as they are. The other QR inputs are the parties' unit blocks.
         shapes = {"fit": [], "other": []}
         stage = ["other"]
         qr, fit = np.linalg.qr, experiments.fit_integration
@@ -861,7 +861,7 @@ class TestAlignmentRank:
                                 collaborative_dim=6, anchor_size=3000, bootstrap_replicates=2,
                                 master_seed=3)
         run_scenario(data, config, true_scores)
-        assert shapes["fit"] == [(7, 8)] * 3
+        assert shapes["fit"] == []
         assert [s for s in shapes["other"] if s[0] > 2000] == [(3000, 7)] * 3
         assert len(shapes["other"]) == 3 * 5
         assert all(cols == 3 for rows, cols in shapes["other"] if rows <= 2000)
