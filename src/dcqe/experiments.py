@@ -348,6 +348,7 @@ def run_scenario(data: Dataset, config: ScenarioConfig,
             del intermediates  # not needed past here: free them before the fits
             scores = estimate_propensity(collab, z, counts)
             effective_dim = collab.shape[1]
+            del collab
         else:
             scores = estimate_propensity(scoped, z, counts)
             effective_dim = None
@@ -361,6 +362,7 @@ def run_scenario(data: Dataset, config: ScenarioConfig,
             estimate = _ipw_estimate(weights, z, y, counts)
             smds = _smd(ground_truth, z == 1, counts, weights)
         masmd = float(np.max(np.abs(smds)))
+        del ground_truth, scoped  # not read again: free them before the reference fit
 
         # Centralized reference: the same subjects with every covariate. When
         # the scenario itself already is that analysis, its scores are reused,
