@@ -196,6 +196,8 @@ def _read_row_block(label_path, party_paths: list, id_column: str | None):
         id_idx = header.index(id_column) if id_column and id_column in header else None
         values, treatments, reference_ids = _parse_table(
             label_path, table, [(z_idx, _parse_treatment), (y_idx, _parse_real)], id_idx)
+        if not treatments.shape[0]:
+            raise IngestionError(f"{label_path}: no data rows, a row block needs a subject")
         outcomes, reference_path = values[:, 0], label_path
         for path in party_paths:
             header = (table := _read_table(path))[0]
@@ -257,8 +259,8 @@ def load_party_files(party_paths: dict[tuple[int, int], str],
         if error is not None:
             raise error
     treatments, outcomes, blocks, _ = zip(*reads)
-    spec = PartitionSpec(tuple(z.shape[0] for z in treatments), tuple(col_widths.values()))
     try:
+        spec = PartitionSpec(tuple(z.shape[0] for z in treatments), tuple(col_widths.values()))
         dataset = Dataset(np.vstack([np.hstack(row) for row in blocks]),
                           np.concatenate(treatments), np.concatenate(outcomes))
     except DcqeError as exc:

@@ -646,6 +646,21 @@ class TestRunCommand:
         assert err.startswith(f"ingestion error: {bad}: 'utf-8' codec can't decode")
         assert "Traceback" not in err
 
+    def test_header_only_row_block_exits_ingestion_naming_its_label_file(self, tmp_path,
+                                                                       capsys):
+        files, blocks = write_party_grid(tmp_path)
+        for path in [blocks[0], files[(0, 0)], files[(0, 1)]]:
+            Path(path).write_text(Path(path).read_text().splitlines()[0] + "\n")
+        lines = ["bootstrap.replicates = 2", "reduction.intermediate_dim = 1",
+                 "run.id_column = id"]
+        lines += [f"run.party.{k}.{l} = {p}" for (k, l), p in files.items()]
+        lines += [f"run.block.{k} = {p}" for k, p in blocks.items()]
+        config = write_config(tmp_path / "run.conf", "\n".join(lines) + "\n")
+        code = main(["run", "--config", str(config), "--out", str(tmp_path / "out")])
+        assert code == EXIT_INGESTION
+        assert capsys.readouterr().err == \
+            f"ingestion error: {blocks[0]}: no data rows, a row block needs a subject\n"
+
     def test_constant_party_columns_exit_runtime_with_reason(self, tmp_path, capsys):
         party = write_rows(tmp_path / "party.csv", [f"{i},1,2,3,4" for i in range(50)],
                            header="id,a,b,c,d")

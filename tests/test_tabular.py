@@ -460,6 +460,13 @@ def small_grid(directory):
     return party_paths, block_paths
 
 
+def header_only_row_block(party_paths, block_paths, k):
+    """Cut row block ``k``'s label file and party files to their headers."""
+    for path in [block_paths[k], *(p for (row, _), p in party_paths.items() if row == k)]:
+        header = Path(path).read_text().splitlines()[0]
+        Path(path).write_text(header + "\n")
+
+
 def replace_cell(path, row, column, text):
     """Set cell (``row``, ``column``) of a file written by ``write``, rows counted from 1."""
     header, *lines = Path(path).read_text().splitlines()
@@ -500,6 +507,14 @@ class TestRowBlockReaders:
         assert outcome(load_party_files, party_paths, block_paths, "id") == message
         assert outcome(oracles.cellwise_load_party_files, party_paths, block_paths,
                        "id") == message
+
+    @pytest.mark.parametrize("k", [0, 1])
+    def test_header_only_row_block_names_its_label_file(self, tmp_path, k):
+        party_paths, block_paths = small_grid(tmp_path)
+        header_only_row_block(party_paths, block_paths, k)
+        with pytest.raises(IngestionError) as caught:
+            load_party_files(party_paths, block_paths, "id")
+        assert str(caught.value) == f"{block_paths[k]}: no data rows, a row block needs a subject"
 
     @pytest.mark.skipif(CPUS < 2 or not hasattr(os, "fork"),
                         reason="row-block readers need 2 CPUs and fork")
