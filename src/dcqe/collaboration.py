@@ -8,12 +8,12 @@ A PCA with standardization is affine, so with ``[1, U] = Q_U R_U`` a party
 images its anchor columns from the ones column and its columns of ``R_U``:
 it ships ``Q_U^T`` times their r x d image, (m + 1) x d. The analyst gets
 the pairs as the party grid ``intermediates[k][l]``, row block ``k`` and
-column block ``l``, and aligns the row blocks' reduced spaces onto the
-leading left singular vectors of the concatenated anchor images. Those maps
-do not change when every image is premultiplied by one matrix with
-orthonormal columns, so the shipped images give the maps of the r-row ones.
-The maps are plain matrices in row-block order; the collaborative
-representation they assemble has one row per subject.
+column block ``l``, and maps each row block by the pseudoinverse of its own
+anchor images onto the leading left singular vectors of all of them, side by
+side. The maps do not change when every image is premultiplied by one matrix
+with orthonormal columns, so the shipped images give those of the r-row ones.
+They are plain matrices in row-block order; the collaborative representation
+they assemble has one row per subject.
 
 Analyst-side functions take only reduced images and the maps fitted from
 them; no covariates, treatments or outcomes cross that boundary.

@@ -348,7 +348,7 @@ def run_scenario(data: Dataset, config: ScenarioConfig,
             del intermediates  # not needed past here: free them before the fits
             scores = estimate_propensity(collab, z, counts)
             effective_dim = collab.shape[1]
-            del collab
+            del collab  # not read again
         else:
             scores = estimate_propensity(scoped, z, counts)
             effective_dim = None
