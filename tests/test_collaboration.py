@@ -402,16 +402,17 @@ class TestAlignmentMatchesRFactorOracle:
     """The maps against ``oracles.r_factor_fit_integration``, which aligns through the R
     factor of the combined anchor image, as the package did before it took the images
     directly. The two are equal in exact arithmetic. On the hand-built cases they
-    differ by at most 2.1e-15 of the largest map entry. The drawn grids are the same
-    on every run; over 400 draws of their kind (188 with a constant covariate) the maps
-    and the collaborative matrices they assemble were within 3.9e-14 of their largest
-    entry (median 5.5e-16), against a bound of 1e-12, and the widths always agreed.
+    differ by at most 2.1e-15 of the largest map entry, against a bound of 1e-13
+    (47x margin). The drawn grids are the same on every run; over 400 draws of their
+    kind (188 with a constant covariate) the maps and the collaborative matrices they
+    assemble were within 3.9e-14 of their largest entry (median 5.5e-16), against a
+    bound of 1e-12 (25x margin), and the widths always agreed.
     """
 
     @staticmethod
-    def assert_close(got, want):
+    def assert_close(got, want, bound):
         assert got.shape == want.shape
-        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+        assert np.max(np.abs(got - want)) <= bound * np.max(np.abs(want))
 
     @pytest.mark.parametrize("reps,width", oracle_cases())
     def test_maps_within_bound(self, reps, width):
@@ -419,7 +420,7 @@ class TestAlignmentMatchesRFactorOracle:
         old = oracles.r_factor_fit_integration(reps, width)
         assert len(new) == len(old) == len(reps)
         for got, want in zip(new, old):
-            self.assert_close(got, want)
+            self.assert_close(got, want, 1e-13)
 
     # One row block: a 7 x 4 combined image, taller than wide.
     @example(seed=1, row_blocks=[60], col_widths=[3, 3], dim=2, anchor_rows=1000,
@@ -443,8 +444,9 @@ class TestAlignmentMatchesRFactorOracle:
         old = oracles.r_factor_fit_integration(reps, width)
         assert len(new) == len(old) == len(row_blocks)
         for got, want in zip(new, old):
-            self.assert_close(got, want)
-        self.assert_close(assemble_collaborative(reps, new), assemble_collaborative(reps, old))
+            self.assert_close(got, want, 1e-12)
+        self.assert_close(assemble_collaborative(reps, new), assemble_collaborative(reps, old),
+                          1e-12)
 
 
 def tall_anchor_image(block, col_ranges, r, seed, columns, target_dim):
