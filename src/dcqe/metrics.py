@@ -13,8 +13,8 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InvalidDataError
-from .numerics import DEGENERATE_STDDEV, _counts, ensure_binary_labels, ensure_matrix, \
-    ensure_vector
+from .numerics import DEGENERATE_STDDEV, _counts, _moments, ensure_binary_labels, \
+    ensure_matrix, ensure_vector
 
 
 def gap(estimates, benchmark: float) -> float:
@@ -38,28 +38,6 @@ def inconsistency(scores_a, scores_b, counts=None) -> float:
     return float(np.sqrt((c * (a - b) ** 2).sum() / c.sum()))
 
 
-def _group_moments(cols: np.ndarray, counts: np.ndarray, weights: np.ndarray | None
-                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Mean, variance and largest magnitude of each row of a variables x subjects array,
-    subject ``i`` counted ``counts[i]`` times; the weighted variant uses the frequency-weight
-    bias correction sum(cw) / (sum(cw)^2 - sum(cw^2)), summed over the counted subjects."""
-    largest = np.maximum(cols.max(axis=1, initial=0.0), -cols.min(axis=1, initial=0.0))
-    if weights is None:
-        total = counts.sum()
-        if total < 2:
-            raise InvalidDataError("balance needs at least two subjects per group")
-        mean = (cols * counts).sum(axis=1) / total
-        centered = cols - mean[:, None]
-        return mean, (centered * centered * counts).sum(axis=1) / (total - 1), largest
-    counted = counts * weights
-    total = counted.sum()
-    denom = total * total - float((counted * weights).sum())
-    if denom <= 0:
-        raise InvalidDataError("weighted balance needs effective group size above one")
-    mean = (cols * counted).sum(axis=1) / total
-    return mean, total / denom * ((cols - mean[:, None]) ** 2 * counted).sum(axis=1), largest
-
-
 def smd(covariates, treatments, weights=None, counts=None) -> np.ndarray:
     """Standardized mean difference of each covariate between treated and control groups.
 
@@ -80,21 +58,28 @@ def smd(covariates, treatments, weights=None, counts=None) -> np.ndarray:
 
 def _smd(x: np.ndarray, treated: np.ndarray, counts: np.ndarray,
          weights: np.ndarray | None = None) -> np.ndarray:
-    """``smd`` of a checked subjects x variables matrix, given the treated mask, the
-    checked counts and weights; rows of count 0 are left out, also of the zero-variance
-    cut-off's scale, the largest magnitude in either group.
-
-    A covariate whose group means or variances overflow a double raises
-    ``InvalidDataError`` naming it.
-    """
-    held = counts > 0
+    """``smd`` of a checked subjects x variables matrix, given the treated mask, the checked
+    counts and weights. Each group's moments and scale are ``_moments``' over its rows of positive
+    count; the weighted variance has the frequency-weight bias correction sum(cw) / (sum(cw)^2 -
+    sum(cw^2)). A covariate whose pooled SD is below ``DEGENERATE_STDDEV`` times the larger scale
+    is constant; one whose group means or variances overflow raises ``InvalidDataError``."""
+    held, groups = counts > 0, []
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported just below
-        # Each group's rows, copied variables-major: reductions along rows are faster.
-        (mean_t, var_t, max_t), (mean_c, var_c, max_c) = [
-            _group_moments(np.ascontiguousarray(x.compress(rows, axis=0).T), counts.compress(rows),
-                           None if weights is None else weights.compress(rows))
-            for rows in (treated & held, ~treated & held)]
-        scale = np.maximum(np.maximum(max_t, max_c), 1.0)
+        for rows in (treated & held, ~treated & held):
+            w = None if weights is None else weights.compress(rows)
+            counted = counts.compress(rows) if w is None else counts.compress(rows) * w
+            total = counted.sum()
+            denom = None if w is None else total * total - float((counted * w).sum())
+            if w is None and total < 2:
+                raise InvalidDataError("balance needs at least two subjects per group")
+            if w is not None and denom <= 0:
+                raise InvalidDataError("weighted balance needs effective group size above one")
+            cols = np.ascontiguousarray(x.compress(rows, axis=0).T)  # rows reduce faster
+            mean, squares, scale = _moments(cols, counted)
+            var = squares / (total - 1) if w is None else total / denom * squares
+            groups.append((mean, var, scale))
+        (mean_t, var_t, scale_t), (mean_c, var_c, scale_c) = groups
+        scale = np.maximum(scale_t, scale_c)
         pooled = (var_t + var_c) / 2.0
         diff = mean_t - mean_c
         # A cut-off that overflows is inf; a finite pooled variance is then below it anyway.

@@ -38,7 +38,7 @@ from .errors import InvalidDataError
 # Relative cutoff below which singular values are treated as zero.
 SINGULAR_VALUE_CUTOFF = 1e-12
 
-# Column standard deviations below this are replaced by 1.0 when standardizing.
+# An SD below this times its column's rounding scale (``_moments``) marks a constant column.
 DEGENERATE_STDDEV = 1e-12
 
 # Ridge penalty on logistic coefficients (never on the intercept).
@@ -134,9 +134,9 @@ def pca_fit(data: np.ndarray, target_dim: int) -> PcaModel:
     Components are the top right singular vectors of the standardized matrix
     (equivalently the leading eigenvectors of its sample covariance), with the
     sign convention that each component's largest-magnitude entry is
-    non-negative. Columns whose sample standard deviation falls below
-    ``DEGENERATE_STDDEV`` get a divisor of 1.0; a column whose mean or
-    standard deviation overflows raises ``InvalidDataError``.
+    non-negative. A column whose sample SD is below ``DEGENERATE_STDDEV`` times its
+    largest magnitude (at least 1) is constant and gets a divisor of 1.0; a column
+    whose mean or standard deviation overflows raises ``InvalidDataError``.
     """
     return _pca(_columns(data), target_dim)[0]
 
@@ -148,10 +148,24 @@ def _columns(data, name: str = "data") -> np.ndarray:
     return cols
 
 
+@np.errstate(over="ignore", invalid="ignore")  # each caller names an overflowing row instead
+def _moments(cols: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Count-weighted mean, sum of squared deviations and rounding scale of each row of a
+    variables x subjects array, centered in place. The scale is the row's largest magnitude
+    over subjects of positive count, at least 1; a row whose SD is below it times
+    ``DEGENERATE_STDDEV`` is constant up to rounding."""
+    scale = np.abs(cols)
+    scale *= counts > 0  # in place: no second subjects-long buffer
+    scale = scale.max(axis=1, initial=1.0)
+    means = (cols * counts).sum(axis=1) / counts.sum()
+    cols -= means[:, None]
+    return means, (cols * cols * counts).sum(axis=1), scale
+
+
 def _pca(cols: np.ndarray, target_dim: int, name: str = "data",
          counts=None) -> tuple[PcaModel, np.ndarray]:
     """``pca_fit`` of ``_columns``' copy of a matrix called ``name``, with row counts;
-    returns the model and ``cols``, standardized in place."""
+    returns the model and ``cols``, standardized in place with ``_moments``' rule."""
     m, n = cols.shape
     c = _counts(counts, n)
     total = c.sum()
@@ -159,15 +173,13 @@ def _pca(cols: np.ndarray, target_dim: int, name: str = "data",
         raise InvalidDataError("pca_fit needs at least two rows")
     if not 1 <= target_dim <= m:
         raise InvalidDataError(f"target_dim must be in [1, {m}], got {target_dim}")
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported just below
-        means = (cols * c).sum(axis=1) / total
-        cols -= means[:, None]
-        stddevs = np.sqrt((cols * cols * c).sum(axis=1) / (total - 1))
+    means, squares, scale = _moments(cols, c)
+    stddevs = np.sqrt(squares / (total - 1))
     overflowing = np.flatnonzero(~(np.isfinite(means) & np.isfinite(stddevs)))
     if overflowing.size:
         raise InvalidDataError(f"{name} column {overflowing[0]}: its mean or standard deviation "
                                "overflows a double")
-    stddevs = np.where(stddevs < DEGENERATE_STDDEV, 1.0, stddevs)
+    stddevs = np.where(stddevs < DEGENERATE_STDDEV * scale, 1.0, stddevs)
     cols /= stddevs[:, None]
     # A tall block's R factor has its singular values and right vectors; gesdd
     # takes that route itself once n >= 11m/6, so there only forming U is saved.

@@ -495,7 +495,7 @@ def _party_pair(block: np.ndarray, anchor_block: np.ndarray, dim: int):
     """Party PCA by the SVD of the standardized block: its data and anchor images."""
     mean = block.mean(axis=0)
     sd = block.std(axis=0, ddof=1)
-    sd = np.where(sd < 1e-12, 1.0, sd)
+    sd = np.where(sd < 1e-12 * np.maximum(np.abs(block).max(axis=0), 1.0), 1.0, sd)
     components = np.linalg.svd((block - mean) / sd, full_matrices=False)[2][:dim].T
     return (block - mean) / sd @ components, (anchor_block - mean) / sd @ components
 

@@ -53,11 +53,11 @@ def scores_of(x):
 
 
 def previous_pca(arr, target_dim):
-    """``_pca``'s means, SDs and components before counts: numpy's own moments."""
+    """``_pca``'s means, SDs and components from numpy's own moments, as before counts."""
     n, m = arr.shape
     cols = np.ascontiguousarray(arr.T)
     means, stddevs = cols.mean(axis=1), cols.std(axis=1, ddof=1)
-    stddevs = np.where(stddevs < 1e-12, 1.0, stddevs)
+    stddevs = np.where(stddevs < 1e-12 * np.maximum(np.abs(arr).max(axis=0), 1.0), 1.0, stddevs)
     standardized = (cols - means[:, None]) / stddevs[:, None]
     factor = np.linalg.qr(standardized.T, mode="r") if n > m else standardized.T
     components = np.linalg.svd(factor, full_matrices=target_dim > min(n, m))[2][:target_dim].T
@@ -67,7 +67,7 @@ def previous_pca(arr, target_dim):
 
 
 def previous_moments(cols, weights=None):
-    """``metrics._group_moments`` before counts."""
+    """``_smd``'s group means and variances before counts."""
     if weights is None:
         return cols.mean(axis=1), cols.var(axis=1, ddof=1)
     total = weights.sum()

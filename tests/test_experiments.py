@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import oracles
 from test_collaboration import party_share
@@ -444,15 +444,24 @@ class TestWholeScenarioRelations:
     map's largest error was 4.3e-16 of |a| max|y| + |b|, the swap's 8.7e-16 of
     max|y| on an estimate and 1.7e-15 on a MASMD (IPW; PSM kept every bit), so
     ``BOUND`` leaves a margin of 5 or more.
+
+    Shifting one covariate by b, constant on row block 0, moves each reported
+    number by at most rounding of order eps |b|: every party standardizes its
+    block, and the constant one keeps a divisor of 1.0. Measured on 120 DC-QE
+    W-clb draws with |b| from 1 to 1e7 (PSM and IPW, ATE): the largest move was
+    12.9 eps max(1, |b|) of max(1, |value|), and 281 eps on ``inconsistency_ca``,
+    whose centralized reference fit runs IRLS on the raw, shifted column. So
+    ``SHIFT_BOUND`` and ``CA_SHIFT_BOUND`` leave margins of 3.5 and 16.
     """
 
     BOUND = 1e-14
+    SHIFT_BOUND, CA_SHIFT_BOUND = 1e-14, 1e-12
     SPEC = PartitionSpec((60, 60), (3, 3))
 
-    def config(self, analysis, estimator, estimand, seed, benchmark=1.0):
+    def config(self, analysis, estimator, estimand, seed, benchmark=1.0, spec=SPEC):
         dcqe = analysis == "dcqe"
         return ScenarioConfig(
-            partition=self.SPEC, scope=CollaborationScope.build("whole", self.SPEC),
+            partition=spec, scope=CollaborationScope.build("whole", spec),
             analysis=analysis, estimator=estimator, estimand=estimand,
             intermediate_dim=2 if dcqe else None, collaborative_dim=6 if dcqe else None,
             bootstrap_replicates=10, master_seed=seed, benchmark=benchmark)
@@ -496,6 +505,35 @@ class TestWholeScenarioRelations:
         assert abs(ours.estimate_mean + base.estimate_mean) <= self.BOUND * size
         for got, want in [(ours.masmd.point, base.masmd.point), (ours.masmd.mean, base.masmd.mean)]:
             assert abs(got - want) <= self.BOUND * max(1.0, want)
+
+    @pytest.mark.parametrize("estimator", ["PSM", "IPW"])
+    @settings(max_examples=4, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**31 - 1), shift=st.floats(-1e7, 1e7))
+    # Constants whose 70 copies have a rounding SD above 1e-12, which an absolute
+    # cutoff scales up to unit variance; 2019.37's stays below it.
+    @example(seed=0, shift=20000.3)
+    @example(seed=1, shift=123456.789)
+    @example(seed=2, shift=-3.3e6)
+    def test_shifting_a_covariate_constant_on_a_row_block_moves_no_number(self, estimator, seed,
+                                                                          shift):
+        spec = PartitionSpec((70, 50), (3, 3))
+        data, scores = generate_artificial(ArtificialDataConfig(subjects=120, seed=seed))
+
+        def shifted(b):
+            x = data.covariates.copy()
+            x[:, 0] += b
+            x[:spec.row_blocks[0], 0] = b
+            return Dataset(x, data.treatments, data.outcomes)
+
+        for estimand in ("ATE", "ATT"):
+            config = self.config("dcqe", estimator, estimand, seed, spec=spec)
+            base = run_scenario(shifted(0.0), config, scores).numbers()
+            ours = run_scenario(shifted(shift), config, scores).numbers()
+            for name, want in base.items():
+                bound = self.CA_SHIFT_BOUND if name.startswith("inconsistency_ca") else \
+                    self.SHIFT_BOUND
+                size = max(1.0, abs(shift)) * max(1.0, abs(want))
+                assert abs(ours[name] - want) <= bound * size, (name, ours[name], want)
 
 
 CPUS = runner._available_cpus()

@@ -69,15 +69,22 @@ class TestStandardize:
         assert model.means[0] == 5.0
         assert model.stddevs[0] == 1.0
 
-    def test_constant_party_column_gives_finite_zero_free_reduction(self):
-        rng = np.random.default_rng(6)
-        data = np.column_stack([np.full(30, 5.0), rng.normal(size=(30, 2))])
-        data_image, _ = reduce_party(data, 2)
-        assert np.all(np.isfinite(data_image))
-        # The constant column standardizes to zeros and moves nothing.
-        moved = data.copy()
-        moved[:, 0] = -3.0
-        np.testing.assert_allclose(reduce_party(moved, 2)[0], data_image, atol=1e-12)
+    @pytest.mark.parametrize("n", [30, 1000])
+    @pytest.mark.parametrize("constant", [5.0, 2e4, 123456.789, 1e15 + 0.5])
+    def test_constant_party_column_gives_finite_zero_free_reduction(self, constant, n):
+        # Three varying columns: with two, the components are (1, +-1) / sqrt(2),
+        # whose signs are a rounding tie.
+        for seed in range(8):
+            rng = np.random.default_rng(seed)
+            data = np.column_stack([np.full(n, constant), rng.normal(size=(n, 3))])
+            data_image, _ = reduce_party(data, 2)
+            assert np.all(np.isfinite(data_image))
+            # The constant column, whatever its rounding SD (6e-11 for 123456.789 at
+            # n = 1000), standardizes to its rounding residual and moves nothing.
+            # Measured on these cases: at most 2.2e-13, a margin of 4.5.
+            moved = data.copy()
+            moved[:, 0] = -3.0
+            np.testing.assert_allclose(reduce_party(moved, 2)[0], data_image, atol=1e-12)
 
     def test_matches_column_stat_oracle(self):
         rng = np.random.default_rng(42)
