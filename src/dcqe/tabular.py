@@ -1,9 +1,10 @@
 """Strict CSV ingestion for datasets and party files.
 
 Files are comma-separated UTF-8 with a required header row, decimal-point
-reals, and no quoting of numerics. Validation is strict: every cell must
-parse, treatments must be exactly "0" or "1", and errors carry the row and
-column they were found at (rows counted from 1, excluding the header).
+reals, and no quoting of numerics; a leading byte order mark is ignored.
+Validation is strict: every cell must parse, treatments must be exactly "0" or
+"1", and errors carry the row and column they were found at (rows counted from
+1, excluding the header).
 
 A file is read once, as bytes. One without quotes, carriage returns, NULs or
 invalid UTF-8 is indexed with numpy: its newlines and commas tell whether it is
@@ -37,7 +38,8 @@ def _read_table(path) -> tuple[list[str], list, tuple | None]:
     path = Path(path)
     if not path.is_file():
         raise IngestionError(f"input file not found: {path}")
-    raw = path.read_bytes()  # copied only to end its last line: it is held while it is read
+    # A leading byte order mark (Excel's "CSV UTF-8") is not part of the first header cell.
+    raw = path.read_bytes().removeprefix(b"\xef\xbb\xbf")  # held while it is read
     raw = raw if raw.endswith(b"\n") else raw + b"\n"
     text = raw.decode("utf-8", "replace")  # csv.reader names a bad byte
     # The cheap checks first: a file they send to csv.reader is not indexed.
@@ -55,7 +57,7 @@ def _read_table(path) -> tuple[list[str], list, tuple | None]:
             strip = not raw.isascii() or any(byte in raw for byte in b" \t\v\f\x1c\x1d\x1e\x1f")
             index = data, ends, width, strip
             return [name.strip() for name in lines[0].split(",")], lines[1:-1], index
-    with path.open(newline="", encoding="utf-8") as handle:
+    with path.open(newline="", encoding="utf-8-sig") as handle:
         reader = csv.reader(handle)
         header, rows, failure = [], [], None
         try:

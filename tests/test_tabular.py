@@ -326,6 +326,47 @@ ODD_CELLS = ["1_000.5", "١٢", "\x1c1", "\xa01.5\xa0", " 2 ", "1d5", "0x1p3
              "\x852", "+.5", "1.", "-0", "1e-320", "4.9e-324", " +1e+2 ", "0b1", "١"]
 
 
+class TestByteOrderMark:
+    """A file that starts with a UTF-8 byte order mark, as Excel's "CSV UTF-8" writes
+    it, reads as the same file without it, on the plain path and, with one quoted cell,
+    on the ``csv.reader`` path: the mark is not part of the first header cell."""
+
+    @staticmethod
+    def files(directory, marked, quoted):
+        """A label file led by ``treatment``, a party file led by ``id`` and a dataset led
+        by ``a``; the ``marked`` one starts with the mark, and each quotes a cell if
+        ``quoted``."""
+        q = '"' if quoted else ""
+        texts = {
+            "labels": ("treatment,id,outcome", [f"{q}0{q},7,1.5", "1,8,2.5", "0,9,3.5"]),
+            "party": ("id,a,b", [f"7,{q}1.25{q},2", "8,3,4", "9,5,6.5"]),  # ids read as reals
+            "dataset": ("a,id,treatment,b,y", [f"{q}1{q},7,0,2,3", "4,8,1,5,6"]),
+        }
+        paths = {}
+        for name, (header, lines) in texts.items():
+            paths[name] = write(directory, f"{name}.csv",
+                                ("\ufeff" if name == marked else "") + header, lines)
+            assert (tabular._read_table(paths[name])[2] is None) == quoted
+        return paths
+
+    @pytest.mark.parametrize("quoted", [False, True], ids=["plain", "quoted"])
+    @pytest.mark.parametrize("marked", ["labels", "party", "dataset"])
+    def test_marked_file_reads_as_unmarked(self, tmp_path, marked, quoted):
+        results = []
+        for mark in (marked, None):
+            directory = tmp_path / str(mark)
+            directory.mkdir()
+            paths = self.files(directory, mark, quoted)
+            assert paths[marked].read_bytes().startswith(b"\xef\xbb\xbf") == (mark is not None)
+            results.append((
+                outcome(load_party_files, {(0, 0): str(paths["party"])},
+                        {0: str(paths["labels"])}, "id"),
+                outcome(ingest_csv, paths["dataset"], ("b", "a"), "treatment", "y")))
+        for new, old in zip(*results):
+            assert not isinstance(new, str) and not isinstance(old, str), (new, old)
+            assert_same_outcome(new, old)
+
+
 class TestPlainFileReader:
     @pytest.mark.parametrize("cell", ODD_CELLS)
     def test_odd_cell_matches_cellwise(self, tmp_path, cell):
