@@ -447,11 +447,12 @@ class TestWholeScenarioRelations:
 
     Shifting one covariate by b, constant on row block 0, moves each reported
     number by at most rounding of order eps |b|: every party standardizes its
-    block, and the constant one keeps a divisor of 1.0. Measured on 120 DC-QE
-    W-clb draws with |b| from 1 to 1e7 (PSM and IPW, ATE): the largest move was
-    12.9 eps max(1, |b|) of max(1, |value|), and 281 eps on ``inconsistency_ca``,
-    whose centralized reference fit runs IRLS on the raw, shifted column. So
-    ``SHIFT_BOUND`` and ``CA_SHIFT_BOUND`` leave margins of 3.5 and 16.
+    block, and the constant one keeps a divisor of 1.0. Measured on 100 draws of
+    the test's grid with |b| from 1 to 1e7 (PSM and IPW, ATE and ATT): the largest
+    move was 10.8 eps max(1, |b|) of max(1, |value|) (eps = 2.2e-16), and 303 eps
+    on ``inconsistency_ca``, whose centralized reference fit runs IRLS on the raw,
+    shifted column. So ``SHIFT_BOUND`` and ``CA_SHIFT_BOUND`` leave margins of 4.2
+    and 15.
     """
 
     BOUND = 1e-14
@@ -509,8 +510,9 @@ class TestWholeScenarioRelations:
     @pytest.mark.parametrize("estimator", ["PSM", "IPW"])
     @settings(max_examples=4, deadline=None, derandomize=True, database=None)
     @given(seed=st.integers(0, 2**31 - 1), shift=st.floats(-1e7, 1e7))
-    # Constants whose 70 copies have a rounding SD above 1e-12, which an absolute
-    # cutoff scales up to unit variance; 2019.37's stays below it.
+    # 70 copies of 20000.3 or 123456.789 have a rounding SD above 1e-12 (3.7e-12
+    # and 2.9e-11), which an absolute cutoff scales up to unit variance; those of
+    # 2019.37 (9.2e-13) stay below it.
     @example(seed=0, shift=20000.3)
     @example(seed=1, shift=123456.789)
     @example(seed=2, shift=-3.3e6)
